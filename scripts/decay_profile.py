@@ -9,7 +9,7 @@ from pathlib import Path
 
 
 from gibbscert.decay import algebraic_certificate, decay_profile
-from gibbscert.interaction import interaction_from_model, inverse_entrywise
+from gibbscert.interaction import interaction_from_model
 from gibbscert.lattice import distance_matrix, periodic_grid
 from gibbscert.model import GibbsModel, algebraic_coupling, gaussian_potential
 
@@ -26,7 +26,7 @@ def main():
     print(f"prefactor C:     {cert.prefactor:.6f}")
     print(f"fitted exponent: {cert.fitted_exponent:.3f} over {cert.fit_range}")
 
-    inv = inverse_entrywise(im.A)
+    inv = im.inverse()
     r = distance_matrix(geom, euclidean=True)
     out = Path("out")
     out.mkdir(exist_ok=True)

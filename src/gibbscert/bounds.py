@@ -16,10 +16,7 @@ import numpy as np
 
 from .interaction import (
     InteractionMatrix,
-    build_tilted_matrix,
     interaction_from_model,
-    inverse_entrywise,
-    is_positive_definite,
     weighted_similarity_check,
 )
 from .lattice import LatticeGeometry, graph_distance, distance_matrix
@@ -119,9 +116,7 @@ def baseline_bound(rho_pi: float, f: Observable, g: Observable) -> BoundReport:
 
 def covariance_bound(im: InteractionMatrix, f: Observable, g: Observable) -> BoundReport:
     """|cov(f,g)| <= sum_ij (A^-1)_ij ||grad_i f|| ||grad_j g||."""
-    if not is_positive_definite(im.A):
-        raise ValueError("interaction matrix is not positive definite")
-    inv = inverse_entrywise(im.A)
+    inv = im.inverse()  # raises unless A is positive definite
     value = float(f.grad_norms @ inv @ g.grad_norms)
     return BoundReport(value, "full_matrix", {"lambda_min": float(np.linalg.eigvalsh(im.A)[0])})
 
@@ -249,7 +244,7 @@ def nearest_neighbor_certificate(model: GibbsModel) -> NearestNeighborCertificat
     margin = threshold - eps_abs
 
     im = interaction_from_model(model)
-    tilted = build_tilted_matrix(im, geom)
+    tilted = im.tilted(geom)
     lam_a = float(np.linalg.eigvalsh(im.A)[0])
     lam_at = tilted.min_eigenvalue
     checks = {

@@ -19,13 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bnd
+from ._blas import single_threaded
 from .decay import algebraic_certificate, exponential_certificate
-from .interaction import (
-    interaction_from_model,
-    inverse_entrywise,
-    is_positive_definite,
-    pi_criterion,
-)
+from .interaction import interaction_from_model, pi_criterion
 from .lattice import distance_matrix, explicit_metric, periodic_grid
 from .model import (
     Coupling,
@@ -239,29 +235,30 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(raw)
 
 
-def _pair_rows(n, delta, bound, oracle=None, tol=None, check=None):
-    """Rows over unordered pairs (diagonal included)."""
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            b = float(bound[i, j]) if bound is not None else None
-            o = float(oracle[i, j]) if oracle is not None else None
-            t = float(tol[i, j]) if tol is not None else None
-            verdict = "unchecked"
-            if check is not None and o is not None:
-                verdict = "pass" if check(i, j) else "fail"
-            rows.append(
-                {
-                    "i": i,
-                    "j": j,
-                    "delta_ij": float(delta[i, j]),
-                    "bound": b,
-                    "oracle_value": o,
-                    "stderr_or_tol": t,
-                    "verdict": verdict,
-                }
-            )
-    return rows
+def _pair_rows(delta, bound, oracle=None, tol=None, ok=None) -> dict:
+    """Pair-table columns over unordered pairs (diagonal included), row-major.
+
+    ``ok`` is the per-pair check against the oracle as a boolean matrix;
+    without it every verdict is "unchecked".
+    """
+    i, j = np.triu_indices(delta.shape[0])
+    if ok is None:
+        verdict = np.full(i.size, "unchecked")
+    else:
+        verdict = np.where(ok[i, j], "pass", "fail")
+    return {
+        "i": i,
+        "j": j,
+        "delta_ij": delta[i, j],
+        "bound": bound[i, j],
+        "oracle_value": None if oracle is None else oracle[i, j],
+        "stderr_or_tol": None if tol is None else tol[i, j],
+        "verdict": verdict,
+    }
+
+
+def _failures(rows) -> int:
+    return 0 if rows is None else int(np.count_nonzero(rows["verdict"] == "fail"))
 
 
 def _model_constants(model: GibbsModel) -> dict:
@@ -278,22 +275,22 @@ def _run_bound_report(cfg: ExperimentConfig):
     im = interaction_from_model(model)
     delta = distance_matrix(model.geometry)
     constants = _model_constants(model)
-    if not is_positive_definite(im.A):
-        return {"constants": constants, "error": "interaction matrix not positive definite"}, [], False
-    inv = inverse_entrywise(im.A)
+    try:
+        inv = im.inverse()
+    except ValueError:
+        return {"constants": constants, "error": "interaction matrix not positive definite"}, None, False
     constants["lambda_min_A"] = pi_criterion(im.A)
     oracle = None
     tol = None
-    check = None
+    ok = None
     if all(p.perturbation == "none" for p in model.potentials):
         cov = gaussian_exact_covariance(gaussian_from_model(model))
         oracle = cov
         scale = float(np.max(np.abs(cov)))
         tol = np.full_like(cov, 1e-10 * scale)
-        check = lambda i, j: abs(cov[i, j]) <= inv[i, j] + 1e-10 * scale
-    rows = _pair_rows(model.n_sites, delta, inv, oracle, tol, check)
-    passed = all(r["verdict"] != "fail" for r in rows)
-    return {"constants": constants}, rows, passed
+        ok = np.abs(cov) <= inv + 1e-10 * scale
+    rows = _pair_rows(delta, inv, oracle, tol, ok)
+    return {"constants": constants}, rows, _failures(rows) == 0
 
 
 def _run_gaussian_sharpness(cfg: ExperimentConfig):
@@ -305,15 +302,13 @@ def _run_gaussian_sharpness(cfg: ExperimentConfig):
     if not gm.ferromagnetic:
         raise ConfigError("gaussian_sharpness: coupling must be ferromagnetic")
     im = interaction_from_model(model)
-    inv = inverse_entrywise(im.A)
+    inv = im.inverse()
     cov = gaussian_exact_covariance(gm)
     delta = distance_matrix(model.geometry)
     gaps = np.abs(inv - cov) / np.maximum(np.abs(cov), 1e-300)
     max_gap = float(np.max(gaps))
     tol = np.full_like(cov, tolerance)
-    rows = _pair_rows(
-        model.n_sites, delta, inv, cov, tol, lambda i, j: gaps[i, j] <= tolerance
-    )
+    rows = _pair_rows(delta, inv, cov, tol, gaps <= tolerance)
     results = {
         "constants": _model_constants(model),
         "max_relative_gap": max_gap,
@@ -391,14 +386,13 @@ def _run_pde_check(cfg: ExperimentConfig, out_dir: Path):
         "lambda_min_A": rho_full,
         "functions": checks,
     }
-    return results, [], bool(all_ok)
+    return results, None, bool(all_ok)
 
 
 def _run_mcmc_check(cfg: ExperimentConfig):
     model = cfg.model
     est, err, rate = mcmc_covariance_matrix(model, cfg.sampler)
     delta = distance_matrix(model.geometry)
-    n = model.n_sites
     gaussian = all(p.perturbation == "none" for p in model.potentials)
     mode = cfg.options.get("compare", "exact" if gaussian else "bound")
     if mode == "exact":
@@ -407,16 +401,16 @@ def _run_mcmc_check(cfg: ExperimentConfig):
         target = gaussian_exact_covariance(gaussian_from_model(model))
         max_violations = int(cfg.options.get("max_violations", 1))
         ok = np.abs(est - target) <= 3.0 * err
-        rows = _pair_rows(n, delta, target, est, 3.0 * err, lambda i, j: ok[i, j])
+        rows = _pair_rows(delta, target, est, 3.0 * err, ok)
     elif mode == "bound":
         im = interaction_from_model(model)
-        bound = inverse_entrywise(im.A)
+        bound = im.inverse()
         max_violations = int(cfg.options.get("max_violations", 0))
         ok = np.abs(est) <= bound + 3.0 * err
-        rows = _pair_rows(n, delta, bound, est, 3.0 * err, lambda i, j: ok[i, j])
+        rows = _pair_rows(delta, bound, est, 3.0 * err, ok)
     else:
         raise ConfigError("mcmc_check.compare: must be 'exact' or 'bound'")
-    violations = sum(1 for r in rows if r["verdict"] == "fail")
+    violations = _failures(rows)
     results = {
         "constants": _model_constants(model),
         "acceptance_rate": rate,
@@ -438,7 +432,7 @@ def _write_decay_csv(im, geom, out_dir: Path, euclidean: bool) -> None:
     from .decay import decay_profile
     from .reporting import fmt
 
-    inv = inverse_entrywise(im.A)
+    inv = im.inverse()
     dist = distance_matrix(geom, euclidean=euclidean)
     with open(out_dir / "decay.csv", "w", encoding="utf-8") as fh:
         fh.write("distance,max_abs_inverse\n")
@@ -451,19 +445,19 @@ def _run_exponential_certificate(cfg: ExperimentConfig, out_dir: Path):
     im = interaction_from_model(model)
     cert = exponential_certificate(im, model.geometry)
     delta = distance_matrix(model.geometry)
-    rows = []
+    rows = None
     if cert.passed:
         bound = cert.prefactor * np.exp(-delta)
-        oracle, tol, check = None, None, None
+        oracle, tol, ok = None, None, None
         if all(p.perturbation == "none" for p in model.potentials):
             cov = gaussian_exact_covariance(gaussian_from_model(model))
             scale = float(np.max(np.abs(cov)))
             oracle, tol = cov, np.full_like(cov, 1e-10 * scale)
-            check = lambda i, j: abs(cov[i, j]) <= bound[i, j] + 1e-10 * scale
-        rows = _pair_rows(model.n_sites, delta, bound, oracle, tol, check)
+            ok = np.abs(cov) <= bound + 1e-10 * scale
+        rows = _pair_rows(delta, bound, oracle, tol, ok)
         _write_decay_csv(im, model.geometry, out_dir, euclidean=False)
     results = {"constants": _model_constants(model), "certificate": cert.to_dict()}
-    passed = cert.passed and all(r["verdict"] != "fail" for r in rows)
+    passed = cert.passed and _failures(rows) == 0
     return results, rows, passed
 
 
@@ -474,24 +468,17 @@ def _run_algebraic_certificate(cfg: ExperimentConfig, out_dir: Path):
     im = interaction_from_model(model)
     geom = model.geometry
     cert = algebraic_certificate(im, geom, model.coupling.alpha)
-    rows = []
+    rows = None
     if cert.passed:
         r = distance_matrix(geom, euclidean=True)
         bound = cert.prefactor / (r**cert.exponent + 1.0)
-        inv = inverse_entrywise(im.A)
+        inv = im.inverse()
         scale = float(np.max(inv))
         tol = np.full_like(inv, 1e-10 * scale)
-        rows = _pair_rows(
-            model.n_sites,
-            r,
-            bound,
-            inv,
-            tol,
-            lambda i, j: inv[i, j] <= bound[i, j] * (1 + 1e-10) + 1e-300,
-        )
+        rows = _pair_rows(r, bound, inv, tol, inv <= bound * (1 + 1e-10) + 1e-300)
         _write_decay_csv(im, geom, out_dir, euclidean=True)
     results = {"constants": _model_constants(model), "certificate": cert.to_dict()}
-    passed = cert.passed and all(r_["verdict"] != "fail" for r_ in rows)
+    passed = cert.passed and _failures(rows) == 0
     return results, rows, passed
 
 
@@ -522,7 +509,7 @@ def _run_threshold_scan(cfg: ExperimentConfig):
         "scan": scan,
         "first_refused_epsilon": first_refused,
     }
-    return results, [], True
+    return results, None, True
 
 
 _RUNNERS = {
@@ -541,7 +528,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> tuple[dict, bool]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.time()
-    results, pairs, passed = _RUNNERS[cfg.kind](cfg, out_dir)
+    with single_threaded():
+        results, pairs, passed = _RUNNERS[cfg.kind](cfg, out_dir)
     report = {
         "config": cfg.echo,
         "experiment": cfg.kind,
@@ -550,7 +538,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> tuple[dict, bool]:
         "meta": {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"), "elapsed_s": time.time() - start},
     }
     write_report(report, out_dir / "report.json")
-    if pairs and cfg.out_format == "csv":
+    if pairs is not None and cfg.out_format == "csv":
         emit_pair_table(pairs, out_dir / "pairs.csv")
     return report, bool(passed)
 

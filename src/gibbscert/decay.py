@@ -15,10 +15,8 @@ import numpy as np
 
 from .interaction import (
     InteractionMatrix,
-    build_tilted_matrix,
     dominance_margin,
     inverse_entrywise,
-    is_positive_definite,
     neumann_contraction_constant,
     neumann_partial_sums,
 )
@@ -69,13 +67,11 @@ def tilt_inequality_audit(im: InteractionMatrix, geom: LatticeGeometry) -> float
     instance; anything above ~1e-10 would indicate a broken hypothesis
     (most likely a metric without the triangle inequality).
     """
-    if not is_positive_definite(im.A):
-        raise ValueError("A is not positive definite")
-    tilted = build_tilted_matrix(im, geom)
-    if tilted.rho_tilde is None or not is_positive_definite(tilted.A_tilde):
+    inv_a = im.inverse()  # raises unless A is positive definite
+    tilted = im.tilted(geom)
+    if tilted.rho_tilde is None:
         raise ValueError("tilted matrix is not positive definite")
-    inv_a = inverse_entrywise(im.A)
-    inv_t = inverse_entrywise(tilted.A_tilde)
+    inv_t = inverse_entrywise(tilted.A_tilde)  # its pivot check raises as well
     delta = distance_matrix(geom)
     rhs = np.exp(-delta) * inv_t
     violation = (inv_a - rhs) / (np.abs(inv_t) + 1e-300)
@@ -84,16 +80,7 @@ def tilt_inequality_audit(im: InteractionMatrix, geom: LatticeGeometry) -> float
 
 def _fit_decay_exponent(inv: np.ndarray, r: np.ndarray, lo: float, hi: float):
     """Least-squares slope of log max|A^-1| against log distance over [lo, hi]."""
-    off = ~np.eye(inv.shape[0], dtype=bool)
-    dists = np.round(r[off], 9)
-    vals = np.abs(inv[off])
-    levels = np.unique(dists)
-    levels = levels[(levels >= lo) & (levels <= hi)]
-    pts = []
-    for lev in levels:
-        m = float(np.max(vals[dists == lev]))
-        if m > 0:
-            pts.append((lev, m))
+    pts = [(lev, m) for lev, m in decay_profile(inv, r) if lo <= lev <= hi and m > 0]
     if len(pts) < 3:
         return None
     x = np.log([p[0] for p in pts])
@@ -105,11 +92,10 @@ def _fit_decay_exponent(inv: np.ndarray, r: np.ndarray, lo: float, hi: float):
 def decay_profile(inv: np.ndarray, r: np.ndarray) -> list[tuple[float, float]]:
     """(distance, max |(A^-1)_ij| at that distance) rows, for plotting/export."""
     off = ~np.eye(inv.shape[0], dtype=bool)
-    dists = np.round(r[off], 9)
-    vals = np.abs(inv[off])
-    return [
-        (float(lev), float(np.max(vals[dists == lev]))) for lev in np.unique(dists)
-    ]
+    levels, level_of = np.unique(np.round(r[off], 9), return_inverse=True)
+    peaks = np.zeros(levels.size)
+    np.maximum.at(peaks, level_of, np.abs(inv[off]))
+    return list(zip(levels.tolist(), peaks.tolist()))
 
 
 def exponential_certificate(im: InteractionMatrix, geom: LatticeGeometry) -> DecayCertificate:
@@ -118,7 +104,7 @@ def exponential_certificate(im: InteractionMatrix, geom: LatticeGeometry) -> Dec
     Passes iff the tilted matrix has a positive smallest eigenvalue; the
     element-wise tilt inequality is then re-audited on the instance.
     """
-    tilted = build_tilted_matrix(im, geom)
+    tilted = im.tilted(geom)
     constants = {"rho_tilde_eigenvalue": tilted.min_eigenvalue}
     if tilted.rho_tilde is None:
         return DecayCertificate(
@@ -129,7 +115,7 @@ def exponential_certificate(im: InteractionMatrix, geom: LatticeGeometry) -> Dec
         )
     audit = tilt_inequality_audit(im, geom)
     constants["tilt_audit_max_violation"] = audit
-    inv = inverse_entrywise(im.A)
+    inv = im.inverse()
     delta = distance_matrix(geom)
     dmax = float(np.max(delta))
     fitted = None
@@ -243,31 +229,30 @@ def algebraic_certificate(
     c_tail = max_inv_rho / (1.0 - c)
     prefactor = _algebraic_prefactor(c_head, c_tail, d, alpha, c)
 
-    # cut index per pair and the audits
+    # cut index per pair, evaluated with math.log once per distinct distance
     log_c = math.inf if c == 0.0 else abs(math.log(c))
+    levels, level_of = np.unique(r[off], return_inverse=True)
+    level_cut = [_smallest_integer_above(p * math.log(x) / log_c) for x in levels.tolist()]
     n_cut = np.zeros((n, n), dtype=int)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                n_cut[i, j] = _smallest_integer_above(p * math.log(r[i, j]) / log_c)
+    n_cut[off] = np.array(level_cut, dtype=int)[level_of]
     k_max = int(np.max(n_cut)) if n > 1 else 0
     expansion = neumann_partial_sums(im, k_max)
-    inv = inverse_entrywise(im.A)
+    inv = im.inverse()
     scale = float(np.max(inv))
 
+    # tail audit: all pairs sharing a cut index nc at once (nc stays a numpy
+    # integer, so c**nc rounds as it does per pair)
     tail_ok = True
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            nc = n_cut[i, j]
-            tail = inv[i, j] - expansion.partial_sums[nc - 1][i, j]
-            if tail > c**nc / (1.0 - c) * max_inv_rho + AUDIT_RTOL * scale:
-                tail_ok = False
+    for nc in np.unique(n_cut[off]):
+        pairs = off & (n_cut == nc)
+        tail = inv[pairs] - expansion.partial_sums[nc - 1][pairs]
+        if np.any(tail > c**nc / (1.0 - c) * max_inv_rho + AUDIT_RTOL * scale):
+            tail_ok = False
     head_ok = True
+    coupling_profile = r**p + 1.0
     for k in range(1, k_max + 1):
         t_k = expansion.terms[k]
-        bound = c_head * float(k) ** (p + 1.0) / (r**p + 1.0)
+        bound = c_head * float(k) ** (p + 1.0) / coupling_profile
         if np.any(t_k[off] > bound[off] * (1.0 + AUDIT_RTOL) + 1e-300):
             head_ok = False
     final_bound = prefactor / (r ** (d + alpha / 2.0) + 1.0)

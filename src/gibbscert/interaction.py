@@ -33,24 +33,42 @@ def _require_symmetric(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InteractionMatrix:
-    """Symmetric Z-matrix with A_ii = rho_i > 0 and A_ij = -kappa_ij <= 0."""
+    """Symmetric Z-matrix with A_ii = rho_i > 0 and A_ij = -kappa_ij <= 0.
+
+    The arrays are read-only, so the derived A^-1 and tilted matrices can be
+    computed once and shared by every caller.
+    """
 
     rho: np.ndarray
     kappa: np.ndarray
     A: np.ndarray = field(repr=False)
     provenance: GibbsModel | None = field(default=None, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.A.shape[0]
 
     def inverse(self) -> np.ndarray:
-        return inverse_entrywise(self.A)
+        """inverse_entrywise(A), computed once and returned read-only."""
+        inv = self._cache.get("inverse")
+        if inv is None:
+            inv = self._cache["inverse"] = inverse_entrywise(self.A)
+            inv.flags.writeable = False
+        return inv
+
+    def tilted(self, geom: LatticeGeometry) -> TiltedMatrix:
+        """build_tilted_matrix(self, geom), computed once per geometry."""
+        # the cache holds geom itself, so its id cannot be reused meanwhile
+        key = ("tilted", id(geom))
+        if key not in self._cache:
+            self._cache[key] = (geom, build_tilted_matrix(self, geom))
+        return self._cache[key][1]
 
 
 def build_interaction_matrix(rho, kappa, provenance=None) -> InteractionMatrix:
-    rho = np.asarray(rho, dtype=float)
-    kappa = _require_symmetric(kappa)
+    rho = np.array(rho, dtype=float)
+    kappa = _require_symmetric(kappa).copy()
     if rho.shape != (kappa.shape[0],):
         raise ValueError("rho and kappa dimensions disagree")
     if np.any(rho <= 0):
@@ -60,6 +78,8 @@ def build_interaction_matrix(rho, kappa, provenance=None) -> InteractionMatrix:
     if np.any(np.diag(kappa) != 0):
         raise ValueError("kappa must have zero diagonal")
     A = np.diag(rho) - kappa
+    for array in (rho, kappa, A):
+        array.flags.writeable = False
     return InteractionMatrix(rho=rho, kappa=kappa, A=A, provenance=provenance)
 
 
@@ -70,15 +90,20 @@ def interaction_from_model(model: GibbsModel) -> InteractionMatrix:
     )
 
 
+def _pivoted_cholesky(a: np.ndarray) -> tuple | None:
+    """scipy's lower Cholesky factor of a, or None unless every pivot clears
+    PIVOT_RTOL times the max diagonal."""
+    try:
+        cho = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+    tol = PIVOT_RTOL * float(np.max(np.diag(a)))
+    return cho if np.min(np.diag(cho[0])) ** 2 > tol else None
+
+
 def is_positive_definite(a) -> bool:
     """Cholesky succeeds and every pivot clears 1e-12 times the max diagonal."""
-    a = _require_symmetric(a)
-    try:
-        L = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return False
-    tol = PIVOT_RTOL * float(np.max(np.diag(a)))
-    return bool(np.min(np.diag(L)) ** 2 > tol)
+    return _pivoted_cholesky(_require_symmetric(a)) is not None
 
 
 def dominance_margin(a) -> float:
@@ -97,11 +122,12 @@ def inverse_entrywise(a) -> np.ndarray:
 
     For a positive definite Z-matrix (an M-matrix) the true inverse is
     entrywise nonnegative; clamping makes that assertable in floating point.
+    The factor that decides positive definiteness is the one solved with.
     """
     a = _require_symmetric(a)
-    if not is_positive_definite(a):
+    cho = _pivoted_cholesky(a)
+    if cho is None:
         raise ValueError("matrix is not positive definite")
-    cho = scipy.linalg.cho_factor(a, lower=True)
     inv = scipy.linalg.cho_solve(cho, np.eye(a.shape[0]))
     inv = 0.5 * (inv + inv.T)
     inv[np.abs(inv) <= INVERSE_CLAMP] = 0.0
@@ -126,6 +152,7 @@ def build_tilted_matrix(im: InteractionMatrix, geom: LatticeGeometry) -> TiltedM
     if delta.shape != im.A.shape:
         raise ValueError("geometry and interaction matrix sizes disagree")
     a_tilde = np.diag(im.rho) - np.exp(delta) * im.kappa
+    a_tilde.flags.writeable = False
     lam = float(np.linalg.eigvalsh(a_tilde)[0])
     return TiltedMatrix(
         A_tilde=a_tilde,

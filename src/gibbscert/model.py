@@ -236,26 +236,20 @@ def pointwise_relaxed_check(
 ) -> RelaxedCheck:
     """Sampled check of the relaxed weighted condition.
 
-    At each supplied configuration x builds the matrix with diagonal rho_i and
-    signed off-diagonal mixed Hessian entries, symmetrizes D M D^-1 and tracks
-    the smallest eigenvalue across points.  For bilinear couplings the matrix
-    does not depend on x.  This is a sampled diagnostic, not a uniform-in-x
-    certificate.
+    Builds the matrix with diagonal rho_i and signed off-diagonal mixed
+    Hessian entries and takes the smallest eigenvalue of the symmetric part
+    of D M D^-1.  For bilinear couplings the matrix does not depend on x, so
+    one eigen-solve gives the minimum over every supplied configuration.
+    This is a sampled diagnostic, not a uniform-in-x certificate.
     """
     d = np.asarray(weights, dtype=float)
     if np.any(d <= 0):
         raise ValueError("weights must be positive")
-    points = list(points)
-    if not points:
+    if not list(points):
         raise ValueError("need at least one configuration to check")
-    rho = rho_vector(model)
-    min_eig = np.inf
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        mixed = -model._J  # d_i d_j H for i != j, constant in x for bilinear J
-        m = mixed.copy()
-        np.fill_diagonal(m, rho)
-        similar = (d[:, None] * m) / d[None, :]
-        sym = 0.5 * (similar + similar.T)
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(sym)[0]))
+    m = -model._J  # d_i d_j H for i != j
+    np.fill_diagonal(m, rho_vector(model))
+    similar = (d[:, None] * m) / d[None, :]
+    sym = 0.5 * (similar + similar.T)
+    min_eig = float(np.linalg.eigvalsh(sym)[0])
     return RelaxedCheck(passed=bool(min_eig >= rho_target), min_eigenvalue=min_eig)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 
 PAIR_COLUMNS = ("i", "j", "delta_ij", "bound", "oracle_value", "stderr_or_tol", "verdict")
+PAIR_CHUNK_ROWS = 4096  # rows formatted per write; bounds the text held in memory
 
 
 def fmt(value) -> str:
@@ -27,21 +29,25 @@ def matrix_to_csv(path, matrix) -> None:
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
-def emit_pair_table(pairs: list[dict], path) -> None:
-    """CSV of per-pair results; one row per unordered pair including diagonal."""
+def emit_pair_table(pairs: dict, path) -> None:
+    """CSV of per-pair results; one row per unordered pair including diagonal.
+
+    ``pairs`` maps every name in PAIR_COLUMNS to a column of equal length:
+    integer ``i`` and ``j``, text ``verdict`` and float values otherwise; a
+    float column given as None leaves its cells empty.  Rows are formatted a
+    chunk at a time with one %-template, which writes the same text as fmt().
+    """
+    spec = {"i": "%d", "j": "%d", "verdict": "%s"}
+    present = [name for name in PAIR_COLUMNS if pairs[name] is not None]
+    row = ",".join(spec.get(name, "%.17e") if name in present else "" for name in PAIR_COLUMNS) + "\n"
+    n = len(pairs["i"])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(PAIR_COLUMNS) + "\n")
-        for row in pairs:
-            fields = [
-                str(int(row["i"])),
-                str(int(row["j"])),
-                fmt(row.get("delta_ij")),
-                fmt(row.get("bound")),
-                fmt(row.get("oracle_value")),
-                fmt(row.get("stderr_or_tol")),
-                str(row.get("verdict", "")),
-            ]
-            fh.write(",".join(fields) + "\n")
+        for start in range(0, n, PAIR_CHUNK_ROWS):
+            stop = min(start + PAIR_CHUNK_ROWS, n)
+            columns = [np.asarray(pairs[name][start:stop]).tolist() for name in present]
+            values = tuple(itertools.chain.from_iterable(zip(*columns)))
+            fh.write(row * (stop - start) % values)
 
 
 def _jsonable(obj):

@@ -1,6 +1,8 @@
 import json
 import math
+import sys
 
+import numpy as np
 import pytest
 
 from gibbscert.cli import ConfigError, load_config, main, parse_config, run_experiment
@@ -246,3 +248,37 @@ def test_seed_override(tmp_path):
     assert main(["--config", str(path), "--out", str(tmp_path / "o2"), "--seed", "7"]) == 0
     report = load_report(tmp_path / "o2" / "report.json")
     assert report["results"]["sampler"]["seed"] == 7
+
+
+def test_exponential_run_builds_each_table_once(tmp_path, monkeypatch):
+    import gibbscert.lattice
+    from gibbscert import interaction
+
+    tables = []
+    build_table = gibbscert.lattice._torus_distance_table
+
+    def counted_table(geom, euclidean):
+        tables.append(euclidean)
+        return build_table(geom, euclidean)
+
+    inverted = []
+    invert = interaction.inverse_entrywise
+
+    def counted_inverse(a):
+        inverted.append(np.array(a))
+        return invert(a)
+
+    monkeypatch.setattr(gibbscert.lattice, "_torus_distance_table", counted_table)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gibbscert") and getattr(module, "inverse_entrywise", None) is invert:
+            monkeypatch.setattr(module, "inverse_entrywise", counted_inverse)
+    block = base_model_block(6, 0.05)
+    block["geometry"]["side_lengths"] = [6, 6]
+    cfg = parse_config({"model": block, "experiment": {"kind": "exponential_certificate"}})
+    report, passed = run_experiment(cfg, tmp_path / "out")
+    assert passed
+    assert (tmp_path / "out" / "decay.csv").exists()
+    assert tables == [False]  # the graph table, once; no Euclidean table
+    A = interaction.interaction_from_model(cfg.model).A
+    assert sum(np.array_equal(a, A) for a in inverted) == 1
+    assert len(inverted) == 2  # A and the tilted matrix

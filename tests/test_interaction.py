@@ -109,6 +109,22 @@ def test_tilted_1d_ring_matches_scaled_coupling():
     assert np.allclose(tm.A_tilde, interaction_from_model(scaled).A)
 
 
+def test_inverse_and_tilted_cached_read_only():
+    geom = periodic_grid([6])
+    im = interaction_from_model(
+        GibbsModel(geom, gaussian_potential(1.0), nearest_neighbor_coupling(0.1))
+    )
+    inv = im.inverse()
+    assert im.inverse() is inv
+    assert np.array_equal(inv, inverse_entrywise(im.A))
+    tm = im.tilted(geom)
+    assert im.tilted(geom) is tm
+    assert np.array_equal(tm.A_tilde, build_tilted_matrix(im, geom).A_tilde)
+    for array in (inv, tm.A_tilde, im.A, im.rho, im.kappa):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 7.0
+
+
 def test_tilted_negative_marks_unavailable():
     geom = periodic_grid([8])
     model = GibbsModel(geom, gaussian_potential(1.0), nearest_neighbor_coupling(0.2))

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbscert.lattice import (
+    EXHAUSTIVE_TRIANGLE_LIMIT,
+    SAMPLED_TRIANGLE_COUNT,
     distance_matrix,
     euclidean_site_distance,
     explicit_metric,
@@ -69,11 +71,26 @@ def test_explicit_geometry_has_no_euclidean_distance():
 
 
 def test_large_explicit_metric_accepted_via_sampled_validation():
-    # N > 64 switches to sampled triple checks; a genuine metric must pass
+    # above the exhaustive limit the check samples triples; a genuine metric must pass
+    n = EXHAUSTIVE_TRIANGLE_LIMIT + 8
     rng = np.random.default_rng(0)
-    pts = rng.normal(size=(70, 3))
+    pts = rng.normal(size=(n, 3))
     d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    assert explicit_metric(d).n_sites == 70
+    assert explicit_metric(d).n_sites == n
+
+
+def test_triangle_violation_missed_by_sampling_is_rejected():
+    # N = 96: one violating triple, delta(a, b) = 1.9 > delta(a, s) + delta(s, b) = 1.8
+    n, a, s, b = 96, 5, 47, 90
+    sample = np.random.default_rng(0).integers(0, n, size=(SAMPLED_TRIANGLE_COUNT, 3))
+    drawn = set(map(tuple, sample.tolist()))
+    assert (a, s, b) not in drawn and (b, s, a) not in drawn  # random triples miss it
+    table = np.ones((n, n))
+    np.fill_diagonal(table, 0.0)
+    table[a, b] = table[b, a] = 1.9
+    table[a, s] = table[s, a] = table[s, b] = table[b, s] = 0.9
+    with pytest.raises(ValueError, match="triangle"):
+        explicit_metric(table)
 
 
 @given(
@@ -111,3 +128,32 @@ def test_distance_matrix_euclidean_matches_pointwise():
     for i in range(geom.n_sites):
         for j in range(geom.n_sites):
             assert r[i, j] == euclidean_site_distance(geom, i, j)
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=3),
+)
+@settings(max_examples=12, deadline=None)
+def test_distance_tables_match_per_pair_distances(sides):
+    geom = periodic_grid(sides)
+    n = geom.n_sites
+    graph = np.zeros((n, n))
+    euclid = np.zeros((n, n))
+    for i in range(n):  # both scalar distances are symmetric (see the axioms test)
+        for j in range(i, n):
+            graph[i, j] = graph[j, i] = graph_distance(geom, i, j)
+            euclid[i, j] = euclid[j, i] = euclidean_site_distance(geom, i, j)
+    assert np.array_equal(distance_matrix(geom), graph)
+    assert np.array_equal(distance_matrix(geom, euclidean=True), euclid)
+
+
+def test_distance_tables_cached_read_only():
+    for geom in (periodic_grid([5, 4]), explicit_metric([[0.0, 1.0], [1.0, 0.0]])):
+        tables = [distance_matrix(geom)]
+        if geom.kind == "periodic_grid":
+            tables.append(distance_matrix(geom, euclidean=True))
+            assert distance_matrix(geom, euclidean=True) is tables[1]
+        assert distance_matrix(geom) is tables[0]
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 1] = 7.0
