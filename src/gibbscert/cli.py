@@ -13,14 +13,14 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import bounds as bnd
 from ._blas import single_threaded
-from .decay import algebraic_certificate, exponential_certificate
+from .decay import algebraic_certificate, decay_profile, exponential_certificate
 from .interaction import interaction_from_model, pi_criterion
 from .lattice import distance_matrix, explicit_metric, periodic_grid
 from .model import (
@@ -39,10 +39,11 @@ from .oracles.potential import (
     GridSpec,
     potential_to_csv,
     solve_potential,
+    verify_core_identity,
     verify_directional_pi,
     verify_dual_pi,
 )
-from .reporting import emit_pair_table, write_report
+from .reporting import emit_pair_table, fmt, write_report
 
 EXPERIMENT_KINDS = (
     "bound_report",
@@ -257,6 +258,16 @@ def _pair_rows(delta, bound, oracle=None, tol=None, ok=None) -> dict:
     }
 
 
+def _gaussian_rows(model: GibbsModel, delta, bound) -> dict:
+    """Pair rows of ``bound``, checked against the exact covariance when the
+    model is Gaussian: |cov| <= bound + tol with tol = 1e-10 max|cov|."""
+    if not model.gaussian:
+        return _pair_rows(delta, bound)
+    cov = gaussian_exact_covariance(gaussian_from_model(model))
+    tol = 1e-10 * float(np.max(np.abs(cov)))
+    return _pair_rows(delta, bound, cov, np.full_like(cov, tol), np.abs(cov) <= bound + tol)
+
+
 def _failures(rows) -> int:
     return 0 if rows is None else int(np.count_nonzero(rows["verdict"] == "fail"))
 
@@ -270,7 +281,7 @@ def _model_constants(model: GibbsModel) -> dict:
     }
 
 
-def _run_bound_report(cfg: ExperimentConfig):
+def _run_bound_report(cfg: ExperimentConfig, out_dir: Path):
     model = cfg.model
     im = interaction_from_model(model)
     delta = distance_matrix(model.geometry)
@@ -280,23 +291,14 @@ def _run_bound_report(cfg: ExperimentConfig):
     except ValueError:
         return {"constants": constants, "error": "interaction matrix not positive definite"}, None, False
     constants["lambda_min_A"] = pi_criterion(im.A)
-    oracle = None
-    tol = None
-    ok = None
-    if all(p.perturbation == "none" for p in model.potentials):
-        cov = gaussian_exact_covariance(gaussian_from_model(model))
-        oracle = cov
-        scale = float(np.max(np.abs(cov)))
-        tol = np.full_like(cov, 1e-10 * scale)
-        ok = np.abs(cov) <= inv + 1e-10 * scale
-    rows = _pair_rows(delta, inv, oracle, tol, ok)
+    rows = _gaussian_rows(model, delta, inv)
     return {"constants": constants}, rows, _failures(rows) == 0
 
 
-def _run_gaussian_sharpness(cfg: ExperimentConfig):
+def _run_gaussian_sharpness(cfg: ExperimentConfig, out_dir: Path):
     model = cfg.model
     tolerance = float(cfg.options.get("tolerance", 1e-10))
-    if any(p.perturbation != "none" for p in model.potentials):
+    if not model.gaussian:
         raise ConfigError("gaussian_sharpness: model must be Gaussian (no perturbation)")
     gm = gaussian_from_model(model)
     if not gm.ferromagnetic:
@@ -374,8 +376,6 @@ def _run_pde_check(cfg: ExperimentConfig, out_dir: Path):
             all_ok &= ok
         entry["covariance_representation"] = rep_checks
         if cfg.options.get("core_identity", False):
-            from .oracles.potential import verify_core_identity
-
             entry["core_identity_residual"] = verify_core_identity(pf)
         if not phi_written:
             potential_to_csv(pf, out_dir / "phi.csv")
@@ -389,14 +389,13 @@ def _run_pde_check(cfg: ExperimentConfig, out_dir: Path):
     return results, None, bool(all_ok)
 
 
-def _run_mcmc_check(cfg: ExperimentConfig):
+def _run_mcmc_check(cfg: ExperimentConfig, out_dir: Path):
     model = cfg.model
     est, err, rate = mcmc_covariance_matrix(model, cfg.sampler)
     delta = distance_matrix(model.geometry)
-    gaussian = all(p.perturbation == "none" for p in model.potentials)
-    mode = cfg.options.get("compare", "exact" if gaussian else "bound")
+    mode = cfg.options.get("compare", "exact" if model.gaussian else "bound")
     if mode == "exact":
-        if not gaussian:
+        if not model.gaussian:
             raise ConfigError("mcmc_check: exact comparison needs a Gaussian model")
         target = gaussian_exact_covariance(gaussian_from_model(model))
         max_violations = int(cfg.options.get("max_violations", 1))
@@ -417,21 +416,12 @@ def _run_mcmc_check(cfg: ExperimentConfig):
         "compare": mode,
         "violations": violations,
         "max_violations": max_violations,
-        "sampler": {
-            "chains": cfg.sampler.chains,
-            "steps": cfg.sampler.steps,
-            "burn_in": cfg.sampler.burn_in,
-            "proposal_std": cfg.sampler.proposal_std,
-            "seed": cfg.sampler.seed,
-        },
+        "sampler": asdict(cfg.sampler),
     }
     return results, rows, violations <= max_violations
 
 
 def _write_decay_csv(im, geom, out_dir: Path, euclidean: bool) -> None:
-    from .decay import decay_profile
-    from .reporting import fmt
-
     inv = im.inverse()
     dist = distance_matrix(geom, euclidean=euclidean)
     with open(out_dir / "decay.csv", "w", encoding="utf-8") as fh:
@@ -447,14 +437,7 @@ def _run_exponential_certificate(cfg: ExperimentConfig, out_dir: Path):
     delta = distance_matrix(model.geometry)
     rows = None
     if cert.passed:
-        bound = cert.prefactor * np.exp(-delta)
-        oracle, tol, ok = None, None, None
-        if all(p.perturbation == "none" for p in model.potentials):
-            cov = gaussian_exact_covariance(gaussian_from_model(model))
-            scale = float(np.max(np.abs(cov)))
-            oracle, tol = cov, np.full_like(cov, 1e-10 * scale)
-            ok = np.abs(cov) <= bound + 1e-10 * scale
-        rows = _pair_rows(delta, bound, oracle, tol, ok)
+        rows = _gaussian_rows(model, delta, cert.prefactor * np.exp(-delta))
         _write_decay_csv(im, model.geometry, out_dir, euclidean=False)
     results = {"constants": _model_constants(model), "certificate": cert.to_dict()}
     passed = cert.passed and _failures(rows) == 0
@@ -482,7 +465,7 @@ def _run_algebraic_certificate(cfg: ExperimentConfig, out_dir: Path):
     return results, rows, passed
 
 
-def _run_threshold_scan(cfg: ExperimentConfig):
+def _run_threshold_scan(cfg: ExperimentConfig, out_dir: Path):
     model = cfg.model
     scan = []
     first_refused = None
@@ -513,13 +496,13 @@ def _run_threshold_scan(cfg: ExperimentConfig):
 
 
 _RUNNERS = {
-    "bound_report": lambda cfg, out: _run_bound_report(cfg),
-    "gaussian_sharpness": lambda cfg, out: _run_gaussian_sharpness(cfg),
+    "bound_report": _run_bound_report,
+    "gaussian_sharpness": _run_gaussian_sharpness,
     "pde_check": _run_pde_check,
-    "mcmc_check": lambda cfg, out: _run_mcmc_check(cfg),
+    "mcmc_check": _run_mcmc_check,
     "exponential_certificate": _run_exponential_certificate,
     "algebraic_certificate": _run_algebraic_certificate,
-    "threshold_scan": lambda cfg, out: _run_threshold_scan(cfg),
+    "threshold_scan": _run_threshold_scan,
 }
 
 
@@ -562,13 +545,7 @@ def main(argv=None) -> int:
         if cfg.sampler is None:
             print("config error: --seed given but config has no sampler block", file=sys.stderr)
             return 2
-        cfg.sampler = SamplerConfig(
-            chains=cfg.sampler.chains,
-            steps=cfg.sampler.steps,
-            burn_in=cfg.sampler.burn_in,
-            proposal_std=cfg.sampler.proposal_std,
-            seed=args.seed,
-        )
+        cfg.sampler = replace(cfg.sampler, seed=args.seed)
     out_dir = Path(args.out) if args.out else Path(cfg.out_path)
     try:
         report, passed = run_experiment(cfg, out_dir)

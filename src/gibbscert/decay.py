@@ -78,15 +78,18 @@ def tilt_inequality_audit(im: InteractionMatrix, geom: LatticeGeometry) -> float
     return float(np.max(violation))
 
 
-def _fit_decay_exponent(inv: np.ndarray, r: np.ndarray, lo: float, hi: float):
-    """Least-squares slope of log max|A^-1| against log distance over [lo, hi]."""
+def _fit_decay_exponent(inv: np.ndarray, r: np.ndarray, lo: float, hi: float, log_distance: bool):
+    """Negated least-squares slope of log max|A^-1| over the distances in [lo, hi].
+
+    Against log distance it estimates an algebraic exponent, against distance
+    an exponential rate; None with fewer than 3 distances to fit.
+    """
     pts = [(lev, m) for lev, m in decay_profile(inv, r) if lo <= lev <= hi and m > 0]
     if len(pts) < 3:
         return None
-    x = np.log([p[0] for p in pts])
-    y = np.log([p[1] for p in pts])
-    slope = np.polyfit(x, y, 1)[0]
-    return float(-slope)
+    dist, peak = (np.array(col) for col in zip(*pts))
+    x = np.log(dist) if log_distance else dist
+    return float(-np.polyfit(x, np.log(peak), 1)[0])
 
 
 def decay_profile(inv: np.ndarray, r: np.ndarray) -> list[tuple[float, float]]:
@@ -122,13 +125,8 @@ def exponential_certificate(im: InteractionMatrix, geom: LatticeGeometry) -> Dec
     fit_range = None
     if dmax >= 3:
         fit_lo, fit_hi = 1.0, max(1.0, 0.75 * dmax)
-        # slope of log max|A^-1| against linear distance: empirical decay rate
-        pts = decay_profile(inv, delta)
-        pts = [(d, v) for d, v in pts if fit_lo <= d <= fit_hi and v > 0]
-        if len(pts) >= 3:
-            x = np.array([p[0] for p in pts])
-            y = np.log([p[1] for p in pts])
-            fitted = float(-np.polyfit(x, y, 1)[0])
+        fitted = _fit_decay_exponent(inv, delta, fit_lo, fit_hi, log_distance=False)
+        if fitted is not None:
             fit_range = (fit_lo, fit_hi)
     return DecayCertificate(
         kind="exponential",
@@ -260,7 +258,7 @@ def algebraic_certificate(
 
     fit_lo = max(n ** 0.25, float(np.min(r[off])) if n > 1 else 1.0)
     fit_hi = n / 4.0
-    fitted = _fit_decay_exponent(inv, r, fit_lo, fit_hi)
+    fitted = _fit_decay_exponent(inv, r, fit_lo, fit_hi, log_distance=True)
 
     passed = tail_ok and head_ok and final_ok
     constants = {

@@ -90,9 +90,10 @@ def interaction_from_model(model: GibbsModel) -> InteractionMatrix:
     )
 
 
-def _pivoted_cholesky(a: np.ndarray) -> tuple | None:
-    """scipy's lower Cholesky factor of a, or None unless every pivot clears
-    PIVOT_RTOL times the max diagonal."""
+def cholesky_factor(a) -> tuple | None:
+    """scipy's lower Cholesky factor of the symmetric matrix a, or None unless
+    every pivot clears PIVOT_RTOL times the max diagonal."""
+    a = _require_symmetric(a)
     try:
         cho = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
@@ -103,7 +104,7 @@ def _pivoted_cholesky(a: np.ndarray) -> tuple | None:
 
 def is_positive_definite(a) -> bool:
     """Cholesky succeeds and every pivot clears 1e-12 times the max diagonal."""
-    return _pivoted_cholesky(_require_symmetric(a)) is not None
+    return cholesky_factor(a) is not None
 
 
 def dominance_margin(a) -> float:
@@ -124,11 +125,10 @@ def inverse_entrywise(a) -> np.ndarray:
     entrywise nonnegative; clamping makes that assertable in floating point.
     The factor that decides positive definiteness is the one solved with.
     """
-    a = _require_symmetric(a)
-    cho = _pivoted_cholesky(a)
+    cho = cholesky_factor(a)
     if cho is None:
         raise ValueError("matrix is not positive definite")
-    inv = scipy.linalg.cho_solve(cho, np.eye(a.shape[0]))
+    inv = scipy.linalg.cho_solve(cho, np.eye(cho[0].shape[0]))
     inv = 0.5 * (inv + inv.T)
     inv[np.abs(inv) <= INVERSE_CLAMP] = 0.0
     return inv

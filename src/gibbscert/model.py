@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,66 +18,30 @@ from .lattice import LatticeGeometry, distance_matrix
 
 @dataclass(frozen=True)
 class SingleSitePotential:
-    """psi(x) = (q/2) x^2 + delta_psi(x) with a certified oscillation bound.
+    """psi(x) = (q/2) x^2 + a cos(b x) with an exactly computable oscillation.
 
-    Built-in perturbations keep osc(delta_psi) exactly computable:
-    ``none`` has osc 0 and ``cosine`` (a*cos(b*x)) has osc 2|a|.  A ``custom``
-    perturbation carries user callables plus a user-certified osc bound; the
-    certificates are only as sound as that bound.
+    ``none`` has a = b = 0 and osc 0; ``cosine`` has osc 2|a|.
     """
 
     q: float
     perturbation: str = "none"
     amplitude: float = 0.0
     frequency: float = 0.0
-    delta_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
-    delta_prime_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
-    delta_second_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
-    certified_osc: float | None = None
 
     def __post_init__(self):
         if self.q <= 0:
             raise ValueError("quadratic coefficient q must be positive")
-        if self.perturbation not in ("none", "cosine", "custom"):
+        if self.perturbation not in ("none", "cosine"):
             raise ValueError(f"unknown perturbation {self.perturbation!r}")
-        if self.perturbation == "custom":
-            if self.delta_fn is None or self.delta_prime_fn is None:
-                raise ValueError("custom perturbation needs value and derivative callables")
-            if self.certified_osc is None or self.certified_osc < 0:
-                raise ValueError("custom perturbation needs a certified osc bound >= 0")
+        if self.perturbation == "none" and (self.amplitude != 0.0 or self.frequency != 0.0):
+            raise ValueError("perturbation 'none' takes no amplitude or frequency")
 
     @property
     def osc_bound(self) -> float:
-        if self.perturbation == "none":
-            return 0.0
-        if self.perturbation == "cosine":
-            return 2.0 * abs(self.amplitude)
-        return float(self.certified_osc)
+        return 2.0 * abs(self.amplitude)
 
     def delta(self, x):
-        if self.perturbation == "none":
-            return np.zeros_like(np.asarray(x, dtype=float))
-        if self.perturbation == "cosine":
-            return self.amplitude * np.cos(self.frequency * np.asarray(x, dtype=float))
-        return self.delta_fn(np.asarray(x, dtype=float))
-
-    def delta_prime(self, x):
-        if self.perturbation == "none":
-            return np.zeros_like(np.asarray(x, dtype=float))
-        if self.perturbation == "cosine":
-            x = np.asarray(x, dtype=float)
-            return -self.amplitude * self.frequency * np.sin(self.frequency * x)
-        return self.delta_prime_fn(np.asarray(x, dtype=float))
-
-    def delta_second(self, x):
-        if self.perturbation == "none":
-            return np.zeros_like(np.asarray(x, dtype=float))
-        if self.perturbation == "cosine":
-            x = np.asarray(x, dtype=float)
-            return -self.amplitude * self.frequency**2 * np.cos(self.frequency * x)
-        if self.delta_second_fn is None:
-            raise ValueError("custom perturbation has no second derivative callable")
-        return self.delta_second_fn(np.asarray(x, dtype=float))
+        return self.amplitude * np.cos(self.frequency * np.asarray(x, dtype=float))
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -85,11 +49,11 @@ class SingleSitePotential:
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)
-        return self.q * x + self.delta_prime(x)
+        return self.q * x - self.amplitude * self.frequency * np.sin(self.frequency * x)
 
     def second(self, x):
         x = np.asarray(x, dtype=float)
-        return self.q + self.delta_second(x)
+        return self.q - self.amplitude * self.frequency**2 * np.cos(self.frequency * x)
 
 
 def gaussian_potential(q: float = 1.0) -> SingleSitePotential:
@@ -152,11 +116,19 @@ def explicit_coupling(J) -> Coupling:
 
 @dataclass
 class GibbsModel:
-    """Gibbs measure Z^-1 exp(-H) dx; immutable after construction."""
+    """Gibbs measure Z^-1 exp(-H) dx; immutable after construction.
+
+    ``q``, ``amplitude`` and ``frequency`` are read-only per-site arrays of
+    the potentials' fields, so psi_i(x) = q_i/2 x^2 + amplitude_i
+    cos(frequency_i x) at every site.
+    """
 
     geometry: LatticeGeometry
     potentials: SingleSitePotential | tuple[SingleSitePotential, ...]
     coupling: Coupling
+    q: np.ndarray = field(init=False, repr=False, compare=False)
+    amplitude: np.ndarray = field(init=False, repr=False, compare=False)
+    frequency: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.potentials, SingleSitePotential):
@@ -165,11 +137,20 @@ class GibbsModel:
             self.potentials = tuple(self.potentials)
         if len(self.potentials) != self.geometry.n_sites:
             raise ValueError("need one potential per site (or one shared)")
+        for name in ("q", "amplitude", "frequency"):
+            values = np.array([getattr(pot, name) for pot in self.potentials], dtype=float)
+            values.flags.writeable = False
+            setattr(self, name, values)
         self._J = self.coupling.build(self.geometry)
 
     @property
     def n_sites(self) -> int:
         return self.geometry.n_sites
+
+    @property
+    def gaussian(self) -> bool:
+        """No site carries a perturbation, so the measure is Gaussian."""
+        return all(pot.perturbation == "none" for pot in self.potentials)
 
     def potential(self, i: int) -> SingleSitePotential:
         return self.potentials[i]
@@ -177,15 +158,16 @@ class GibbsModel:
     def coupling_matrix(self) -> np.ndarray:
         return self._J.copy()
 
-    def _psi_values(self, x: np.ndarray) -> np.ndarray:
-        return np.array([pot.value(xi) for pot, xi in zip(self.potentials, x)])
+    def psi(self, x: np.ndarray) -> np.ndarray:
+        """psi_i(x_i) for configurations x with the sites on the last axis."""
+        return 0.5 * self.q * x**2 + self.amplitude * np.cos(self.frequency * x)
 
     def psi_grad(self, x: np.ndarray) -> np.ndarray:
-        return np.array([pot.grad(xi) for pot, xi in zip(self.potentials, x)])
+        return self.q * x - self.amplitude * self.frequency * np.sin(self.frequency * x)
 
     def quadratic_part(self) -> np.ndarray:
         """Hessian of the Gaussian part: diag(q) - J."""
-        return np.diag([pot.q for pot in self.potentials]) - self._J
+        return np.diag(self.q) - self._J
 
 
 def hamiltonian(model: GibbsModel, x) -> float:
@@ -194,7 +176,7 @@ def hamiltonian(model: GibbsModel, x) -> float:
     if x.shape != (model.n_sites,):
         raise ValueError(f"configuration must have length {model.n_sites}")
     J = model._J
-    return float(np.sum(model._psi_values(x)) - 0.5 * x @ J @ x)
+    return float(np.sum(model.psi(x)) - 0.5 * x @ J @ x)
 
 
 def grad_hamiltonian(model: GibbsModel, x) -> np.ndarray:
@@ -223,6 +205,8 @@ def single_site_pi_constant(pot: SingleSitePotential) -> float:
 
 
 def rho_vector(model: GibbsModel) -> np.ndarray:
+    # one math.exp per potential: np.exp over the array differs from it in
+    # the last bit on some inputs, and rho enters every certificate
     return np.array([single_site_pi_constant(pot) for pot in model.potentials])
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from ..interaction import is_positive_definite
+from ..interaction import cholesky_factor
 from ..model import GibbsModel
 
 
@@ -37,9 +37,9 @@ class GaussianModel:
 
 def gaussian_exact_covariance(gm: GaussianModel) -> np.ndarray:
     """cov(x_n, x_k) = (P^-1)_nk; the linear term only shifts the mean."""
-    if not is_positive_definite(gm.precision):
+    cho = cholesky_factor(gm.precision)  # the factor that decides positivity is solved with
+    if cho is None:
         raise ValueError("precision matrix is not positive definite")
-    cho = scipy.linalg.cho_factor(gm.precision, lower=True)
     cov = scipy.linalg.cho_solve(cho, np.eye(gm.precision.shape[0]))
     return 0.5 * (cov + cov.T)
 
@@ -50,6 +50,6 @@ def gaussian_from_model(model: GibbsModel) -> GaussianModel:
     The Hamiltonian is then (1/2) x.(diag(q) - J).x, so the precision matrix
     is the (constant) Hessian of H.
     """
-    if any(pot.perturbation != "none" for pot in model.potentials):
+    if not model.gaussian:
         raise ValueError("model has non-Gaussian single-site potentials")
     return GaussianModel(precision=model.quadratic_part())

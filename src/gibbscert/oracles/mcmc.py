@@ -74,37 +74,12 @@ class ChainEstimate:
         }
 
 
-class _FastPotentials:
-    """Vectorized psi evaluation across sites for none/cosine potentials."""
-
-    def __init__(self, model: GibbsModel):
-        self.ok = all(p.perturbation in ("none", "cosine") for p in model.potentials)
-        if self.ok:
-            self.q = np.array([p.q for p in model.potentials])
-            self.amp = np.array(
-                [p.amplitude if p.perturbation == "cosine" else 0.0 for p in model.potentials]
-            )
-            self.freq = np.array(
-                [p.frequency if p.perturbation == "cosine" else 0.0 for p in model.potentials]
-            )
-        self.potentials = model.potentials
-
-    def value(self, sites: np.ndarray, x: np.ndarray) -> np.ndarray:
-        if self.ok:
-            return 0.5 * self.q[sites] * x**2 + self.amp[sites] * np.cos(
-                self.freq[sites] * x
-            )
-        return np.array(
-            [float(self.potentials[s].value(v)) for s, v in zip(sites, x)]
-        )
-
-
 def _run_chains(model: GibbsModel, cfg: SamplerConfig, accumulate):
     """Drive all chains in lockstep; call accumulate(X) once per kept step."""
     n = model.n_sites
     C = cfg.chains
     J = model.coupling_matrix()
-    psi = _FastPotentials(model)
+    q, amp, freq = model.q, model.amplitude, model.frequency
     rngs = [np.random.default_rng(chain_seed(cfg.seed, i)) for i in range(C)]
 
     X = np.zeros((C, n))
@@ -125,7 +100,10 @@ def _run_chains(model: GibbsModel, cfg: SamplerConfig, accumulate):
             s = sites[:, t]
             xs = X[rows, s]
             prop = xs + moves[:, t]
-            d_h = psi.value(s, prop) - psi.value(s, xs) - (prop - xs) * ell[rows, s]
+            qs, amps, freqs = q[s], amp[s], freq[s]
+            psi_prop = 0.5 * qs * prop**2 + amps * np.cos(freqs * prop)
+            psi_xs = 0.5 * qs * xs**2 + amps * np.cos(freqs * xs)
+            d_h = psi_prop - psi_xs - (prop - xs) * ell[rows, s]
             acc = logu[:, t] < -d_h
             dx = np.where(acc, prop - xs, 0.0)
             X[rows, s] = xs + dx

@@ -107,17 +107,15 @@ def tail_mass_estimate(model: GibbsModel, box_halfwidth: float) -> float:
     Uses the single-site envelopes exp(-q_i x^2 / 2) with the total
     oscillation of the perturbations as a density-distortion factor.
     """
-    total_osc = sum(pot.osc_bound for pot in model.potentials)
-    tails = sum(
-        math.erfc(box_halfwidth * math.sqrt(pot.q) / math.sqrt(2.0))
-        for pot in model.potentials
-    )
+    total_osc = 2.0 * float(np.sum(np.abs(model.amplitude)))
+    tails = sum(math.erfc(box_halfwidth * math.sqrt(q) / math.sqrt(2.0)) for q in model.q.tolist())
     return math.exp(total_osc) * tails
 
 
 def _hamiltonian_grid(model: GibbsModel, nodes: np.ndarray) -> np.ndarray:
-    grids = np.meshgrid(*([nodes] * model.n_sites), indexing="ij")
-    H = sum(pot.value(g) for pot, g in zip(model.potentials, grids))
+    grids = np.meshgrid(*([nodes] * model.n_sites), indexing="ij", sparse=True)
+    psi = model.psi(nodes[:, None])  # psi[k, i] = psi_i(nodes[k])
+    H = sum(psi[:, i].reshape(g.shape) for i, g in enumerate(grids))
     if model.n_sites == 2:
         H = H - model.coupling_matrix()[0, 1] * grids[0] * grids[1]
     return H

@@ -100,3 +100,23 @@ def test_acceptance_rate_warning_recorded():
     cfg = SamplerConfig(chains=2, steps=2_000, burn_in=200, proposal_std=60.0, seed=3)
     est = mcmc_estimate_covariance(model, coordinate(0, 2), coordinate(1, 2), cfg)
     assert est.warnings and "acceptance rate" in est.warnings[0]
+
+
+def test_mixed_per_site_potentials_match_single_site_variances():
+    # uncoupled sites are independent, so each diagonal entry is the variance
+    # of exp(-psi_i) on its own: a sampler mixing up the sites would miss
+    pots = (
+        gaussian_potential(1.0),
+        cosine_potential(1.5, 0.2, 3.0),
+        gaussian_potential(0.7),
+        cosine_potential(2.0, -0.1, 0.5),
+    )
+    model = GibbsModel(periodic_grid([4]), pots, nearest_neighbor_coupling(0.0))
+    est, err, rate = mcmc_covariance_matrix(model, FAST)
+    assert 0.05 <= rate <= 0.95
+    x = np.linspace(-12.0, 12.0, 200001)
+    for i, pot in enumerate(pots):
+        w = np.exp(-pot.value(x))
+        mean = np.sum(x * w) / np.sum(w)
+        var = np.sum((x - mean) ** 2 * w) / np.sum(w)
+        assert abs(est[i, i] - var) <= 4.0 * err[i, i]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gibbscert.lattice import periodic_grid
 from gibbscert.model import (
     GibbsModel,
+    SingleSitePotential,
     algebraic_coupling,
     cosine_potential,
     explicit_coupling,
@@ -20,6 +21,19 @@ from gibbscert.model import (
     rho_vector,
     single_site_pi_constant,
 )
+
+
+MIXED = (
+    gaussian_potential(1.0),
+    cosine_potential(1.5, 0.2, 3.0),
+    gaussian_potential(0.7),
+    cosine_potential(2.0, -0.1, 0.5),
+)
+
+
+def mixed_model(eps=0.1):
+    """One potential per site: Gaussian and cosine sites with distinct q."""
+    return GibbsModel(periodic_grid([4]), MIXED, nearest_neighbor_coupling(eps))
 
 
 def two_site_model(eps, q=1.0, a=0.0, b=1.0):
@@ -190,3 +204,34 @@ def test_pointwise_relaxed_check_validates_input():
 def test_rho_vector_shared_potential():
     model = two_site_model(0.1, a=0.1, b=5.0)
     assert np.allclose(rho_vector(model), math.exp(-0.2))
+
+
+def test_site_arrays_are_read_only_copies_of_the_fields():
+    model = mixed_model()
+    for name in ("q", "amplitude", "frequency"):
+        values = getattr(model, name)
+        assert not values.flags.writeable
+        assert values.tolist() == [getattr(pot, name) for pot in MIXED]
+    assert not model.gaussian
+    assert two_site_model(0.1).gaussian
+    assert not two_site_model(0.1, a=0.1).gaussian
+
+
+def test_mixed_model_hamiltonian_matches_per_site_sums():
+    model = mixed_model()
+    J = model.coupling_matrix()
+    rng = np.random.default_rng(5)
+    for x in rng.normal(scale=2.0, size=(20, 4)):
+        psi = sum(float(pot.value(xi)) for pot, xi in zip(MIXED, x))
+        assert hamiltonian(model, x) == pytest.approx(psi - 0.5 * x @ J @ x, rel=1e-13, abs=1e-13)
+        grad = np.array([float(pot.grad(xi)) for pot, xi in zip(MIXED, x)]) - J @ x
+        assert np.allclose(grad_hamiltonian(model, x), grad, rtol=1e-13, atol=1e-13)
+
+
+def test_unknown_perturbation_and_stray_none_parameters_rejected():
+    with pytest.raises(ValueError, match="unknown perturbation"):
+        SingleSitePotential(q=1.0, perturbation="custom")
+    with pytest.raises(ValueError, match="'none'"):
+        SingleSitePotential(q=1.0, amplitude=0.1)
+    with pytest.raises(ValueError, match="'none'"):
+        SingleSitePotential(q=1.0, frequency=2.0)
