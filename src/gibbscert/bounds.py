@@ -82,24 +82,11 @@ class BoundReport:
     bound_value: float
     method: str
     constants: dict
-    pair: tuple[int, int] | None = None
     extension: bool = False
 
     def __post_init__(self):
         if not self.bound_value >= 0:
             raise ValueError("bound must be nonnegative")
-
-    def to_dict(self) -> dict:
-        out = {
-            "method": self.method,
-            "bound": self.bound_value,
-            "constants": dict(self.constants),
-        }
-        if self.pair is not None:
-            out["pair"] = list(self.pair)
-        if self.extension:
-            out["extension"] = True
-        return out
 
 
 def baseline_bound(rho_pi: float, f: Observable, g: Observable) -> BoundReport:
@@ -166,7 +153,6 @@ def exponential_decay_bound(
         value,
         "exponential",
         {"rho_tilde": rho_tilde, "distance": delta},
-        pair=(i, j),
     )
 
 
@@ -219,17 +205,6 @@ class NearestNeighborCertificate:
     lambda_min_A_tilde: float
     checks: dict
 
-    def constants(self) -> dict:
-        return {
-            "Delta": self.delta_uniform,
-            "epsilon": self.epsilon,
-            "threshold": self.threshold,
-            "margin": self.margin,
-            "prefactor": self.prefactor,
-            "lambda_min_A": self.lambda_min_A,
-            "lambda_min_A_tilde": self.lambda_min_A_tilde,
-        }
-
 
 def nearest_neighbor_certificate(model: GibbsModel) -> NearestNeighborCertificate:
     geom = model.geometry
@@ -253,23 +228,12 @@ def nearest_neighbor_certificate(model: GibbsModel) -> NearestNeighborCertificat
             lam_at >= delta_uniform - 4 * eps_abs * math.e - 1e-10
         ),
     }
-    if margin <= 0:
-        return NearestNeighborCertificate(
-            passed=False,
-            delta_uniform=delta_uniform,
-            epsilon=eps,
-            threshold=threshold,
-            margin=margin,
-            prefactor=None,
-            pair_bounds=None,
-            lambda_min_A=lam_a,
-            lambda_min_A_tilde=lam_at,
-            checks=checks,
-        )
-    prefactor = 1.0 / (delta_uniform - 4.0 * eps_abs * math.e)
-    pair_bounds = prefactor * np.exp(-distance_matrix(geom))
+    prefactor = pair_bounds = None
+    if margin > 0:
+        prefactor = 1.0 / (delta_uniform - 4.0 * eps_abs * math.e)
+        pair_bounds = prefactor * np.exp(-distance_matrix(geom))
     return NearestNeighborCertificate(
-        passed=True,
+        passed=margin > 0,
         delta_uniform=delta_uniform,
         epsilon=eps,
         threshold=threshold,

@@ -43,7 +43,7 @@ from .oracles.potential import (
     verify_directional_pi,
     verify_dual_pi,
 )
-from .reporting import emit_pair_table, fmt, write_report
+from .reporting import emit_pair_table, write_report, write_table
 
 EXPERIMENT_KINDS = (
     "bound_report",
@@ -93,6 +93,7 @@ def _parse_potential(block, path):
     _check_keys(pert, f"{path}.perturbation", ("kind",), ("amplitude", "frequency"))
     kind = pert["kind"]
     if kind == "none":
+        _check_keys(pert, f"{path}.perturbation", ("kind",))
         return SingleSitePotential(q=float(block["q"]))
     if kind == "cosine":
         _check_keys(pert, f"{path}.perturbation", ("kind", "amplitude", "frequency"))
@@ -360,7 +361,7 @@ def _run_pde_check(cfg: ExperimentConfig, out_dir: Path):
         all_ok &= direction.passed
         if rho_full is not None:
             dual = verify_dual_pi(pf, rho_full)
-            entry["dual_pi_margin"] = dual.margin
+            entry["dual_pi_margin"] = dual.margins
             entry["dual_pi_passed"] = dual.passed
             all_ok &= dual.passed
         rep_checks = []
@@ -422,12 +423,9 @@ def _run_mcmc_check(cfg: ExperimentConfig, out_dir: Path):
 
 
 def _write_decay_csv(im, geom, out_dir: Path, euclidean: bool) -> None:
-    inv = im.inverse()
     dist = distance_matrix(geom, euclidean=euclidean)
-    with open(out_dir / "decay.csv", "w", encoding="utf-8") as fh:
-        fh.write("distance,max_abs_inverse\n")
-        for d, v in decay_profile(inv, dist):
-            fh.write(f"{fmt(d)},{fmt(v)}\n")
+    profile = np.array(decay_profile(im.inverse(), dist), dtype=float).reshape(-1, 2)
+    write_table(("distance", "max_abs_inverse"), profile.T, out_dir / "decay.csv")
 
 
 def _run_exponential_certificate(cfg: ExperimentConfig, out_dir: Path):

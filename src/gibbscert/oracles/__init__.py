@@ -1,7 +1,7 @@
 """Independent ground-truth computations used to validate every bound."""
 
 from .gaussian import GaussianModel, gaussian_exact_covariance, gaussian_from_model
-from .mcmc import ChainEstimate, SamplerConfig, mcmc_covariance_matrix, mcmc_estimate_covariance
+from .mcmc import SamplerConfig, mcmc_covariance_matrix
 from .potential import (
     GridSpec,
     PotentialField,
@@ -15,10 +15,8 @@ __all__ = [
     "GaussianModel",
     "gaussian_exact_covariance",
     "gaussian_from_model",
-    "ChainEstimate",
     "SamplerConfig",
     "mcmc_covariance_matrix",
-    "mcmc_estimate_covariance",
     "GridSpec",
     "PotentialField",
     "solve_potential",

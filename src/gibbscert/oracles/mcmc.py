@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..bounds import Observable
 from ..model import GibbsModel
 
 _BLOCK = 8192
@@ -50,32 +49,12 @@ class SamplerConfig:
             raise ValueError("proposal_std must be positive")
 
 
-@dataclass(frozen=True)
-class ChainEstimate:
-    estimate: float
-    stderr: float
-    chains: int
-    steps: int
-    burn_in: int
-    seed: int
-    acceptance_rate: float
-    warnings: tuple[str, ...] = ()
+def mcmc_covariance_matrix(model: GibbsModel, cfg: SamplerConfig):
+    """Pooled estimate and stderr of cov(x_i, x_j) for every coordinate pair.
 
-    def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "chains": self.chains,
-            "steps": self.steps,
-            "burn_in": self.burn_in,
-            "seed": self.seed,
-            "acceptance_rate": self.acceptance_rate,
-            "warnings": list(self.warnings),
-        }
-
-
-def _run_chains(model: GibbsModel, cfg: SamplerConfig, accumulate):
-    """Drive all chains in lockstep; call accumulate(X) once per kept step."""
+    The chains run in lockstep; each kept step adds X and its outer products
+    to per-chain moment sums.  Returns (cov, stderr, acceptance_rate).
+    """
     n = model.n_sites
     C = cfg.chains
     J = model.coupling_matrix()
@@ -84,6 +63,8 @@ def _run_chains(model: GibbsModel, cfg: SamplerConfig, accumulate):
 
     X = np.zeros((C, n))
     ell = X @ J  # running linear fields sum_j J_ij x_j per chain
+    s1 = np.zeros((C, n))
+    s2 = np.zeros((C, n, n))
     accepted = 0
     rows = np.arange(C)
     done = 0
@@ -110,86 +91,17 @@ def _run_chains(model: GibbsModel, cfg: SamplerConfig, accumulate):
             ell += dx[:, None] * J[s, :]
             accepted += int(np.count_nonzero(acc))
             if done + t >= cfg.burn_in:
-                accumulate(X)
+                s1 += X
+                s2 += X[:, :, None] * X[:, None, :]
         done += block
-    return accepted / (cfg.steps * C)
+    rate = accepted / (cfg.steps * C)
 
-
-def _pooled(per_chain: np.ndarray):
-    """Pool per-chain estimates; stderr from across-chain variation."""
-    est = np.mean(per_chain, axis=0)
-    err = np.std(per_chain, axis=0, ddof=1) / np.sqrt(per_chain.shape[0])
-    return est, err
-
-
-def mcmc_estimate_covariance(
-    model: GibbsModel, f: Observable, g: Observable, cfg: SamplerConfig
-) -> ChainEstimate:
-    """Estimate cov(f, g) under the model's Gibbs measure."""
-    C = cfg.chains
-    sf = np.zeros(C)
-    sg = np.zeros(C)
-    sfg = np.zeros(C)
-    sff = np.zeros(C)
-    sgg = np.zeros(C)
-    count = 0
-
-    def accumulate(X):
-        nonlocal count
-        fv = f.fn(X)
-        gv = g.fn(X)
-        sf[...] += fv
-        sg[...] += gv
-        sfg[...] += fv * gv
-        sff[...] += fv * fv
-        sgg[...] += gv * gv
-        count += 1
-
-    rate = _run_chains(model, cfg, accumulate)
-    var_f = sff / count - (sf / count) ** 2
-    var_g = sgg / count - (sg / count) ** 2
-    if np.any(var_f <= 0) or np.any(var_g <= 0):
-        raise ValueError("observable has zero variance along a chain")
-    per_chain = sfg / count - (sf / count) * (sg / count)
-    est, err = _pooled(per_chain)
-    warnings = ()
-    if not 0.05 <= rate <= 0.95:
-        warnings = (f"acceptance rate {rate:.3f} outside [0.05, 0.95]",)
-    return ChainEstimate(
-        estimate=float(est),
-        stderr=float(err),
-        chains=cfg.chains,
-        steps=cfg.steps,
-        burn_in=cfg.burn_in,
-        seed=cfg.seed,
-        acceptance_rate=rate,
-        warnings=warnings,
-    )
-
-
-def mcmc_covariance_matrix(model: GibbsModel, cfg: SamplerConfig):
-    """Pooled estimate and stderr for every coordinate pair at once.
-
-    Returns (cov, stderr, acceptance_rate); much cheaper than calling the
-    pairwise estimator N(N+1)/2 times because the chains are shared.
-    """
-    n = model.n_sites
-    C = cfg.chains
-    s1 = np.zeros((C, n))
-    s2 = np.zeros((C, n, n))
-    count = 0
-
-    def accumulate(X):
-        nonlocal count
-        s1[...] += X
-        s2[...] += X[:, :, None] * X[:, None, :]
-        count += 1
-
-    rate = _run_chains(model, cfg, accumulate)
+    count = cfg.steps - cfg.burn_in
     means = s1 / count
     per_chain = s2 / count - means[:, :, None] * means[:, None, :]
     diag = np.diagonal(per_chain, axis1=1, axis2=2)
     if np.any(diag <= 0):
         raise ValueError("a coordinate has zero variance along a chain")
-    est, err = _pooled(per_chain)
+    est = np.mean(per_chain, axis=0)
+    err = np.std(per_chain, axis=0, ddof=1) / np.sqrt(C)
     return est, err, rate

@@ -28,6 +28,7 @@ import scipy.sparse
 from ..bounds import Observable
 from ..interaction import InteractionMatrix
 from ..model import GibbsModel, kappa_matrix, rho_vector
+from ..reporting import write_table
 
 TAIL_MASS_LIMIT = 1e-8
 RESIDUAL_RTOL = 1e-10
@@ -319,18 +320,13 @@ class PotentialSolver:
                 [self._prolong(pf) * self.s for pf in initial_guess]
             )
             X0 = self._project(X0)
+        R0 = B if X0 is None else B - self._apply_khat(X0)
+        X, iters, converged = _lockstep_pcg(
+            self._apply_khat, self._precond, R0, targets, CG_MAXITER,
+            norm_weight=self.s,
+        )
         if X0 is not None:
-            R0 = B - self._apply_khat(X0)
-            X, iters, converged = _lockstep_pcg(
-                self._apply_khat, self._precond, R0, targets, CG_MAXITER,
-                norm_weight=self.s,
-            )
             X += X0
-        else:
-            X, iters, converged = _lockstep_pcg(
-                self._apply_khat, self._precond, B, targets, CG_MAXITER,
-                norm_weight=self.s,
-            )
 
         fields = []
         for col, obs, fv, fm, rhs_hat in zip(X.T, observables, f_values, f_means, rhs_cols):
@@ -408,15 +404,26 @@ def _check_same_model(pf: PotentialField, im: InteractionMatrix) -> None:
 
 
 @dataclass(frozen=True)
-class DirectionalPIResult:
-    margins: np.ndarray  # rhs - lhs per coordinate; >= -tol_grid to pass
-    lhs: np.ndarray
-    rhs: np.ndarray
+class PIResult:
+    """Both sides of a Poincare-type inequality as quadrature values.
+
+    Per-coordinate arrays for the directional PI, scalars for the dual PI;
+    it passes when every margin rhs - lhs is at least -tol_grid.
+    """
+
+    margins: np.ndarray | float
+    lhs: np.ndarray | float
+    rhs: np.ndarray | float
     tol_grid: float
     passed: bool
 
+    @classmethod
+    def check(cls, lhs, rhs, tol_grid: float) -> PIResult:
+        margins = rhs - lhs
+        return cls(margins, lhs, rhs, tol_grid, passed=bool(np.all(margins >= -tol_grid)))
 
-def verify_directional_pi(pf: PotentialField, im: InteractionMatrix) -> DirectionalPIResult:
+
+def verify_directional_pi(pf: PotentialField, im: InteractionMatrix) -> PIResult:
     """Check (int |d_i phi|^2)^{1/2} <= sum_j (A^-1)_ij (int |d_j f|^2)^{1/2}.
 
     Both sides are quadrature values on the solved grid; the tolerance
@@ -428,28 +435,11 @@ def verify_directional_pi(pf: PotentialField, im: InteractionMatrix) -> Directio
     f_norms = np.array(
         [pf.directional_grad_norm(pf.f_values, ax) for ax in range(pf.dim)]
     )
-    rhs = im.inverse() @ f_norms
     tol = pf.h * (1.0 + float(np.linalg.norm(f_norms)))
-    margins = rhs - lhs
-    return DirectionalPIResult(
-        margins=margins,
-        lhs=lhs,
-        rhs=rhs,
-        tol_grid=tol,
-        passed=bool(np.all(margins >= -tol)),
-    )
+    return PIResult.check(lhs, im.inverse() @ f_norms, tol)
 
 
-@dataclass(frozen=True)
-class DualPIResult:
-    margin: float
-    lhs: float
-    rhs: float
-    tol_grid: float
-    passed: bool
-
-
-def verify_dual_pi(pf: PotentialField, rho: float) -> DualPIResult:
+def verify_dual_pi(pf: PotentialField, rho: float) -> PIResult:
     """Check ||grad phi||_L2(mu) <= (1/rho) ||grad f||_L2(mu)."""
     if rho <= 0:
         raise ValueError("PI constant must be positive")
@@ -457,12 +447,7 @@ def verify_dual_pi(pf: PotentialField, rho: float) -> DualPIResult:
     f_norm = math.sqrt(
         sum(pf.grad_pair(pf.f_values, pf.f_values, ax) for ax in range(pf.dim))
     )
-    rhs = f_norm / rho
-    tol = pf.h * (1.0 + f_norm)
-    margin = rhs - lhs
-    return DualPIResult(
-        margin=margin, lhs=lhs, rhs=rhs, tol_grid=tol, passed=bool(margin >= -tol)
-    )
+    return PIResult.check(lhs, f_norm / rho, pf.h * (1.0 + f_norm))
 
 
 def _interior(values: np.ndarray, dim: int) -> np.ndarray:
@@ -521,9 +506,5 @@ def verify_core_identity(pf: PotentialField) -> float:
 def potential_to_csv(pf: PotentialField, path) -> None:
     """Node coordinates, mu weight, and phi value in full precision."""
     grids = np.meshgrid(*([pf.nodes] * pf.dim), indexing="ij")
-    cols = [g.ravel() for g in grids] + [pf.mu.ravel(), pf.phi.ravel()]
     header = [f"x{i}" for i in range(pf.dim)] + ["mu", "phi"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(format(v, ".17e") for v in row) + "\n")
+    write_table(header, [g.ravel() for g in grids] + [pf.mu.ravel(), pf.phi.ravel()], path)

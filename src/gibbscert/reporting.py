@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 
 PAIR_COLUMNS = ("i", "j", "delta_ij", "bound", "oracle_value", "stderr_or_tol", "verdict")
-PAIR_CHUNK_ROWS = 4096  # rows formatted per write; bounds the text held in memory
+CHUNK_ROWS = 4096  # rows formatted per write; bounds the text and objects held in memory
+_CELL = {"b": "%d", "i": "%d", "u": "%d", "U": "%s"}  # by dtype kind; floats otherwise
 
 
 def fmt(value) -> str:
@@ -21,12 +22,24 @@ def fmt(value) -> str:
     return format(float(value), ".17e")
 
 
-def matrix_to_csv(path, matrix) -> None:
-    """Row-major CSV dump of a matrix in full precision."""
-    matrix = np.asarray(matrix, dtype=float)
+def write_table(header, columns, path) -> None:
+    """CSV with a header line and one line per entry of the parallel columns.
+
+    Each cell reads as fmt() writes it: integer columns as integers, text
+    columns as they are, other columns in full precision, and a column given
+    as None leaves its cells empty.  Rows are formatted a chunk at a time with
+    one %-template, and only the current chunk is turned into Python objects.
+    """
+    arrays = [None if c is None else np.asarray(c) for c in columns]
+    present = [a for a in arrays if a is not None]
+    row = ",".join("" if a is None else _CELL.get(a.dtype.kind, "%.17e") for a in arrays) + "\n"
+    n = len(present[0])
     with open(path, "w", encoding="utf-8") as fh:
-        for row in matrix:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n, CHUNK_ROWS):
+            stop = min(start + CHUNK_ROWS, n)
+            chunk = zip(*(a[start:stop].tolist() for a in present))
+            fh.write(row * (stop - start) % tuple(itertools.chain.from_iterable(chunk)))
 
 
 def emit_pair_table(pairs: dict, path) -> None:
@@ -34,20 +47,9 @@ def emit_pair_table(pairs: dict, path) -> None:
 
     ``pairs`` maps every name in PAIR_COLUMNS to a column of equal length:
     integer ``i`` and ``j``, text ``verdict`` and float values otherwise; a
-    float column given as None leaves its cells empty.  Rows are formatted a
-    chunk at a time with one %-template, which writes the same text as fmt().
+    float column given as None leaves its cells empty.
     """
-    spec = {"i": "%d", "j": "%d", "verdict": "%s"}
-    present = [name for name in PAIR_COLUMNS if pairs[name] is not None]
-    row = ",".join(spec.get(name, "%.17e") if name in present else "" for name in PAIR_COLUMNS) + "\n"
-    n = len(pairs["i"])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(PAIR_COLUMNS) + "\n")
-        for start in range(0, n, PAIR_CHUNK_ROWS):
-            stop = min(start + PAIR_CHUNK_ROWS, n)
-            columns = [np.asarray(pairs[name][start:stop]).tolist() for name in present]
-            values = tuple(itertools.chain.from_iterable(zip(*columns)))
-            fh.write(row * (stop - start) % values)
+    write_table(PAIR_COLUMNS, [pairs[name] for name in PAIR_COLUMNS], path)
 
 
 def _jsonable(obj):

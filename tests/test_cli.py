@@ -40,6 +40,20 @@ def test_unknown_nested_key_names_path():
         parse_config(cfg)
 
 
+def test_stray_perturbation_parameters_rejected():
+    cfg = {"model": base_model_block(), "experiment": {"kind": "bound_report"}}
+    cfg["model"]["potential"]["perturbation"] = {"kind": "none", "amplitude": 0.1}
+    with pytest.raises(ConfigError, match=r"model\.potential\.perturbation: unknown key 'amplitude'"):
+        parse_config(cfg)
+    block = cfg["model"].pop("potential")
+    block["perturbation"] = {"kind": "none", "frequency": 2.0}
+    cfg["model"]["potentials"] = [{"q": 1.0}] * 7 + [block]
+    with pytest.raises(ConfigError, match=r"model\.potentials\[7\]\.perturbation: unknown key 'frequency'"):
+        parse_config(cfg)
+    block["perturbation"] = {"kind": "none"}
+    assert parse_config(cfg).model.gaussian
+
+
 def test_missing_sampler_block_named():
     cfg = {"model": base_model_block(), "experiment": {"kind": "mcmc_check"}}
     with pytest.raises(ConfigError, match="sampler"):

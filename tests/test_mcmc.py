@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gibbscert.bounds import coordinate, covariance_bound, single_site_function
+from gibbscert.bounds import coordinate, covariance_bound
 from gibbscert.interaction import interaction_from_model
 from gibbscert.lattice import periodic_grid
 from gibbscert.model import (
@@ -15,7 +15,6 @@ from gibbscert.oracles.mcmc import (
     SamplerConfig,
     chain_seed,
     mcmc_covariance_matrix,
-    mcmc_estimate_covariance,
     splitmix64,
 )
 
@@ -43,37 +42,26 @@ def test_seed_mixing_is_documented_rule():
 
 def test_determinism_bit_identical():
     model = ring(4, 0.1)
-    f, g = coordinate(0, 4), coordinate(1, 4)
-    a = mcmc_estimate_covariance(model, f, g, FAST)
-    b = mcmc_estimate_covariance(model, f, g, FAST)
-    assert a.estimate == b.estimate
-    assert a.stderr == b.stderr
-    assert a.acceptance_rate == b.acceptance_rate
+    est_a, err_a, rate_a = mcmc_covariance_matrix(model, FAST)
+    est_b, err_b, rate_b = mcmc_covariance_matrix(model, FAST)
+    assert np.array_equal(est_a, est_b)
+    assert np.array_equal(err_a, err_b)
+    assert rate_a == rate_b
 
 
 def test_product_gaussian_independent_coordinates():
-    model = ring(4, 0.0)
-    est = mcmc_estimate_covariance(model, coordinate(0, 4), coordinate(1, 4), FAST)
-    assert abs(est.estimate) <= 3.0 * est.stderr
-    assert est.stderr > 0
-    assert 0.0 < est.acceptance_rate < 1.0
+    est, err, rate = mcmc_covariance_matrix(ring(4, 0.0), FAST)
+    assert abs(est[0, 1]) <= 3.0 * err[0, 1]
+    assert err[0, 1] > 0
+    assert 0.0 < rate < 1.0
 
 
 def test_ferromagnetic_gaussian_matches_exact():
     model = ring(8, 0.2)
     cov = gaussian_exact_covariance(gaussian_from_model(model))
     cfg = SamplerConfig(chains=8, steps=40_000, burn_in=4_000, proposal_std=1.5, seed=7)
-    est = mcmc_estimate_covariance(model, coordinate(0, 8), coordinate(1, 8), cfg)
-    assert abs(est.estimate - cov[0, 1]) <= 3.0 * est.stderr
-
-
-def test_matrix_estimator_consistent_with_pairwise():
-    model = ring(4, 0.15)
-    est, err, rate = mcmc_covariance_matrix(model, FAST)
-    pair = mcmc_estimate_covariance(model, coordinate(0, 4), coordinate(1, 4), FAST)
-    assert est[0, 1] == pytest.approx(pair.estimate)
-    assert err[0, 1] == pytest.approx(pair.stderr)
-    assert rate == pair.acceptance_rate
+    est, err, _ = mcmc_covariance_matrix(model, cfg)
+    assert abs(est[0, 1] - cov[0, 1]) <= 3.0 * err[0, 1]
     assert np.allclose(est, est.T)
 
 
@@ -89,17 +77,16 @@ def test_perturbed_model_below_covariance_bound():
 
 
 def test_zero_variance_observable_rejected():
-    model = ring(2, 0.0)
-    const = single_site_function(0, 2, lambda x: np.zeros_like(x), 0.0)
+    # a proposal this wide is never accepted, so every chain stays at 0
+    cfg = SamplerConfig(chains=2, steps=2_000, burn_in=200, proposal_std=1e9, seed=3)
     with pytest.raises(ValueError, match="zero variance"):
-        mcmc_estimate_covariance(model, const, coordinate(1, 2), FAST)
+        mcmc_covariance_matrix(ring(2, 0.0), cfg)
 
 
-def test_acceptance_rate_warning_recorded():
-    model = ring(2, 0.0)
+def test_low_acceptance_rate_reported():
     cfg = SamplerConfig(chains=2, steps=2_000, burn_in=200, proposal_std=60.0, seed=3)
-    est = mcmc_estimate_covariance(model, coordinate(0, 2), coordinate(1, 2), cfg)
-    assert est.warnings and "acceptance rate" in est.warnings[0]
+    _, _, rate = mcmc_covariance_matrix(ring(2, 0.0), cfg)
+    assert 0.0 < rate < 0.05
 
 
 def test_mixed_per_site_potentials_match_single_site_variances():

@@ -105,7 +105,7 @@ def test_dual_pi_one_site_sharp():
     res = verify_dual_pi(pf, 1.0)
     assert res.passed
     assert res.lhs == pytest.approx(1.0, abs=1e-2)
-    assert abs(res.margin) <= res.tol_grid
+    assert abs(res.margins) <= res.tol_grid
 
 
 def test_dual_pi_two_site():
@@ -180,7 +180,7 @@ def test_warm_start_from_nested_grid():
 
 def test_interaction_matrix_export_and_csv(tmp_path):
     from gibbscert.oracles.potential import potential_to_csv
-    from gibbscert.reporting import matrix_to_csv
+    from gibbscert.reporting import write_table
 
     model = two_site_model(0.2)
     pf = solve_potential(model, coordinate(0, 2), GridSpec(6.0, 0.5))
@@ -192,7 +192,7 @@ def test_interaction_matrix_export_and_csv(tmp_path):
 
     im = build_interaction_matrix([1.0, 1.0], np.array([[0.0, 0.25], [0.25, 0.0]]))
     mpath = tmp_path / "A.csv"
-    matrix_to_csv(mpath, im.A)
+    write_table(["a0", "a1"], im.A.T, mpath)
     rows = mpath.read_text().splitlines()
-    assert len(rows) == 2
-    assert float(rows[0].split(",")[1]) == -0.25
+    assert len(rows) == 3
+    assert float(rows[1].split(",")[1]) == -0.25

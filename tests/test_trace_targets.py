@@ -1,0 +1,25 @@
+"""The benchmark's trace mode rebinds gibbscert functions by name; a rename in
+src/ must fail here rather than break `bench/run.py --trace 1`."""
+
+import importlib
+import inspect
+import runpy
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def test_every_traced_target_resolves():
+    layers = runpy.run_path(str(SPANS))["LAYERS"]  # compiled in memory: writes nothing under bench/
+    targets = [t for names, _, _ in layers.values() for t in names]
+    assert len(targets) > 20
+    for target in targets:
+        mod_name, attr = target.split(":")
+        assert mod_name.startswith("gibbscert")
+        owner = importlib.import_module(mod_name)
+        if "." in attr:  # patched on the class, so it must be defined there
+            cls_name, meth = attr.split(".")
+            value = getattr(owner, cls_name).__dict__.get(meth)
+        else:
+            value = getattr(owner, attr, None)
+        assert inspect.isfunction(value), target
