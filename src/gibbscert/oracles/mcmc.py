@@ -3,20 +3,26 @@
 Chains are fully independent: chain i draws from its own generator seeded by
 a 64-bit mix of the master seed with the chain index (splitmix64 of
 master XOR i), so runs are reproducible bit for bit and chains stay
-independent no matter how many run.  Standard errors come from the spread of
-the per-chain covariance estimates, which sidesteps within-chain
-autocorrelation.
+independent no matter how many run.  Each chain runs on its own, one step at
+a time in Python floats: a step evaluates psi_s twice, and an accepted move
+updates the linear field J x over the nonzero entries of J's row s only, so
+it costs O(nnz of that row).  Kept states are buffered and folded into the
+chain's moment sums by one matrix product per at most max(1, _FOLD // n)
+rows.  Standard errors come from the spread of the per-chain covariance
+estimates, which sidesteps within-chain autocorrelation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..model import GibbsModel
 
-_BLOCK = 8192
+_BLOCK = 8192  # steps drawn per generator call
+_FOLD = 1 << 17  # kept floats buffered per chain before a moment fold
 MASK64 = (1 << 64) - 1
 
 
@@ -49,51 +55,99 @@ class SamplerConfig:
             raise ValueError("proposal_std must be positive")
 
 
-def mcmc_covariance_matrix(model: GibbsModel, cfg: SamplerConfig):
-    """Pooled estimate and stderr of cov(x_i, x_j) for every coordinate pair.
-
-    The chains run in lockstep; each kept step adds X and its outer products
-    to per-chain moment sums.  Returns (cov, stderr, acceptance_rate).
-    """
-    n = model.n_sites
-    C = cfg.chains
+def _site_table(model: GibbsModel):
+    """Per site: (0.5*q, amplitude, frequency, [(j, J[s, j]) for nonzero j])."""
     J = model.coupling_matrix()
-    q, amp, freq = model.q, model.amplitude, model.frequency
-    rngs = [np.random.default_rng(chain_seed(cfg.seed, i)) for i in range(C)]
+    half_q = (0.5 * model.q).tolist()
+    amp, freq = model.amplitude.tolist(), model.frequency.tolist()
+    table = []
+    for s in range(model.n_sites):
+        nz = np.flatnonzero(J[s])
+        row = list(zip(nz.tolist(), J[s, nz].tolist()))
+        table.append((half_q[s], amp[s], freq[s], row))
+    return table
 
-    X = np.zeros((C, n))
-    ell = X @ J  # running linear fields sum_j J_ij x_j per chain
-    s1 = np.zeros((C, n))
-    s2 = np.zeros((C, n, n))
+
+def _fold(buf: list, n: int, s1: np.ndarray, s2: np.ndarray) -> None:
+    """Add the kept states in `buf` (flat, n per row) to one chain's moment sums."""
+    T = np.array(buf).reshape(-1, n)
+    s1 += T.sum(0)
+    s2 += T.T @ T
+
+
+def _run_chain(rng, table, cfg: SamplerConfig, s1: np.ndarray, s2: np.ndarray) -> int:
+    """Run one chain from x = 0, add its kept states to (s1, s2); return accepts.
+
+    The draws are taken per block of _BLOCK steps (sites, then moves, then
+    uniforms) and walked as Python floats.  The energy change is
+    psi(prop) - psi(x_s) - (prop - x_s) * ell_s with the linear field
+    ell = J x, which an accepted move updates over the nonzero entries of
+    J's row only.
+    """
+    n = len(table)
+    cos = math.cos
+    fold_rows = max(1, _FOLD // n)
+    x = [0.0] * n
+    ell = [0.0] * n
+    buf: list = []
     accepted = 0
-    rows = np.arange(C)
     done = 0
     while done < cfg.steps:
         block = min(_BLOCK, cfg.steps - done)
-        sites = np.stack([rng.integers(0, n, size=block) for rng in rngs])
-        moves = np.stack(
-            [rng.normal(0.0, cfg.proposal_std, size=block) for rng in rngs]
-        )
-        logu = np.log(
-            np.maximum(np.stack([rng.random(size=block) for rng in rngs]), 1e-320)
-        )
-        for t in range(block):
-            s = sites[:, t]
-            xs = X[rows, s]
-            prop = xs + moves[:, t]
-            qs, amps, freqs = q[s], amp[s], freq[s]
-            psi_prop = 0.5 * qs * prop**2 + amps * np.cos(freqs * prop)
-            psi_xs = 0.5 * qs * xs**2 + amps * np.cos(freqs * xs)
-            d_h = psi_prop - psi_xs - (prop - xs) * ell[rows, s]
-            acc = logu[:, t] < -d_h
-            dx = np.where(acc, prop - xs, 0.0)
-            X[rows, s] = xs + dx
-            ell += dx[:, None] * J[s, :]
-            accepted += int(np.count_nonzero(acc))
-            if done + t >= cfg.burn_in:
-                s1 += X
-                s2 += X[:, :, None] * X[:, None, :]
+        sites = rng.integers(0, n, size=block).tolist()
+        moves = rng.normal(0.0, cfg.proposal_std, size=block).tolist()
+        logu = np.log(np.maximum(rng.random(size=block), 1e-320)).tolist()
+        t = 0
+        while t < block:
+            keep = done + t >= cfg.burn_in
+            if keep:
+                stop = min(block, t + fold_rows - len(buf) // n)
+            else:
+                stop = min(block, cfg.burn_in - done)
+            for s, move, lu in zip(sites[t:stop], moves[t:stop], logu[t:stop]):
+                hq, a, f, row = table[s]
+                xs = x[s]
+                prop = xs + move
+                d = prop - xs
+                d_h = (
+                    (hq * (prop * prop) + a * cos(f * prop))
+                    - (hq * (xs * xs) + a * cos(f * xs))
+                    - d * ell[s]
+                )
+                if lu < -d_h:
+                    x[s] = xs + d
+                    for j, w in row:
+                        ell[j] += d * w
+                    accepted += 1
+                if keep:
+                    buf.extend(x)
+            t = stop
+            if keep and len(buf) == fold_rows * n:
+                _fold(buf, n, s1, s2)
+                buf = []
         done += block
+    if buf:
+        _fold(buf, n, s1, s2)
+    return accepted
+
+
+def mcmc_covariance_matrix(model: GibbsModel, cfg: SamplerConfig):
+    """Pooled estimate and stderr of cov(x_i, x_j) for every coordinate pair.
+
+    Each chain runs on its own (chain-major); its kept states are buffered
+    and folded into per-chain moment sums as s1 += T.sum(0), s2 += T.T @ T,
+    at most every max(1, _FOLD // n) rows.  Returns (cov, stderr,
+    acceptance_rate).
+    """
+    n = model.n_sites
+    C = cfg.chains
+    table = _site_table(model)
+    s1 = np.zeros((C, n))
+    s2 = np.zeros((C, n, n))
+    accepted = 0
+    for c in range(C):
+        rng = np.random.default_rng(chain_seed(cfg.seed, c))
+        accepted += _run_chain(rng, table, cfg, s1[c], s2[c])
     rate = accepted / (cfg.steps * C)
 
     count = cfg.steps - cfg.burn_in

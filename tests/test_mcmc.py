@@ -6,11 +6,13 @@ from gibbscert.interaction import interaction_from_model
 from gibbscert.lattice import periodic_grid
 from gibbscert.model import (
     GibbsModel,
+    algebraic_coupling,
     cosine_potential,
     gaussian_potential,
     nearest_neighbor_coupling,
 )
 from gibbscert.oracles.gaussian import gaussian_exact_covariance, gaussian_from_model
+from gibbscert.oracles import mcmc
 from gibbscert.oracles.mcmc import (
     SamplerConfig,
     chain_seed,
@@ -107,3 +109,80 @@ def test_mixed_per_site_potentials_match_single_site_variances():
         mean = np.sum(x * w) / np.sum(w)
         var = np.sum((x - mean) ** 2 * w) / np.sum(w)
         assert abs(est[i, i] - var) <= 4.0 * err[i, i]
+
+
+def _lockstep_reference(model, cfg):
+    """The per-step numpy formula with all chains in lockstep, one outer product per kept step."""
+    n, C = model.n_sites, cfg.chains
+    J, q, amp, freq = model.coupling_matrix(), model.q, model.amplitude, model.frequency
+    rngs = [np.random.default_rng(chain_seed(cfg.seed, i)) for i in range(C)]
+    X, ell = np.zeros((C, n)), np.zeros((C, n))
+    s1, s2 = np.zeros((C, n)), np.zeros((C, n, n))
+    accepted, rows = 0, np.arange(C)
+    for done in range(0, cfg.steps, mcmc._BLOCK):
+        block = min(mcmc._BLOCK, cfg.steps - done)
+        sites = np.stack([r.integers(0, n, size=block) for r in rngs])
+        moves = np.stack([r.normal(0.0, cfg.proposal_std, size=block) for r in rngs])
+        logu = np.log(np.maximum(np.stack([r.random(size=block) for r in rngs]), 1e-320))
+        for t in range(block):
+            s = sites[:, t]
+            xs = X[rows, s]
+            prop = xs + moves[:, t]
+            psi_prop = 0.5 * q[s] * prop**2 + amp[s] * np.cos(freq[s] * prop)
+            psi_xs = 0.5 * q[s] * xs**2 + amp[s] * np.cos(freq[s] * xs)
+            acc = logu[:, t] < -(psi_prop - psi_xs - (prop - xs) * ell[rows, s])
+            dx = np.where(acc, prop - xs, 0.0)
+            X[rows, s] = xs + dx
+            ell += dx[:, None] * J[s, :]
+            accepted += int(np.count_nonzero(acc))
+            if done + t >= cfg.burn_in:
+                s1 += X
+                s2 += X[:, :, None] * X[:, None, :]
+    count = cfg.steps - cfg.burn_in
+    means = s1 / count
+    per_chain = s2 / count - means[:, :, None] * means[:, None, :]
+    return per_chain.mean(0), per_chain.std(0, ddof=1) / np.sqrt(C), accepted / (cfg.steps * C)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        GibbsModel(
+            periodic_grid([4]),
+            (
+                gaussian_potential(1.0),
+                cosine_potential(1.5, 0.2, 3.0),
+                gaussian_potential(0.7),
+                cosine_potential(2.0, -0.1, 0.5),
+            ),
+            nearest_neighbor_coupling(0.1),
+        ),
+        GibbsModel(periodic_grid([6]), gaussian_potential(1.0), algebraic_coupling(0.1, 1.0, 1)),
+    ],
+    ids=["mixed-nn-4", "dense-algebraic-6"],
+)
+def test_kernel_matches_lockstep_reference(model, monkeypatch):
+    # three blocks, burn-in ending inside the second; the chains are the
+    # reference's bit for bit, only the moment summation order differs
+    block = mcmc._BLOCK
+    cfg = SamplerConfig(
+        chains=3, steps=2 * block + 17, burn_in=block + 100, proposal_std=1.5, seed=5
+    )
+    ref_est, ref_err, ref_rate = _lockstep_reference(model, cfg)
+    folded = []
+    real_fold = mcmc._fold
+
+    def counting_fold(buf, n, s1, s2):
+        folded.append(len(buf) // n)
+        real_fold(buf, n, s1, s2)
+
+    monkeypatch.setattr(mcmc, "_fold", counting_fold)
+    for fold in (mcmc._FOLD, 13):  # 13 floats: a fold every 2 or 3 kept rows
+        monkeypatch.setattr(mcmc, "_FOLD", fold)
+        folded.clear()
+        est, err, rate = mcmc_covariance_matrix(model, cfg)
+        assert sum(folded) == cfg.chains * (cfg.steps - cfg.burn_in)
+        assert max(folded) == min(fold // model.n_sites, cfg.steps - cfg.burn_in)
+        assert rate == ref_rate
+        assert np.max(np.abs(est - ref_est)) <= 1e-12 * np.max(np.abs(ref_est))
+        assert np.max(np.abs(err - ref_err)) <= 1e-12 * np.max(np.abs(ref_err))
