@@ -1,9 +1,9 @@
 """Random-scan Metropolis estimation of covariances.
 
 Chains are fully independent: chain i draws from its own generator seeded by
-a 64-bit mix of the master seed with the chain index (splitmix64 of
-master XOR i), so runs are reproducible bit for bit and chains stay
-independent no matter how many run.  Each chain runs on its own, one step at
+splitmix64((splitmix64(master) + i) mod 2**64), so runs are reproducible bit
+for bit, chains stay independent no matter how many run, and distinct master
+seeds run distinct chains.  Each chain runs on its own, one step at
 a time in Python floats: a step evaluates psi_s twice, and an accepted move
 updates the linear field J x over the nonzero entries of J's row s only, so
 it costs O(nnz of that row).  Kept states are buffered and folded into the
@@ -35,7 +35,13 @@ def splitmix64(seed: int) -> int:
 
 
 def chain_seed(master: int, index: int) -> int:
-    return splitmix64((master ^ index) & MASK64)
+    """Seed of chain `index`: splitmix64((splitmix64(master) + index) mod 2**64).
+
+    Offsetting a mixed master keeps nearby masters apart; a plain
+    `master XOR index` gave masters that differ only in their low bits the
+    same set of chains.
+    """
+    return splitmix64((splitmix64(master) + index) & MASK64)
 
 
 @dataclass(frozen=True)

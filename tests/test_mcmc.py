@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -37,9 +39,23 @@ def test_config_validation():
 
 
 def test_seed_mixing_is_documented_rule():
-    assert chain_seed(42, 3) == splitmix64(42 ^ 3)
+    assert chain_seed(42, 3) == splitmix64((splitmix64(42) + 3) % 2**64)
     seeds = {chain_seed(42, i) for i in range(100)}
     assert len(seeds) == 100
+
+
+def test_nearby_master_seeds_run_distinct_chains():
+    # under master XOR index, masters 1000..1007 all ran chain seeds 1000..1007
+    seed_sets = [{chain_seed(m, i) for i in range(8)} for m in range(1000, 1008)]
+    assert len(set().union(*seed_sets)) == 64
+    model = GibbsModel(
+        periodic_grid([4, 4]), gaussian_potential(1.0), nearest_neighbor_coupling(0.08)
+    )
+    cfg = SamplerConfig(chains=8, steps=4_000, burn_in=400, proposal_std=1.5, seed=1000)
+    est_a, _, _ = mcmc_covariance_matrix(model, cfg)
+    est_b, _, _ = mcmc_covariance_matrix(model, replace(cfg, seed=1001))
+    # the same chains in another order would differ by rounding only
+    assert np.max(np.abs(est_a - est_b)) > 1e-9 * np.max(np.abs(est_a))
 
 
 def test_determinism_bit_identical():
