@@ -3,13 +3,15 @@
 Chains are fully independent: chain i draws from its own generator seeded by
 splitmix64((splitmix64(master) + i) mod 2**64), so runs are reproducible bit
 for bit, chains stay independent no matter how many run, and distinct master
-seeds run distinct chains.  Each chain runs on its own, one step at
-a time in Python floats: a step evaluates psi_s twice, and an accepted move
-updates the linear field J x over the nonzero entries of J's row s only, so
-it costs O(nnz of that row).  Kept states are buffered and folded into the
-chain's moment sums by one matrix product per at most max(1, _FOLD // n)
-rows.  Standard errors come from the spread of the per-chain covariance
-estimates, which sidesteps within-chain autocorrelation.
+seeds run distinct chains.
+
+The chains run one after another, each one step at a time in Python floats:
+a step evaluates psi_s twice, and an accepted move updates the linear field
+J x over the nonzero entries of J's row s only, so it costs O(nnz of that
+row).  Kept states are buffered and folded into the chain's moment sums by
+one matrix product per at most max(1, _FOLD // n) rows.  Standard errors
+come from the spread of the per-chain covariance estimates, which sidesteps
+within-chain autocorrelation.
 """
 
 from __future__ import annotations
@@ -140,10 +142,9 @@ def _run_chain(rng, table, cfg: SamplerConfig, s1: np.ndarray, s2: np.ndarray) -
 def mcmc_covariance_matrix(model: GibbsModel, cfg: SamplerConfig):
     """Pooled estimate and stderr of cov(x_i, x_j) for every coordinate pair.
 
-    Each chain runs on its own (chain-major); its kept states are buffered
-    and folded into per-chain moment sums as s1 += T.sum(0), s2 += T.T @ T,
-    at most every max(1, _FOLD // n) rows.  Returns (cov, stderr,
-    acceptance_rate).
+    The chains run one after another; each adds its buffered kept states T
+    to its moment sums as s1 += T.sum(0), s2 += T.T @ T.  Returns (cov,
+    stderr, acceptance_rate).
     """
     n = model.n_sites
     C = cfg.chains
