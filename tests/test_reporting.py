@@ -1,12 +1,22 @@
+import json
+
 import numpy as np
 
-from gibbscert.cli import _write_decay_csv
+import gibbscert.cli as cli
+from gibbscert.cli import _write_decay_csv, parse_config, run_experiment
 from gibbscert.decay import decay_profile
 from gibbscert.interaction import interaction_from_model
 from gibbscert.lattice import distance_matrix, periodic_grid
 from gibbscert.model import GibbsModel, gaussian_potential, nearest_neighbor_coupling
 from gibbscert.oracles.potential import PotentialField, potential_to_csv
-from gibbscert.reporting import CHUNK_ROWS, PAIR_COLUMNS, emit_pair_table, fmt, write_table
+from gibbscert.reporting import (
+    CHUNK_ROWS,
+    PAIR_COLUMNS,
+    emit_pair_table,
+    fmt,
+    report_bytes,
+    write_table,
+)
 
 SPECIAL = [0.0, -0.0, 1e-300, np.inf, np.nan]
 
@@ -123,3 +133,126 @@ def test_decay_table_matches_per_row_writer(tmp_path):
         for d, v in decay_profile(im.inverse(), distance_matrix(model.geometry)):
             fh.write(f"{fmt(d)},{fmt(v)}\n")
     assert (tmp_path / "decay.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def nan_with_payload(payload: int, negative: bool = False) -> float:
+    bits = np.uint64(0x7FF8000000000000 | payload | (1 << 63 if negative else 0))
+    return float(np.array([bits]).view(np.float64)[0])
+
+
+def test_repeated_values_match_per_row_writer(tmp_path):
+    """Each distinct bit pattern is formatted once per chunk; the text must not change."""
+    rows = CHUNK_ROWS + 6
+    rng = np.random.default_rng(11)
+    signed_zero = np.where(np.arange(rows) % 2 == 0, 0.0, -0.0)  # interleaved in every chunk
+    nans = [nan_with_payload(1), nan_with_payload(2), nan_with_payload(3, negative=True)]
+    specials = np.array(nans + [np.inf, -np.inf, 1.0])[rng.integers(0, 6, size=rows)]
+    across = rng.choice([0.25, 1.0 / 3.0], size=rows)
+    across[CHUNK_ROWS - 1 : CHUNK_ROWS + 1] = np.pi  # one value on both sides of the boundary
+    constant = np.full(rows, -1e-300)
+    small = rng.choice(np.array([0.1, -0.0, 2.5e-8, 0.0], dtype=np.float32), size=rows)
+    flags = rng.integers(0, 2, size=rows).astype(bool)
+    header = ("zero", "special", "across", "constant", "float32", "flag")
+    columns = [signed_zero, specials, across, constant, small, flags]
+    assert len({v.tobytes() for v in specials}) == 6  # three of the six patterns are NaNs
+    bulk = assert_same_bytes(tmp_path, lambda path: write_table(header, columns, path), header, columns)
+    lines = bulk.decode().splitlines()
+    assert lines[1].startswith("0.00000000000000000e+00,") and lines[2].startswith("-0.0")
+    assert lines[CHUNK_ROWS].split(",")[2] == lines[CHUNK_ROWS + 1].split(",")[2] == fmt(np.pi)
+    assert {line.split(",")[5] for line in lines[1:]} == {"0", "1"}
+    assert fmt(np.float32(0.1)) == "1.00000001490116119e-01"
+
+
+def capture_pair_rows(monkeypatch):
+    """Record every pair table that the CLI runners build."""
+    captured = []
+    build = cli._pair_rows
+
+    def recorded(*args, **kwargs):
+        captured.append(build(*args, **kwargs))
+        return captured[-1]
+
+    monkeypatch.setattr(cli, "_pair_rows", recorded)
+    return captured
+
+
+def torus_config(kind):
+    return {
+        "model": {
+            "geometry": {"kind": "periodic_grid", "side_lengths": [6, 6]},
+            "potential": {"q": 1.0},
+            "coupling": {"kind": "nearest_neighbor", "epsilon": 0.05},
+        },
+        "experiment": {"kind": kind},
+    }
+
+
+def test_cli_tables_match_per_row_writer(tmp_path, monkeypatch):
+    """pairs.csv and decay.csv of real runs, whose A^-1 repeats by translation invariance."""
+    for kind in ("gaussian_sharpness", "exponential_certificate"):
+        captured = capture_pair_rows(monkeypatch)
+        cfg = parse_config(torus_config(kind))
+        out = tmp_path / kind
+        _, passed = run_experiment(cfg, out)
+        assert passed and len(captured) == 1
+        rows = captured[0]
+        reference_table(PAIR_COLUMNS, [rows[name] for name in PAIR_COLUMNS], tmp_path / "ref.csv")
+        pairs = (out / "pairs.csv").read_bytes()
+        assert pairs == (tmp_path / "ref.csv").read_bytes()
+        assert pairs.count(b"\n") == 1 + 36 * 37 // 2
+        assert len(np.unique(rows["bound"])) < len(rows["bound"]) // 4  # the table repeats
+        if kind == "exponential_certificate":
+            im = interaction_from_model(cfg.model)
+            profile = decay_profile(im.inverse(), distance_matrix(cfg.model.geometry))
+            with open(tmp_path / "ref.csv", "w", encoding="utf-8") as fh:
+                fh.write("distance,max_abs_inverse\n")
+                for d, v in profile:
+                    fh.write(f"{fmt(d)},{fmt(v)}\n")
+            assert (out / "decay.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def recursive_jsonable(obj):
+    """The per-element conversion that report_bytes used before lists were checked whole."""
+    if isinstance(obj, dict):
+        return {str(k): recursive_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [recursive_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [recursive_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, float)):
+        v = float(obj)
+        return v if np.isfinite(v) else repr(v)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    return obj
+
+
+def test_report_bytes_match_recursive_conversion(tmp_path):
+    n = 6
+    ring = np.array([[min(abs(a - b), n - abs(a - b)) for b in range(n)] for a in range(n)], float)
+    raw = {
+        "model": {
+            "geometry": {"kind": "explicit", "metric_table": [ring[0].tolist()] + list(ring[1:])},
+            "potential": {"q": np.float64(1.5)},
+            "coupling": {"kind": "nearest_neighbor", "epsilon": np.float32(0.125)},
+        },
+        "experiment": {"kind": "gaussian_sharpness", "tolerance": float("inf")},
+        "output": {"format": "json"},
+    }
+    report, passed = run_experiment(parse_config(raw), tmp_path / "out")
+    assert passed and report["results"]["tolerance"] == float("inf")
+    report["results"]["extra"] = [
+        [1.0, 2, "a", None, True],
+        [0.5, float("nan")],
+        (np.int64(3), np.bool_(False), np.float64(-np.inf)),
+        np.arange(4.0).reshape(2, 2),
+        [],
+    ]
+    for drop_meta in (False, True):
+        expected = {k: v for k, v in report.items() if not (drop_meta and k == "meta")}
+        want = json.dumps(recursive_jsonable(expected), indent=2, sort_keys=True).encode("utf-8")
+        assert report_bytes(report, drop_meta=drop_meta) == want
+    text = report_bytes(report).decode()
+    assert '"inf"' in text and '"nan"' in text and '"-inf"' in text
