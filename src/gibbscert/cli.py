@@ -37,8 +37,8 @@ from .oracles.gaussian import gaussian_exact_covariance, gaussian_from_model
 from .oracles.mcmc import SamplerConfig, mcmc_covariance_matrix
 from .oracles.potential import (
     GridSpec,
+    PotentialSolver,
     potential_to_csv,
-    solve_potential,
     verify_core_identity,
     verify_directional_pi,
     verify_dual_pi,
@@ -180,8 +180,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"experiment.kind: unknown kind {kind!r}")
     _check_keys(exp, "experiment", ("kind",), _EXPERIMENT_OPTIONS[kind])
     options = {k: v for k, v in exp.items() if k != "kind"}
-    if kind == "threshold_scan" and "epsilons" not in options:
-        raise ConfigError("experiment: threshold_scan needs the 'epsilons' block")
+    if kind == "threshold_scan":
+        if "epsilons" not in options:
+            raise ConfigError("experiment: threshold_scan needs the 'epsilons' block")
+        try:
+            bad = [e for e in options["epsilons"] if not np.isfinite(float(e))]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"experiment.epsilons: {exc}") from exc
+        if bad:
+            raise ConfigError(f"experiment.epsilons: every epsilon must be finite, got {bad}")
 
     sampler = None
     if "sampler" in raw:
@@ -343,13 +350,15 @@ def _run_pde_check(cfg: ExperimentConfig, out_dir: Path):
         raise ConfigError("pde_check: grid oracle supports at most 2 sites")
     im = interaction_from_model(model)
     specs = cfg.options.get("functions", [{"kind": "coordinate", "site": 0}])
+    if not specs:
+        raise ConfigError("experiment.functions: pde_check needs at least one function")
     rho_full = pi_criterion(im.A)
+    observables = [_pde_observable(spec, model, cfg.grid) for spec in specs]
+    fields = PotentialSolver(model, cfg.grid).solve_many(observables)
+    potential_to_csv(fields[0], out_dir / "phi.csv")
     checks = []
     all_ok = True
-    phi_written = False
-    for spec in specs:
-        obs = _pde_observable(spec, model, cfg.grid)
-        pf = solve_potential(model, obs, cfg.grid)
+    for spec, pf in zip(specs, fields):
         direction = verify_directional_pi(pf, im)
         entry = {
             "function": spec,
@@ -378,9 +387,6 @@ def _run_pde_check(cfg: ExperimentConfig, out_dir: Path):
         entry["covariance_representation"] = rep_checks
         if cfg.options.get("core_identity", False):
             entry["core_identity_residual"] = verify_core_identity(pf)
-        if not phi_written:
-            potential_to_csv(pf, out_dir / "phi.csv")
-            phi_written = True
         checks.append(entry)
     results = {
         "constants": _model_constants(model),

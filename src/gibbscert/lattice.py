@@ -70,6 +70,10 @@ class LatticeGeometry:
             table = np.array(self.metric_table, dtype=float)
             if table.ndim != 2 or table.shape[0] != table.shape[1]:
                 raise ValueError("metric table must be square")
+            bad = np.argwhere(~np.isfinite(table))
+            if bad.size:
+                i, j = bad[0]
+                raise ValueError(f"metric table entry ({i},{j}) is {table[i, j]}; entries must be finite")
             if not np.array_equal(table, table.T):
                 raise ValueError("metric table must be symmetric")
             if np.any(np.diag(table) != 0.0):

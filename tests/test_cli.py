@@ -142,6 +142,25 @@ def test_threshold_scan_flips_at_weak_coupling_threshold(tmp_path):
         assert entry["passed"] == (entry["epsilon"] < threshold)
 
 
+def test_threshold_scan_rejects_non_finite_epsilons():
+    raw = {
+        "model": base_model_block(4, 0.05),
+        "experiment": {"kind": "threshold_scan", "epsilons": [0.05, math.inf, math.nan]},
+    }
+    with pytest.raises(ConfigError, match=r"experiment\.epsilons: .*\[inf, nan\]"):
+        parse_config(raw)
+
+
+def test_pde_check_needs_a_function(tmp_path):
+    raw = {
+        "model": base_model_block(2, 0.2),
+        "experiment": {"kind": "pde_check", "functions": []},
+        "grid": {"L": 6.0, "h": 0.5},
+    }
+    with pytest.raises(ConfigError, match="experiment.functions"):
+        run_experiment(parse_config(raw), tmp_path / "out")
+
+
 def test_exponential_certificate_experiment(tmp_path):
     cfg = parse_config(
         {

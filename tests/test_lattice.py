@@ -157,3 +157,14 @@ def test_distance_tables_cached_read_only():
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 1] = 7.0
+
+
+def test_explicit_metric_rejects_non_finite_entries():
+    inf = float("inf")
+    # the leading 3x3 block violates the triangle inequality; an inf entry
+    # must not make the check's tolerance infinite and hide it
+    table = [[0, 1, 5, inf], [1, 0, 1, inf], [5, 1, 0, inf], [inf, inf, inf, 0]]
+    with pytest.raises(ValueError, match=r"entry \(0,3\) is inf"):
+        explicit_metric(table)
+    with pytest.raises(ValueError, match=r"entry \(0,1\) is nan"):
+        explicit_metric([[0.0, float("nan")], [float("nan"), 0.0]])

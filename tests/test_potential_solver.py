@@ -1,9 +1,11 @@
-"""Grid-oracle tests on coarse grids; the acceptance suite runs the fine ones."""
+"""Grid-oracle tests, mostly on coarse grids; the acceptance suite runs the fine ones."""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 from gibbscert.bounds import coordinate, single_site_function
 from gibbscert.interaction import build_interaction_matrix, interaction_from_model, pi_criterion
@@ -18,6 +20,7 @@ from gibbscert.model import (
 )
 from gibbscert.oracles.gaussian import gaussian_exact_covariance, gaussian_from_model
 from gibbscert.oracles.potential import (
+    RESIDUAL_RTOL,
     GridSpec,
     PotentialSolver,
     solve_potential,
@@ -196,3 +199,61 @@ def test_interaction_matrix_export_and_csv(tmp_path):
     rows = mpath.read_text().splitlines()
     assert len(rows) == 3
     assert float(rows[1].split(",")[1]) == -0.25
+
+
+def criterion_3_functions(L=6.0):
+    return [
+        coordinate(0, 2),
+        single_site_function(0, 2, lambda x: x**3, 3.0 * L**2),
+        single_site_function(0, 2, np.sin, 1.0),
+    ]
+
+
+@pytest.mark.parametrize("m", [121, 241, 400, 481, 601])  # 400: coarsens through even sizes
+def test_multigrid_iterations_do_not_grow_with_the_grid(m):
+    solver = PotentialSolver(two_site_model(0.2, a=0.1), GridSpec(6.0, 12.0 / (m - 1)))
+    assert solver.m == m
+    for pf in solver.solve_many(criterion_3_functions()):
+        assert 0 < pf.iterations <= 15
+        assert pf.residual <= RESIDUAL_RTOL
+
+
+def test_cold_fine_solve_converges():
+    # the cosine-transform preconditioner stalled here at 1.01e-10 after 41 iterations
+    solver = PotentialSolver(two_site_model(0.2, a=0.1), GridSpec(6.0, 0.005))
+    for pf in solver.solve_many(criterion_3_functions()):
+        assert pf.residual <= RESIDUAL_RTOL
+
+
+def test_phi_matches_direct_sparse_solve():
+    solver = PotentialSolver(two_site_model(0.2, a=0.1), GridSpec(6.0, 0.1))
+    assert solver.m == 121
+    pin = int(np.argmax(solver.mu))
+    keep = np.ones(solver.mu.size)
+    keep[pin] = 0.0
+    mask = scipy.sparse.diags(keep)
+    K_pinned = (mask @ solver.K @ mask + scipy.sparse.diags(1.0 - keep)).tocsc()
+    dense = solver.mu >= 1e-3 * solver.mu.max()
+    for pf in solver.solve_many(criterion_3_functions()):
+        rhs = ((pf.f_values - pf.f_mean) * pf.mu).ravel()
+        rhs -= rhs.mean()
+        rhs[pin] = 0.0
+        phi = scipy.sparse.linalg.spsolve(K_pinned, rhs).reshape(pf.mu.shape)
+        phi -= pf.quad_mean(phi)
+        scale = np.max(np.abs(phi))
+        assert np.max(np.abs(pf.phi - phi)[dense]) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize(
+    "model, m",
+    [(one_site_model(a=0.1, b=2.0), 241), (two_site_model(0.2, a=0.1), 241), (two_site_model(0.2, a=0.1), 240)],
+)
+def test_vcycle_preconditioner_is_symmetric_positive(model, m):
+    solver = PotentialSolver(model, GridSpec(6.0, 12.0 / (m - 1)))
+    assert solver.m == m
+    rng = np.random.default_rng(3)
+    U = solver._project(rng.normal(size=(2, solver.s.size)))
+    BU = solver._precond(U.copy())
+    asym = abs(U[0] @ BU[1] - U[1] @ BU[0])
+    assert asym <= 1e-12 * np.linalg.norm(U[0]) * np.linalg.norm(BU[1])
+    assert np.all(np.einsum("ij,ij->i", U, BU) > 0.0)

@@ -3,6 +3,7 @@ src/ must fail here rather than break `bench/run.py --trace 1`."""
 
 import importlib
 import inspect
+import re
 import runpy
 from pathlib import Path
 
@@ -23,3 +24,13 @@ def test_every_traced_target_resolves():
         else:
             value = getattr(owner, attr, None)
         assert inspect.isfunction(value), target
+
+
+def test_potential_attributes_read_by_bench_resolve():
+    from gibbscert.oracles import potential
+
+    run_py = (SPANS.parent / "run.py").read_text(encoding="utf-8")
+    names = set(re.findall(r"(?<![.\w])potential\.([A-Za-z_]\w*)", run_py))
+    assert names  # the environment record reads at least one
+    for name in names:
+        assert hasattr(potential, name), f"bench/run.py reads potential.{name}"
