@@ -1,6 +1,10 @@
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gibbscert.cli as cli
 from gibbscert.cli import _write_decay_csv, parse_config, run_experiment
@@ -11,7 +15,10 @@ from gibbscert.model import GibbsModel, gaussian_potential, nearest_neighbor_cou
 from gibbscert.oracles.potential import PotentialField, potential_to_csv
 from gibbscert.reporting import (
     CHUNK_ROWS,
+    FLOAT_SLOT,
     PAIR_COLUMNS,
+    _float_slots,
+    _proven_slots,
     emit_pair_table,
     fmt,
     report_bytes,
@@ -163,6 +170,65 @@ def test_repeated_values_match_per_row_writer(tmp_path):
     assert fmt(np.float32(0.1)) == "1.00000001490116119e-01"
 
 
+def slot_texts(values) -> list:
+    slots = _float_slots(np.asarray(values, dtype=float))
+    assert slots.shape == (len(values), FLOAT_SLOT)
+    return [row.tobytes().replace(b"\0", b"").decode() for row in slots]
+
+
+def from_bits(bits) -> np.ndarray:
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_float_slot_matches_percent_for_any_bit_pattern(bits):
+    values = from_bits(bits)
+    assert slot_texts(values) == ["%.17e" % v for v in values.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=64))
+def test_float_slot_matches_percent_for_any_float(values):
+    assert slot_texts(values) == ["%.17e" % v for v in values]
+
+
+def powers_of_ten_and_neighbours() -> np.ndarray:
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    return np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, 0.0)])
+
+
+def test_float_slot_fixed_cases():
+    tie = (2**53 - 1) / 16  # 562949953421311.9375: 18 digits end on an exact half
+    carry = 1e153  # below 10^153, yet its 18 digits round up to 1.00000000000000000e+153
+    assert Fraction(carry) < 10**153 and "%.17e" % carry == "1.00000000000000000e+153"
+    nans = [nan_with_payload(1), nan_with_payload(0x7FFFF, negative=True), -np.nan]
+    fixed = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.finfo(float).max]
+    fixed += [9.999999999999999e22, carry, -carry, tie, -tie, np.inf, -np.inf] + nans
+    values = np.concatenate([fixed, powers_of_ten_and_neighbours()])
+    values = np.concatenate([values, -values])
+    assert slot_texts(values) == ["%.17e" % v for v in values.tolist()]
+    assert slot_texts([5e-324, np.finfo(float).max, tie]) == [
+        "4.94065645841246544e-324",
+        "1.79769313486231571e+308",
+        "5.62949953421311938e+14",
+    ]
+
+
+def test_float_slot_defers_ties_and_non_finite_values():
+    """Python's % writes exactly the cells whose rounding the numpy path cannot prove."""
+    ties = [(2**53 - 1) / 16, -(2**53 - 3) / 16, (2**53 - 1) / 8, (16 * 10**14 + 1) / 16]
+    for t in ties:  # 19 significant digits, the last a 5
+        assert Fraction(abs(t)) * 10 ** (17 - math.floor(math.log10(abs(t)))) % 1 == Fraction(1, 2)
+    special = [np.inf, -np.inf, np.nan, nan_with_payload(5, negative=True)]
+    regular = [0.0, -0.0, 1.5, 1e153, 5e-324, 0.1, np.finfo(float).max]
+    slots, proven = _proven_slots(np.array(ties + special + regular))
+    assert not proven[: len(ties) + len(special)].any()
+    assert proven[len(ties) + len(special) :].all()
+    text = [row.tobytes().replace(b"\0", b"").decode() for row in slots[-len(regular) :]]
+    assert text == ["%.17e" % v for v in regular]
+
+
 def capture_pair_rows(monkeypatch):
     """Record every pair table that the CLI runners build."""
     captured = []
@@ -256,3 +322,4 @@ def test_report_bytes_match_recursive_conversion(tmp_path):
         assert report_bytes(report, drop_meta=drop_meta) == want
     text = report_bytes(report).decode()
     assert '"inf"' in text and '"nan"' in text and '"-inf"' in text
+
