@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -216,38 +217,56 @@ def emit_pair_table(pairs: dict, path) -> None:
     write_table(PAIR_COLUMNS, [pairs[name] for name in PAIR_COLUMNS], path)
 
 
-_PLAIN = frozenset({str, int, float, bool, type(None)})  # what json writes as it is, when finite
+def _atom(obj) -> str:
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        return float.__repr__(v) if math.isfinite(v) else _quote(repr(v))
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _plain(values) -> bool:
-    """True when json.dumps writes every value as it is: str, int, bool, None or a finite float."""
-    return set(map(type, values)) <= _PLAIN and all(
-        math.isfinite(v) for v in values if type(v) is float
-    )
+def _encode(obj, indent: str) -> str:
+    """JSON text of obj as json.dumps(indent=2, sort_keys=True) writes it.
 
-
-def _jsonable(obj):
+    numpy scalars and arrays are written as the Python values they hold,
+    keys as str(key), and a non-finite float as its repr in quotes.  A list
+    of finite floats or of strings is written in one join.
+    """
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = {str(k): v for k, v in obj.items()}
+        body = (",\n" + inner).join(_quote(k) + ": " + _encode(items[k], inner) for k in sorted(items))
+        return "{\n" + inner + body + "\n" + indent + "}"
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        # one check per list: a list of plain values (a metric-table row, say) is copied whole
-        return list(obj) if _plain(obj) else [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if np.isfinite(v) else repr(v)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        types = set(map(type, obj))
+        if types == {float} and all(map(math.isfinite, obj)):
+            cells = map(float.__repr__, obj)
+        elif types == {str}:
+            cells = map(_quote, obj)
+        else:
+            cells = (_encode(v, inner) for v in obj)
+        return "[\n" + inner + (",\n" + inner).join(cells) + "\n" + indent + "]"
+    return _atom(obj)
 
 
 def report_bytes(report: dict, drop_meta: bool = False) -> bytes:
     """Canonical JSON encoding; with drop_meta=True the volatile field is removed."""
     payload = {k: v for k, v in report.items() if not (drop_meta and k == "meta")}
-    return json.dumps(_jsonable(payload), indent=2, sort_keys=True).encode("utf-8")
+    return _encode(payload, "").encode("ascii")
 
 
 def write_report(report: dict, path) -> None:

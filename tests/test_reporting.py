@@ -323,3 +323,86 @@ def test_report_bytes_match_recursive_conversion(tmp_path):
     text = report_bytes(report).decode()
     assert '"inf"' in text and '"nan"' in text and '"-inf"' in text
 
+
+RUNNER_CONFIGS = {
+    "bound_report": {
+        "model": {
+            "geometry": {"kind": "periodic_grid", "side_lengths": [6]},
+            "potential": {"q": 1.0, "perturbation": {"kind": "cosine", "amplitude": 0.1, "frequency": 1.0}},
+            "coupling": {"kind": "algebraic", "c": 0.1, "alpha": 1.0, "d": 1},
+        },
+        "experiment": {"kind": "bound_report"},
+    },
+    "gaussian_sharpness": torus_config("gaussian_sharpness"),
+    "pde_check": {
+        "model": {
+            "geometry": {"kind": "periodic_grid", "side_lengths": [2]},
+            "potential": {"q": 1.0, "perturbation": {"kind": "cosine", "amplitude": 0.1, "frequency": 1.0}},
+            "coupling": {"kind": "nearest_neighbor", "epsilon": 0.2},
+        },
+        "experiment": {
+            "kind": "pde_check",
+            "functions": [{"kind": "coordinate", "site": 0}, {"kind": "sin", "site": 1}],
+            "core_identity": True,
+        },
+        "grid": {"L": 6.0, "h": 0.2},
+    },
+    "mcmc_check": {
+        "model": {
+            "geometry": {"kind": "periodic_grid", "side_lengths": [4]},
+            "potential": {"q": 1.0},
+            "coupling": {"kind": "nearest_neighbor", "epsilon": 0.2},
+        },
+        "experiment": {"kind": "mcmc_check"},
+        "sampler": {"chains": 4, "steps": 2000, "burn_in": 200, "proposal_std": 1.5, "seed": 5},
+    },
+    "exponential_certificate": torus_config("exponential_certificate"),
+    "algebraic_certificate": {
+        "model": {
+            "geometry": {"kind": "periodic_grid", "side_lengths": [16]},
+            "potential": {"q": 1.0},
+            "coupling": {"kind": "algebraic", "c": 0.1, "alpha": 1.0, "d": 1},
+        },
+        "experiment": {"kind": "algebraic_certificate"},
+    },
+    "threshold_scan": {**torus_config("threshold_scan"), "experiment": {"kind": "threshold_scan", "epsilons": [0.02, 0.1]}},
+}
+
+
+def test_report_bytes_match_json_dumps_for_every_runner(tmp_path):
+    assert set(RUNNER_CONFIGS) == set(cli.EXPERIMENT_KINDS)
+    for kind, raw in RUNNER_CONFIGS.items():
+        report, _ = run_experiment(parse_config(raw), tmp_path / kind)
+        for drop_meta in (False, True):
+            expected = {k: v for k, v in report.items() if not (drop_meta and k == "meta")}
+            want = json.dumps(recursive_jsonable(expected), indent=2, sort_keys=True).encode("utf-8")
+            assert report_bytes(report, drop_meta=drop_meta) == want, kind
+        assert (tmp_path / kind / "report.json").read_bytes() == report_bytes(report) + b"\n"
+
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text()
+    | st.floats().map(np.float64)
+    | st.floats(width=32).map(np.float32)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.booleans().map(np.bool_)
+)
+NESTED = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.lists(st.floats()).map(np.array)
+    | st.dictionaries(st.text() | st.integers(), inner),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.text(), NESTED))
+def test_report_bytes_match_json_dumps_on_nested_values(report):
+    want = json.dumps(recursive_jsonable(report), indent=2, sort_keys=True).encode("utf-8")
+    assert report_bytes(report) == want
