@@ -33,6 +33,29 @@ from gibbscert.oracles.potential import (
 COARSE = GridSpec(6.0, 0.05)
 
 
+def _assemble_operator(mu: np.ndarray, h: float) -> scipy.sparse.csr_matrix:
+    """The weighted graph Laplacian K, edge weights sqrt(mu_l mu_r)/h^2, as CSR."""
+    diag = np.zeros(mu.shape)
+    bands, offsets = [diag.ravel()], [0]
+    for axis in range(mu.ndim):
+        lo = tuple(slice(0, -1) if a == axis else slice(None) for a in range(mu.ndim))
+        hi = tuple(slice(1, None) if a == axis else slice(None) for a in range(mu.ndim))
+        w = np.zeros(mu.shape)  # weight of the edge to the next node along axis
+        w[lo] = np.sqrt(mu[lo] * mu[hi]) / h**2
+        diag[lo] += w[lo]
+        diag[hi] += w[lo]
+        stride = math.prod(mu.shape[axis + 1 :])
+        band = -w.ravel()[: mu.size - stride]
+        bands += [band, band]
+        offsets += [stride, -stride]
+    return scipy.sparse.diags(bands, offsets, format="csr")
+
+
+def _centred_rhs(pf):
+    rhs = ((pf.f_values - pf.f_mean) * pf.mu).ravel()
+    return rhs - rhs.mean()
+
+
 def one_site_model(q=1.0, a=0.0, b=1.0):
     pot = cosine_potential(q, a, b) if a else gaussian_potential(q)
     return GibbsModel(periodic_grid([1]), pot, explicit_coupling(np.zeros((1, 1))))
@@ -232,16 +255,31 @@ def test_phi_matches_direct_sparse_solve():
     keep = np.ones(solver.mu.size)
     keep[pin] = 0.0
     mask = scipy.sparse.diags(keep)
-    K_pinned = (mask @ solver.K @ mask + scipy.sparse.diags(1.0 - keep)).tocsc()
+    K = _assemble_operator(solver.mu, solver.h)
+    K_pinned = (mask @ K @ mask + scipy.sparse.diags(1.0 - keep)).tocsc()
     dense = solver.mu >= 1e-3 * solver.mu.max()
     for pf in solver.solve_many(criterion_3_functions()):
-        rhs = ((pf.f_values - pf.f_mean) * pf.mu).ravel()
-        rhs -= rhs.mean()
+        rhs = _centred_rhs(pf)
         rhs[pin] = 0.0
         phi = scipy.sparse.linalg.spsolve(K_pinned, rhs).reshape(pf.mu.shape)
         phi -= pf.quad_mean(phi)
         scale = np.max(np.abs(phi))
         assert np.max(np.abs(pf.phi - phi)[dense]) <= 1e-10 * scale
+
+
+def test_stencil_residual_matches_assembled_operator():
+    """The final residual check applies K as s K_hat (s x); it must agree with the CSR K."""
+    solver = PotentialSolver(two_site_model(0.2, a=0.1), GridSpec(6.0, 0.1))
+    assert solver.m == 121
+    K = _assemble_operator(solver.mu, solver.h)
+    x = np.random.default_rng(5).normal(size=solver.s.size)
+    stencil = solver.s * solver._apply_khat((solver.s * x)[None])[0]
+    assert np.linalg.norm(stencil - K @ x) <= 1e-12 * np.linalg.norm(K @ x)
+    for pf in solver.solve_many(criterion_3_functions()):
+        rhs = _centred_rhs(pf)
+        csr_residual = np.linalg.norm(K @ pf.phi.ravel() - rhs) / np.linalg.norm(rhs)
+        assert 0.0 < pf.residual <= RESIDUAL_RTOL
+        assert abs(pf.residual - csr_residual) <= 1e-12
 
 
 @pytest.mark.parametrize(
