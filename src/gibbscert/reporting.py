@@ -67,11 +67,8 @@ def _veltkamp(x):
 
 def _power_tables():
     ten_up, hi, lo, shift = [], [], [], []
-    for k in range(_K_MIN, _K_MAX + 2):
+    for k in range(_K_MIN, _K_MAX + 1):
         num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-        if k > _K_MAX:
-            ten_up.append(math.inf)
-            break
         x = num / den
         n, d = x.as_integer_ratio()
         ten_up.append(x if n * den >= num * d else math.nextafter(x, math.inf))
@@ -85,6 +82,7 @@ def _power_tables():
         hi.append(h)
         lo.append(l)
         shift.append(q)
+    ten_up.append(math.inf)  # 10^309 lies past the largest double
     hi = np.array(hi)
     return np.array(ten_up), hi, *_veltkamp(hi), np.array(lo), np.array(shift)
 
