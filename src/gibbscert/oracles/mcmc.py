@@ -5,13 +5,19 @@ splitmix64((splitmix64(master) + i) mod 2**64), so runs are reproducible bit
 for bit, chains stay independent no matter how many run, and distinct master
 seeds run distinct chains.
 
-The chains run one after another, each one step at a time in Python floats:
-a step evaluates psi_s twice, and an accepted move updates the linear field
-J x over the nonzero entries of J's row s only, so it costs O(nnz of that
-row).  Kept states are buffered and folded into the chain's moment sums by
-one matrix product per at most max(1, _FOLD // n) rows.  Standard errors
-come from the spread of the per-chain covariance estimates, which sidesteps
-within-chain autocorrelation.
+The chains run one after another, each one step at a time in Python floats;
+the walk only decides accepts.  psi(x_s) is cached per site, so a step
+evaluates psi once, at the proposal; on an accept the cache takes that value
+when x_s + d == prop (the same float up to the sign of zero, which psi
+ignores) and is recomputed otherwise, so it is bit-equal to a fresh
+evaluation.  An accepted move updates the linear field J x over the nonzero
+entries of J's row s only, O(nnz of that row), and records its step and new
+value.  After each block numpy rebuilds the kept states from these records
+by a forward fill (_replay) and folds them into the chain's moment sums by
+one matrix product per max(1, _FOLD // n) rows, the partition of a per-step
+copy, so the sums are the same bit for bit.  Standard errors come from the
+spread of the per-chain covariance estimates, which sidesteps within-chain
+autocorrelation.
 """
 
 from __future__ import annotations
@@ -57,10 +63,10 @@ class SamplerConfig:
     def __post_init__(self):
         if self.chains < 2:
             raise ValueError("need at least 2 chains for across-chain errors")
-        if self.steps <= self.burn_in:
-            raise ValueError("steps must exceed burn_in")
-        if self.proposal_std <= 0:
-            raise ValueError("proposal_std must be positive")
+        if not 0 <= self.burn_in < self.steps:
+            raise ValueError("need 0 <= burn_in < steps")
+        if not 0 < self.proposal_std < math.inf:
+            raise ValueError("proposal_std must be positive and finite")
 
 
 def _site_table(model: GibbsModel):
@@ -76,11 +82,27 @@ def _site_table(model: GibbsModel):
     return table
 
 
-def _fold(buf: list, n: int, s1: np.ndarray, s2: np.ndarray) -> None:
-    """Add the kept states in `buf` (flat, n per row) to one chain's moment sums."""
-    T = np.array(buf).reshape(-1, n)
-    s1 += T.sum(0)
-    s2 += T.T @ T
+def _fold(rows: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> None:
+    """Add the kept states `rows` (one per row) to one chain's moment sums."""
+    s1 += rows.sum(0)
+    s2 += rows.T @ rows
+
+
+def _replay(carry, events, start, values, out) -> None:
+    """Fill out[k] with the chain's state after step start + k of its block.
+
+    carry[s] indexes site s's value before the piece in `values` and moves to
+    the piece's last row.  `events` holds each accept's step (earlier ones
+    count as the first), site and value index in time order, so a running
+    maximum down the steps picks each site's latest; one gather reads them.
+    """
+    at, sites, marks = events
+    idx = np.empty(out.shape, np.intp)
+    idx[:] = carry
+    np.maximum.at(idx, (np.maximum(at - start, 0), sites), marks)
+    np.maximum.accumulate(idx, axis=0, out=idx)
+    np.take(values, idx, out=out)
+    carry[:] = idx[-1]
 
 
 def _run_chain(rng, table, cfg: SamplerConfig, s1: np.ndarray, s2: np.ndarray) -> int:
@@ -90,61 +112,59 @@ def _run_chain(rng, table, cfg: SamplerConfig, s1: np.ndarray, s2: np.ndarray) -
     uniforms) and walked as Python floats.  The energy change is
     psi(prop) - psi(x_s) - (prop - x_s) * ell_s with the linear field
     ell = J x, which an accepted move updates over the nonzero entries of
-    J's row only.
+    J's row only.  Kept states are rebuilt in pieces of at most one fold.
     """
     n = len(table)
     cos = math.cos
     fold_rows = max(1, _FOLD // n)
-    x = [0.0] * n
-    ell = [0.0] * n
-    buf: list = []
-    accepted = 0
-    done = 0
+    x, ell = [0.0] * n, [0.0] * n
+    psi = [hq * (xs * xs) + a * cos(f * xs) for (hq, a, f, _), xs in zip(table, x)]
+    buf = np.empty((fold_rows, n))
+    filled = accepted = done = 0
     while done < cfg.steps:
         block = min(_BLOCK, cfg.steps - done)
-        sites = rng.integers(0, n, size=block).tolist()
+        site_draws = rng.integers(0, n, size=block)
         moves = rng.normal(0.0, cfg.proposal_std, size=block).tolist()
         logu = np.log(np.maximum(rng.random(size=block), 1e-320)).tolist()
-        t = 0
+        values, at = x[:], []  # the state before the block, then each accept's value and step
+        for t, s, move, lu in zip(range(block), site_draws.tolist(), moves, logu):
+            hq, a, f, row = table[s]
+            xs = x[s]
+            prop = xs + move
+            d = prop - xs
+            psi_prop = hq * (prop * prop) + a * cos(f * prop)
+            if lu < -(psi_prop - psi[s] - d * ell[s]):
+                x[s] = v = xs + d
+                psi[s] = psi_prop if v == prop else hq * (v * v) + a * cos(f * v)
+                for j, w in row:
+                    ell[j] += d * w
+                at.append(t)
+                values.append(v)
+        accepted += len(at)
+        at, values, carry = np.array(at, np.intp), np.array(values), np.arange(n)
+        events = np.stack((at, site_draws[at], n + np.arange(len(at))))
+        lo, t = 0, max(0, cfg.burn_in - done)  # steps before t are burn-in
         while t < block:
-            keep = done + t >= cfg.burn_in
-            if keep:
-                stop = min(block, t + fold_rows - len(buf) // n)
-            else:
-                stop = min(block, cfg.burn_in - done)
-            for s, move, lu in zip(sites[t:stop], moves[t:stop], logu[t:stop]):
-                hq, a, f, row = table[s]
-                xs = x[s]
-                prop = xs + move
-                d = prop - xs
-                d_h = (
-                    (hq * (prop * prop) + a * cos(f * prop))
-                    - (hq * (xs * xs) + a * cos(f * xs))
-                    - d * ell[s]
-                )
-                if lu < -d_h:
-                    x[s] = xs + d
-                    for j, w in row:
-                        ell[j] += d * w
-                    accepted += 1
-                if keep:
-                    buf.extend(x)
-            t = stop
-            if keep and len(buf) == fold_rows * n:
-                _fold(buf, n, s1, s2)
-                buf = []
+            stop = min(block, t + fold_rows - filled)
+            hi = np.searchsorted(at, stop)
+            _replay(carry, events[:, lo:hi], t, values, buf[filled : filled + stop - t])
+            filled += stop - t
+            lo, t = hi, stop
+            if filled == fold_rows:
+                _fold(buf, s1, s2)
+                filled = 0
         done += block
-    if buf:
-        _fold(buf, n, s1, s2)
+    if filled:
+        _fold(buf[:filled], s1, s2)
     return accepted
 
 
 def mcmc_covariance_matrix(model: GibbsModel, cfg: SamplerConfig):
     """Pooled estimate and stderr of cov(x_i, x_j) for every coordinate pair.
 
-    The chains run one after another; each adds its buffered kept states T
-    to its moment sums as s1 += T.sum(0), s2 += T.T @ T.  Returns (cov,
-    stderr, acceptance_rate).
+    The chains run one after another; each adds its kept states, T rows at a
+    time, to its moment sums as s1 += T.sum(0), s2 += T.T @ T.  Returns
+    (cov, stderr, acceptance_rate).
     """
     n = model.n_sites
     C = cfg.chains

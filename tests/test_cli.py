@@ -60,6 +60,21 @@ def test_missing_sampler_block_named():
         parse_config(cfg)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("burn_in", -20000), ("proposal_std", math.nan), ("proposal_std", math.inf)],
+    ids=["negative-burn-in", "nan-proposal-std", "inf-proposal-std"],
+)
+def test_invalid_sampler_values_rejected(key, value):
+    # a negative burn_in divided the moments by more rows than were kept,
+    # halving every variance; an infinite proposal_std failed inside math.cos
+    sampler = {"chains": 8, "steps": 20000, "burn_in": 2000, "proposal_std": 1.5, "seed": 1}
+    sampler[key] = value
+    cfg = {"model": base_model_block(2, 0.0), "experiment": {"kind": "mcmc_check"}, "sampler": sampler}
+    with pytest.raises(ConfigError, match=f"sampler: .*{key}"):
+        parse_config(cfg)
+
+
 def test_missing_grid_block_named():
     cfg = {"model": base_model_block(2), "experiment": {"kind": "pde_check"}}
     with pytest.raises(ConfigError, match="grid"):

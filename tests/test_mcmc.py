@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -160,37 +161,43 @@ def _lockstep_reference(model, cfg):
     return per_chain.mean(0), per_chain.std(0, ddof=1) / np.sqrt(C), accepted / (cfg.steps * C)
 
 
-@pytest.mark.parametrize(
-    "model",
-    [
-        GibbsModel(
-            periodic_grid([4]),
-            (
-                gaussian_potential(1.0),
-                cosine_potential(1.5, 0.2, 3.0),
-                gaussian_potential(0.7),
-                cosine_potential(2.0, -0.1, 0.5),
-            ),
-            nearest_neighbor_coupling(0.1),
+LOCKSTEP_MODELS = [
+    GibbsModel(
+        periodic_grid([4]),
+        (
+            gaussian_potential(1.0),
+            cosine_potential(1.5, 0.2, 3.0),
+            gaussian_potential(0.7),
+            cosine_potential(2.0, -0.1, 0.5),
         ),
-        GibbsModel(periodic_grid([6]), gaussian_potential(1.0), algebraic_coupling(0.1, 1.0, 1)),
+        nearest_neighbor_coupling(0.1),
+    ),
+    GibbsModel(periodic_grid([6]), gaussian_potential(1.0), algebraic_coupling(0.1, 1.0, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "model, burn_in",
+    [(m, b) for b in (mcmc._BLOCK + 100, 0, mcmc._BLOCK) for m in LOCKSTEP_MODELS],
+    ids=[
+        f"{name}{tail}"
+        for tail in ("", "-no-burn-in", "-burn-in-at-block")
+        for name in ("mixed-nn-4", "dense-algebraic-6")
     ],
-    ids=["mixed-nn-4", "dense-algebraic-6"],
 )
-def test_kernel_matches_lockstep_reference(model, monkeypatch):
-    # three blocks, burn-in ending inside the second; the chains are the
-    # reference's bit for bit, only the moment summation order differs
+def test_kernel_matches_lockstep_reference(model, burn_in, monkeypatch):
+    # three blocks, burn-in ending inside the second, at the first block
+    # boundary or not at all; the chains are the reference's bit for bit,
+    # only the moment summation order differs
     block = mcmc._BLOCK
-    cfg = SamplerConfig(
-        chains=3, steps=2 * block + 17, burn_in=block + 100, proposal_std=1.5, seed=5
-    )
+    cfg = SamplerConfig(chains=3, steps=2 * block + 17, burn_in=burn_in, proposal_std=1.5, seed=5)
     ref_est, ref_err, ref_rate = _lockstep_reference(model, cfg)
     folded = []
     real_fold = mcmc._fold
 
-    def counting_fold(buf, n, s1, s2):
-        folded.append(len(buf) // n)
-        real_fold(buf, n, s1, s2)
+    def counting_fold(rows, s1, s2):
+        folded.append(len(rows))
+        real_fold(rows, s1, s2)
 
     monkeypatch.setattr(mcmc, "_fold", counting_fold)
     for fold in (mcmc._FOLD, 13):  # 13 floats: a fold every 2 or 3 kept rows
@@ -202,3 +209,51 @@ def test_kernel_matches_lockstep_reference(model, monkeypatch):
         assert rate == ref_rate
         assert np.max(np.abs(est - ref_est)) <= 1e-12 * np.max(np.abs(ref_est))
         assert np.max(np.abs(err - ref_err)) <= 1e-12 * np.max(np.abs(ref_err))
+
+
+@pytest.mark.parametrize(
+    "model, digest, rate",
+    [
+        (
+            GibbsModel(periodic_grid([4, 4]), cosine_potential(1.0, 0.1, 2.0), nearest_neighbor_coupling(0.08)),
+            "51aa8e2f8a9175e2a66f7ec52d84653298dd62442a744e2d07032a3c93d9ba4a",
+            0.6113448366969494,
+        ),
+        (
+            ring(8, 0.1),
+            "0680e1a61a546749447adcf54a3a307b514864a6daa0bda19fda61e26fb23587",
+            0.5917322114505214,
+        ),
+    ],
+    ids=["cosine-torus-4x4", "gaussian-ring-8"],
+)
+def test_kernel_output_is_pinned(model, digest, rate):
+    # digests of the kernel that copied every kept state into a flat buffer
+    # (one extend per step, two psi evaluations per step): rebuilding the
+    # kept states from the accepted moves must not change a bit
+    block = mcmc._BLOCK
+    cfg = SamplerConfig(chains=3, steps=2 * block + 17, burn_in=block + 100, proposal_std=1.5, seed=5)
+    est, err, got_rate = mcmc_covariance_matrix(model, cfg)
+    assert hashlib.sha256(est.tobytes() + err.tobytes()).hexdigest() == digest
+    assert got_rate == rate
+
+
+@pytest.mark.parametrize("fold", [13, 100, 3])  # 3 floats: fewer than the 4 sites
+def test_rebuilt_pieces_stay_within_one_fold(fold, monkeypatch):
+    # the kept states are rebuilt piece by piece, never a whole block at once,
+    # so the rows and the index scratch stay O(_FOLD) floats at any n
+    model = LOCKSTEP_MODELS[0]
+    cfg = SamplerConfig(chains=2, steps=mcmc._BLOCK + 500, burn_in=300, proposal_std=1.5, seed=9)
+    pieces = []
+    real_replay = mcmc._replay
+
+    def recording_replay(carry, events, start, values, out):
+        pieces.append(out.shape)
+        real_replay(carry, events, start, values, out)
+
+    monkeypatch.setattr(mcmc, "_replay", recording_replay)
+    monkeypatch.setattr(mcmc, "_FOLD", fold)
+    mcmc_covariance_matrix(model, cfg)
+    bound = max(1, fold // model.n_sites)
+    assert all(rows <= bound and n == model.n_sites for rows, n in pieces)
+    assert sum(rows for rows, _ in pieces) == cfg.chains * (cfg.steps - cfg.burn_in)

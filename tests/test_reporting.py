@@ -1,12 +1,14 @@
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gibbscert.cli as cli
+from gibbscert import reporting
 from gibbscert.cli import _write_decay_csv, parse_config, run_experiment
 from gibbscert.decay import decay_profile
 from gibbscert.interaction import interaction_from_model
@@ -171,7 +173,9 @@ def test_repeated_values_match_per_row_writer(tmp_path):
 
 
 def slot_texts(values) -> list:
-    slots = _float_slots(np.asarray(values, dtype=float))
+    """Texts of the numpy slot path, which small inputs would otherwise skip."""
+    with mock.patch.object(reporting, "PERCENT_KEYS", 0):
+        slots = _float_slots(np.asarray(values, dtype=float))
     assert slots.shape == (len(values), FLOAT_SLOT)
     return [row.tobytes().replace(b"\0", b"").decode() for row in slots]
 
@@ -227,6 +231,19 @@ def test_float_slot_defers_ties_and_non_finite_values():
     assert proven[len(ties) + len(special) :].all()
     text = [row.tobytes().replace(b"\0", b"").decode() for row in slots[-len(regular) :]]
     assert text == ["%.17e" % v for v in regular]
+
+
+def test_few_floats_are_formatted_by_percent_alone(monkeypatch):
+    def numpy_path(values):
+        raise AssertionError("the numpy slot path ran on a small input")
+
+    monkeypatch.setattr(reporting, "_proven_slots", numpy_path)
+    values = np.array(SPECIAL + [-np.inf, np.pi, -1e153, 5e-324, (2**53 - 1) / 16])
+    assert len(values) < reporting.PERCENT_KEYS
+    slots = _float_slots(values)
+    assert slots.shape == (len(values), FLOAT_SLOT)
+    text = [row.tobytes().replace(b"\0", b"").decode() for row in slots]
+    assert text == ["%.17e" % v for v in values.tolist()]
 
 
 def capture_pair_rows(monkeypatch):
