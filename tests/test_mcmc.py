@@ -228,9 +228,10 @@ def test_kernel_matches_lockstep_reference(model, burn_in, monkeypatch):
     ids=["cosine-torus-4x4", "gaussian-ring-8"],
 )
 def test_kernel_output_is_pinned(model, digest, rate):
-    # digests of the kernel that copied every kept state into a flat buffer
-    # (one extend per step, two psi evaluations per step): rebuilding the
-    # kept states from the accepted moves must not change a bit
+    # computed with the earlier kernel, before it changed: that one copied
+    # every kept state into a flat buffer (one extend per step) and evaluated
+    # psi twice per step; rebuilding the kept states from the accepts and
+    # caching psi must not change a bit
     block = mcmc._BLOCK
     cfg = SamplerConfig(chains=3, steps=2 * block + 17, burn_in=block + 100, proposal_std=1.5, seed=5)
     est, err, got_rate = mcmc_covariance_matrix(model, cfg)
