@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -193,14 +194,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
     sampler = None
     if "sampler" in raw:
         _check_keys(raw["sampler"], "sampler", ("chains", "steps", "burn_in", "proposal_std", "seed"))
+        counts = {}
+        for key in ("chains", "steps", "burn_in", "seed"):
+            value = raw["sampler"][key]
+            # int() would truncate 8.9 to 8 and read true as 1
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"sampler: {key} must be an integer, got {value!r}")
+            counts[key] = int(value)
         try:
-            sampler = SamplerConfig(
-                chains=int(raw["sampler"]["chains"]),
-                steps=int(raw["sampler"]["steps"]),
-                burn_in=int(raw["sampler"]["burn_in"]),
-                proposal_std=float(raw["sampler"]["proposal_std"]),
-                seed=int(raw["sampler"]["seed"]),
-            )
+            sampler = SamplerConfig(proposal_std=float(raw["sampler"]["proposal_std"]), **counts)
         except ValueError as exc:
             raise ConfigError(f"sampler: {exc}") from exc
     elif kind in _REQUIRES_SAMPLER:

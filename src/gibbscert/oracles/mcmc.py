@@ -5,11 +5,26 @@ splitmix64((splitmix64(master) + i) mod 2**64), so runs are reproducible bit
 for bit, chains stay independent no matter how many run, and distinct master
 seeds run distinct chains.
 
-The chains run one after another, each one step at a time in Python floats;
-the walk only decides accepts.  psi(x_s) is cached per site, so a step
-evaluates psi once, at the proposal; on an accept the cache takes that value
-when x_s + d == prop (the same float up to the sign of zero, which psi
-ignores) and is recomputed otherwise, so it is bit-equal to a fresh
+The chains are split into contiguous groups, one per CPU this thread may run
+on (at most one per chain).  The calling process forks one worker per group
+after the first and runs the first group itself; each process pins itself to
+its own CPU, since an unpinned worker was left on its parent's CPU.  Every
+chain adds its moment sums and accept count to its own rows of one anonymous
+shared mmap, allocated before the fork, and workers leave by os._exit only.
+A chain's sums do not depend on which process ran it, and the reduction after
+the join reads the rows in chain order, so the output is the same bit for bit
+at any worker count.  A worker that exits non-zero has its chains rerun in
+the calling process, which raises the worker's exception.  With one CPU
+nothing is forked.  The fork copies only the calling thread; the only other
+threads the program runs are OpenBLAS's, whose pool shuts down across a fork
+and restarts on the next BLAS call.
+
+Within a group the chains run one after another, each one step at a time in
+Python floats; the walk only decides accepts.  psi(x_s) is cached per site,
+so a step evaluates psi once, at the proposal, and skips the cosine where the
+amplitude is zero, as it would only add a signed zero; on an accept the cache
+takes that value when x_s + d == prop (the same float up to the sign of zero,
+which psi ignores) and is recomputed otherwise, so it is bit-equal to a fresh
 evaluation.  An accepted move updates the linear field J x over the nonzero
 entries of J's row s only, O(nnz of that row), and records its step and new
 value.  After each block numpy rebuilds the kept states from these records
@@ -22,7 +37,11 @@ autocorrelation.
 
 from __future__ import annotations
 
+import gc
 import math
+import mmap
+import os
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,7 +151,9 @@ def _run_chain(rng, table, cfg: SamplerConfig, s1: np.ndarray, s2: np.ndarray) -
             xs = x[s]
             prop = xs + move
             d = prop - xs
-            psi_prop = hq * (prop * prop) + a * cos(f * prop)
+            psi_prop = hq * (prop * prop)
+            if a:
+                psi_prop += a * cos(f * prop)
             if lu < -(psi_prop - psi[s] - d * ell[s]):
                 x[s] = v = xs + d
                 psi[s] = psi_prop if v == prop else hq * (v * v) + a * cos(f * v)
@@ -159,23 +180,79 @@ def _run_chain(rng, table, cfg: SamplerConfig, s1: np.ndarray, s2: np.ndarray) -
     return accepted
 
 
+def _cpus() -> list[int]:
+    """The CPUs the calling thread may run on, in order."""
+    return sorted(os.sched_getaffinity(0))
+
+
+def _fork_pinned(cpu: int, job, *args) -> int:
+    """Fork a worker pinned to `cpu` that runs job(*args); return its pid.
+
+    The worker leaves only by os._exit: status 0 if the job returned, 1 if
+    anything raised.
+    """
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.sched_setaffinity(0, {cpu})
+            job(*args)
+            status = 0
+        finally:
+            os._exit(status)
+    return pid
+
+
 def mcmc_covariance_matrix(model: GibbsModel, cfg: SamplerConfig):
     """Pooled estimate and stderr of cov(x_i, x_j) for every coordinate pair.
 
-    The chains run one after another; each adds its kept states, T rows at a
-    time, to its moment sums as s1 += T.sum(0), s2 += T.T @ T.  Returns
+    The chains run in contiguous groups, one per CPU (see the module
+    docstring); each chain adds its kept states, T rows at a time, to its
+    moment sums as s1 += T.sum(0), s2 += T.T @ T.  Returns
     (cov, stderr, acceptance_rate).
     """
     n = model.n_sites
     C = cfg.chains
     table = _site_table(model)
-    s1 = np.zeros((C, n))
-    s2 = np.zeros((C, n, n))
-    accepted = 0
-    for c in range(C):
-        rng = np.random.default_rng(chain_seed(cfg.seed, c))
-        accepted += _run_chain(rng, table, cfg, s1[c], s2[c])
-    rate = accepted / (cfg.steps * C)
+    shared = mmap.mmap(-1, 8 * C * (1 + n + n * n))  # MAP_SHARED, zero-filled
+    accepts = np.frombuffer(shared, np.int64, C)
+    s1 = np.frombuffer(shared, float, C * n, 8 * C).reshape(C, n)
+    s2 = np.frombuffer(shared, float, C * n * n, 8 * C * (1 + n)).reshape(C, n, n)
+
+    def run(chains):
+        for c in chains:
+            rng = np.random.default_rng(chain_seed(cfg.seed, c))
+            accepts[c] = _run_chain(rng, table, cfg, s1[c], s2[c])
+
+    cpus = _cpus()[:C]
+    W = len(cpus)
+    groups = [range(C * k // W, C * (k + 1) // W) for k in range(W)]
+    workers, failed = {}, []
+    home = os.sched_getaffinity(0)
+    gc.freeze()  # until the join the collector writes none of the pages the fork shares
+    try:
+        for cpu, chains in zip(cpus[1:], groups[1:]):
+            workers[_fork_pinned(cpu, run, chains)] = chains
+        os.sched_setaffinity(0, {cpus[0]})
+        try:
+            run(groups[0])
+        finally:
+            os.sched_setaffinity(0, home)
+        while workers:
+            pid, status = os.waitpid(next(iter(workers)), 0)
+            if status:
+                failed.append(workers[pid])
+            del workers[pid]
+    finally:
+        gc.unfreeze()
+        for pid in workers:  # left only when the calling process raised
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for chains in failed:
+        s1[chains] = 0.0
+        s2[chains] = 0.0
+        run(chains)
+    rate = int(accepts.sum()) / (cfg.steps * C)
 
     count = cfg.steps - cfg.burn_in
     means = s1 / count

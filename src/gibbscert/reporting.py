@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -39,6 +40,9 @@ CHUNK_ROWS = 4096  # rows formatted per write; bounds the slots held in memory
 FLOAT_SLOT = 25  # bytes of the longest '%.17e' text, '-1.23456789012345678e-308'
 DEFER_MARGIN = 2.0**-30  # y's fraction this close to 1/2 is not rounded here
 PERCENT_KEYS = 64  # fewer floats than this go to '%' whole: cheaper than numpy's fixed cost
+# Rows of a full chunk probed for repeated floats.  Drawn at random, not
+# strided: a column with period T repeats on them for every T < 1122.
+PROBE_ROWS = np.array(random.Random(0).sample(range(CHUNK_ROWS), 128))
 _K_MIN, _K_MAX = -324, 308  # decimal exponents of the finite nonzero doubles
 _VELTKAMP = 2.0**27 + 1.0
 
@@ -171,7 +175,11 @@ def _slots(column: np.ndarray) -> np.ndarray:
     Each distinct key is formatted once and its slot gathered by the inverse
     index: integers and text are keyed by value, floats by their 64-bit
     pattern, so 0.0 and -0.0 (equal as floats, different as text) and NaNs
-    with different payloads keep their own slots.
+    with different payloads keep their own slots.  A full float chunk whose
+    keys on PROBE_ROWS are all distinct skips np.unique and is formatted
+    whole, as np.unique would find nearly every key distinct: k keys spread
+    evenly pass the probe with probability about exp(-128**2 / 2k), 2% at
+    k = 2048.  Either way each cell gets the same text.
     """
     kind = column.dtype.kind
     if kind in "biuU":
@@ -184,6 +192,10 @@ def _slots(column: np.ndarray) -> np.ndarray:
         table = table.view(np.uint8).reshape(len(text), -1)
     else:
         bits = np.ascontiguousarray(column, dtype=float).view(np.uint64)
+        if len(bits) == CHUNK_ROWS:
+            probe = np.sort(bits.take(PROBE_ROWS))
+            if not np.count_nonzero(probe[1:] == probe[:-1]):
+                return _float_slots(bits.view(float))
         keys, inverse = np.unique(bits, return_inverse=True)
         table = _float_slots(keys.view(float))
     return np.take(table, inverse, axis=0)

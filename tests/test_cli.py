@@ -62,12 +62,31 @@ def test_missing_sampler_block_named():
 
 @pytest.mark.parametrize(
     "key, value",
-    [("burn_in", -20000), ("proposal_std", math.nan), ("proposal_std", math.inf)],
-    ids=["negative-burn-in", "nan-proposal-std", "inf-proposal-std"],
+    [
+        ("burn_in", -20000),
+        ("proposal_std", math.nan),
+        ("proposal_std", math.inf),
+        ("chains", 8.9),
+        ("steps", 20000.0),
+        ("burn_in", "2000"),
+        ("seed", True),
+        ("seed", 1.5),
+    ],
+    ids=[
+        "negative-burn-in",
+        "nan-proposal-std",
+        "inf-proposal-std",
+        "fractional-chains",
+        "float-steps",
+        "text-burn-in",
+        "bool-seed",
+        "fractional-seed",
+    ],
 )
 def test_invalid_sampler_values_rejected(key, value):
     # a negative burn_in divided the moments by more rows than were kept,
-    # halving every variance; an infinite proposal_std failed inside math.cos
+    # halving every variance; an infinite proposal_std failed inside math.cos;
+    # int() ran 8 chains for 8.9 and seed 1 for true
     sampler = {"chains": 8, "steps": 20000, "burn_in": 2000, "proposal_std": 1.5, "seed": 1}
     sampler[key] = value
     cfg = {"model": base_model_block(2, 0.0), "experiment": {"kind": "mcmc_check"}, "sampler": sampler}

@@ -1,4 +1,5 @@
 import hashlib
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -128,6 +129,21 @@ def test_mixed_per_site_potentials_match_single_site_variances():
         assert abs(est[i, i] - var) <= 4.0 * err[i, i]
 
 
+REAL_CPUS = mcmc._cpus()  # taken at collection, before any test could pin this thread
+
+
+def one_worker(monkeypatch):
+    """Run every chain in this process: the CPU list is cut to its first CPU."""
+    monkeypatch.setattr(mcmc, "_cpus", lambda: REAL_CPUS[:1])
+
+
+def assert_nothing_left():
+    """No worker outlives the call, and this thread may run on all its CPUs again."""
+    assert os.sched_getaffinity(0) == set(REAL_CPUS)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _lockstep_reference(model, cfg):
     """The per-step numpy formula with all chains in lockstep, one outer product per kept step."""
     n, C = model.n_sites, cfg.chains
@@ -189,6 +205,7 @@ def test_kernel_matches_lockstep_reference(model, burn_in, monkeypatch):
     # three blocks, burn-in ending inside the second, at the first block
     # boundary or not at all; the chains are the reference's bit for bit,
     # only the moment summation order differs
+    one_worker(monkeypatch)  # a forked worker's folds would not be counted
     block = mcmc._BLOCK
     cfg = SamplerConfig(chains=3, steps=2 * block + 17, burn_in=burn_in, proposal_std=1.5, seed=5)
     ref_est, ref_err, ref_rate = _lockstep_reference(model, cfg)
@@ -243,6 +260,7 @@ def test_kernel_output_is_pinned(model, digest, rate):
 def test_rebuilt_pieces_stay_within_one_fold(fold, monkeypatch):
     # the kept states are rebuilt piece by piece, never a whole block at once,
     # so the rows and the index scratch stay O(_FOLD) floats at any n
+    one_worker(monkeypatch)  # a forked worker's pieces would not be recorded
     model = LOCKSTEP_MODELS[0]
     cfg = SamplerConfig(chains=2, steps=mcmc._BLOCK + 500, burn_in=300, proposal_std=1.5, seed=9)
     pieces = []
@@ -258,3 +276,90 @@ def test_rebuilt_pieces_stay_within_one_fold(fold, monkeypatch):
     bound = max(1, fold // model.n_sites)
     assert all(rows <= bound and n == model.n_sites for rows, n in pieces)
     assert sum(rows for rows, _ in pieces) == cfg.chains * (cfg.steps - cfg.burn_in)
+
+
+WORKER_MODELS = [
+    GibbsModel(periodic_grid([4, 4]), gaussian_potential(1.0), nearest_neighbor_coupling(0.08)),
+    LOCKSTEP_MODELS[1],
+]
+SHORT = SamplerConfig(chains=4, steps=600, burn_in=100, proposal_std=1.5, seed=17)
+
+
+@pytest.mark.parametrize("chains", [2, 3, 8, 9, 64])
+@pytest.mark.parametrize("model", WORKER_MODELS, ids=["nn-torus-4x4", "dense-algebraic-6"])
+def test_output_is_bit_identical_at_any_worker_count(model, chains, monkeypatch):
+    # every chain writes its own rows of the shared buffer and the reduction
+    # reads them in chain order, so the split across processes changes no
+    # bit; three workers per CPU put more workers than cores on any machine
+    cfg = replace(SHORT, chains=chains)
+    one_worker(monkeypatch)
+    est, err, rate = mcmc_covariance_matrix(model, cfg)
+    for cpus in (REAL_CPUS, REAL_CPUS * 3):
+        monkeypatch.setattr(mcmc, "_cpus", lambda cpus=cpus: cpus)
+        got_est, got_err, got_rate = mcmc_covariance_matrix(model, cfg)
+        assert_nothing_left()
+        assert np.array_equal(got_est, est)
+        assert np.array_equal(got_err, err)
+        assert got_rate == rate
+
+
+class ChainFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("bad_chain", [0, SHORT.chains - 1], ids=["caller", "worker"])
+def test_chain_error_reaches_the_caller(bad_chain, monkeypatch):
+    # two groups: the caller runs the first chains, a forked worker the last
+    monkeypatch.setattr(mcmc, "_cpus", lambda: REAL_CPUS[:1] * 2)
+    bad_seed = chain_seed(SHORT.seed, bad_chain)
+    real_run_chain = mcmc._run_chain
+
+    def failing_run_chain(rng, *args):
+        if rng.bit_generator.seed_seq.entropy == bad_seed:
+            raise ChainFailure("chain failed")
+        return real_run_chain(rng, *args)
+
+    monkeypatch.setattr(mcmc, "_run_chain", failing_run_chain)
+    with pytest.raises(ChainFailure):
+        mcmc_covariance_matrix(WORKER_MODELS[0], SHORT)
+    assert_nothing_left()
+
+
+def test_dead_worker_chains_rerun_in_caller(monkeypatch):
+    # a worker that exits non-zero after writing part of its sums: the
+    # caller zeroes its rows and reruns its chains, to the same bits
+    model = WORKER_MODELS[0]
+    one_worker(monkeypatch)
+    expected = mcmc_covariance_matrix(model, SHORT)
+    monkeypatch.setattr(mcmc, "_cpus", lambda: REAL_CPUS[:1] * 2)
+    caller = os.getpid()
+    real_run_chain = mcmc._run_chain
+
+    def dying_run_chain(*args):
+        accepted = real_run_chain(*args)
+        if os.getpid() != caller:
+            os._exit(3)
+        return accepted
+
+    monkeypatch.setattr(mcmc, "_run_chain", dying_run_chain)
+    est, err, rate = mcmc_covariance_matrix(model, SHORT)
+    assert_nothing_left()
+    assert np.array_equal(est, expected[0])
+    assert np.array_equal(err, expected[1])
+    assert rate == expected[2]
+
+
+def test_calling_thread_is_pinned_then_restored(monkeypatch):
+    caller = os.getpid()
+    seen = []
+    real_run_chain = mcmc._run_chain
+
+    def recording_run_chain(*args):
+        if os.getpid() == caller:
+            seen.append(os.sched_getaffinity(0))
+        return real_run_chain(*args)
+
+    monkeypatch.setattr(mcmc, "_run_chain", recording_run_chain)
+    mcmc_covariance_matrix(WORKER_MODELS[0], SHORT)
+    assert seen and all(cpus == {REAL_CPUS[0]} for cpus in seen)
+    assert_nothing_left()

@@ -172,6 +172,14 @@ def test_repeated_values_match_per_row_writer(tmp_path):
     assert fmt(np.float32(0.1)) == "1.00000001490116119e-01"
 
 
+def test_probe_rows_repeat_on_every_short_period():
+    # a column with period T < 1122, such as x1 of phi.csv (T = m), shows a
+    # repeated key on the probe rows and keeps the np.unique path
+    rows = reporting.PROBE_ROWS
+    assert len(set(rows.tolist())) == len(rows) and rows.max() < CHUNK_ROWS
+    assert all(len(set((rows % period).tolist())) < len(rows) for period in range(2, 1122))
+
+
 def slot_texts(values) -> list:
     """Texts of the numpy slot path, which small inputs would otherwise skip."""
     with mock.patch.object(reporting, "PERCENT_KEYS", 0):
