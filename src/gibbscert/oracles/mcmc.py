@@ -6,18 +6,12 @@ for bit, chains stay independent no matter how many run, and distinct master
 seeds run distinct chains.
 
 The chains are split into contiguous groups, one per CPU this thread may run
-on (at most one per chain).  The calling process forks one worker per group
-after the first and runs the first group itself; each process pins itself to
-its own CPU, since an unpinned worker was left on its parent's CPU.  Every
+on (at most one per chain, and each of at least FORK_MIN_STEPS chain-steps),
+and run by one forked worker per group after the first (see _fork).  Every
 chain adds its moment sums and accept count to its own rows of one anonymous
-shared mmap, allocated before the fork, and workers leave by os._exit only.
-A chain's sums do not depend on which process ran it, and the reduction after
-the join reads the rows in chain order, so the output is the same bit for bit
-at any worker count.  A worker that exits non-zero has its chains rerun in
-the calling process, which raises the worker's exception.  With one CPU
-nothing is forked.  The fork copies only the calling thread; the only other
-threads the program runs are OpenBLAS's, whose pool shuts down across a fork
-and restarts on the next BLAS call.
+shared mmap, allocated before the fork.  A chain's sums do not depend on
+which process ran it, and the reduction after the join reads the rows in
+chain order, so the output is the same bit for bit at any worker count.
 
 Within a group the chains run one after another, each one step at a time in
 Python floats; the walk only decides accepts.  psi(x_s) is cached per site,
@@ -37,19 +31,19 @@ autocorrelation.
 
 from __future__ import annotations
 
-import gc
 import math
 import mmap
-import os
-import signal
 from dataclasses import dataclass
 
 import numpy as np
 
+from .. import _fork
+from .._fork import cpus as _cpus
 from ..model import GibbsModel
 
 _BLOCK = 8192  # steps drawn per generator call
 _FOLD = 1 << 17  # kept floats buffered per chain before a moment fold
+FORK_MIN_STEPS = 16_000  # chain-steps a forked group must carry to repay its fork
 MASK64 = (1 << 64) - 1
 
 
@@ -180,29 +174,6 @@ def _run_chain(rng, table, cfg: SamplerConfig, s1: np.ndarray, s2: np.ndarray) -
     return accepted
 
 
-def _cpus() -> list[int]:
-    """The CPUs the calling thread may run on, in order."""
-    return sorted(os.sched_getaffinity(0))
-
-
-def _fork_pinned(cpu: int, job, *args) -> int:
-    """Fork a worker pinned to `cpu` that runs job(*args); return its pid.
-
-    The worker leaves only by os._exit: status 0 if the job returned, 1 if
-    anything raised.
-    """
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.sched_setaffinity(0, {cpu})
-            job(*args)
-            status = 0
-        finally:
-            os._exit(status)
-    return pid
-
-
 def mcmc_covariance_matrix(model: GibbsModel, cfg: SamplerConfig):
     """Pooled estimate and stderr of cov(x_i, x_j) for every coordinate pair.
 
@@ -221,37 +192,13 @@ def mcmc_covariance_matrix(model: GibbsModel, cfg: SamplerConfig):
 
     def run(chains):
         for c in chains:
+            s1[c] = 0.0  # a chain rerun after its worker died starts afresh
+            s2[c] = 0.0
             rng = np.random.default_rng(chain_seed(cfg.seed, c))
             accepts[c] = _run_chain(rng, table, cfg, s1[c], s2[c])
 
-    cpus = _cpus()[:C]
-    W = len(cpus)
-    groups = [range(C * k // W, C * (k + 1) // W) for k in range(W)]
-    workers, failed = {}, []
-    home = os.sched_getaffinity(0)
-    gc.freeze()  # until the join the collector writes none of the pages the fork shares
-    try:
-        for cpu, chains in zip(cpus[1:], groups[1:]):
-            workers[_fork_pinned(cpu, run, chains)] = chains
-        os.sched_setaffinity(0, {cpus[0]})
-        try:
-            run(groups[0])
-        finally:
-            os.sched_setaffinity(0, home)
-        while workers:
-            pid, status = os.waitpid(next(iter(workers)), 0)
-            if status:
-                failed.append(workers[pid])
-            del workers[pid]
-    finally:
-        gc.unfreeze()
-        for pid in workers:  # left only when the calling process raised
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    for chains in failed:
-        s1[chains] = 0.0
-        s2[chains] = 0.0
-        run(chains)
+    cpus = _cpus()
+    _fork.run(run, _fork.split(C, -(-FORK_MIN_STEPS // cfg.steps), cpus), cpus)
     rate = int(accepts.sum()) / (cfg.steps * C)
 
     count = cfg.steps - cfg.burn_in

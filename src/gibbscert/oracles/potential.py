@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -66,7 +67,15 @@ class GridSpec:
 
 @dataclass
 class PotentialField:
-    """Discrete solution phi with the measure weights used to solve for it."""
+    """Discrete solution phi with the measure weights used to solve for it.
+
+    The quadratures read phi's gradient through its edge fluxes w d_axis(phi),
+    with w the edge weights sqrt(mu_left mu_right): they and the gradient
+    energies of phi and f are computed once, on first use, so phi and
+    f_values must not change after that.  A solver's fields share its node
+    coordinates and one edge_weights list, which the first quadrature fills
+    (after the solve and the phi.csv write, whose peak memory it would add to).
+    """
 
     model: GibbsModel
     nodes: np.ndarray  # shared 1D node array per coordinate
@@ -78,6 +87,12 @@ class PotentialField:
     f_mean: float = 0.0
     residual: float = 0.0
     iterations: int = 0  # PCG iterations this right-hand side took
+    config: np.ndarray | None = field(default=None, repr=False)  # node coordinates, grid shape + (dim,)
+    edge_weights: list = field(default_factory=list, repr=False)  # per axis, filled on first use
+
+    def __post_init__(self):
+        if self.config is None:
+            self.config = _node_config(self.nodes, self.dim)
 
     @property
     def cell_volume(self) -> float:
@@ -92,31 +107,56 @@ class PotentialField:
             g_values
         )
 
-    def grad_pair(self, u: np.ndarray, v: np.ndarray, axis: int) -> float:
-        """Edge quadrature of int d_axis(u) d_axis(v) dmu (geometric-mean weights)."""
-        sl_l = [slice(None)] * self.dim
-        sl_r = [slice(None)] * self.dim
-        sl_l[axis] = slice(0, -1)
-        sl_r[axis] = slice(1, None)
-        sl_l, sl_r = tuple(sl_l), tuple(sl_r)
-        w_edge = np.sqrt(self.mu[sl_l] * self.mu[sl_r])
-        du = (u[sl_r] - u[sl_l]) / self.h
-        dv = (v[sl_r] - v[sl_l]) / self.h
-        return float(np.sum(w_edge * du * dv) * self.cell_volume)
+    def _difference(self, values: np.ndarray, axis: int) -> np.ndarray:
+        """d_axis(values) on every edge along the axis."""
+        lo = _axis_slice(self.dim, axis, slice(0, -1))
+        hi = _axis_slice(self.dim, axis, slice(1, None))
+        return (values[hi] - values[lo]) / self.h
 
-    def directional_grad_norm(self, values: np.ndarray, axis: int) -> float:
-        """(int |d_axis v|^2 dmu)^{1/2} by edge quadrature."""
-        return math.sqrt(max(self.grad_pair(values, values, axis), 0.0))
+    def _gradient(self, values: np.ndarray) -> tuple[list, list]:
+        """Per axis, the edge flux w d_axis(v) and int |d_axis v|^2 dmu by edge quadrature."""
+        if not self.edge_weights:
+            self.edge_weights.extend(_edge_weights(self.mu))
+        fluxes, energies = [], []
+        for axis, w in enumerate(self.edge_weights):
+            d = self._difference(values, axis)
+            fluxes.append(w * d)
+            energies.append(float(np.sum(fluxes[-1] * d) * self.cell_volume))
+        return fluxes, energies
+
+    @cached_property
+    def phi_gradient(self) -> tuple[list, list]:
+        """Per axis, phi's edge fluxes and its energies int |d_axis phi|^2 dmu."""
+        return self._gradient(self.phi)
+
+    @cached_property
+    def f_energies(self) -> list:
+        """Per axis, int |d_axis f|^2 dmu."""
+        return self._gradient(self.f_values)[1]
 
     def covariance_via_representation(self, g_values: np.ndarray) -> float:
         """int grad(phi).grad(g) dmu; should match covariance_direct."""
-        return sum(self.grad_pair(self.phi, g_values, ax) for ax in range(self.dim))
+        return sum(
+            float(np.sum(flux * self._difference(g_values, axis)) * self.cell_volume)
+            for axis, flux in enumerate(self.phi_gradient[0])
+        )
 
     def evaluate(self, obs: Observable) -> np.ndarray:
         """Node values of an observable on this grid."""
-        grids = np.meshgrid(*([self.nodes] * self.dim), indexing="ij")
-        config = np.stack(grids, axis=-1)
-        return np.asarray(obs.fn(config), dtype=float)
+        return np.asarray(obs.fn(self.config), dtype=float)
+
+
+def _node_config(nodes: np.ndarray, dim: int) -> np.ndarray:
+    """Coordinates of every node of the grid nodes^dim, grid shape + (dim,)."""
+    return np.stack(np.meshgrid(*([nodes] * dim), indexing="ij"), axis=-1)
+
+
+def _edge_weights(mu: np.ndarray) -> list:
+    """Geometric-mean weights sqrt(mu_left mu_right) of the grid edges, per axis."""
+    return [
+        np.sqrt(mu[_axis_slice(mu.ndim, axis, slice(0, -1))] * mu[_axis_slice(mu.ndim, axis, slice(1, None))])
+        for axis in range(mu.ndim)
+    ]
 
 
 def tail_mass_estimate(model: GibbsModel, box_halfwidth: float) -> float:
@@ -380,8 +420,8 @@ class PotentialSolver:
             self.levels.append(_Level(s))
         self._direct = self.levels[-1].direct_solver()
 
-        grids = np.meshgrid(*([self.nodes] * self.dim), indexing="ij")
-        self.config = np.stack(grids, axis=-1)
+        self.config = _node_config(self.nodes, self.dim)
+        self.edge_weights = []  # shared by the fields, filled by their first quadrature
 
     def _apply_khat(self, V: np.ndarray) -> np.ndarray:
         y = self.levels[0].stencil(V.reshape((len(V),) + self.mu.shape))
@@ -490,6 +530,8 @@ class PotentialSolver:
                 f_mean=fm,
                 residual=rel,
                 iterations=int(n_iter),
+                config=self.config,
+                edge_weights=self.edge_weights,
             )
             pf.phi = phi - pf.quad_mean(phi)
             fields.append(pf)
@@ -547,10 +589,8 @@ def verify_directional_pi(pf: PotentialField, im: InteractionMatrix) -> PIResult
     the sharp (equality) cases.
     """
     _check_same_model(pf, im)
-    lhs = np.array([pf.directional_grad_norm(pf.phi, ax) for ax in range(pf.dim)])
-    f_norms = np.array(
-        [pf.directional_grad_norm(pf.f_values, ax) for ax in range(pf.dim)]
-    )
+    lhs = np.array([math.sqrt(max(e, 0.0)) for e in pf.phi_gradient[1]])
+    f_norms = np.array([math.sqrt(max(e, 0.0)) for e in pf.f_energies])
     tol = pf.h * (1.0 + float(np.linalg.norm(f_norms)))
     return PIResult.check(lhs, im.inverse() @ f_norms, tol)
 
@@ -559,10 +599,8 @@ def verify_dual_pi(pf: PotentialField, rho: float) -> PIResult:
     """Check ||grad phi||_L2(mu) <= (1/rho) ||grad f||_L2(mu)."""
     if rho <= 0:
         raise ValueError("PI constant must be positive")
-    lhs = math.sqrt(sum(pf.grad_pair(pf.phi, pf.phi, ax) for ax in range(pf.dim)))
-    f_norm = math.sqrt(
-        sum(pf.grad_pair(pf.f_values, pf.f_values, ax) for ax in range(pf.dim))
-    )
+    lhs = math.sqrt(sum(pf.phi_gradient[1]))
+    f_norm = math.sqrt(sum(pf.f_energies))
     return PIResult.check(lhs, f_norm / rho, pf.h * (1.0 + f_norm))
 
 
@@ -595,7 +633,6 @@ def verify_core_identity(pf: PotentialField) -> float:
         raise ValueError("grid too coarse for second differences")
     dim = pf.dim
     h = pf.h
-    grids = np.meshgrid(*([pf.nodes] * dim), indexing="ij")
     weights = _interior(pf.mu, dim) * pf.cell_volume
 
     d_phi = [_centered_first(pf.phi, ax, h) for ax in range(dim)]
@@ -609,7 +646,7 @@ def verify_core_identity(pf: PotentialField) -> float:
         for k in range(dim):
             if k == j:
                 second = _centered_second(pf.phi, j, h)
-                hess_jk = pf.model.potential(j).second(grids[j])
+                hess_jk = pf.model.potential(j).second(pf.config[..., j])
             else:
                 second = _centered_first(d_phi[j], k, h)
                 hess_jk = -J[j, k]
@@ -621,6 +658,6 @@ def verify_core_identity(pf: PotentialField) -> float:
 
 def potential_to_csv(pf: PotentialField, path) -> None:
     """Node coordinates, mu weight, and phi value in full precision."""
-    grids = np.meshgrid(*([pf.nodes] * pf.dim), indexing="ij")
+    coords = [pf.config[..., i].ravel() for i in range(pf.dim)]
     header = [f"x{i}" for i in range(pf.dim)] + ["mu", "phi"]
-    write_table(header, [g.ravel() for g in grids] + [pf.mu.ravel(), pf.phi.ravel()], path)
+    write_table(header, coords + [pf.mu.ravel(), pf.phi.ravel()], path)

@@ -137,6 +137,11 @@ def one_worker(monkeypatch):
     monkeypatch.setattr(mcmc, "_cpus", lambda: REAL_CPUS[:1])
 
 
+def fork_every_group(monkeypatch):
+    """Fork for groups of any size: these runs are far below the break-even."""
+    monkeypatch.setattr(mcmc, "FORK_MIN_STEPS", 0)
+
+
 def assert_nothing_left():
     """No worker outlives the call, and this thread may run on all its CPUs again."""
     assert os.sched_getaffinity(0) == set(REAL_CPUS)
@@ -293,6 +298,7 @@ def test_output_is_bit_identical_at_any_worker_count(model, chains, monkeypatch)
     # bit; three workers per CPU put more workers than cores on any machine
     cfg = replace(SHORT, chains=chains)
     one_worker(monkeypatch)
+    fork_every_group(monkeypatch)
     est, err, rate = mcmc_covariance_matrix(model, cfg)
     for cpus in (REAL_CPUS, REAL_CPUS * 3):
         monkeypatch.setattr(mcmc, "_cpus", lambda cpus=cpus: cpus)
@@ -311,6 +317,7 @@ class ChainFailure(Exception):
 def test_chain_error_reaches_the_caller(bad_chain, monkeypatch):
     # two groups: the caller runs the first chains, a forked worker the last
     monkeypatch.setattr(mcmc, "_cpus", lambda: REAL_CPUS[:1] * 2)
+    fork_every_group(monkeypatch)
     bad_seed = chain_seed(SHORT.seed, bad_chain)
     real_run_chain = mcmc._run_chain
 
@@ -332,6 +339,7 @@ def test_dead_worker_chains_rerun_in_caller(monkeypatch):
     one_worker(monkeypatch)
     expected = mcmc_covariance_matrix(model, SHORT)
     monkeypatch.setattr(mcmc, "_cpus", lambda: REAL_CPUS[:1] * 2)
+    fork_every_group(monkeypatch)
     caller = os.getpid()
     real_run_chain = mcmc._run_chain
 
@@ -350,6 +358,7 @@ def test_dead_worker_chains_rerun_in_caller(monkeypatch):
 
 
 def test_calling_thread_is_pinned_then_restored(monkeypatch):
+    fork_every_group(monkeypatch)
     caller = os.getpid()
     seen = []
     real_run_chain = mcmc._run_chain
@@ -362,4 +371,25 @@ def test_calling_thread_is_pinned_then_restored(monkeypatch):
     monkeypatch.setattr(mcmc, "_run_chain", recording_run_chain)
     mcmc_covariance_matrix(WORKER_MODELS[0], SHORT)
     assert seen and all(cpus == {REAL_CPUS[0]} for cpus in seen)
+    assert_nothing_left()
+
+
+@pytest.mark.parametrize("steps, forks", [(2_000, 0), (5_000, 1)])
+def test_groups_below_break_even_are_not_forked(steps, forks, monkeypatch):
+    # 8 chains x 2,000 steps (the bench's warm-up) cost less in one process
+    # than the fork does; at 8 x 5,000 each of two groups repays it
+    forked = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(mcmc, "_cpus", lambda: REAL_CPUS[:1] * 2)
+    cfg = SamplerConfig(chains=8, steps=steps, burn_in=200, proposal_std=1.5, seed=3)
+    mcmc_covariance_matrix(ring(8, 0.1), cfg)
+    assert len(forked) == forks
     assert_nothing_left()

@@ -232,6 +232,41 @@ def criterion_3_functions(L=6.0):
     ]
 
 
+def per_call_grad_pair(pf, u, v, axis):
+    """The edge quadrature as computed before the fluxes were kept: weights and differences per call."""
+    lo = tuple(slice(0, -1) if a == axis else slice(None) for a in range(pf.dim))
+    hi = tuple(slice(1, None) if a == axis else slice(None) for a in range(pf.dim))
+    w_edge = np.sqrt(pf.mu[lo] * pf.mu[hi])
+    du = (u[hi] - u[lo]) / pf.h
+    dv = (v[hi] - v[lo]) / pf.h
+    return float(np.sum(w_edge * du * dv) * pf.cell_volume)
+
+
+def test_kept_quadratures_match_the_per_call_formula():
+    # the checks read each weight, difference and energy once; the values
+    # must be the per-call formula's bit for bit, so report.json holds
+    model = two_site_model(0.2, a=0.1)
+    im = interaction_from_model(model)
+    rho = pi_criterion(im.A)
+    solver = PotentialSolver(model, GridSpec(6.0, 0.1))
+    fields = solver.solve_many(criterion_3_functions())
+    assert solver.edge_weights == []  # not held through the solve
+    for pf in fields:
+        assert pf.edge_weights is solver.edge_weights
+        phi_sq = [per_call_grad_pair(pf, pf.phi, pf.phi, ax) for ax in range(2)]
+        f_sq = [per_call_grad_pair(pf, pf.f_values, pf.f_values, ax) for ax in range(2)]
+        direction = verify_directional_pi(pf, im)
+        assert direction.lhs.tolist() == [math.sqrt(max(e, 0.0)) for e in phi_sq]
+        assert direction.rhs.tolist() == (im.inverse() @ np.sqrt(np.maximum(f_sq, 0.0))).tolist()
+        dual = verify_dual_pi(pf, rho)
+        assert (dual.lhs, dual.rhs) == (math.sqrt(sum(phi_sq)), math.sqrt(sum(f_sq)) / rho)
+        for j in range(2):
+            gv = pf.evaluate(coordinate(j, 2))
+            want = sum(per_call_grad_pair(pf, pf.phi, gv, ax) for ax in range(2))
+            assert pf.covariance_via_representation(gv) == want
+    assert len(solver.edge_weights) == 2
+
+
 @pytest.mark.parametrize("m", [121, 241, 400, 481, 601])  # 400: coarsens through even sizes
 def test_multigrid_iterations_do_not_grow_with_the_grid(m):
     solver = PotentialSolver(two_site_model(0.2, a=0.1), GridSpec(6.0, 12.0 / (m - 1)))

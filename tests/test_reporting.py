@@ -1,9 +1,11 @@
 import json
 import math
+import os
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -252,6 +254,148 @@ def test_few_floats_are_formatted_by_percent_alone(monkeypatch):
     assert slots.shape == (len(values), FLOAT_SLOT)
     text = [row.tobytes().replace(b"\0", b"").decode() for row in slots]
     assert text == ["%.17e" % v for v in values.tolist()]
+
+
+REAL_CPUS = reporting._cpus()  # taken at collection, before any test could pin this thread
+
+
+def mixed_table(rows):
+    """Every special float, and past the first rows cells as long as the writer's bounds.
+
+    A cell any longer than its bound would spill into the next chunk's region.
+    """
+    rng = np.random.default_rng(13)
+    i64, u64 = np.iinfo(np.int64), np.iinfo(np.uint64)
+    ints = rng.integers(i64.min, -(10**18), size=rows)  # 20 characters
+    ints[:2] = [i64.min, i64.max]
+    unsigned = rng.integers(10**19, u64.max, size=rows, dtype=np.uint64, endpoint=True)
+    unsigned[0] = u64.max
+    exponents = rng.choice([-1, 1], size=rows) * rng.integers(120, 300, size=rows)
+    values = -np.abs(rng.normal(size=rows)) * 10.0**exponents  # '-d.ddd...e+ddd', FLOAT_SLOT bytes
+    values[: len(SPECIAL) + 4] = SPECIAL + [-np.inf, 5e-324, -5e-324, (2**53 - 1) / 16]
+    # characters of 4 UTF-8 bytes fill the 4 bytes a character of the numpy dtype
+    words = np.array(["\U0001d711\U0001d713", "\U0001d713\U0001d711", "\U0001d711\U0001d711"])
+    header = ("i", "u", "value", "empty", "word")
+    return header, [ints, unsigned, values, None, words[rng.integers(0, 3, size=rows)]]
+
+
+def fork_small_tables(monkeypatch, cpus):
+    """Split every table into one group per entry of cpus, whatever its size."""
+    monkeypatch.setattr(reporting, "_cpus", lambda: cpus)
+    monkeypatch.setattr(reporting, "FORK_MIN_CHUNKS", 1)
+
+
+def assert_nothing_left():
+    """No worker outlives the call, and this thread may run on all its CPUs again."""
+    assert os.sched_getaffinity(0) == set(REAL_CPUS)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "cpus",
+    [REAL_CPUS[:1], REAL_CPUS[:1] * 2, REAL_CPUS[:1] * 3, REAL_CPUS],
+    ids=["one-group", "two-groups-one-cpu", "three-groups-one-cpu", "every-cpu"],
+)
+def test_forked_writer_is_byte_identical_at_any_group_count(cpus, tmp_path, monkeypatch):
+    # the caller writes the first group, workers the others into the shared
+    # region; one CPU repeated puts several workers on one core
+    header, columns = mixed_table(3 * CHUNK_ROWS + 17)
+    fork_small_tables(monkeypatch, cpus)
+    bulk = assert_same_bytes(tmp_path, lambda path: write_table(header, columns, path), header, columns)
+    assert_nothing_left()
+    lines = bulk.decode().splitlines()
+    assert len(lines) == 1 + 3 * CHUNK_ROWS + 17
+    assert lines[1].startswith("-9223372036854775808,18446744073709551615,0.0")
+    assert lines[2].startswith("9223372036854775807,")
+    assert {len(line.split(",")[2]) for line in lines[20:]} == {FLOAT_SLOT}
+
+
+@pytest.mark.parametrize("chunks, forks", [(15, 0), (16, 1)])
+def test_tables_below_break_even_are_not_forked(chunks, forks, tmp_path, monkeypatch):
+    # a forked group must carry FORK_MIN_CHUNKS chunks: the bench's tables
+    # (at most 5 chunks outside the grid oracle) stay in one process
+    forked = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(reporting, "_cpus", lambda: REAL_CPUS[:1] * 2)
+    assert reporting.FORK_MIN_CHUNKS == 8
+    values = np.arange(chunks * CHUNK_ROWS) * 0.25
+    write_table(("value",), [values], tmp_path / "t.csv")
+    assert len(forked) == forks
+    assert_nothing_left()
+    assert (tmp_path / "t.csv").read_bytes().count(b"\n") == 1 + len(values)
+
+
+class TableFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("bad_row", [0, 3 * CHUNK_ROWS + 5], ids=["caller", "worker"])
+def test_table_error_reaches_the_caller(bad_row, tmp_path, monkeypatch):
+    # a worker that raises exits non-zero; its chunks are rerun in the caller,
+    # which raises the same error; a raise in the caller kills the worker
+    header, columns = mixed_table(3 * CHUNK_ROWS + 17)
+    columns[2][bad_row] = 7.25
+    fork_small_tables(monkeypatch, REAL_CPUS[:1] * 2)
+    real_slots = reporting._slots
+
+    def failing_slots(column):
+        if column.dtype.kind == "f" and np.any(column == 7.25):
+            raise TableFailure("chunk failed")
+        return real_slots(column)
+
+    monkeypatch.setattr(reporting, "_slots", failing_slots)
+    with pytest.raises(TableFailure):
+        write_table(header, columns, tmp_path / "t.csv")
+    assert_nothing_left()
+
+
+def test_dead_worker_chunks_rerun_in_caller(tmp_path, monkeypatch):
+    # a worker that dies after filling part of its region: the caller formats
+    # those chunks again, to the same bytes
+    header, columns = mixed_table(3 * CHUNK_ROWS + 17)
+    fork_small_tables(monkeypatch, REAL_CPUS[:1] * 3)
+    caller = os.getpid()
+    real_chunk_text = reporting._chunk_text
+
+    def dying_chunk_text(arrays, start, stop):
+        text = real_chunk_text(arrays, start, stop)
+        if os.getpid() != caller and stop == 3 * CHUNK_ROWS + 17:
+            os._exit(3)
+        return text
+
+    monkeypatch.setattr(reporting, "_chunk_text", dying_chunk_text)
+    assert_same_bytes(tmp_path, lambda path: write_table(header, columns, path), header, columns)
+    assert_nothing_left()
+
+
+@pytest.mark.parametrize(
+    "header, columns, message",
+    [
+        (("a", "b"), [np.arange(3), np.ones(4)], r"unequal lengths \[3, 4\]"),
+        (("a",), [np.ones(2), np.ones(2)], "1 header names for 2 columns"),
+        (("a", "b"), [None, None], "every column is None"),
+    ],
+    ids=["ragged", "header-count", "all-none"],
+)
+def test_write_table_rejects_mismatched_input(header, columns, message, tmp_path, monkeypatch):
+    # rejected before any fork, and before the file is opened
+    def no_fork():
+        raise AssertionError("forked on invalid input")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(reporting, "FORK_MIN_CHUNKS", 1)
+    with pytest.raises(ValueError, match=message):
+        write_table(header, columns, tmp_path / "t.csv")
+    assert not (tmp_path / "t.csv").exists()
 
 
 def capture_pair_rows(monkeypatch):
