@@ -19,7 +19,6 @@ from .model import (
     hamiltonian,
     kappa_matrix,
     nearest_neighbor_coupling,
-    pointwise_relaxed_check,
     rho_vector,
     single_site_pi_constant,
 )
@@ -32,7 +31,6 @@ from .interaction import (
     interaction_from_model,
     inverse_entrywise,
     is_positive_definite,
-    is_strictly_diagonally_dominant,
     neumann_contraction_constant,
     neumann_partial_sums,
     pi_criterion,
@@ -45,8 +43,6 @@ from .bounds import (
     baseline_bound,
     coordinate,
     covariance_bound,
-    disjoint_support_bound,
-    exponential_decay_bound,
     nearest_neighbor_certificate,
     single_site_function,
     weighted_bound,

@@ -19,7 +19,7 @@ from .interaction import (
     interaction_from_model,
     weighted_similarity_check,
 )
-from .lattice import LatticeGeometry, graph_distance, distance_matrix
+from .lattice import distance_matrix
 from .model import GibbsModel, rho_vector
 
 
@@ -41,9 +41,6 @@ class Observable:
     @property
     def gradient_l2(self) -> float:
         return float(np.linalg.norm(self.grad_norms))
-
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.grad_norms)
 
 
 def coordinate(site: int, n_sites: int) -> Observable:
@@ -82,7 +79,6 @@ class BoundReport:
     bound_value: float
     method: str
     constants: dict
-    extension: bool = False
 
     def __post_init__(self):
         if not self.bound_value >= 0:
@@ -125,64 +121,6 @@ def weighted_bound(
         / rho
     )
     return BoundReport(value, "weighted", {"rho": rho, "rho_achieved": check.rho})
-
-
-def exponential_decay_bound(
-    im: InteractionMatrix,
-    geom: LatticeGeometry,
-    rho_tilde: float,
-    i: int,
-    j: int,
-    f: Observable,
-    g: Observable,
-) -> BoundReport:
-    """|cov(f,g)| <= (1/rho_tilde) e^{-delta(i,j)} ||grad_i f|| ||grad_j g||.
-
-    Requires f to depend on site i only and g on site j only, and a positive
-    rho_tilde from the tilted matrix.
-    """
-    if rho_tilde is None or rho_tilde <= 0:
-        raise ValueError("tilted-matrix constant rho_tilde unavailable")
-    for obs, site in ((f, i), (g, j)):
-        sup = obs.support()
-        if sup.size > 1 or (sup.size == 1 and sup[0] != site):
-            raise ValueError("observable must depend on the stated site only")
-    delta = graph_distance(geom, i, j)
-    value = math.exp(-delta) * float(f.grad_norms[i]) * float(g.grad_norms[j]) / rho_tilde
-    return BoundReport(
-        value,
-        "exponential",
-        {"rho_tilde": rho_tilde, "distance": delta},
-    )
-
-
-def disjoint_support_bound(
-    im: InteractionMatrix,
-    geom: LatticeGeometry,
-    rho_tilde: float,
-    f: Observable,
-    g: Observable,
-) -> BoundReport:
-    """Extension of the exponential bound to disjointly supported observables.
-
-    Sums e^{-delta(i,j)} over support pairs; flagged as an extension because
-    the single-site statement is the certified one.
-    """
-    if rho_tilde is None or rho_tilde <= 0:
-        raise ValueError("tilted-matrix constant rho_tilde unavailable")
-    sf, sg = f.support(), g.support()
-    if np.intersect1d(sf, sg).size:
-        raise ValueError("supports must be disjoint")
-    value = 0.0
-    for i in sf:
-        for j in sg:
-            value += (
-                math.exp(-graph_distance(geom, int(i), int(j)))
-                * float(f.grad_norms[i])
-                * float(g.grad_norms[j])
-            )
-    value /= rho_tilde
-    return BoundReport(value, "exponential", {"rho_tilde": rho_tilde}, extension=True)
 
 
 @dataclass(frozen=True)

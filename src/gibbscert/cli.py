@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import numbers
 import sys
 import time
@@ -153,6 +154,64 @@ _EXPERIMENT_OPTIONS = {
 
 _REQUIRES_SAMPLER = ("mcmc_check",)
 _REQUIRES_GRID = ("pde_check",)
+_PDE_FUNCTIONS = ("coordinate", "sin", "cubic", "affine")
+
+
+def _is_int(value) -> bool:
+    # int() would truncate 8.9 to 8 and read true as 1
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer past the largest double
+        return False
+
+
+def _check_pde_functions(specs, n_sites: int) -> None:
+    if not isinstance(specs, list) or not specs:
+        raise ConfigError("experiment.functions: pde_check needs at least one function")
+    for k, spec in enumerate(specs):
+        path = f"experiment.functions[{k}]"
+        _check_keys(spec, path, ("kind",), ("site", "weights", "offset"))
+        kind = spec["kind"]
+        if kind not in _PDE_FUNCTIONS:
+            raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
+        site = spec.get("site", 0)
+        if not _is_int(site) or not 0 <= site < n_sites:
+            raise ConfigError(f"{path}: site must be an integer in [0, {n_sites}), got {site!r}")
+        if kind == "affine":
+            weights = spec.get("weights")
+            if not isinstance(weights, list) or len(weights) != n_sites:
+                raise ConfigError(f"{path}: affine needs {n_sites} weights, got {weights!r}")
+            if not all(map(_is_finite, weights)) or not _is_finite(spec.get("offset", 0.0)):
+                raise ConfigError(f"{path}: weights and offset must be finite numbers")
+
+
+def _check_options(kind: str, options: dict, n_sites: int) -> None:
+    """Reject experiment options that the runner would misread or fail on."""
+    if kind == "threshold_scan":
+        if "epsilons" not in options:
+            raise ConfigError("experiment: threshold_scan needs the 'epsilons' block")
+        try:
+            bad = [e for e in options["epsilons"] if not np.isfinite(float(e))]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"experiment.epsilons: {exc}") from exc
+        if bad:
+            raise ConfigError(f"experiment.epsilons: every epsilon must be finite, got {bad}")
+    if "functions" in options:
+        _check_pde_functions(options["functions"], n_sites)
+    if "max_violations" in options:
+        value = options["max_violations"]
+        if not _is_int(value) or value < 0:
+            raise ConfigError(f"experiment.max_violations: must be a non-negative integer, got {value!r}")
+    if "tolerance" in options:
+        value = options["tolerance"]
+        if not _is_finite(value) or value <= 0:
+            raise ConfigError(f"experiment.tolerance: must be finite and positive, got {value!r}")
 
 
 @dataclass
@@ -181,15 +240,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"experiment.kind: unknown kind {kind!r}")
     _check_keys(exp, "experiment", ("kind",), _EXPERIMENT_OPTIONS[kind])
     options = {k: v for k, v in exp.items() if k != "kind"}
-    if kind == "threshold_scan":
-        if "epsilons" not in options:
-            raise ConfigError("experiment: threshold_scan needs the 'epsilons' block")
-        try:
-            bad = [e for e in options["epsilons"] if not np.isfinite(float(e))]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"experiment.epsilons: {exc}") from exc
-        if bad:
-            raise ConfigError(f"experiment.epsilons: every epsilon must be finite, got {bad}")
+    _check_options(kind, options, model.n_sites)
 
     sampler = None
     if "sampler" in raw:
@@ -197,8 +248,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         counts = {}
         for key in ("chains", "steps", "burn_in", "seed"):
             value = raw["sampler"][key]
-            # int() would truncate 8.9 to 8 and read true as 1
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not _is_int(value):
                 raise ConfigError(f"sampler: {key} must be an integer, got {value!r}")
             counts[key] = int(value)
         try:
@@ -330,20 +380,18 @@ def _run_gaussian_sharpness(cfg: ExperimentConfig, out_dir: Path):
 
 
 def _pde_observable(spec: dict, model: GibbsModel, grid: GridSpec):
-    _check_keys(spec, "experiment.functions[]", ("kind",), ("site", "weights", "offset"))
+    """The observable of one experiment.functions entry (checked by _check_pde_functions)."""
     kind = spec["kind"]
     n = model.n_sites
-    site = int(spec.get("site", 0))
+    site = spec.get("site", 0)
+    if kind == "affine":
+        return bnd.affine(np.asarray(spec["weights"], float), float(spec.get("offset", 0.0)))
     if kind == "coordinate":
         return bnd.coordinate(site, n)
     if kind == "sin":
         return bnd.single_site_function(site, n, np.sin, 1.0)
-    if kind == "cubic":
-        L = grid.box_halfwidth
-        return bnd.single_site_function(site, n, lambda x: x**3, 3.0 * L**2)
-    if kind == "affine":
-        return bnd.affine(np.asarray(spec["weights"], float), float(spec.get("offset", 0.0)))
-    raise ConfigError(f"experiment.functions[].kind: unknown kind {kind!r}")
+    L = grid.box_halfwidth  # cubic
+    return bnd.single_site_function(site, n, lambda x: x**3, 3.0 * L**2)
 
 
 def _run_pde_check(cfg: ExperimentConfig, out_dir: Path):
@@ -352,8 +400,6 @@ def _run_pde_check(cfg: ExperimentConfig, out_dir: Path):
         raise ConfigError("pde_check: grid oracle supports at most 2 sites")
     im = interaction_from_model(model)
     specs = cfg.options.get("functions", [{"kind": "coordinate", "site": 0}])
-    if not specs:
-        raise ConfigError("experiment.functions: pde_check needs at least one function")
     rho_full = pi_criterion(im.A)
     observables = [_pde_observable(spec, model, cfg.grid) for spec in specs]
     fields = PotentialSolver(model, cfg.grid).solve_many(observables)
@@ -407,13 +453,13 @@ def _run_mcmc_check(cfg: ExperimentConfig, out_dir: Path):
         if not model.gaussian:
             raise ConfigError("mcmc_check: exact comparison needs a Gaussian model")
         target = gaussian_exact_covariance(gaussian_from_model(model))
-        max_violations = int(cfg.options.get("max_violations", 1))
+        max_violations = cfg.options.get("max_violations", 1)
         ok = np.abs(est - target) <= 3.0 * err
         rows = _pair_rows(delta, target, est, 3.0 * err, ok)
     elif mode == "bound":
         im = interaction_from_model(model)
         bound = im.inverse()
-        max_violations = int(cfg.options.get("max_violations", 0))
+        max_violations = cfg.options.get("max_violations", 0)
         ok = np.abs(est) <= bound + 3.0 * err
         rows = _pair_rows(delta, bound, est, 3.0 * err, ok)
     else:

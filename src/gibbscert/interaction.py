@@ -114,10 +114,6 @@ def dominance_margin(a) -> float:
     return float(np.min(np.diag(a) - off))
 
 
-def is_strictly_diagonally_dominant(a) -> bool:
-    return dominance_margin(a) > 0.0
-
-
 def inverse_entrywise(a) -> np.ndarray:
     """A^-1 via Cholesky solves, with near-zero entries clamped to exact zero.
 

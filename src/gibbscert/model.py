@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -208,32 +207,3 @@ def rho_vector(model: GibbsModel) -> np.ndarray:
     # one math.exp per potential: np.exp over the array differs from it in
     # the last bit on some inputs, and rho enters every certificate
     return np.array([single_site_pi_constant(pot) for pot in model.potentials])
-
-
-class RelaxedCheck(NamedTuple):
-    passed: bool
-    min_eigenvalue: float
-
-
-def pointwise_relaxed_check(
-    model: GibbsModel, weights, points, rho_target: float
-) -> RelaxedCheck:
-    """Sampled check of the relaxed weighted condition.
-
-    Builds the matrix with diagonal rho_i and signed off-diagonal mixed
-    Hessian entries and takes the smallest eigenvalue of the symmetric part
-    of D M D^-1.  For bilinear couplings the matrix does not depend on x, so
-    one eigen-solve gives the minimum over every supplied configuration.
-    This is a sampled diagnostic, not a uniform-in-x certificate.
-    """
-    d = np.asarray(weights, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("weights must be positive")
-    if not list(points):
-        raise ValueError("need at least one configuration to check")
-    m = -model._J  # d_i d_j H for i != j
-    np.fill_diagonal(m, rho_vector(model))
-    similar = (d[:, None] * m) / d[None, :]
-    sym = 0.5 * (similar + similar.T)
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
-    return RelaxedCheck(passed=bool(min_eig >= rho_target), min_eigenvalue=min_eig)

@@ -386,16 +386,15 @@ def _lockstep_pcg(matvec, precond, B: np.ndarray, targets: np.ndarray, maxiter: 
 class PotentialSolver:
     """Shares the discrete operator across solves for one (model, grid) pair."""
 
-    def __init__(self, model: GibbsModel, grid: GridSpec, check_tail: bool = True):
+    def __init__(self, model: GibbsModel, grid: GridSpec):
         if model.n_sites > 2:
             raise ValueError("grid oracle supports at most 2 sites")
-        if check_tail:
-            tail = tail_mass_estimate(model, grid.box_halfwidth)
-            if tail > TAIL_MASS_LIMIT:
-                raise ValueError(
-                    f"estimated tail mass {tail:.3e} outside the box exceeds "
-                    f"{TAIL_MASS_LIMIT}; enlarge the box"
-                )
+        tail = tail_mass_estimate(model, grid.box_halfwidth)
+        if tail > TAIL_MASS_LIMIT:
+            raise ValueError(
+                f"estimated tail mass {tail:.3e} outside the box exceeds "
+                f"{TAIL_MASS_LIMIT}; enlarge the box"
+            )
         self.model = model
         L = grid.box_halfwidth
         m = int(round(2.0 * L / grid.spacing)) + 1
@@ -460,14 +459,8 @@ class PotentialSolver:
         x *= self.h**2  # the cycle is linear: solve (h^2 K_hat) x = V, then scale
         return x.reshape(V.shape)
 
-    def solve_many(
-        self, observables: list[Observable], initial_guess=None
-    ) -> list[PotentialField]:
-        """Solve for several observables against the shared measure.
-
-        initial_guess may hold PotentialFields from a coarser nested grid
-        (same box, spacing halved); their prolongations warm-start CG.
-        """
+    def solve_many(self, observables: list[Observable]) -> list[PotentialField]:
+        """Solve for several observables against the shared measure."""
         h_dim = self.h**self.dim
         f_values = []
         f_means = []
@@ -486,22 +479,9 @@ class PotentialSolver:
         B = self._project(np.stack(rhs_rows))
         # stop on the untransformed residual: ||K phi - rhs|| = ||s * (K_hat psi - rhs_hat)||
         targets = 0.5 * RESIDUAL_RTOL * np.linalg.norm(self.s * B, axis=1)
-
-        X0 = None
-        if initial_guess is not None:
-            if any(self.m != 2 * len(pf.nodes) - 1 or pf.dim != self.dim for pf in initial_guess):
-                raise ValueError("initial guess grid is not the nested coarser grid")
-            coarse = np.stack([pf.phi for pf in initial_guess])
-            fine = self.levels[0].merge(
-                {p: _midpoints(coarse, p, self.mu.shape) for p in self.levels[0].parities}
-            )
-            X0 = self._project(fine.reshape(B.shape) * self.s)
-            B -= self._apply_khat(X0)
         X, iters, _ = _lockstep_pcg(
             self._apply_khat, self._precond, B, targets, CG_MAXITER, self.s
         )
-        if X0 is not None:
-            X += X0
 
         fields = []
         for row, n_iter, fv, fm, rhs_hat in zip(X, iters, f_values, f_means, rhs_rows):
@@ -537,21 +517,17 @@ class PotentialSolver:
             fields.append(pf)
         return fields
 
-    def solve(self, obs: Observable, initial_guess=None) -> PotentialField:
-        guesses = [initial_guess] if initial_guess is not None else None
-        return self.solve_many([obs], initial_guess=guesses)[0]
+    def solve(self, obs: Observable) -> PotentialField:
+        return self.solve_many([obs])[0]
 
 
-def solve_potential(
-    model: GibbsModel, f: Observable, grid: GridSpec, check_tail: bool = True
-) -> PotentialField:
+def solve_potential(model: GibbsModel, f: Observable, grid: GridSpec) -> PotentialField:
     """One-shot solve, centering phi under mu.
 
     Raises if the box is too small for the measure (envelope tail mass above
     1e-8) or if CG cannot push the relative residual below 1e-10.
     """
-    solver = PotentialSolver(model, grid, check_tail=check_tail)
-    return solver.solve(f)
+    return PotentialSolver(model, grid).solve(f)
 
 
 def _check_same_model(pf: PotentialField, im: InteractionMatrix) -> None:

@@ -3,8 +3,7 @@
 CSV tables are written from numpy byte slots.  Each cell of a chunk becomes a
 fixed-width row of a uint8 matrix, padded with NUL bytes; a chunk's lines are
 its column slots joined by ',' and '\\n' columns, and deleting the NULs
-(`bytes.translate`) leaves the text that fmt() gives cell by cell.  Large
-tables are formatted on every usable CPU (see write_table and _fork).
+(`bytes.translate`) leaves the text that fmt() gives cell by cell.
 
 A float slot holds '%.17e' % v in 25 bytes, `[-] d . 17 digits e +/- dd[d]`,
 computed in numpy after Ryu printf (Adams, "Ryu revisited: printf floating
@@ -30,21 +29,15 @@ from __future__ import annotations
 
 import json
 import math
-import mmap
 import random
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
 
-from . import _fork
-from ._fork import cpus as _cpus
-
 PAIR_COLUMNS = ("i", "j", "delta_ij", "bound", "oracle_value", "stderr_or_tol", "verdict")
 CHUNK_ROWS = 4096  # rows formatted per write; bounds the slots held in memory
 FLOAT_SLOT = 25  # bytes of the longest '%.17e' text, '-1.23456789012345678e-308'
-INT_SLOT = 20  # bytes of the longest 64-bit integer text, '-9223372036854775808'
-FORK_MIN_CHUNKS = 8  # chunks a forked writer must carry to repay its fork
 DEFER_MARGIN = 2.0**-30  # y's fraction this close to 1/2 is not rounded here
 PERCENT_KEYS = 64  # fewer floats than this go to '%' whole: cheaper than numpy's fixed cost
 # Rows of a full chunk probed for repeated floats.  Drawn at random, not
@@ -208,20 +201,6 @@ def _slots(column: np.ndarray) -> np.ndarray:
     return np.take(table, inverse, axis=0)
 
 
-def _pages(size: int) -> int:
-    """size rounded up to whole pages."""
-    return -(-size // mmap.PAGESIZE) * mmap.PAGESIZE
-
-
-def _cell_bound(column: np.ndarray | None) -> int:
-    """Most bytes a cell of the column can take as text."""
-    if column is None:
-        return 0
-    if column.dtype.kind == "U":
-        return column.dtype.itemsize  # 4 bytes a character; UTF-8 takes at most 4
-    return INT_SLOT if column.dtype.kind in "biu" else FLOAT_SLOT
-
-
 def _chunk_text(arrays: list, start: int, stop: int) -> bytes:
     """Lines start to stop of the table: its column slots joined by ',' and '\\n'."""
     comma = np.full((stop - start, 1), ord(","), np.uint8)
@@ -241,13 +220,6 @@ def write_table(header, columns, path) -> None:
     columns as they are, other columns in full precision, and a column given
     as None leaves its cells empty.  Rows are formatted CHUNK_ROWS at a time
     as one uint8 matrix of byte slots (see _slots and the module docstring).
-
-    A table of at least 2 * FORK_MIN_CHUNKS chunks is formatted on every
-    usable CPU (see _fork): the chunks are cut into contiguous groups, the
-    caller writes the first group's text straight to the file, and each
-    forked worker writes its chunks' text into its own region of one shared
-    mmap, which the caller appends in order.  A chunk's text depends only on
-    its own rows, so the bytes are the same at any worker count.
     """
     arrays = [None if c is None else np.asarray(c) for c in columns]
     if len(header) != len(arrays):
@@ -258,37 +230,10 @@ def write_table(header, columns, path) -> None:
     if len(lengths) > 1:
         raise ValueError(f"columns of unequal lengths {lengths}")
     n = lengths[0]
-    n_chunks = -(-n // CHUNK_ROWS)
-    cpus = _cpus()
-    groups = _fork.split(n_chunks, FORK_MIN_CHUNKS, cpus)
-    # a worker's chunk c gets the whole pages from base + (c - first) * slot,
-    # and sizes[c] says how many of its bytes the text fills
-    first, base = len(groups[0]), _pages(8 * n_chunks)
-    slot = _pages(CHUNK_ROWS * sum(1 + _cell_bound(a) for a in arrays))
-    if len(groups) > 1:
-        shared = mmap.mmap(-1, base + (n_chunks - first) * slot)  # MAP_SHARED, zero-filled
-        sizes = np.frombuffer(shared, np.int64, n_chunks)
-
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-
-        def job(chunks):
-            for c in chunks:
-                text = _chunk_text(arrays, c * CHUNK_ROWS, min(n, (c + 1) * CHUNK_ROWS))
-                if chunks.start == 0:
-                    fh.write(text)
-                else:
-                    at = base + (c - first) * slot
-                    shared[at : at + len(text)] = text
-                    sizes[c] = len(text)
-
-        _fork.run(job, groups, cpus)
-        if len(groups) > 1:
-            with memoryview(shared) as view:
-                for c in range(first, n_chunks):
-                    at = base + (c - first) * slot
-                    fh.write(view[at : at + sizes[c]])
-                    shared.madvise(mmap.MADV_DONTNEED, at, slot)  # keeps this process's RSS to one chunk
+        for start in range(0, n, CHUNK_ROWS):
+            fh.write(_chunk_text(arrays, start, min(n, start + CHUNK_ROWS)))
 
 
 def emit_pair_table(pairs: dict, path) -> None:

@@ -8,19 +8,17 @@ from gibbscert.bounds import (
     baseline_bound,
     coordinate,
     covariance_bound,
-    disjoint_support_bound,
-    exponential_decay_bound,
     nearest_neighbor_certificate,
     single_site_function,
     weighted_bound,
 )
+from gibbscert.decay import exponential_certificate
 from gibbscert.interaction import (
     build_interaction_matrix,
-    build_tilted_matrix,
     interaction_from_model,
     pi_criterion,
 )
-from gibbscert.lattice import graph_distance, periodic_grid
+from gibbscert.lattice import distance_matrix, graph_distance, periodic_grid
 from gibbscert.model import GibbsModel, cosine_potential, gaussian_potential, nearest_neighbor_coupling
 from gibbscert.oracles.gaussian import gaussian_exact_covariance, gaussian_from_model
 
@@ -98,63 +96,39 @@ def test_weighted_bound_exponential_weights_triangle_factor():
 
 
 def test_exponential_decay_bound_examples():
-    im = im2(0.1)
-    rho_tilde = 0.7282
+    # the per-pair bound prefactor * e^{-delta(i,j)} that the CLI writes,
+    # with prefactor 1/rho_tilde and rho_tilde = 1 - 0.1 e = 0.7282
     geom = periodic_grid([2])
-    f0, f1 = coordinate(0, 2), coordinate(1, 2)
-    same = exponential_decay_bound(im, geom, rho_tilde, 0, 0, f0, f0)
-    assert same.bound_value == pytest.approx(1.0 / rho_tilde)
-    b = exponential_decay_bound(im, geom, rho_tilde, 0, 1, f0, f1)
-    assert b.bound_value == pytest.approx(math.exp(-1.0) / rho_tilde)
-    with pytest.raises(ValueError, match="rho_tilde"):
-        exponential_decay_bound(im, geom, 0.0, 0, 1, f0, f1)
-    with pytest.raises(ValueError, match="site"):
-        exponential_decay_bound(im, geom, rho_tilde, 0, 1, f0, affine([1.0, 1.0]))
+    cert = exponential_certificate(im2(0.1), geom)
+    assert cert.passed
+    assert cert.prefactor == pytest.approx(1.0 / (1.0 - 0.1 * math.e), rel=1e-12)
+    bound = cert.prefactor * np.exp(-distance_matrix(geom))
+    assert bound[0, 0] == pytest.approx(1.0 / 0.7282, rel=1e-4)
+    assert bound[0, 1] == pytest.approx(math.exp(-1.0) / 0.7282, rel=1e-4)
+    refused = exponential_certificate(im2(0.4), geom)  # rho_tilde = 1 - 0.4 e < 0
+    assert not refused.passed and refused.prefactor is None
 
 
 def test_exponential_decay_bound_distance_three():
     geom = periodic_grid([8])
     model = GibbsModel(geom, gaussian_potential(1.0), nearest_neighbor_coupling(0.05))
-    im = interaction_from_model(model)
-    tm = build_tilted_matrix(im, geom)
-    b = exponential_decay_bound(
-        im, geom, 0.7282, 0, 3, coordinate(0, 8), coordinate(3, 8)
-    )
-    assert b.bound_value == pytest.approx(math.exp(-3.0) / 0.7282, rel=1e-4)
-    assert b.bound_value == pytest.approx(0.0684, abs=2e-4)
-    assert tm.rho_tilde is not None  # the 0.05-coupling ring is certifiable
+    cert = exponential_certificate(interaction_from_model(model), geom)
+    assert cert.passed  # the 0.05-coupling ring is certifiable
+    b = cert.prefactor * math.exp(-distance_matrix(geom)[0, 3])
+    assert b == pytest.approx(math.exp(-3.0) / 0.7282, rel=1e-4)
+    assert b == pytest.approx(0.0684, abs=2e-4)
 
 
 def test_product_measure_bound_vs_zero_covariance():
     # kappa = 0: bound is e^{-delta}/min rho while the true covariance vanishes
     im = build_interaction_matrix([2.0, 3.0], np.zeros((2, 2)))
     geom = periodic_grid([2])
-    tm = build_tilted_matrix(im, geom)
-    b = exponential_decay_bound(
-        im, geom, tm.rho_tilde, 0, 1, coordinate(0, 2), coordinate(1, 2)
-    )
-    assert b.bound_value == pytest.approx(math.exp(-1.0) / 2.0)
+    cert = exponential_certificate(im, geom)
+    assert cert.prefactor * math.exp(-distance_matrix(geom)[0, 1]) == pytest.approx(math.exp(-1.0) / 2.0)
     cov = gaussian_exact_covariance(gaussian_from_model(
         GibbsModel(periodic_grid([2]), gaussian_potential(2.0), nearest_neighbor_coupling(0.0))
     ))
     assert cov[0, 1] == 0.0
-
-
-def test_disjoint_support_extension_flagged():
-    geom = periodic_grid([4])
-    model = GibbsModel(geom, gaussian_potential(1.0), nearest_neighbor_coupling(0.05))
-    im = interaction_from_model(model)
-    tm = build_tilted_matrix(im, geom)
-    f = affine([1.0, 1.0, 0.0, 0.0])
-    g = affine([0.0, 0.0, 1.0, 1.0])
-    b = disjoint_support_bound(im, geom, tm.rho_tilde, f, g)
-    assert b.extension
-    expected = sum(
-        math.exp(-graph_distance(geom, i, j)) for i in (0, 1) for j in (2, 3)
-    ) / tm.rho_tilde
-    assert b.bound_value == pytest.approx(expected)
-    with pytest.raises(ValueError, match="disjoint"):
-        disjoint_support_bound(im, geom, tm.rho_tilde, f, affine([1.0, 0, 0, 0]))
 
 
 def test_bound_hierarchy_full_below_weighted_and_baseline():

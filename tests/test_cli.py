@@ -195,6 +195,73 @@ def test_pde_check_needs_a_function(tmp_path):
         run_experiment(parse_config(raw), tmp_path / "out")
 
 
+def pde_config(functions):
+    return {
+        "model": base_model_block(2, 0.2),
+        "experiment": {"kind": "pde_check", "functions": functions},
+        "grid": {"L": 6.0, "h": 0.5},
+    }
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"kind": "coordinate", "site": -1}, r"site must be an integer in \[0, 2\), got -1"),
+        ({"kind": "sin", "site": 0.7}, "got 0.7"),
+        ({"kind": "coordinate", "site": True}, "got True"),
+        ({"kind": "cubic", "site": 2}, "got 2"),
+        ({"kind": "affine", "weights": [1.0]}, r"affine needs 2 weights, got \[1.0\]"),
+        ({"kind": "affine", "weights": [1.0, math.nan]}, "must be finite"),
+        ({"kind": "affine", "weights": [1.0, 1.0], "offset": math.inf}, "must be finite"),
+        ({"kind": "quartic"}, r"\.kind: unknown kind 'quartic'"),
+    ],
+    ids=[
+        "negative-site",
+        "fractional-site",
+        "bool-site",
+        "site-past-the-last",
+        "short-weights",
+        "nan-weight",
+        "inf-offset",
+        "unknown-kind",
+    ],
+)
+def test_invalid_pde_functions_rejected(spec, message):
+    # site -1 checked site 1 and passed, 0.7 checked site 0, site 2 and a
+    # short weight list ended in an IndexError or a numpy matmul traceback
+    functions = [{"kind": "coordinate", "site": 0}, spec]
+    with pytest.raises(ConfigError, match=rf"experiment\.functions\[1\].*{message}"):
+        parse_config(pde_config(functions))
+
+
+def test_invalid_pde_function_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, pde_config([{"kind": "affine", "weights": [1.0]}]))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: experiment.functions[0]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [1.9, True, -1, "1"], ids=["fractional", "bool", "negative", "text"])
+def test_invalid_max_violations_rejected(value):
+    # int() ran 1.9 as 1 and true as 1
+    raw = {
+        "model": base_model_block(2, 0.0),
+        "experiment": {"kind": "mcmc_check", "max_violations": value},
+        "sampler": {"chains": 8, "steps": 2000, "burn_in": 200, "proposal_std": 1.5, "seed": 1},
+    }
+    with pytest.raises(ConfigError, match="experiment.max_violations: must be a non-negative integer"):
+        parse_config(raw)
+
+
+@pytest.mark.parametrize(
+    "value", [math.inf, math.nan, 0.0, -1e-10, "1e-10"], ids=["inf", "nan", "zero", "negative", "text"]
+)
+def test_invalid_tolerance_rejected(value):
+    raw = {"model": base_model_block(), "experiment": {"kind": "gaussian_sharpness", "tolerance": value}}
+    with pytest.raises(ConfigError, match="experiment.tolerance: must be finite and positive"):
+        parse_config(raw)
+
+
 def test_exponential_certificate_experiment(tmp_path):
     cfg = parse_config(
         {

@@ -12,7 +12,6 @@ from gibbscert.interaction import (
     interaction_from_model,
     inverse_entrywise,
     is_positive_definite,
-    is_strictly_diagonally_dominant,
     neumann_contraction_constant,
     neumann_partial_sums,
     pi_criterion,
@@ -67,7 +66,7 @@ def test_positive_definite_examples():
 def test_dominance_examples():
     assert dominance_margin(np.eye(2)) == pytest.approx(1.0)
     assert dominance_margin(np.array([[1.0, -0.5], [-0.5, 1.0]])) == pytest.approx(0.5)
-    assert not is_strictly_diagonally_dominant(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    assert dominance_margin(np.array([[1.0, -1.0], [-1.0, 1.0]])) <= 0  # not strictly dominant
 
 
 def test_inverse_examples():

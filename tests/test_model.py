@@ -17,7 +17,6 @@ from gibbscert.model import (
     hamiltonian,
     kappa_matrix,
     nearest_neighbor_coupling,
-    pointwise_relaxed_check,
     rho_vector,
     single_site_pi_constant,
 )
@@ -171,34 +170,6 @@ def test_gaussian_conditional_variance_by_quadrature():
         mean = np.sum(x * w)
         var = np.sum((x - mean) ** 2 * w)
         assert var == pytest.approx(1.0 / q, rel=1e-6)
-
-
-def test_pointwise_relaxed_check_two_site_example():
-    # J12 = +0.5 keeps the signed entry; symmetric-part eigenvalues are 1 +- 0.5
-    geom = periodic_grid([2])
-    model = GibbsModel(geom, gaussian_potential(1.0), nearest_neighbor_coupling(0.5))
-    res = pointwise_relaxed_check(model, [1.0, 1.0], [np.zeros(2)], 0.4)
-    assert res.passed
-    assert res.min_eigenvalue == pytest.approx(0.5)
-
-
-def test_pointwise_relaxed_check_constant_for_bilinear():
-    rng = np.random.default_rng(2)
-    geom = periodic_grid([3])
-    model = GibbsModel(geom, gaussian_potential(1.0), nearest_neighbor_coupling(0.2))
-    single = pointwise_relaxed_check(model, np.ones(3), [np.zeros(3)], 0.1)
-    many = pointwise_relaxed_check(
-        model, np.ones(3), [rng.normal(size=3) for _ in range(5)], 0.1
-    )
-    assert single.min_eigenvalue == pytest.approx(many.min_eigenvalue)
-
-
-def test_pointwise_relaxed_check_validates_input():
-    model = two_site_model(0.1)
-    with pytest.raises(ValueError, match="positive"):
-        pointwise_relaxed_check(model, [1.0, -1.0], [np.zeros(2)], 0.1)
-    with pytest.raises(ValueError, match="configuration"):
-        pointwise_relaxed_check(model, [1.0, 1.0], [], 0.1)
 
 
 def test_rho_vector_shared_potential():

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 from fractions import Fraction
 from unittest import mock
 
@@ -256,14 +255,8 @@ def test_few_floats_are_formatted_by_percent_alone(monkeypatch):
     assert text == ["%.17e" % v for v in values.tolist()]
 
 
-REAL_CPUS = reporting._cpus()  # taken at collection, before any test could pin this thread
-
-
 def mixed_table(rows):
-    """Every special float, and past the first rows cells as long as the writer's bounds.
-
-    A cell any longer than its bound would spill into the next chunk's region.
-    """
+    """Every special float, and past the first rows the longest cell of each kind."""
     rng = np.random.default_rng(13)
     i64, u64 = np.iinfo(np.int64), np.iinfo(np.uint64)
     ints = rng.integers(i64.min, -(10**18), size=rows)  # 20 characters
@@ -279,31 +272,9 @@ def mixed_table(rows):
     return header, [ints, unsigned, values, None, words[rng.integers(0, 3, size=rows)]]
 
 
-def fork_small_tables(monkeypatch, cpus):
-    """Split every table into one group per entry of cpus, whatever its size."""
-    monkeypatch.setattr(reporting, "_cpus", lambda: cpus)
-    monkeypatch.setattr(reporting, "FORK_MIN_CHUNKS", 1)
-
-
-def assert_nothing_left():
-    """No worker outlives the call, and this thread may run on all its CPUs again."""
-    assert os.sched_getaffinity(0) == set(REAL_CPUS)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize(
-    "cpus",
-    [REAL_CPUS[:1], REAL_CPUS[:1] * 2, REAL_CPUS[:1] * 3, REAL_CPUS],
-    ids=["one-group", "two-groups-one-cpu", "three-groups-one-cpu", "every-cpu"],
-)
-def test_forked_writer_is_byte_identical_at_any_group_count(cpus, tmp_path, monkeypatch):
-    # the caller writes the first group, workers the others into the shared
-    # region; one CPU repeated puts several workers on one core
+def test_mixed_table_matches_per_row_writer(tmp_path):
     header, columns = mixed_table(3 * CHUNK_ROWS + 17)
-    fork_small_tables(monkeypatch, cpus)
     bulk = assert_same_bytes(tmp_path, lambda path: write_table(header, columns, path), header, columns)
-    assert_nothing_left()
     lines = bulk.decode().splitlines()
     assert len(lines) == 1 + 3 * CHUNK_ROWS + 17
     assert lines[1].startswith("-9223372036854775808,18446744073709551615,0.0")
@@ -311,40 +282,13 @@ def test_forked_writer_is_byte_identical_at_any_group_count(cpus, tmp_path, monk
     assert {len(line.split(",")[2]) for line in lines[20:]} == {FLOAT_SLOT}
 
 
-@pytest.mark.parametrize("chunks, forks", [(15, 0), (16, 1)])
-def test_tables_below_break_even_are_not_forked(chunks, forks, tmp_path, monkeypatch):
-    # a forked group must carry FORK_MIN_CHUNKS chunks: the bench's tables
-    # (at most 5 chunks outside the grid oracle) stay in one process
-    forked = []
-    real_fork = os.fork
-
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    monkeypatch.setattr(reporting, "_cpus", lambda: REAL_CPUS[:1] * 2)
-    assert reporting.FORK_MIN_CHUNKS == 8
-    values = np.arange(chunks * CHUNK_ROWS) * 0.25
-    write_table(("value",), [values], tmp_path / "t.csv")
-    assert len(forked) == forks
-    assert_nothing_left()
-    assert (tmp_path / "t.csv").read_bytes().count(b"\n") == 1 + len(values)
-
-
 class TableFailure(Exception):
     pass
 
 
-@pytest.mark.parametrize("bad_row", [0, 3 * CHUNK_ROWS + 5], ids=["caller", "worker"])
-def test_table_error_reaches_the_caller(bad_row, tmp_path, monkeypatch):
-    # a worker that raises exits non-zero; its chunks are rerun in the caller,
-    # which raises the same error; a raise in the caller kills the worker
+def test_table_error_reaches_the_caller(tmp_path, monkeypatch):
     header, columns = mixed_table(3 * CHUNK_ROWS + 17)
-    columns[2][bad_row] = 7.25
-    fork_small_tables(monkeypatch, REAL_CPUS[:1] * 2)
+    columns[2][0] = 7.25
     real_slots = reporting._slots
 
     def failing_slots(column):
@@ -355,26 +299,6 @@ def test_table_error_reaches_the_caller(bad_row, tmp_path, monkeypatch):
     monkeypatch.setattr(reporting, "_slots", failing_slots)
     with pytest.raises(TableFailure):
         write_table(header, columns, tmp_path / "t.csv")
-    assert_nothing_left()
-
-
-def test_dead_worker_chunks_rerun_in_caller(tmp_path, monkeypatch):
-    # a worker that dies after filling part of its region: the caller formats
-    # those chunks again, to the same bytes
-    header, columns = mixed_table(3 * CHUNK_ROWS + 17)
-    fork_small_tables(monkeypatch, REAL_CPUS[:1] * 3)
-    caller = os.getpid()
-    real_chunk_text = reporting._chunk_text
-
-    def dying_chunk_text(arrays, start, stop):
-        text = real_chunk_text(arrays, start, stop)
-        if os.getpid() != caller and stop == 3 * CHUNK_ROWS + 17:
-            os._exit(3)
-        return text
-
-    monkeypatch.setattr(reporting, "_chunk_text", dying_chunk_text)
-    assert_same_bytes(tmp_path, lambda path: write_table(header, columns, path), header, columns)
-    assert_nothing_left()
 
 
 @pytest.mark.parametrize(
@@ -386,13 +310,8 @@ def test_dead_worker_chunks_rerun_in_caller(tmp_path, monkeypatch):
     ],
     ids=["ragged", "header-count", "all-none"],
 )
-def test_write_table_rejects_mismatched_input(header, columns, message, tmp_path, monkeypatch):
-    # rejected before any fork, and before the file is opened
-    def no_fork():
-        raise AssertionError("forked on invalid input")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    monkeypatch.setattr(reporting, "FORK_MIN_CHUNKS", 1)
+def test_write_table_rejects_mismatched_input(header, columns, message, tmp_path):
+    # rejected before the file is opened
     with pytest.raises(ValueError, match=message):
         write_table(header, columns, tmp_path / "t.csv")
     assert not (tmp_path / "t.csv").exists()
@@ -473,13 +392,13 @@ def test_report_bytes_match_recursive_conversion(tmp_path):
             "potential": {"q": np.float64(1.5)},
             "coupling": {"kind": "nearest_neighbor", "epsilon": np.float32(0.125)},
         },
-        "experiment": {"kind": "gaussian_sharpness", "tolerance": float("inf")},
+        "experiment": {"kind": "gaussian_sharpness", "tolerance": 1e-6},
         "output": {"format": "json"},
     }
     report, passed = run_experiment(parse_config(raw), tmp_path / "out")
-    assert passed and report["results"]["tolerance"] == float("inf")
+    assert passed and report["results"]["tolerance"] == 1e-6
     report["results"]["extra"] = [
-        [1.0, 2, "a", None, True],
+        [1.0, 2, "a", None, True, float("inf")],
         [0.5, float("nan")],
         (np.int64(3), np.bool_(False), np.float64(-np.inf)),
         np.arange(4.0).reshape(2, 2),
