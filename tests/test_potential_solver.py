@@ -261,6 +261,13 @@ def test_multigrid_iterations_do_not_grow_with_the_grid(m):
         assert pf.residual <= RESIDUAL_RTOL
 
 
+def test_cold_fine_solve_converges():
+    # the cosine-transform preconditioner stalled here at 1.01e-10 after 41 iterations
+    solver = PotentialSolver(two_site_model(0.2, a=0.1), GridSpec(6.0, 0.005))
+    for pf in solver.solve_many(criterion_3_functions()):
+        assert pf.residual <= RESIDUAL_RTOL
+
+
 def test_phi_matches_direct_sparse_solve():
     solver = PotentialSolver(two_site_model(0.2, a=0.1), GridSpec(6.0, 0.1))
     assert solver.m == 121

@@ -272,11 +272,17 @@ def mixed_table(rows):
     return header, [ints, unsigned, values, None, words[rng.integers(0, 3, size=rows)]]
 
 
-def test_mixed_table_matches_per_row_writer(tmp_path):
-    header, columns = mixed_table(3 * CHUNK_ROWS + 17)
+@pytest.mark.parametrize(
+    "rows",
+    [CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS, 3 * CHUNK_ROWS + 17],
+    ids=["one-chunk", "one-chunk-and-a-row", "three-chunks", "three-chunks-and-17-rows"],
+)
+def test_mixed_table_matches_per_row_writer(rows, tmp_path):
+    # a full last chunk, a last chunk of one row, and a partial last chunk
+    header, columns = mixed_table(rows)
     bulk = assert_same_bytes(tmp_path, lambda path: write_table(header, columns, path), header, columns)
     lines = bulk.decode().splitlines()
-    assert len(lines) == 1 + 3 * CHUNK_ROWS + 17
+    assert len(lines) == 1 + rows
     assert lines[1].startswith("-9223372036854775808,18446744073709551615,0.0")
     assert lines[2].startswith("9223372036854775807,")
     assert {len(line.split(",")[2]) for line in lines[20:]} == {FLOAT_SLOT}
