@@ -1,10 +1,11 @@
 """Config-driven experiment runner.
 
-Experiments are described by a strict JSON config (unknown keys are rejected
-so a typo cannot silently weaken a certificate hypothesis), run a pipeline
-for their kind, and write a deterministic report.json plus pair tables.  The
-process exit status is 0 exactly when every enabled verification passed,
-which makes certificates usable as CI assertions.
+Experiments are described by a strict JSON config, checked against the
+schema ``_CONFIG`` before any work starts so a typo or a bad value cannot
+silently weaken a certificate hypothesis, run a pipeline for their kind, and
+write a deterministic report.json plus pair tables.  The exit status is 0
+exactly when every enabled verification passed, 1 when one failed and 2 for
+a bad config, which makes certificates usable as CI assertions.
 """
 
 from __future__ import annotations
@@ -13,10 +14,12 @@ import argparse
 import json
 import math
 import numbers
+import reprlib
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,114 +50,9 @@ from .oracles.potential import (
 )
 from .reporting import emit_pair_table, write_report, write_table
 
-EXPERIMENT_KINDS = (
-    "bound_report",
-    "gaussian_sharpness",
-    "pde_check",
-    "mcmc_check",
-    "exponential_certificate",
-    "algebraic_certificate",
-    "threshold_scan",
-)
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message carries the offending path."""
-
-
-def _check_keys(block: dict, path: str, required: tuple, optional: tuple = ()):
-    if not isinstance(block, dict):
-        raise ConfigError(f"{path}: expected an object")
-    allowed = set(required) | set(optional)
-    for key in block:
-        if key not in allowed:
-            raise ConfigError(f"{path}: unknown key {key!r}")
-    for key in required:
-        if key not in block:
-            raise ConfigError(f"{path}: missing required key {key!r}")
-
-
-def _parse_geometry(block):
-    _check_keys(block, "model.geometry", ("kind",), ("dimension", "side_lengths", "metric_table"))
-    kind = block["kind"]
-    if kind == "periodic_grid":
-        _check_keys(block, "model.geometry", ("kind", "side_lengths"), ("dimension",))
-        sides = block["side_lengths"]
-        if "dimension" in block and block["dimension"] != len(sides):
-            raise ConfigError("model.geometry: dimension disagrees with side_lengths")
-        return periodic_grid(sides)
-    if kind == "explicit":
-        _check_keys(block, "model.geometry", ("kind", "metric_table"))
-        return explicit_metric(block["metric_table"])
-    raise ConfigError(f"model.geometry.kind: unknown kind {kind!r}")
-
-
-def _parse_potential(block, path):
-    _check_keys(block, path, ("q",), ("perturbation",))
-    pert = block.get("perturbation", {"kind": "none"})
-    _check_keys(pert, f"{path}.perturbation", ("kind",), ("amplitude", "frequency"))
-    kind = pert["kind"]
-    if kind == "none":
-        _check_keys(pert, f"{path}.perturbation", ("kind",))
-        return SingleSitePotential(q=float(block["q"]))
-    if kind == "cosine":
-        _check_keys(pert, f"{path}.perturbation", ("kind", "amplitude", "frequency"))
-        return SingleSitePotential(
-            q=float(block["q"]),
-            perturbation="cosine",
-            amplitude=float(pert["amplitude"]),
-            frequency=float(pert["frequency"]),
-        )
-    raise ConfigError(f"{path}.perturbation.kind: unknown kind {kind!r}")
-
-
-def _parse_coupling(block) -> Coupling:
-    _check_keys(block, "model.coupling", ("kind",), ("epsilon", "c", "alpha", "d", "matrix"))
-    kind = block["kind"]
-    if kind == "nearest_neighbor":
-        _check_keys(block, "model.coupling", ("kind", "epsilon"))
-        return nearest_neighbor_coupling(float(block["epsilon"]))
-    if kind == "algebraic":
-        _check_keys(block, "model.coupling", ("kind", "c", "alpha", "d"))
-        return algebraic_coupling(float(block["c"]), float(block["alpha"]), int(block["d"]))
-    if kind == "explicit":
-        _check_keys(block, "model.coupling", ("kind", "matrix"))
-        return explicit_coupling(np.asarray(block["matrix"], dtype=float))
-    raise ConfigError(f"model.coupling.kind: unknown kind {kind!r}")
-
-
-def _parse_model(block) -> GibbsModel:
-    _check_keys(block, "model", ("geometry", "coupling"), ("potential", "potentials"))
-    geom = _parse_geometry(block["geometry"])
-    if ("potential" in block) == ("potentials" in block):
-        raise ConfigError("model: provide exactly one of 'potential' or 'potentials'")
-    if "potential" in block:
-        pots = _parse_potential(block["potential"], "model.potential")
-    else:
-        pots = tuple(
-            _parse_potential(p, f"model.potentials[{i}]")
-            for i, p in enumerate(block["potentials"])
-        )
-    coupling = _parse_coupling(block["coupling"])
-    try:
-        return GibbsModel(geometry=geom, potentials=pots, coupling=coupling)
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
-
-
-_EXPERIMENT_OPTIONS = {
-    "bound_report": (),
-    "gaussian_sharpness": ("tolerance",),
-    "pde_check": ("functions", "core_identity"),
-    "mcmc_check": ("compare", "max_violations"),
-    "exponential_certificate": (),
-    "algebraic_certificate": (),
-    "threshold_scan": ("epsilons",),
-}
-
-_REQUIRES_SAMPLER = ("mcmc_check",)
-_REQUIRES_GRID = ("pde_check",)
-_PDE_FUNCTIONS = ("coordinate", "sin", "cubic", "affine")
 
 
 def _is_int(value) -> bool:
@@ -171,47 +69,193 @@ def _is_finite(value) -> bool:
         return False
 
 
-def _check_pde_functions(specs, n_sites: int) -> None:
-    if not isinstance(specs, list) or not specs:
-        raise ConfigError("experiment.functions: pde_check needs at least one function")
-    for k, spec in enumerate(specs):
+def _is_matrix(v) -> bool:  # one numpy pass: a 96 x 96 table walked entry by entry costs 7 ms
+    try:
+        table = np.asarray(v)
+    except ValueError:  # ragged rows
+        return False
+    return table.dtype.kind in "iuf" and table.ndim == 2 and bool(np.all(np.isfinite(table)))
+
+
+class _Leaf(NamedTuple):
+    what: str  # completes "must be ..."
+    ok: Callable[[object], bool]
+
+
+class _Opt(NamedTuple):  # an optional key; every other key is required
+    rule: object
+
+
+class _ListOf(NamedTuple):  # a non-empty list of items that follow `item`
+    item: object
+
+
+class _Kinds(dict):  # an object whose "kind" picks its key set: {kind: {key: rule}}
+    pass
+
+
+_INT = _Leaf("an integer", _is_int)
+_COUNT = _Leaf("a non-negative integer", lambda v: _is_int(v) and v >= 0)
+_POSITIVE_INT = _Leaf("a positive integer", lambda v: _is_int(v) and v > 0)
+_REAL = _Leaf("a finite number", _is_finite)
+_POSITIVE = _Leaf("a finite positive number", lambda v: _is_finite(v) and v > 0)
+_MATRIX = _Leaf("a 2-D table of finite numbers", _is_matrix)
+_STRING = _Leaf("a string", lambda v: isinstance(v, str))
+_POTENTIAL = {
+    "q": _POSITIVE,
+    "perturbation": _Opt(_Kinds(none={}, cosine={"amplitude": _REAL, "frequency": _REAL})),
+}
+_SITE = {"site": _Opt(_COUNT)}
+_FUNCTION = _Kinds(
+    coordinate=_SITE, sin=_SITE, cubic=_SITE, affine={"weights": _ListOf(_REAL), "offset": _Opt(_REAL)}
+)
+# Every key of a config, once; _check_fit holds the checks that need the built
+# model. The constructors check values again for callers that skip the CLI.
+_CONFIG = {
+    "model": {
+        "geometry": _Kinds(
+            periodic_grid={"side_lengths": _ListOf(_POSITIVE_INT), "dimension": _Opt(_POSITIVE_INT)},
+            explicit={"metric_table": _MATRIX},
+        ),
+        "potential": _Opt(_POTENTIAL),
+        "potentials": _Opt(_ListOf(_POTENTIAL)),
+        "coupling": _Kinds(
+            nearest_neighbor={"epsilon": _REAL},
+            algebraic={"c": _POSITIVE, "alpha": _POSITIVE, "d": _POSITIVE_INT},
+            explicit={"matrix": _MATRIX},
+        ),
+    },
+    "experiment": _Kinds(
+        bound_report={},
+        gaussian_sharpness={"tolerance": _Opt(_POSITIVE)},
+        pde_check={
+            "functions": _Opt(_ListOf(_FUNCTION)),
+            "core_identity": _Opt(_Leaf("true or false", lambda v: isinstance(v, bool))),
+        },
+        mcmc_check={
+            "compare": _Opt(_Leaf("'exact' or 'bound'", lambda v: v in ("exact", "bound"))),
+            "max_violations": _Opt(_COUNT),
+        },
+        exponential_certificate={},
+        algebraic_certificate={},
+        threshold_scan={"epsilons": _ListOf(_REAL)},
+    ),
+    "sampler": _Opt(
+        {
+            "chains": _Leaf("an integer >= 2", lambda v: _is_int(v) and v >= 2),
+            "steps": _POSITIVE_INT,
+            "burn_in": _COUNT,
+            "proposal_std": _POSITIVE,
+            "seed": _INT,
+        }
+    ),
+    "grid": _Opt({"L": _POSITIVE, "h": _POSITIVE}),
+    "output": _Opt(
+        {"path": _Opt(_STRING), "format": _Opt(_Leaf("'json' or 'csv'", lambda v: v in ("json", "csv")))}
+    ),
+}
+EXPERIMENT_KINDS = tuple(_CONFIG["experiment"])
+
+
+def _walk(value, rule, path: str) -> None:
+    """Raise ConfigError at the first part of ``value`` that breaks ``rule``."""
+    where = path or "config"
+    if isinstance(rule, _Leaf):
+        if not rule.ok(value):
+            raise ConfigError(f"{where}: must be {rule.what}, got {reprlib.repr(value)}")
+        return
+    if isinstance(rule, _ListOf):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{where}: must be a non-empty list, got {reprlib.repr(value)}")
+        for i, item in enumerate(value):
+            _walk(item, rule.item, f"{path}[{i}]")
+        return
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: must be an object, got {reprlib.repr(value)}")
+    if isinstance(rule, _Kinds):
+        if "kind" not in value:
+            raise ConfigError(f"{where}: missing required key 'kind'")
+        kind = value["kind"]
+        if not isinstance(kind, str) or kind not in rule:
+            raise ConfigError(f"{where}.kind: unknown kind {reprlib.repr(kind)}")
+        rule = {"kind": _STRING, **rule[kind]}
+    for key in value:
+        if key not in rule:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+    for key, sub in rule.items():
+        if key in value:
+            _walk(value[key], sub.rule if isinstance(sub, _Opt) else sub, f"{path}.{key}" if path else key)
+        elif not isinstance(sub, _Opt):
+            raise ConfigError(f"{where}: missing required key {key!r}")
+
+
+def _check_fit(raw: dict, model: GibbsModel) -> None:
+    """The checks that need the built model, once the schema walk has passed."""
+    exp, kind, n, geometry = raw["experiment"], raw["experiment"]["kind"], model.n_sites, model.geometry
+    if raw["model"]["geometry"].get("dimension", geometry.dimension) != geometry.dimension:
+        raise ConfigError(f"model.geometry.dimension: must equal len(side_lengths) = {geometry.dimension}")
+    for k, spec in enumerate(exp.get("functions", ())):
         path = f"experiment.functions[{k}]"
-        _check_keys(spec, path, ("kind",), ("site", "weights", "offset"))
-        kind = spec["kind"]
-        if kind not in _PDE_FUNCTIONS:
-            raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
-        site = spec.get("site", 0)
-        if not _is_int(site) or not 0 <= site < n_sites:
-            raise ConfigError(f"{path}: site must be an integer in [0, {n_sites}), got {site!r}")
-        if kind == "affine":
-            weights = spec.get("weights")
-            if not isinstance(weights, list) or len(weights) != n_sites:
-                raise ConfigError(f"{path}: affine needs {n_sites} weights, got {weights!r}")
-            if not all(map(_is_finite, weights)) or not _is_finite(spec.get("offset", 0.0)):
-                raise ConfigError(f"{path}: weights and offset must be finite numbers")
+        if spec.get("site", 0) >= n:
+            raise ConfigError(f"{path}.site: must be an integer in [0, {n}), got {spec['site']}")
+        if spec["kind"] == "affine" and len(spec["weights"]) != n:
+            raise ConfigError(f"{path}.weights: affine needs {n} weights, got {reprlib.repr(spec['weights'])}")
+    for block, needed_by in (("sampler", "mcmc_check"), ("grid", "pde_check")):
+        if kind == needed_by and block not in raw:
+            raise ConfigError(f"{block}: experiment kind {kind!r} needs the {block!r} block")
+    if kind == "pde_check" and n > 2:
+        raise ConfigError(f"model.geometry: pde_check's grid oracle supports at most 2 sites, got {n}")
+    if exp.get("compare") == "exact" and not model.gaussian:
+        raise ConfigError("experiment.compare: 'exact' needs a Gaussian model (no perturbation)")
+    if kind == "algebraic_certificate" and model.coupling.kind != "algebraic":
+        raise ConfigError("model.coupling.kind: algebraic_certificate needs an algebraic coupling")
+    if kind == "gaussian_sharpness" and not model.gaussian:
+        raise ConfigError("experiment.kind: gaussian_sharpness needs a Gaussian model (no perturbation)")
+    if kind == "gaussian_sharpness" and not gaussian_from_model(model).ferromagnetic:
+        leaf = "matrix" if model.coupling.kind == "explicit" else "epsilon"  # algebraic couplings have c > 0
+        raise ConfigError(f"model.coupling.{leaf}: gaussian_sharpness needs a ferromagnetic coupling, J >= 0")
+    if kind == "threshold_scan" and (geometry.kind, geometry.dimension) != ("periodic_grid", 2):
+        raise ConfigError("model.geometry: threshold_scan needs a 2D periodic grid")
 
 
-def _check_options(kind: str, options: dict, n_sites: int) -> None:
-    """Reject experiment options that the runner would misread or fail on."""
-    if kind == "threshold_scan":
-        if "epsilons" not in options:
-            raise ConfigError("experiment: threshold_scan needs the 'epsilons' block")
-        try:
-            bad = [e for e in options["epsilons"] if not np.isfinite(float(e))]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"experiment.epsilons: {exc}") from exc
-        if bad:
-            raise ConfigError(f"experiment.epsilons: every epsilon must be finite, got {bad}")
-    if "functions" in options:
-        _check_pde_functions(options["functions"], n_sites)
-    if "max_violations" in options:
-        value = options["max_violations"]
-        if not _is_int(value) or value < 0:
-            raise ConfigError(f"experiment.max_violations: must be a non-negative integer, got {value!r}")
-    if "tolerance" in options:
-        value = options["tolerance"]
-        if not _is_finite(value) or value <= 0:
-            raise ConfigError(f"experiment.tolerance: must be finite and positive, got {value!r}")
+def _built(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a constructor's ValueError is reported at ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _parse_geometry(block):
+    if block["kind"] == "periodic_grid":
+        return periodic_grid(block["side_lengths"])
+    return explicit_metric(block["metric_table"])
+
+
+def _parse_potential(block):
+    pert = block.get("perturbation", {})
+    return SingleSitePotential(
+        q=float(block["q"]),
+        perturbation=pert.get("kind", "none"),
+        amplitude=float(pert.get("amplitude", 0.0)),
+        frequency=float(pert.get("frequency", 0.0)),
+    )
+
+
+def _parse_coupling(block) -> Coupling:
+    if block["kind"] == "nearest_neighbor":
+        return nearest_neighbor_coupling(float(block["epsilon"]))
+    if block["kind"] == "algebraic":
+        return algebraic_coupling(float(block["c"]), float(block["alpha"]), block["d"])
+    return explicit_coupling(np.asarray(block["matrix"], dtype=float))
+
+
+def _parse_model(block) -> GibbsModel:
+    if "potential" in block:
+        pots = _parse_potential(block["potential"])
+    else:
+        pots = tuple(map(_parse_potential, block["potentials"]))
+    return GibbsModel(_parse_geometry(block["geometry"]), pots, _parse_coupling(block["coupling"]))
 
 
 @dataclass
@@ -227,70 +271,41 @@ class ExperimentConfig:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    _check_keys(raw, "config", ("model", "experiment"), ("sampler", "grid", "output"))
-    model = _parse_model(raw["model"])
-
-    exp = raw["experiment"]
-    if not isinstance(exp, dict):
-        raise ConfigError("experiment: expected an object")
-    kind = exp.get("kind")
-    if kind is None:
-        raise ConfigError("experiment: missing required key 'kind'")
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(f"experiment.kind: unknown kind {kind!r}")
-    _check_keys(exp, "experiment", ("kind",), _EXPERIMENT_OPTIONS[kind])
-    options = {k: v for k, v in exp.items() if k != "kind"}
-    _check_options(kind, options, model.n_sites)
-
-    sampler = None
+    _walk(raw, _CONFIG, "")
+    if ("potential" in raw["model"]) == ("potentials" in raw["model"]):
+        raise ConfigError("model: provide exactly one of 'potential' or 'potentials'")
+    model = _built("model", _parse_model, raw["model"])
+    _check_fit(raw, model)
+    sampler = grid = None
     if "sampler" in raw:
-        _check_keys(raw["sampler"], "sampler", ("chains", "steps", "burn_in", "proposal_std", "seed"))
-        counts = {}
-        for key in ("chains", "steps", "burn_in", "seed"):
-            value = raw["sampler"][key]
-            if not _is_int(value):
-                raise ConfigError(f"sampler: {key} must be an integer, got {value!r}")
-            counts[key] = int(value)
-        try:
-            sampler = SamplerConfig(proposal_std=float(raw["sampler"]["proposal_std"]), **counts)
-        except ValueError as exc:
-            raise ConfigError(f"sampler: {exc}") from exc
-    elif kind in _REQUIRES_SAMPLER:
-        raise ConfigError(f"config: experiment kind {kind!r} needs the 'sampler' block")
-
-    grid = None
+        s = raw["sampler"]
+        sampler = _built("sampler", SamplerConfig, **{**s, "proposal_std": float(s["proposal_std"])})
     if "grid" in raw:
-        _check_keys(raw["grid"], "grid", ("L", "h"))
-        try:
-            grid = GridSpec(box_halfwidth=float(raw["grid"]["L"]), spacing=float(raw["grid"]["h"]))
-        except ValueError as exc:
-            raise ConfigError(f"grid: {exc}") from exc
-    elif kind in _REQUIRES_GRID:
-        raise ConfigError(f"config: experiment kind {kind!r} needs the 'grid' block")
-
-    out_path, out_format = "out", "csv"
-    if "output" in raw:
-        _check_keys(raw["output"], "output", (), ("path", "format"))
-        out_path = raw["output"].get("path", out_path)
-        out_format = raw["output"].get("format", out_format)
-        if out_format not in ("json", "csv"):
-            raise ConfigError("output.format: must be 'json' or 'csv'")
-
+        grid = _built("grid", GridSpec, float(raw["grid"]["L"]), float(raw["grid"]["h"]))
+    output = raw.get("output", {})
     return ExperimentConfig(
         model=model,
-        kind=kind,
-        options=options,
+        kind=raw["experiment"]["kind"],
+        options={k: v for k, v in raw["experiment"].items() if k != "kind"},
         sampler=sampler,
         grid=grid,
-        out_path=out_path,
-        out_format=out_format,
+        out_path=output.get("path", "out"),
+        out_format=output.get("format", "csv"),
         echo=raw,
     )
 
 
 def load_config(path) -> ExperimentConfig:
+    def unique_keys(pairs):
+        block = {}
+        for key, value in pairs:
+            if key in block:
+                raise ConfigError(f"{path}: duplicate key {key!r}")
+            block[key] = value
+        return block
+
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     return parse_config(raw)
@@ -358,14 +373,8 @@ def _run_bound_report(cfg: ExperimentConfig, out_dir: Path):
 def _run_gaussian_sharpness(cfg: ExperimentConfig, out_dir: Path):
     model = cfg.model
     tolerance = float(cfg.options.get("tolerance", 1e-10))
-    if not model.gaussian:
-        raise ConfigError("gaussian_sharpness: model must be Gaussian (no perturbation)")
-    gm = gaussian_from_model(model)
-    if not gm.ferromagnetic:
-        raise ConfigError("gaussian_sharpness: coupling must be ferromagnetic")
-    im = interaction_from_model(model)
-    inv = im.inverse()
-    cov = gaussian_exact_covariance(gm)
+    inv = interaction_from_model(model).inverse()
+    cov = gaussian_exact_covariance(gaussian_from_model(model))
     delta = distance_matrix(model.geometry)
     gaps = np.abs(inv - cov) / np.maximum(np.abs(cov), 1e-300)
     max_gap = float(np.max(gaps))
@@ -380,7 +389,7 @@ def _run_gaussian_sharpness(cfg: ExperimentConfig, out_dir: Path):
 
 
 def _pde_observable(spec: dict, model: GibbsModel, grid: GridSpec):
-    """The observable of one experiment.functions entry (checked by _check_pde_functions)."""
+    """The observable of one experiment.functions entry (checked by _walk and _check_fit)."""
     kind = spec["kind"]
     n = model.n_sites
     site = spec.get("site", 0)
@@ -396,8 +405,6 @@ def _pde_observable(spec: dict, model: GibbsModel, grid: GridSpec):
 
 def _run_pde_check(cfg: ExperimentConfig, out_dir: Path):
     model = cfg.model
-    if model.n_sites > 2:
-        raise ConfigError("pde_check: grid oracle supports at most 2 sites")
     im = interaction_from_model(model)
     specs = cfg.options.get("functions", [{"kind": "coordinate", "site": 0}])
     rho_full = pi_criterion(im.A)
@@ -450,20 +457,16 @@ def _run_mcmc_check(cfg: ExperimentConfig, out_dir: Path):
     delta = distance_matrix(model.geometry)
     mode = cfg.options.get("compare", "exact" if model.gaussian else "bound")
     if mode == "exact":
-        if not model.gaussian:
-            raise ConfigError("mcmc_check: exact comparison needs a Gaussian model")
         target = gaussian_exact_covariance(gaussian_from_model(model))
         max_violations = cfg.options.get("max_violations", 1)
         ok = np.abs(est - target) <= 3.0 * err
         rows = _pair_rows(delta, target, est, 3.0 * err, ok)
-    elif mode == "bound":
+    else:  # bound
         im = interaction_from_model(model)
         bound = im.inverse()
         max_violations = cfg.options.get("max_violations", 0)
         ok = np.abs(est) <= bound + 3.0 * err
         rows = _pair_rows(delta, bound, est, 3.0 * err, ok)
-    else:
-        raise ConfigError("mcmc_check.compare: must be 'exact' or 'bound'")
     violations = _failures(rows)
     results = {
         "constants": _model_constants(model),
@@ -498,8 +501,6 @@ def _run_exponential_certificate(cfg: ExperimentConfig, out_dir: Path):
 
 def _run_algebraic_certificate(cfg: ExperimentConfig, out_dir: Path):
     model = cfg.model
-    if model.coupling.kind != "algebraic":
-        raise ConfigError("algebraic_certificate: model coupling must be algebraic")
     im = interaction_from_model(model)
     geom = model.geometry
     cert = algebraic_certificate(im, geom, model.coupling.alpha)
@@ -590,7 +591,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
+    except (OSError, ValueError) as exc:  # an unreadable file, a ConfigError or a constructor's check
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.seed is not None:
@@ -599,11 +600,7 @@ def main(argv=None) -> int:
             return 2
         cfg.sampler = replace(cfg.sampler, seed=args.seed)
     out_dir = Path(args.out) if args.out else Path(cfg.out_path)
-    try:
-        report, passed = run_experiment(cfg, out_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    report, passed = run_experiment(cfg, out_dir)
     if not passed:
         print(f"verification failed: {cfg.kind}", file=sys.stderr)
         return 1

@@ -106,7 +106,10 @@ class LatticeGeometry:
 
 
 def periodic_grid(side_lengths) -> LatticeGeometry:
-    side_lengths = tuple(int(L) for L in np.atleast_1d(side_lengths))
+    sides = np.atleast_1d(side_lengths)
+    if sides.ndim != 1 or sides.dtype.kind not in "iu":  # int() would read 4.5 as 4, True as 1, "4" as 4
+        raise ValueError(f"side lengths must be integers, got {side_lengths!r}")
+    side_lengths = tuple(int(L) for L in sides)
     return LatticeGeometry(
         kind="periodic_grid", dimension=len(side_lengths), side_lengths=side_lengths
     )

@@ -8,6 +8,7 @@ oracles) only needs psi, its derivatives, and the coupling matrix J.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +29,10 @@ class SingleSitePotential:
     frequency: float = 0.0
 
     def __post_init__(self):
-        if self.q <= 0:
-            raise ValueError("quadratic coefficient q must be positive")
+        if not 0 < self.q < math.inf:  # false for NaN as well
+            raise ValueError("quadratic coefficient q must be positive and finite")
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.frequency)):
+            raise ValueError("amplitude and frequency must be finite")
         if self.perturbation not in ("none", "cosine"):
             raise ValueError(f"unknown perturbation {self.perturbation!r}")
         if self.perturbation == "none" and (self.amplitude != 0.0 or self.frequency != 0.0):
@@ -100,12 +103,16 @@ class Coupling:
 
 
 def nearest_neighbor_coupling(epsilon: float) -> Coupling:
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     return Coupling(kind="nearest_neighbor", epsilon=epsilon)
 
 
 def algebraic_coupling(c: float, alpha: float, d: int) -> Coupling:
-    if c <= 0 or alpha <= 0:
-        raise ValueError("algebraic coupling needs c > 0 and alpha > 0")
+    if not (0 < c < math.inf and 0 < alpha < math.inf):
+        raise ValueError("algebraic coupling needs finite c > 0 and alpha > 0")
+    if not isinstance(d, numbers.Integral) or isinstance(d, bool):
+        raise ValueError(f"algebraic coupling needs an integer d, got {d!r}")
     return Coupling(kind="algebraic", c=c, alpha=alpha, d=d)
 
 

@@ -59,8 +59,8 @@ class GridSpec:
     spacing: float  # h
 
     def __post_init__(self):
-        if self.box_halfwidth <= 0 or self.spacing <= 0:
-            raise ValueError("grid needs positive box halfwidth and spacing")
+        if not (0 < self.box_halfwidth < math.inf and 0 < self.spacing < math.inf):
+            raise ValueError("grid needs finite, positive box halfwidth and spacing")
         if self.spacing >= self.box_halfwidth:
             raise ValueError("grid spacing must resolve the box")
 

@@ -1,12 +1,19 @@
+import copy
 import json
 import math
+import runpy
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gibbscert.cli import ConfigError, load_config, main, parse_config, run_experiment
 from gibbscert.reporting import load_report, report_bytes
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def base_model_block(n=8, eps=0.2):
@@ -90,7 +97,7 @@ def test_invalid_sampler_values_rejected(key, value):
     sampler = {"chains": 8, "steps": 20000, "burn_in": 2000, "proposal_std": 1.5, "seed": 1}
     sampler[key] = value
     cfg = {"model": base_model_block(2, 0.0), "experiment": {"kind": "mcmc_check"}, "sampler": sampler}
-    with pytest.raises(ConfigError, match=f"sampler: .*{key}"):
+    with pytest.raises(ConfigError, match=rf"sampler\.{key}: must be "):
         parse_config(cfg)
 
 
@@ -119,6 +126,182 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad = write_config(tmp_path, {"model": base_model_block()}, "bad.json")
     assert main(["--config", str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
+    assert main(["--config", str(tmp_path / "missing.json")]) == 2  # was a traceback and exit 1
+    assert "config error: [Errno 2]" in capsys.readouterr().err
+
+
+def edited(raw, edits):
+    """A deep copy of ``raw`` with each path (``a.b[2].c``) set to its value; ``...`` deletes the key."""
+    raw = copy.deepcopy(raw)
+    for path, value in edits.items():
+        keys = [int(k[1:-1]) if k.startswith("[") else k for k in path.replace("[", ".[").split(".")]
+        block = raw
+        for key in keys[:-1]:
+            block = block[key]
+        if value is ...:
+            del block[keys[-1]]
+        else:
+            block[keys[-1]] = value
+    return raw
+
+
+SAMPLER = {"chains": 8, "steps": 2000, "burn_in": 200, "proposal_std": 1.5, "seed": 1}
+GRID = {"L": 6.0, "h": 0.5}
+RAGGED = [[0, 1], [1]]
+
+# Configs that parsed and then ended in a traceback, ran to a "failed" verdict
+# on a bad input, passed on a bad input, or were refused only after sampling
+# had started. Each must exit 2 before any work, naming the offending key.
+PROBES = {
+    "text-q": ({"model.potential.q": "x"}, "model.potential.q"),
+    "bool-q": ({"model.potential.q": True}, "model.potential.q"),
+    "nan-q": ({"model.potential.q": math.nan}, "model.potential.q"),
+    "inf-q": ({"model.potential.q": math.inf}, "model.potential.q"),
+    "negative-q": ({"model.potential.q": -1}, "model.potential.q"),
+    "nan-amplitude": (
+        {"model.potential.perturbation": {"kind": "cosine", "amplitude": math.nan, "frequency": 1.0}},
+        "model.potential.perturbation.amplitude",
+    ),
+    "inf-amplitude": (
+        {"model.potential.perturbation": {"kind": "cosine", "amplitude": math.inf, "frequency": 1.0}},
+        "model.potential.perturbation.amplitude",
+    ),
+    "number-potentials": ({"model.potential": ..., "model.potentials": 5}, "model.potentials"),
+    "ragged-metric-table": ({"model.geometry": {"kind": "explicit", "metric_table": RAGGED}}, "model.geometry.metric_table"),
+    "text-sides": ({"model.geometry.side_lengths": "4"}, "model.geometry.side_lengths"),
+    "fractional-side": ({"model.geometry.side_lengths": [4.5]}, "model.geometry.side_lengths[0]"),
+    "bool-side": ({"model.geometry.side_lengths": [True]}, "model.geometry.side_lengths[0]"),
+    "zero-side": ({"model.geometry.side_lengths": [0]}, "model.geometry.side_lengths[0]"),
+    "ragged-matrix": ({"model.coupling": {"kind": "explicit", "matrix": RAGGED}}, "model.coupling.matrix"),
+    "text-d": ({"model.coupling": {"kind": "algebraic", "c": 0.1, "alpha": 1.0, "d": "x"}}, "model.coupling.d"),
+    "fractional-d": ({"model.coupling": {"kind": "algebraic", "c": 0.1, "alpha": 1.0, "d": 1.7}}, "model.coupling.d"),
+    "negative-alpha": ({"model.coupling": {"kind": "algebraic", "c": 0.1, "alpha": -1, "d": 1}}, "model.coupling.alpha"),
+    "text-epsilon": ({"model.coupling.epsilon": "0.1"}, "model.coupling.epsilon"),
+    "nan-epsilon": ({"model.coupling.epsilon": math.nan}, "model.coupling.epsilon"),
+    "inf-epsilon": ({"model.coupling.epsilon": math.inf}, "model.coupling.epsilon"),
+    "text-proposal-std": (
+        {"experiment.kind": "mcmc_check", "sampler": {**SAMPLER, "proposal_std": "1.5"}},
+        "sampler.proposal_std",
+    ),
+    "text-grid-L": (
+        {"model.geometry.side_lengths": [2], "experiment.kind": "pde_check", "grid": {"L": "6", "h": 0.5}},
+        "grid.L",
+    ),
+    "empty-epsilons": (
+        {"model.geometry.side_lengths": [4, 4], "experiment": {"kind": "threshold_scan", "epsilons": []}},
+        "experiment.epsilons",
+    ),
+    "text-epsilons": (
+        {"model.geometry.side_lengths": [4, 4], "experiment": {"kind": "threshold_scan", "epsilons": "123"}},
+        "experiment.epsilons",
+    ),
+    "text-core-identity": (
+        {"model.geometry.side_lengths": [2], "experiment": {"kind": "pde_check", "core_identity": "no"}, "grid": GRID},
+        "experiment.core_identity",
+    ),
+    "number-output-path": ({"output": {"path": 3}}, "output.path"),
+    "unknown-compare": (
+        {"experiment": {"kind": "mcmc_check", "compare": "exakt"}, "sampler": SAMPLER},
+        "experiment.compare",
+    ),
+    "exact-compare-on-cosine": (
+        {
+            "model.potential.perturbation": {"kind": "cosine", "amplitude": 0.1, "frequency": 1.0},
+            "experiment": {"kind": "mcmc_check", "compare": "exact"},
+            "sampler": SAMPLER,
+        },
+        "experiment.compare",
+    ),
+    "pde-check-on-3-sites": (
+        {"model.geometry.side_lengths": [3], "experiment.kind": "pde_check", "grid": GRID},
+        "model.geometry",
+    ),
+    "algebraic-certificate-on-nn": ({"experiment.kind": "algebraic_certificate"}, "model.coupling.kind"),
+    "sharpness-on-cosine": (
+        {
+            "model.potential.perturbation": {"kind": "cosine", "amplitude": 0.1, "frequency": 1.0},
+            "experiment.kind": "gaussian_sharpness",
+        },
+        "experiment.kind",
+    ),
+    "sharpness-antiferromagnetic": (
+        {"model.coupling.epsilon": -0.1, "experiment.kind": "gaussian_sharpness"},
+        "model.coupling.epsilon",
+    ),
+    "threshold-scan-on-a-ring": ({"experiment": {"kind": "threshold_scan", "epsilons": [0.05]}}, "model.geometry"),
+}
+
+
+@pytest.mark.parametrize("edits, path", PROBES.values(), ids=PROBES.keys())
+def test_invalid_config_exits_2_naming_the_key(tmp_path, capsys, edits, path):
+    raw = edited({"model": base_model_block(8, 0.1), "experiment": {"kind": "bound_report"}}, edits)
+    config = write_config(tmp_path, raw)
+    assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: "), err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_duplicate_key_exits_2(tmp_path, capsys):
+    # json.loads kept the last value, so this certified epsilon = 0.01
+    text = json.dumps({"model": base_model_block(8, 0.5), "experiment": {"kind": "bound_report"}})
+    text = text.replace('"epsilon": 0.5', '"epsilon": 0.5, "epsilon": 0.01')
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "duplicate key 'epsilon'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_strong_coupling_is_valid_and_fails_verification(tmp_path, capsys):
+    # epsilon = 5 is a well-formed config whose A is not positive definite
+    config = write_config(tmp_path, {"model": base_model_block(8, 5.0), "experiment": {"kind": "bound_report"}})
+    assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert "verification failed: bound_report" in capsys.readouterr().err
+
+
+def leaves(value, path=""):
+    """(path, value) of every leaf below ``value``: each list as a whole, and each of its items."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from leaves(item, f"{path}.{key}" if path else key)
+        return
+    yield path, value
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from leaves(item, f"{path}[{i}]")
+
+
+SHIPPED = {p.name: json.loads(p.read_text()) for p in sorted((ROOT / "configs").glob("*.json"))}
+MUTATIONS = ["x", "123", None, {}, [], True, False, math.nan, math.inf, -math.inf, -1, -2.5]
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_mutated_shipped_configs_parse_or_name_the_leaf(data):
+    raw = SHIPPED[data.draw(st.sampled_from(sorted(SHIPPED)))]
+    path, value = data.draw(st.sampled_from(list(leaves(raw))))
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    extra = [-value, str(value)] if numeric else []  # the value negated, and as digits
+    mutant = data.draw(st.sampled_from(MUTATIONS + extra))
+    try:
+        parse_config(edited(raw, {path: mutant}))
+    except ConfigError as exc:
+        assert str(exc).startswith(f"{path}: "), (path, mutant, str(exc))
+
+
+def test_every_bench_request_parses():
+    # a refused request would count as a failed operation of the benchmark
+    workloads = runpy.run_path(str(ROOT / "bench" / "workloads.py"))  # compiled in memory: writes nothing under bench/
+    requests = [raw for configs in workloads["WARMUP"].values() for raw in configs]
+    for workload in workloads["CELLS"]:
+        for seed in (1, 101):
+            for index in range(3):
+                requests += workloads["cycle"](workload, seed, index)
+    assert len(requests) == 2 * 3 * (14 + 14 + 8) + 10
+    for raw in requests:
+        parse_config(raw)
 
 
 def test_gaussian_sharpness_report(tmp_path):
@@ -181,7 +364,7 @@ def test_threshold_scan_rejects_non_finite_epsilons():
         "model": base_model_block(4, 0.05),
         "experiment": {"kind": "threshold_scan", "epsilons": [0.05, math.inf, math.nan]},
     }
-    with pytest.raises(ConfigError, match=r"experiment\.epsilons: .*\[inf, nan\]"):
+    with pytest.raises(ConfigError, match=r"experiment\.epsilons\[1\]: must be a finite number, got inf"):
         parse_config(raw)
 
 
@@ -206,13 +389,13 @@ def pde_config(functions):
 @pytest.mark.parametrize(
     "spec, message",
     [
-        ({"kind": "coordinate", "site": -1}, r"site must be an integer in \[0, 2\), got -1"),
+        ({"kind": "coordinate", "site": -1}, r"\.site: must be a non-negative integer, got -1"),
         ({"kind": "sin", "site": 0.7}, "got 0.7"),
         ({"kind": "coordinate", "site": True}, "got True"),
         ({"kind": "cubic", "site": 2}, "got 2"),
         ({"kind": "affine", "weights": [1.0]}, r"affine needs 2 weights, got \[1.0\]"),
-        ({"kind": "affine", "weights": [1.0, math.nan]}, "must be finite"),
-        ({"kind": "affine", "weights": [1.0, 1.0], "offset": math.inf}, "must be finite"),
+        ({"kind": "affine", "weights": [1.0, math.nan]}, r"\.weights\[1\]: must be a finite number, got nan"),
+        ({"kind": "affine", "weights": [1.0, 1.0], "offset": math.inf}, r"\.offset: must be a finite number, got inf"),
         ({"kind": "quartic"}, r"\.kind: unknown kind 'quartic'"),
     ],
     ids=[
@@ -258,7 +441,7 @@ def test_invalid_max_violations_rejected(value):
 )
 def test_invalid_tolerance_rejected(value):
     raw = {"model": base_model_block(), "experiment": {"kind": "gaussian_sharpness", "tolerance": value}}
-    with pytest.raises(ConfigError, match="experiment.tolerance: must be finite and positive"):
+    with pytest.raises(ConfigError, match=r"experiment\.tolerance: must be a finite positive number"):
         parse_config(raw)
 
 

@@ -159,6 +159,15 @@ def test_distance_tables_cached_read_only():
                 table[0, 1] = 7.0
 
 
+@pytest.mark.parametrize(
+    "sides", [[4.5], [True], "4", [0], [4, -1]], ids=["fractional", "bool", "text", "zero", "negative"]
+)
+def test_periodic_grid_rejects_bad_sides(sides):
+    # int() read [4.5] as a 4-site ring, [True] as 1 site and "4" as [4]
+    with pytest.raises(ValueError, match="side lengths must be"):
+        periodic_grid(sides)
+
+
 def test_explicit_metric_rejects_non_finite_entries():
     inf = float("inf")
     # the leading 3x3 block violates the triangle inequality; an inf entry

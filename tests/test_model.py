@@ -141,6 +141,34 @@ def test_single_site_pi_constant_rejects_bad_q():
         gaussian_potential(0.0)
 
 
+@pytest.mark.parametrize(
+    "q, amplitude, frequency",
+    [(math.nan, 0.1, 1.0), (math.inf, 0.1, 1.0), (1.0, math.nan, 1.0), (1.0, 0.1, -math.inf)],
+    ids=["nan-q", "inf-q", "nan-amplitude", "inf-frequency"],
+)
+def test_potential_rejects_non_finite_parameters(q, amplitude, frequency):
+    # q <= 0 let a NaN q through
+    with pytest.raises(ValueError, match="finite"):
+        cosine_potential(q, amplitude, frequency)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: nearest_neighbor_coupling(math.nan), "epsilon must be finite"),
+        (lambda: nearest_neighbor_coupling(-math.inf), "epsilon must be finite"),
+        (lambda: algebraic_coupling(math.inf, 1.0, 1), "finite c > 0"),
+        (lambda: algebraic_coupling(0.1, math.nan, 1), "finite c > 0"),
+        (lambda: algebraic_coupling(0.1, 1.0, 1.7), "integer d"),
+        (lambda: algebraic_coupling(0.1, 1.0, True), "integer d"),
+    ],
+    ids=["nan-epsilon", "inf-epsilon", "inf-c", "nan-alpha", "fractional-d", "bool-d"],
+)
+def test_couplings_reject_non_finite_or_fractional_parameters(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 @given(st.floats(min_value=0.0, max_value=2.0), st.floats(min_value=0.0, max_value=2.0))
 @settings(max_examples=50)
 def test_pi_constant_monotone_in_oscillation(a1, a2):

@@ -182,6 +182,15 @@ def test_tail_mass_estimate_blocks_small_boxes():
         solve_potential(model, coordinate(0, 2), GridSpec(3.0, 0.05))
 
 
+@pytest.mark.parametrize(
+    "L, h", [(math.nan, 0.1), (math.inf, 0.1), (6.0, math.nan)], ids=["nan-L", "inf-L", "nan-h"]
+)
+def test_grid_spec_rejects_non_finite_sizes(L, h):
+    # NaN and inf passed both comparisons of the old check
+    with pytest.raises(ValueError, match="finite"):
+        GridSpec(L, h)
+
+
 def test_more_than_two_sites_rejected():
     geom = periodic_grid([3])
     model = GibbsModel(geom, gaussian_potential(1.0), nearest_neighbor_coupling(0.1))
@@ -261,10 +270,10 @@ def test_multigrid_iterations_do_not_grow_with_the_grid(m):
         assert pf.residual <= RESIDUAL_RTOL
 
 
-def test_cold_fine_solve_converges():
+def test_cold_fine_solve_converges(cold_fine_solve):
     # the cosine-transform preconditioner stalled here at 1.01e-10 after 41 iterations
-    solver = PotentialSolver(two_site_model(0.2, a=0.1), GridSpec(6.0, 0.005))
-    for pf in solver.solve_many(criterion_3_functions()):
+    assert cold_fine_solve["grid"] == GridSpec(6.0, 0.005)
+    for pf in cold_fine_solve["fields"]:
         assert pf.residual <= RESIDUAL_RTOL
 
 
