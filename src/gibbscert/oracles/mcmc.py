@@ -1,49 +1,44 @@
-"""Random-scan Metropolis estimation of covariances.
+"""Checkerboard Metropolis estimation of covariances.
 
 Chains are fully independent: chain i draws from its own generator seeded by
 splitmix64((splitmix64(master) + i) mod 2**64), so runs are reproducible bit
 for bit, chains stay independent no matter how many run, and distinct master
 seeds run distinct chains.
 
-The chains are split into contiguous groups, one per CPU this thread may run
-on (at most one per chain, and each of at least FORK_MIN_STEPS chain-steps),
-and run by one forked worker per group after the first (see _fork).  Every
-chain adds its moment sums and accept count to its own rows of one anonymous
-shared mmap, allocated before the fork.  A chain's sums do not depend on
-which process ran it, and the reduction after the join reads the rows in
-chain order, so the output is the same bit for bit at any worker count.
+All chains run together as one (n, chains) state.  A greedy colouring of the
+nonzero graph of J splits the sites into colour classes, no two sites of a
+class coupled, and the sites are permuted so that each class is one
+contiguous row block.  A sweep updates the classes in order; the sites of a
+class do not interact, so one numpy step proposes and accepts or rejects a
+whole class in every chain at once (chromatic sampling: Gonzalez, Low,
+Gretton & Guestrin, "Parallel Gibbs Sampling: From Colored Fields to Thin
+Junction Trees", AISTATS 2011).  A dense J gives one class per site, which is
+then vectorized over chains only.
 
-Within a group the chains run one after another, each one step at a time in
-Python floats; the walk only decides accepts.  psi(x_s) is cached per site,
-so a step evaluates psi once, at the proposal, and skips the cosine where the
-amplitude is zero, as it would only add a signed zero; on an accept the cache
-takes that value when x_s + d == prop (the same float up to the sign of zero,
-which psi ignores) and is recomputed otherwise, so it is bit-equal to a fresh
-evaluation.  An accepted move updates the linear field J x over the nonzero
-entries of J's row s only, O(nnz of that row), and records its step and new
-value.  After each block numpy rebuilds the kept states from these records
-by a forward fill (_replay) and folds them into the chain's moment sums by
-one matrix product per max(1, _FOLD // n) rows, the partition of a per-step
-copy, so the sums are the same bit for bit.  Standard errors come from the
-spread of the per-chain covariance estimates, which sidesteps within-chain
-autocorrelation.
+`steps` counts site updates per chain: a run is steps // n sweeps, the burn-in
+is rounded up to whole sweeps, and one state is kept per sweep after it.  Per
+block of _BLOCK sweeps each chain draws rng.normal(0, proposal_std, (B, n))
+and then rng.random((B, n)), indexed by the original site.
+
+Standard errors come from the spread of the per-chain covariance estimates,
+which sidesteps within-chain autocorrelation; each chain's estimate is taken
+around the mean of all chains, since a per-chain mean biases it by about the
+autocorrelation time over the run length.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
-from .. import _fork
-from .._fork import cpus as _cpus
+from .._blas import single_threaded
 from ..model import GibbsModel
 
-_BLOCK = 8192  # steps drawn per generator call
-_FOLD = 1 << 17  # kept floats buffered per chain before a moment fold
-FORK_MIN_STEPS = 16_000  # chain-steps a forked group must carry to repay its fork
+_BLOCK = 512  # sweeps drawn per generator call
+_SLAB = 64  # sweeps whose draws are moved into class order at a time
+_GROUP = 64  # chains moved together, a piece that stays in cache
 MASK64 = (1 << 64) - 1
 
 
@@ -81,132 +76,161 @@ class SamplerConfig:
         if not 0 < self.proposal_std < math.inf:
             raise ValueError("proposal_std must be positive and finite")
 
-
-def _site_table(model: GibbsModel):
-    """Per site: (0.5*q, amplitude, frequency, [(j, J[s, j]) for nonzero j])."""
-    J = model.coupling_matrix()
-    half_q = (0.5 * model.q).tolist()
-    amp, freq = model.amplitude.tolist(), model.frequency.tolist()
-    table = []
-    for s in range(model.n_sites):
-        nz = np.flatnonzero(J[s])
-        row = list(zip(nz.tolist(), J[s, nz].tolist()))
-        table.append((half_q[s], amp[s], freq[s], row))
-    return table
+    def sweeps(self, n_sites: int) -> tuple[int, int]:
+        """(sweeps run, burn-in sweeps) on n_sites sites; at least 2 sweeps are kept."""
+        total, burn = self.steps // n_sites, -(-self.burn_in // n_sites)
+        if total - burn < 2:
+            raise ValueError(
+                f"steps = {self.steps} and burn_in = {self.burn_in} keep {max(total - burn, 0)} "
+                f"sweeps of {n_sites} site updates; need at least 2"
+            )
+        return total, burn
 
 
-def _fold(rows: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> None:
-    """Add the kept states `rows` (one per row) to one chain's moment sums."""
-    s1 += rows.sum(0)
-    s2 += rows.T @ rows
+def colour_classes(J: np.ndarray) -> list[np.ndarray]:
+    """Greedy colouring of J's nonzero graph in site order: each site takes the
+    smallest colour none of its coupled sites has.  Returns the sites of each
+    colour, ascending."""
+    n = len(J)
+    coupled = (J != 0) | (J.T != 0)
+    colour = np.zeros(n, np.intp)
+    for s in range(1, n):
+        used = set(colour[:s][coupled[s, :s]].tolist())
+        colour[s] = next(c for c in range(n) if c not in used)
+    return [np.flatnonzero(colour == c) for c in range(colour.max() + 1)]
 
 
-def _replay(carry, events, start, values, out) -> None:
-    """Fill out[k] with the chain's state after step start + k of its block.
+def t_two_sided_tail(t: float, dof: int) -> float:
+    """P(|T| > t) for Student's t with an integer number of degrees of freedom.
 
-    carry[s] indexes site s's value before the piece in `values` and moves to
-    the piece's last row.  `events` holds each accept's step (earlier ones
-    count as the first), site and value index in time order, so a running
-    maximum down the steps picks each site's latest; one gather reads them.
+    The closed forms of Abramowitz & Stegun 26.7.3 (odd dof) and 26.7.4 (even
+    dof), summed term by term in theta = atan(t / sqrt(dof)).
     """
-    at, sites, marks = events
-    idx = np.empty(out.shape, np.intp)
-    idx[:] = carry
-    np.maximum.at(idx, (np.maximum(at - start, 0), sites), marks)
-    np.maximum.accumulate(idx, axis=0, out=idx)
-    np.take(values, idx, out=out)
-    carry[:] = idx[-1]
+    theta = math.atan(t / math.sqrt(dof))
+    cos2 = math.cos(theta) ** 2
+    if dof % 2:
+        term = series = math.cos(theta) if dof > 1 else 0.0
+        for k in range(1, (dof - 1) // 2):
+            term *= cos2 * (2 * k) / (2 * k + 1)
+            series += term
+        inside = 2.0 / math.pi * (theta + math.sin(theta) * series)
+    else:
+        term = series = 1.0
+        for k in range(1, dof // 2):
+            term *= cos2 * (2 * k - 1) / (2 * k)
+            series += term
+        inside = math.sin(theta) * series
+    return 1.0 - inside
 
 
-def _run_chain(rng, table, cfg: SamplerConfig, s1: np.ndarray, s2: np.ndarray) -> int:
-    """Run one chain from x = 0, add its kept states to (s1, s2); return accepts.
+def false_fail_probability(chains: int, pairs: int, max_violations: int) -> float:
+    """Chance that exact sampling puts more than max_violations of `pairs`
+    estimates outside 3 standard errors.
 
-    The draws are taken per block of _BLOCK steps (sites, then moves, then
-    uniforms) and walked as Python floats.  The energy change is
-    psi(prop) - psi(x_s) - (prop - x_s) * ell_s with the linear field
-    ell = J x, which an accepted move updates over the nonzero entries of
-    J's row only.  Kept states are rebuilt in pieces of at most one fold.
+    Each pair's statistic is taken as Student-t with chains - 1 degrees of
+    freedom, and the pairs as independent, so the count is binomial.
     """
-    n = len(table)
-    cos = math.cos
-    fold_rows = max(1, _FOLD // n)
-    x, ell = [0.0] * n, [0.0] * n
-    psi = [hq * (xs * xs) + a * cos(f * xs) for (hq, a, f, _), xs in zip(table, x)]
-    buf = np.empty((fold_rows, n))
-    filled = accepted = done = 0
-    while done < cfg.steps:
-        block = min(_BLOCK, cfg.steps - done)
-        site_draws = rng.integers(0, n, size=block)
-        moves = rng.normal(0.0, cfg.proposal_std, size=block).tolist()
-        logu = np.log(np.maximum(rng.random(size=block), 1e-320)).tolist()
-        values, at = x[:], []  # the state before the block, then each accept's value and step
-        for t, s, move, lu in zip(range(block), site_draws.tolist(), moves, logu):
-            hq, a, f, row = table[s]
-            xs = x[s]
-            prop = xs + move
-            d = prop - xs
-            psi_prop = hq * (prop * prop)
-            if a:
-                psi_prop += a * cos(f * prop)
-            if lu < -(psi_prop - psi[s] - d * ell[s]):
-                x[s] = v = xs + d
-                psi[s] = psi_prop if v == prop else hq * (v * v) + a * cos(f * v)
-                for j, w in row:
-                    ell[j] += d * w
-                at.append(t)
-                values.append(v)
-        accepted += len(at)
-        at, values, carry = np.array(at, np.intp), np.array(values), np.arange(n)
-        events = np.stack((at, site_draws[at], n + np.arange(len(at))))
-        lo, t = 0, max(0, cfg.burn_in - done)  # steps before t are burn-in
-        while t < block:
-            stop = min(block, t + fold_rows - filled)
-            hi = np.searchsorted(at, stop)
-            _replay(carry, events[:, lo:hi], t, values, buf[filled : filled + stop - t])
-            filled += stop - t
-            lo, t = hi, stop
-            if filled == fold_rows:
-                _fold(buf, s1, s2)
-                filled = 0
-        done += block
-    if filled:
-        _fold(buf[:filled], s1, s2)
-    return accepted
+    p = t_two_sided_tail(3.0, chains - 1)
+    kept = sum(math.comb(pairs, k) * p**k * (1.0 - p) ** (pairs - k) for k in range(min(max_violations, pairs) + 1))
+    return max(0.0, 1.0 - kept)
 
 
 def mcmc_covariance_matrix(model: GibbsModel, cfg: SamplerConfig):
     """Pooled estimate and stderr of cov(x_i, x_j) for every coordinate pair.
 
-    The chains run in contiguous groups, one per CPU (see the module
-    docstring); each chain adds its kept states, T rows at a time, to its
-    moment sums as s1 += T.sum(0), s2 += T.T @ T.  Returns
-    (cov, stderr, acceptance_rate).
+    Returns (cov, stderr, acceptance_rate); see the module docstring.
     """
-    n = model.n_sites
-    C = cfg.chains
-    table = _site_table(model)
-    shared = mmap.mmap(-1, 8 * C * (1 + n + n * n))  # MAP_SHARED, zero-filled
-    accepts = np.frombuffer(shared, np.int64, C)
-    s1 = np.frombuffer(shared, float, C * n, 8 * C).reshape(C, n)
-    s2 = np.frombuffer(shared, float, C * n * n, 8 * C * (1 + n)).reshape(C, n, n)
+    with single_threaded():  # the last bits of a product depend on the BLAS thread count
+        return _run(model, cfg)
 
-    def run(chains):
-        for c in chains:
-            s1[c] = 0.0  # a chain rerun after its worker died starts afresh
-            s2[c] = 0.0
-            rng = np.random.default_rng(chain_seed(cfg.seed, c))
-            accepts[c] = _run_chain(rng, table, cfg, s1[c], s2[c])
 
-    cpus = _cpus()
-    _fork.run(run, _fork.split(C, -(-FORK_MIN_STEPS // cfg.steps), cpus), cpus)
-    rate = int(accepts.sum()) / (cfg.steps * C)
+def _run(model: GibbsModel, cfg: SamplerConfig):
+    n, C = model.n_sites, cfg.chains
+    total, burn = cfg.sweeps(n)
+    classes = colour_classes(model.coupling_matrix())
+    perm = np.concatenate(classes)
+    # In class order, the Gaussian part of an update's energy change is
+    # d^2 q/2 - d (J - diag q) x: one product with the class rows of Jq.
+    Jq = model.coupling_matrix()[np.ix_(perm, perm)] - np.diag(model.q[perm])
+    half_q = 0.5 * model.q  # by original site, like the draws
+    amp, freq = model.amplitude[perm, None], model.frequency[perm, None]
+    x = np.zeros((n, C))
+    cached = amp * np.cos(freq * x)  # amp cos(freq x) per site and chain
 
-    count = cfg.steps - cfg.burn_in
+    # Per slab, the moves d and thresholds W = d^2 q/2 + log u in class order;
+    # an update is accepted where W < d (Jq x) + cached - amp cos(freq (x + d)).
+    moves, thresholds = np.empty((2, _SLAB, n, C))
+    accepts = np.empty((_SLAB, n, C), bool)
+    kept = np.empty((C, _SLAB, n))
+    sweep = [[] for _ in range(_SLAB)]
+    stop = 0
+    for sites in classes:
+        rows = slice(stop, stop + len(sites))
+        stop = rows.stop
+        g, step = np.empty((2, len(sites), C))
+        work = None
+        if np.any(amp[rows]):
+            ar, fr = (np.repeat(v[rows], C, axis=1) for v in (amp, freq))
+            work = (np.empty_like(g), cached[rows], ar, fr)
+        for b in range(_SLAB):
+            sweep[b].append((Jq[rows], g, step, x[rows], moves[b, rows], thresholds[b, rows], accepts[b, rows], work))
+
+    dot, mul, add, sub, less, cos, copyto = (np.dot, np.multiply, np.add, np.subtract, np.less, np.cos, np.copyto)
+    rngs = [np.random.default_rng(chain_seed(cfg.seed, i)) for i in range(C)]
+    drawn = np.empty((2, C, min(_BLOCK, total), n))  # per chain, by original site
+    s1, s2 = np.zeros((C, n)), np.zeros((C, n, n))
+    accepted = 0
+    for block in range(0, total, _BLOCK):
+        normal, uniform = drawn[:, :, : min(_BLOCK, total - block)]
+        for i, rng in enumerate(rngs):  # the draws of rng.normal(0, std, (B, n)), then rng.random((B, n))
+            rng.standard_normal(out=normal[i])
+            rng.random(out=uniform[i])
+        normal *= cfg.proposal_std
+        for slab in range(0, normal.shape[1], _SLAB):
+            S = min(_SLAB, normal.shape[1] - slab)
+            for start in range(0, C, _GROUP):
+                d = normal[start : start + _GROUP, slab : slab + S]
+                W = np.log(uniform[start : start + _GROUP, slab : slab + S])
+                W += half_q * d * d
+                cols = slice(start, start + _GROUP)
+                moves[:S, :, cols] = d.transpose(1, 2, 0)[:, perm]
+                thresholds[:S, :, cols] = W.transpose(1, 2, 0)[:, perm]
+            for b in range(S):
+                for J_rows, g, step, xr, db, wb, ab, work in sweep[b]:
+                    dot(J_rows, x, g)
+                    mul(g, db, g)
+                    if work is None:
+                        less(wb, g, ab)
+                        mul(db, ab, step)  # x + d or x + 0: no branch on a random mask
+                        add(xr, step, xr)
+                        continue
+                    cos_prop, cr, ar, fr = work
+                    add(xr, db, step)  # the proposal
+                    mul(step, fr, cos_prop)
+                    cos(cos_prop, cos_prop)
+                    mul(cos_prop, ar, cos_prop)
+                    add(g, cr, g)
+                    sub(g, cos_prop, g)
+                    less(wb, g, ab)
+                    copyto(xr, step, where=ab)
+                    copyto(cr, cos_prop, where=ab)
+                kept[:, b] = x.T
+            accepted += int(np.count_nonzero(accepts[:S]))
+            first = max(0, burn - block - slab)  # kept rows before it are burn-in
+            if first < S:
+                states = kept[:, first:S]
+                s1 += states.sum(1)
+                s2 += np.matmul(states.transpose(0, 2, 1), states)
+    rate = accepted / (total * n * C)
+
+    count = total - burn
     means = s1 / count
-    per_chain = s2 / count - means[:, :, None] * means[:, None, :]
-    diag = np.diagonal(per_chain, axis1=1, axis2=2)
-    if np.any(diag <= 0):
+    own = np.diagonal(s2, axis1=1, axis2=2) / count - means**2
+    if np.any(own <= 0):
         raise ValueError("a coordinate has zero variance along a chain")
-    est = np.mean(per_chain, axis=0)
-    err = np.std(per_chain, axis=0, ddof=1) / np.sqrt(C)
+    pooled = means.mean(0)
+    per_chain = s2 / count - means[:, :, None] * pooled - pooled[:, None] * means[:, None, :] + np.outer(pooled, pooled)
+    back = np.ix_(np.argsort(perm), np.argsort(perm))
+    est = np.mean(per_chain, axis=0)[back]
+    err = (np.std(per_chain, axis=0, ddof=1) / np.sqrt(C))[back]
     return est, err, rate

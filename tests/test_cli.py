@@ -148,6 +148,7 @@ def edited(raw, edits):
 SAMPLER = {"chains": 8, "steps": 2000, "burn_in": 200, "proposal_std": 1.5, "seed": 1}
 GRID = {"L": 6.0, "h": 0.5}
 RAGGED = [[0, 1], [1]]
+BOOLS = [[0, True], [True, 0]]  # numpy reads it as the int64 table [[0, 1], [1, 0]]
 
 # Configs that parsed and then ended in a traceback, ran to a "failed" verdict
 # on a bad input, passed on a bad input, or were refused only after sampling
@@ -173,6 +174,12 @@ PROBES = {
     "bool-side": ({"model.geometry.side_lengths": [True]}, "model.geometry.side_lengths[0]"),
     "zero-side": ({"model.geometry.side_lengths": [0]}, "model.geometry.side_lengths[0]"),
     "ragged-matrix": ({"model.coupling": {"kind": "explicit", "matrix": RAGGED}}, "model.coupling.matrix"),
+    "bool-in-metric-table": ({"model.geometry": {"kind": "explicit", "metric_table": BOOLS}}, "model.geometry.metric_table"),
+    "bool-in-matrix": ({"model.coupling": {"kind": "explicit", "matrix": BOOLS}}, "model.coupling.matrix"),
+    "bool-in-float-matrix": (
+        {"model.coupling": {"kind": "explicit", "matrix": [[0.0] * 7 + [False]] + [[0.0] * 8] * 7}},
+        "model.coupling.matrix",
+    ),
     "text-d": ({"model.coupling": {"kind": "algebraic", "c": 0.1, "alpha": 1.0, "d": "x"}}, "model.coupling.d"),
     "fractional-d": ({"model.coupling": {"kind": "algebraic", "c": 0.1, "alpha": 1.0, "d": 1.7}}, "model.coupling.d"),
     "negative-alpha": ({"model.coupling": {"kind": "algebraic", "c": 0.1, "alpha": -1, "d": 1}}, "model.coupling.alpha"),
@@ -182,6 +189,10 @@ PROBES = {
     "text-proposal-std": (
         {"experiment.kind": "mcmc_check", "sampler": {**SAMPLER, "proposal_std": "1.5"}},
         "sampler.proposal_std",
+    ),
+    "one-kept-sweep": (  # 8 sites: 3 sweeps, 2 of them burn-in
+        {"experiment.kind": "mcmc_check", "sampler": {**SAMPLER, "steps": 24, "burn_in": 9}},
+        "sampler.steps",
     ),
     "text-grid-L": (
         {"model.geometry.side_lengths": [2], "experiment.kind": "pde_check", "grid": {"L": "6", "h": 0.5}},
@@ -501,6 +512,17 @@ def test_mcmc_check_runs_and_passes(tmp_path):
     assert passed
     assert report["results"]["violations"] <= report["results"]["max_violations"]
     assert 0.0 < report["results"]["acceptance_rate"] < 1.0
+
+
+def test_mcmc_check_states_its_false_fail_probability(tmp_path):
+    # 8 chains and 36 pairs with 1 violation allowed: under exact sampling the
+    # 3-stderr rule fails about one run in six
+    cfg = load_config(ROOT / "configs" / "mcmc_check_1d.json")
+    report, _ = run_experiment(cfg, tmp_path / "out")
+    results = report["results"]
+    assert (cfg.sampler.chains, results["max_violations"]) == (8, 1)
+    assert len((tmp_path / "out" / "pairs.csv").read_text().splitlines()) == 1 + 36
+    assert results["nominal_false_fail_probability"] == pytest.approx(0.16, abs=0.005)
 
 
 def test_pde_check_experiment(tmp_path):
