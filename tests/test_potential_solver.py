@@ -1,6 +1,8 @@
 """Grid-oracle tests, mostly on coarse grids; the acceptance suite runs the fine ones."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,3 +326,37 @@ def test_vcycle_preconditioner_is_symmetric_positive(model, m):
     asym = abs(U[0] @ BU[1] - U[1] @ BU[0])
     assert asym <= 1e-12 * np.linalg.norm(U[0]) * np.linalg.norm(BU[1])
     assert np.all(np.einsum("ij,ij->i", U, BU) > 0.0)
+
+
+@pytest.mark.parametrize("n_functions, budget", [(3, 40.0), (1, 20.5)])
+def test_solve_peak_memory_stays_in_budget(n_functions, budget):
+    # traced peak from set-up through the solve at m = 241, in m^2 doubles;
+    # the PCG holding a spare A p, z and rhs_hat per function read 42.9 and 21.8
+    m = 241
+    tracemalloc.start()
+    try:
+        solver = PotentialSolver(two_site_model(0.2, a=0.1), GridSpec(6.0, 12.0 / (m - 1)))
+        solver.solve_many(criterion_3_functions()[:n_functions])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solver.m == m
+    assert peak / (8 * m * m) <= budget
+
+
+@pytest.mark.parametrize(
+    "m, digest, iterations",
+    [
+        (121, "3f90b4cdf9574ed6b01e9103d216a473d006aa2031624346dd4e25bece768b46", [7, 7, 6]),
+        (120, "5cbb20e12643d3c4471c1ffed51e214082e66f18dd49649a5554aa3042e325fd", [8, 9, 8]),
+    ],
+    ids=["odd", "even"],
+)
+def test_solve_output_is_pinned(m, digest, iterations):
+    # computed once before the PCG shared one work array between A p, alpha p
+    # and z; a change of buffers or of operation order must not change a bit
+    solver = PotentialSolver(two_site_model(0.2, a=0.1), GridSpec(6.0, 12.0 / (m - 1)))
+    assert solver.m == m
+    fields = solver.solve_many(criterion_3_functions())
+    assert hashlib.sha256(b"".join(pf.phi.tobytes() for pf in fields)).hexdigest() == digest
+    assert [pf.iterations for pf in fields] == iterations
