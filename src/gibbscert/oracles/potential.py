@@ -83,9 +83,10 @@ class PotentialField:
     The quadratures read phi's gradient through its edge fluxes w d_axis(phi),
     with w the edge weights sqrt(mu_left mu_right): they and the gradient
     energies of phi and f are computed once, on first use, so phi and
-    f_values must not change after that.  A solver's fields share its node
-    coordinates and one edge_weights list, which the first quadrature fills
-    (after the solve and the phi.csv write, whose peak memory it would add to).
+    f_values must not change after that.  The fields of one solve_many share
+    their node coordinates, and a solver's fields share one edge_weights list,
+    which the first quadrature fills (after the solve and the phi.csv write,
+    whose peak memory it would add to).
     """
 
     model: GibbsModel

@@ -330,8 +330,9 @@ def test_vcycle_preconditioner_is_symmetric_positive(model, m):
 
 @pytest.mark.parametrize("n_functions, budget", [(3, 40.0), (1, 20.5)])
 def test_solve_peak_memory_stays_in_budget(n_functions, budget):
-    # traced peak from set-up through the solve at m = 241, in m^2 doubles;
-    # the PCG holding a spare A p, z and rhs_hat per function read 42.9 and 21.8
+    # traced peak from set-up through the solve at m = 241, in m^2 doubles:
+    # 32.5 and 16.2 here; a solve that keeps A p, z and rhs_hat besides the
+    # PCG's four batches, or the node coordinates through it, reads 42.9 and 21.8
     m = 241
     tracemalloc.start()
     try:
@@ -353,8 +354,9 @@ def test_solve_peak_memory_stays_in_budget(n_functions, budget):
     ids=["odd", "even"],
 )
 def test_solve_output_is_pinned(m, digest, iterations):
-    # computed once before the PCG shared one work array between A p, alpha p
-    # and z; a change of buffers or of operation order must not change a bit
+    # computed once from a PCG with separate A p and z arrays; sharing one
+    # work array, or any change of buffers or operation order, must not
+    # change a bit
     solver = PotentialSolver(two_site_model(0.2, a=0.1), GridSpec(6.0, 12.0 / (m - 1)))
     assert solver.m == m
     fields = solver.solve_many(criterion_3_functions())
