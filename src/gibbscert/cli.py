@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bounds as bnd
 from ._blas import single_threaded
-from .decay import algebraic_certificate, decay_profile, exponential_certificate
+from .decay import algebraic_certificate, exponential_certificate
 from .interaction import interaction_from_model, pi_criterion
 from .lattice import distance_matrix, explicit_metric, periodic_grid
 from .model import (
@@ -487,10 +487,10 @@ def _run_mcmc_check(cfg: ExperimentConfig, out_dir: Path):
     return results, rows, violations <= max_violations
 
 
-def _write_decay_csv(im, geom, out_dir: Path, euclidean: bool) -> None:
-    dist = distance_matrix(geom, euclidean=euclidean)
-    profile = np.array(decay_profile(im.inverse(), dist), dtype=float).reshape(-1, 2)
-    write_table(("distance", "max_abs_inverse"), profile.T, out_dir / "decay.csv")
+def _write_decay_csv(profile: list, out_dir: Path) -> None:
+    """decay.csv from a certificate's decay_profile rows."""
+    rows = np.array(profile, dtype=float).reshape(-1, 2)
+    write_table(("distance", "max_abs_inverse"), rows.T, out_dir / "decay.csv")
 
 
 def _run_exponential_certificate(cfg: ExperimentConfig, out_dir: Path):
@@ -501,7 +501,7 @@ def _run_exponential_certificate(cfg: ExperimentConfig, out_dir: Path):
     rows = None
     if cert.passed:
         rows = _gaussian_rows(model, delta, cert.prefactor * np.exp(-delta))
-        _write_decay_csv(im, model.geometry, out_dir, euclidean=False)
+        _write_decay_csv(cert.profile, out_dir)
     results = {"constants": _model_constants(model), "certificate": cert.to_dict()}
     passed = cert.passed and _failures(rows) == 0
     return results, rows, passed
@@ -520,7 +520,7 @@ def _run_algebraic_certificate(cfg: ExperimentConfig, out_dir: Path):
         scale = float(np.max(inv))
         tol = np.full_like(inv, 1e-10 * scale)
         rows = _pair_rows(r, bound, inv, tol, inv <= bound * (1 + 1e-10) + 1e-300)
-        _write_decay_csv(im, geom, out_dir, euclidean=True)
+        _write_decay_csv(cert.profile, out_dir)
     results = {"constants": _model_constants(model), "certificate": cert.to_dict()}
     passed = cert.passed and _failures(rows) == 0
     return results, rows, passed

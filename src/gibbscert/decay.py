@@ -40,6 +40,8 @@ class DecayCertificate:
     fitted_exponent: float | None = None
     fit_range: tuple[float, float] | None = None
     reason: str | None = None
+    # decay_profile(A^-1, distances) once the inverse exists; decay.csv reads it, report.json does not
+    profile: list | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         out = {
@@ -78,13 +80,13 @@ def tilt_inequality_audit(im: InteractionMatrix, geom: LatticeGeometry) -> float
     return float(np.max(violation))
 
 
-def _fit_decay_exponent(inv: np.ndarray, r: np.ndarray, lo: float, hi: float, log_distance: bool):
-    """Negated least-squares slope of log max|A^-1| over the distances in [lo, hi].
+def _fit_decay_exponent(profile: list, lo: float, hi: float, log_distance: bool):
+    """Negated least-squares slope of log max|A^-1| over the profile's distances in [lo, hi].
 
     Against log distance it estimates an algebraic exponent, against distance
     an exponential rate; None with fewer than 3 distances to fit.
     """
-    pts = [(lev, m) for lev, m in decay_profile(inv, r) if lo <= lev <= hi and m > 0]
+    pts = [(lev, m) for lev, m in profile if lo <= lev <= hi and m > 0]
     if len(pts) < 3:
         return None
     dist, peak = (np.array(col) for col in zip(*pts))
@@ -118,14 +120,14 @@ def exponential_certificate(im: InteractionMatrix, geom: LatticeGeometry) -> Dec
         )
     audit = tilt_inequality_audit(im, geom)
     constants["tilt_audit_max_violation"] = audit
-    inv = im.inverse()
     delta = distance_matrix(geom)
+    profile = decay_profile(im.inverse(), delta)
     dmax = float(np.max(delta))
     fitted = None
     fit_range = None
     if dmax >= 3:
         fit_lo, fit_hi = 1.0, max(1.0, 0.75 * dmax)
-        fitted = _fit_decay_exponent(inv, delta, fit_lo, fit_hi, log_distance=False)
+        fitted = _fit_decay_exponent(profile, fit_lo, fit_hi, log_distance=False)
         if fitted is not None:
             fit_range = (fit_lo, fit_hi)
     return DecayCertificate(
@@ -137,6 +139,7 @@ def exponential_certificate(im: InteractionMatrix, geom: LatticeGeometry) -> Dec
         fitted_exponent=fitted,
         fit_range=fit_range,
         reason=None if audit <= AUDIT_RTOL else "tilt inequality audit failed",
+        profile=profile,
     )
 
 
@@ -258,7 +261,8 @@ def algebraic_certificate(
 
     fit_lo = max(n ** 0.25, float(np.min(r[off])) if n > 1 else 1.0)
     fit_hi = n / 4.0
-    fitted = _fit_decay_exponent(inv, r, fit_lo, fit_hi, log_distance=True)
+    profile = decay_profile(inv, r)
+    fitted = _fit_decay_exponent(profile, fit_lo, fit_hi, log_distance=True)
 
     passed = tail_ok and head_ok and final_ok
     constants = {
@@ -284,4 +288,5 @@ def algebraic_certificate(
         fitted_exponent=fitted,
         fit_range=(fit_lo, fit_hi),
         reason=None if passed else "numerical audit of the proof bounds failed",
+        profile=profile,
     )

@@ -29,20 +29,37 @@ from m = 100 to 2401 that were tried, cold or warm-started), and prime m
 costs nothing extra.  Several right-hand sides against one measure run in
 lockstep, so every cycle works on all of them at once.
 
-Memory, in grid arrays of m^dim doubles.  The solver holds about 6.7 through
-the PCG: mu and s, and per level D, 1/D, D on the red sublattices and the
-null vector, the coarser levels adding a third.  Each right-hand side holds
-about 9: f's values, the PCG's X, R and P, one work array that takes A p,
-alpha p and then z, and the V-cycle's sublattice copies.  The node
-coordinates are built for f, dropped, and built again for the fields, and
-each right-hand side is rebuilt for the final residual check.  On a 2-core
-Xeon the traced peak of a solve (set-up included) is 46.8 MB for one function
-at m = 601 and 44.8 MB for two at m = 481; the cold three-function solve at
-m = 2401 peaks at 1505 MB RSS.
+Memory, in grid arrays of m^dim doubles.  Through the PCG the solver holds
+about 5: mu, and per level D, 1/D and the null vector, the coarser levels
+adding a third.  s = sqrt(mu) is rebuilt before and after the PCG, and the
+PCG weighs its stopping norm by mu itself.  mu and s*s can differ in the
+last bit, so a residual within rounding of its target can stop one
+iteration apart from an s*s-weighted test; on 100 sampled oracles solves
+the iteration counts and phi's bytes were the same under both weights.
+Each right-hand side holds 6:
+f's values, the PCG's X, R and P, one work array that takes A p, alpha p
+and then z, and the V-cycle's iterate; the V-cycle reads its right-hand side
+and D through strided sublattice views.  The node coordinates are built for
+f, dropped, and built again for the fields once each right-hand side has
+been rebuilt for its final residual check; phi is divided and centred in
+place in X.  Traced peaks per stage on a 2-core Xeon, in MiB (grid arrays):
+
+    stage           m = 601, 1 function   m = 481, 2 functions
+    set-up          23.2 (8.4)            14.9 (8.4)
+    PCG             32.6 (11.8)           32.9 (18.7)
+    field assembly  30.5 (11.1)           23.2 (13.1)
+    phi.csv         15.2 (5.5)            13.7 (7.8)
+    verify          30.4 (11.0)           26.5 (15.0)
+
+Verify holds mu, phi, f, the coordinates, the edge weights and phi's fluxes,
+and f's energies take one axis at a time.  Set-up, the PCG, field assembly
+and verify each start with _release_free_heap, so the process's peak RSS
+follows these counts whatever holes earlier requests left in the C heap.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -55,13 +72,32 @@ import scipy.sparse.linalg
 from ..bounds import Observable
 from ..interaction import InteractionMatrix
 from ..model import GibbsModel, kappa_matrix, rho_vector
-from ..reporting import write_table
+from ..reporting import write_grid_table
 
 TAIL_MASS_LIMIT = 1e-8
 RESIDUAL_RTOL = 1e-10
 CG_MAXITER = 400
 DIRECT_MAX_NODES = 80  # per axis, on the V-cycle's last level (solved by sparse LU)
 _FFT_WORKERS = 2  # unused by the solver; bench/run.py still records it
+
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim  # glibc
+except (AttributeError, OSError, TypeError):  # another C library or platform
+    _malloc_trim = None
+
+
+def _release_free_heap() -> None:
+    """Hand the C heap's free pages back to the system; a no-op without glibc.
+
+    Grid arrays below glibc's dynamic mmap threshold come from the heap, and
+    the pages they leave when freed stay resident.  Where earlier requests
+    left those holes depends on the address layout, so the same request
+    sequence peaked 11-13 MB higher in 2 of 35 oracles bench runs.  Each
+    stage that builds grid arrays calls this first, so its peak RSS is what
+    the stage holds.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 @dataclass(frozen=True)
@@ -120,38 +156,41 @@ class PotentialField:
         )
 
     def _difference(self, values: np.ndarray, axis: int) -> np.ndarray:
-        """d_axis(values) on every edge along the axis."""
+        """d_axis(values) on every edge along the axis, a new array."""
         lo = _axis_slice(self.dim, axis, slice(0, -1))
         hi = _axis_slice(self.dim, axis, slice(1, None))
-        return (values[hi] - values[lo]) / self.h
+        d = values[hi] - values[lo]
+        d /= self.h
+        return d
 
-    def _gradient(self, values: np.ndarray) -> tuple[list, list]:
-        """Per axis, the edge flux w d_axis(v) and int |d_axis v|^2 dmu by edge quadrature."""
+    def _flux(self, values: np.ndarray, axis: int) -> tuple[np.ndarray, float]:
+        """The edge flux w d_axis(v) and int |d_axis v|^2 dmu by edge quadrature."""
         if not self.edge_weights:
             self.edge_weights.extend(_edge_weights(self.mu))
-        fluxes, energies = [], []
-        for axis, w in enumerate(self.edge_weights):
-            d = self._difference(values, axis)
-            fluxes.append(w * d)
-            energies.append(float(np.sum(fluxes[-1] * d) * self.cell_volume))
-        return fluxes, energies
+        d = self._difference(values, axis)
+        flux = self.edge_weights[axis] * d
+        d *= flux
+        return flux, float(np.sum(d) * self.cell_volume)
 
     @cached_property
     def phi_gradient(self) -> tuple[list, list]:
         """Per axis, phi's edge fluxes and its energies int |d_axis phi|^2 dmu."""
-        return self._gradient(self.phi)
+        fluxes, energies = zip(*(self._flux(self.phi, axis) for axis in range(self.dim)))
+        return list(fluxes), list(energies)
 
     @cached_property
     def f_energies(self) -> list:
-        """Per axis, int |d_axis f|^2 dmu."""
-        return self._gradient(self.f_values)[1]
+        """Per axis, int |d_axis f|^2 dmu; f's fluxes are dropped axis by axis."""
+        return [self._flux(self.f_values, axis)[1] for axis in range(self.dim)]
+
+    def _flux_dot(self, flux: np.ndarray, values: np.ndarray, axis: int) -> float:
+        d = self._difference(values, axis)
+        d *= flux
+        return float(np.sum(d) * self.cell_volume)
 
     def covariance_via_representation(self, g_values: np.ndarray) -> float:
         """int grad(phi).grad(g) dmu; should match covariance_direct."""
-        return sum(
-            float(np.sum(flux * self._difference(g_values, axis)) * self.cell_volume)
-            for axis, flux in enumerate(self.phi_gradient[0])
-        )
+        return sum(self._flux_dot(flux, g_values, axis) for axis, flux in enumerate(self.phi_gradient[0]))
 
     def evaluate(self, obs: Observable) -> np.ndarray:
         """Node values of an observable on this grid."""
@@ -219,23 +258,34 @@ def _midpoints(c: np.ndarray, par: tuple, fine_shape: tuple) -> np.ndarray:
     """
     for axis, p in enumerate(par, start=1):
         if p:
+            n_mid = c.shape[axis] - 1
+            shape = list(c.shape)
+            shape[axis] = fine_shape[axis - 1] // 2  # n_mid, or n_mid + 1 on an even axis
+            mid = np.empty(shape)
             lo = c[_axis_slice(c.ndim, axis, slice(0, -1))]
-            mid = 0.5 * (lo + c[_axis_slice(c.ndim, axis, slice(1, None))])
-            if fine_shape[axis - 1] % 2 == 0:
-                mid = np.concatenate([mid, c[_axis_slice(c.ndim, axis, slice(-1, None))]], axis=axis)
+            hi = c[_axis_slice(c.ndim, axis, slice(1, None))]
+            head = mid[_axis_slice(c.ndim, axis, slice(0, n_mid))]
+            np.add(lo, hi, out=head)
+            head *= 0.5
+            tail = _axis_slice(c.ndim, axis, slice(n_mid, None))
+            mid[tail] = c[tail]  # empty unless the axis is even
             c = mid
     return c
 
 
 def _spread(r: np.ndarray, par: tuple, coarse_shape: tuple) -> np.ndarray:
-    """Transpose of _midpoints: fine sublattice values onto the coarse grid."""
+    """Transpose of _midpoints: fine sublattice values onto the coarse grid.
+
+    r is overwritten, and returned as it is when `par` has no odd axis.
+    """
     for axis, p in enumerate(par, start=1):
         if p:
             shape = list(r.shape)
             shape[axis] = coarse_shape[axis - 1]
             out = np.zeros(shape)
             n_mid = shape[axis] - 1
-            half = 0.5 * r[_axis_slice(r.ndim, axis, slice(0, n_mid))]
+            half = r[_axis_slice(r.ndim, axis, slice(0, n_mid))]
+            half *= 0.5
             out[_axis_slice(out.ndim, axis, slice(0, -1))] += half
             out[_axis_slice(out.ndim, axis, slice(1, None))] += half
             if r.shape[axis] > n_mid:
@@ -278,8 +328,6 @@ class _Level:
         self.red = [p for p in self.parities if sum(p) % 2 == 0]
         self.black = [p for p in self.parities if sum(p) % 2 == 1]
         self.inv_D = {p: 1.0 / self.D[_sublattice(p)[1:]] for p in self.parities}
-        # only the red residual is formed (the black sweep zeroes the black one)
-        self.D_sub = {p: np.ascontiguousarray(self.D[_sublattice(p)[1:]]) for p in self.red}
 
     def stencil(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """h^2 K_hat x for a batch x of shape (k,) + grid, into out if given."""
@@ -297,8 +345,9 @@ class _Level:
         for row, c in zip(flat, flat @ self.null):
             row -= c * self.null
 
-    def split(self, x: np.ndarray) -> dict:
-        return {p: np.ascontiguousarray(x[_sublattice(p)]) for p in self.parities}
+    def views(self, x: np.ndarray) -> dict:
+        """The sublattices of a batch x as strided views."""
+        return {p: x[_sublattice(p)] for p in self.parities}
 
     def merge(self, xs: dict, out: np.ndarray | None = None) -> np.ndarray:
         if out is None:
@@ -323,8 +372,9 @@ class _Level:
             xs[par] = acc
 
     def residual(self, xs: dict, gs: dict, par: tuple) -> np.ndarray:
-        """g - (diag(D) - adj) x on sublattice `par`."""
-        acc = gs[par] - self.D_sub[par] * xs[par]
+        """g - (diag(D) - adj) x on sublattice `par` (only red ones are formed)."""
+        acc = self.D[_sublattice(par)[1:]] * xs[par]
+        np.subtract(gs[par], acc, out=acc)
         self._add_neighbours(acc, xs, par)
         return acc
 
@@ -352,22 +402,20 @@ class _Level:
         return solve
 
 
-def _lockstep_pcg(matvec, precond, B: np.ndarray, targets: np.ndarray, maxiter: int, weight: np.ndarray):
+def _lockstep_pcg(matvec, precond, B: np.ndarray, targets: np.ndarray, maxiter: int, w2: np.ndarray):
     """Preconditioned CG on one operator with several right-hand sides.
 
     Rows of B are solved simultaneously (each with its own step sizes) so
     the matrix and preconditioner applications batch.  Convergence is judged
-    on ||weight * residual|| <= target per row (weight undoes a similarity
-    scaling so the targets can live in the original variables).  B is
-    overwritten with the residual.  Returns (X, iterations per row,
-    converged_mask).
+    on sqrt(sum w2 residual^2) <= target per row (w2, a squared weight,
+    undoes a similarity scaling so the targets can live in the original
+    variables).  B is overwritten with the residual.  Returns (X, iterations
+    per row, converged_mask).
 
     Besides X, R = B and P it holds one work array W, which takes in turn
     A p, alpha p and the preconditioned residual z: matvec and precond
     write into their `out` argument.
     """
-    w2 = weight * weight
-
     def residual_norms(R):
         return np.sqrt(np.einsum("ij,ij,j->i", R, R, w2))
 
@@ -421,13 +469,13 @@ class PotentialSolver:
         self.dim = model.n_sites
         self.m = m
 
+        _release_free_heap()
         H = _hamiltonian_grid(model, self.nodes)
         w = np.exp(-(H - H.min()))
         w = np.maximum(w, 1e-300)
         self.mu = w / (w.sum() * self.h**self.dim)
 
         s = np.sqrt(self.mu)
-        self.s = s.ravel()
         # K_hat = diag(1/s) K diag(1/s) = (path Laplacian + potential)/h^2
         # exactly; each coarser level of the V-cycle samples s at every other
         # node, down to at most DIRECT_MAX_NODES per axis, solved directly.
@@ -437,6 +485,11 @@ class PotentialSolver:
             self.levels.append(_Level(s))
         self._direct = self.levels[-1].direct_solver()
         self.edge_weights = []  # shared by the fields, filled by their first quadrature
+
+    @property
+    def s(self) -> np.ndarray:
+        """sqrt(mu), flat: the similarity scaling K = diag(s) K_hat diag(s), rebuilt on each use."""
+        return np.sqrt(self.mu).ravel()
 
     def _batch(self, V: np.ndarray | None) -> np.ndarray | None:
         """Rows of V as grids, a view; None stays None."""
@@ -460,21 +513,28 @@ class PotentialSolver:
             out[...] = x
             return out
         level = self.levels[depth]
-        gs = level.split(g)
+        gs = level.views(g)
         xs = {par: gs[par] * level.inv_D[par] for par in level.red}  # neighbours still 0
         level.relax(xs, gs, level.black)
         # the black sweep leaves a zero residual on black nodes; the coarse
         # right-hand side is (2h)^2 R r with R = 2^-dim P^T
         coarse_shape = self.levels[depth + 1].shape
-        coarse = sum(_spread(level.residual(xs, gs, par), par, coarse_shape) for par in level.red)
+        # the odd parities first, while there is no sum to hold beside their
+        # transfer temporaries (two terms in 2D, whose sum has no order)
+        first, *rest = reversed(level.red)
+        coarse = _spread(level.residual(xs, gs, first), first, coarse_shape)
+        for par in rest:
+            coarse += _spread(level.residual(xs, gs, par), par, coarse_shape)
         coarse *= 2.0 ** (2 - self.dim)
         self.levels[depth + 1].project(coarse)
         correction = self._vcycle(coarse, depth + 1)
+        del coarse
         for par in level.parities:
             xs[par] += _midpoints(correction, par, level.shape)
         level.relax(xs, gs, level.black)
         level.relax(xs, gs, level.red)
         x = level.merge(xs, out)
+        del xs  # before project's temporary
         level.project(x)
         return x
 
@@ -483,22 +543,40 @@ class PotentialSolver:
         x *= self.h**2  # the cycle is linear: solve (h^2 K_hat) x = V, then scale
         return x.reshape(V.shape)
 
-    def _rhs_hat(self, fv: np.ndarray, fm: float) -> np.ndarray:
+    def _rhs_hat(self, fv: np.ndarray, fm: float, s: np.ndarray) -> np.ndarray:
         """The centred right-hand side (f - <f>) mu over s, flat; 0 if centred f is constant."""
         rhs = ((fv - fm) * self.mu).ravel()
         rhs -= rhs.mean()  # exact compatibility with the singular operator
         scale = float(np.linalg.norm(((np.abs(fv) + abs(fm)) * self.mu).ravel()))
         if np.linalg.norm(rhs) <= 1e-13 * max(scale, 1e-300):
-            rhs = np.zeros_like(rhs)  # centered f is constant: phi = 0 exactly
-        return rhs / self.s
+            rhs[:] = 0.0  # centered f is constant: phi = 0 exactly
+        rhs /= s
+        return rhs
+
+    def _relative_residual(self, phi: np.ndarray, fv: np.ndarray, fm: float, s: np.ndarray) -> float:
+        """||K phi - rhs|| / ||rhs|| for flat phi, with K phi = s K_hat (s phi); 0 if rhs = 0."""
+        rhs = self._rhs_hat(fv, fm, s)
+        rhs *= s
+        rhs_norm = float(np.linalg.norm(rhs))
+        if rhs_norm == 0.0:
+            return 0.0
+        k_phi = self._apply_khat((s * phi)[None])[0]
+        k_phi *= s
+        k_phi -= rhs
+        return float(np.linalg.norm(k_phi) / rhs_norm)
 
     def solve_many(self, observables: list[Observable]) -> list[PotentialField]:
         """Solve for several observables against the shared measure.
 
         Only the solver's arrays, f's values and the PCG's four batches stay
         alive through the PCG: the node coordinates are built for f and again
-        for the fields, and each right-hand side is rebuilt for its final
-        residual check.
+        for the fields, s = sqrt(mu) is built before and after the PCG, and
+        the PCG weighs its stopping norm by mu itself, not by s*s, which may
+        differ from mu in the last bit: a residual within rounding of its
+        target can then stop one iteration apart, so phi's bytes equal an
+        s*s-weighted solve's on the samples checked, not by construction.
+        phi is divided and centred in place in X, after each right-hand side
+        has been rebuilt for its final residual check.
         """
         h_dim = self.h**self.dim
         config = _node_config(self.nodes, self.dim)
@@ -509,35 +587,38 @@ class PotentialSolver:
                 fv = fv.copy()  # a coordinate is a view that would keep config alive
             f_values.append(fv)
         del config
+        _release_free_heap()
         f_means = [float(np.sum(fv * self.mu) * h_dim) for fv in f_values]
-        B = np.empty((len(f_values), self.s.size))
-        for row, fv, fm in zip(B, f_values, f_means):
-            row[:] = self._rhs_hat(fv, fm)
+        s = self.s
+        B = np.empty((len(f_values), s.size))
+        for i, (fv, fm) in enumerate(zip(f_values, f_means)):
+            B[i] = self._rhs_hat(fv, fm, s)  # a row view left in a name would keep B alive
         self._project(B)
         # stop on the untransformed residual: ||K phi - rhs|| = ||s * (K_hat psi - rhs_hat)||
-        targets = 0.5 * RESIDUAL_RTOL * np.linalg.norm(self.s * B, axis=1)
+        targets = 0.5 * RESIDUAL_RTOL * np.linalg.norm(s * B, axis=1)
+        del s
         X, iters, _ = _lockstep_pcg(
-            self._apply_khat, self._precond, B, targets, CG_MAXITER, self.s
+            self._apply_khat, self._precond, B, targets, CG_MAXITER, self.mu.ravel()
         )
         del B  # now the PCG's residual
+        _release_free_heap()
 
-        config = _node_config(self.nodes, self.dim)
-        fields = []
-        for row, n_iter, fv, fm in zip(X, iters, f_values, f_means):
-            phi = row / self.s
-            rhs = self._rhs_hat(fv, fm) * self.s
-            rhs_norm = float(np.linalg.norm(rhs))
-            if rhs_norm == 0.0:
-                rel = 0.0
-            else:  # the true residual, with K phi = s K_hat (s phi)
-                k_phi = self.s * self._apply_khat((self.s * phi)[None])[0]
-                rel = float(np.linalg.norm(k_phi - rhs) / rhs_norm)
-            phi = phi.reshape(self.mu.shape)
+        s = self.s
+        residuals = []
+        for phi, n_iter, fv, fm in zip(X, iters, f_values, f_means):
+            phi /= s
+            rel = self._relative_residual(phi, fv, fm, s)
             if rel > RESIDUAL_RTOL:
                 raise RuntimeError(
                     f"CG did not converge after {n_iter} iterations "
                     f"(relative residual {rel:.3e})"
                 )
+            residuals.append(rel)
+        del s
+        config = _node_config(self.nodes, self.dim)
+        fields = []
+        for row, n_iter, fv, fm, rel in zip(X, iters, f_values, f_means, residuals):
+            phi = row.reshape(self.mu.shape)
             pf = PotentialField(
                 model=self.model,
                 nodes=self.nodes,
@@ -552,7 +633,7 @@ class PotentialSolver:
                 config=config,
                 edge_weights=self.edge_weights,
             )
-            pf.phi = phi - pf.quad_mean(phi)
+            phi -= pf.quad_mean(phi)
             fields.append(pf)
         return fields
 
@@ -604,6 +685,7 @@ def verify_directional_pi(pf: PotentialField, im: InteractionMatrix) -> PIResult
     the sharp (equality) cases.
     """
     _check_same_model(pf, im)
+    _release_free_heap()
     lhs = np.array([math.sqrt(max(e, 0.0)) for e in pf.phi_gradient[1]])
     f_norms = np.array([math.sqrt(max(e, 0.0)) for e in pf.f_energies])
     tol = pf.h * (1.0 + float(np.linalg.norm(f_norms)))
@@ -673,6 +755,5 @@ def verify_core_identity(pf: PotentialField) -> float:
 
 def potential_to_csv(pf: PotentialField, path) -> None:
     """Node coordinates, mu weight, and phi value in full precision."""
-    coords = [pf.config[..., i].ravel() for i in range(pf.dim)]
     header = [f"x{i}" for i in range(pf.dim)] + ["mu", "phi"]
-    write_table(header, coords + [pf.mu.ravel(), pf.phi.ravel()], path)
+    write_grid_table(header, pf.nodes, pf.mu.shape, [pf.mu.ravel(), pf.phi.ravel()], path)

@@ -201,16 +201,25 @@ def _slots(column: np.ndarray) -> np.ndarray:
     return np.take(table, inverse, axis=0)
 
 
-def _chunk_text(arrays: list, start: int, stop: int) -> bytes:
-    """Lines start to stop of the table: its column slots joined by ',' and '\\n'."""
-    comma = np.full((stop - start, 1), ord(","), np.uint8)
+def _chunk_text(slots: list, rows: int) -> bytes:
+    """Lines of one chunk: its column slots (None for empty cells) joined by ',' and '\\n'."""
+    comma = np.full((rows, 1), ord(","), np.uint8)
     line = []
-    for a in arrays:
-        if a is not None:
-            line.append(_slots(a[start:stop]))
+    for s in slots:
+        if s is not None:
+            line.append(s)
         line.append(comma)
     line[-1] = np.full_like(comma, ord("\n"))
     return np.concatenate(line, axis=1).tobytes().translate(None, b"\0")
+
+
+def _write_chunks(header, n: int, chunk_slots, path) -> None:
+    """The header line, then n lines CHUNK_ROWS at a time; chunk_slots(start, stop) gives their slots."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, n, CHUNK_ROWS):
+            stop = min(n, start + CHUNK_ROWS)
+            fh.write(_chunk_text(chunk_slots(start, stop), stop - start))
 
 
 def write_table(header, columns, path) -> None:
@@ -229,11 +238,29 @@ def write_table(header, columns, path) -> None:
         raise ValueError("every column is None, so the table has no row count")
     if len(lengths) > 1:
         raise ValueError(f"columns of unequal lengths {lengths}")
-    n = lengths[0]
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        for start in range(0, n, CHUNK_ROWS):
-            fh.write(_chunk_text(arrays, start, min(n, start + CHUNK_ROWS)))
+
+    def chunk_slots(start, stop):
+        return [None if a is None else _slots(a[start:stop]) for a in arrays]
+
+    _write_chunks(header, lengths[0], chunk_slots, path)
+
+
+def write_grid_table(header, nodes, shape: tuple, columns, path) -> None:
+    """write_table for a table with one line per node of the grid nodes^len(shape), in C order.
+
+    Its first len(shape) columns are the node coordinates.  nodes are
+    formatted once per table and each cell takes its node's slot by index,
+    so those columns are neither built nor sorted; `columns` gives the other
+    cells, one per node.  The bytes are write_table's for the same table.
+    """
+    node_slots = _float_slots(np.asarray(nodes, dtype=float))
+    arrays = [np.asarray(c) for c in columns]
+
+    def chunk_slots(start, stop):
+        index = np.unravel_index(np.arange(start, stop), shape)
+        return [np.take(node_slots, i, axis=0) for i in index] + [_slots(a[start:stop]) for a in arrays]
+
+    _write_chunks(header, math.prod(shape), chunk_slots, path)
 
 
 def emit_pair_table(pairs: dict, path) -> None:

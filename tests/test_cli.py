@@ -621,3 +621,31 @@ def test_exponential_run_builds_each_table_once(tmp_path, monkeypatch):
     A = interaction.interaction_from_model(cfg.model).A
     assert sum(np.array_equal(a, A) for a in inverted) == 1
     assert len(inverted) == 2  # A and the tilted matrix
+
+
+@pytest.mark.parametrize("kind", ["exponential_certificate", "algebraic_certificate"])
+def test_passing_decay_run_builds_its_profile_once(tmp_path, monkeypatch, kind):
+    from gibbscert import decay
+
+    calls = []
+    profile = decay.decay_profile
+
+    def counted_profile(inv, r):
+        calls.append(r.shape)
+        return profile(inv, r)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gibbscert") and getattr(module, "decay_profile", None) is profile:
+            monkeypatch.setattr(module, "decay_profile", counted_profile)
+    if kind == "exponential_certificate":
+        block = base_model_block(16, 0.1)
+    else:
+        block = {
+            "geometry": {"kind": "periodic_grid", "side_lengths": [64]},
+            "potential": {"q": 1.0},
+            "coupling": {"kind": "algebraic", "c": 0.1, "alpha": 1.0, "d": 1},
+        }
+    report, passed = run_experiment(parse_config({"model": block, "experiment": {"kind": kind}}), tmp_path)
+    assert passed and report["results"]["certificate"]["fitted_exponent"] is not None
+    assert (tmp_path / "decay.csv").exists()
+    assert len(calls) == 1  # the fit and decay.csv share one profile

@@ -2,7 +2,11 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from gibbscert.model import (
     nearest_neighbor_coupling,
     rho_vector,
 )
+from gibbscert.oracles import potential
 from gibbscert.oracles.gaussian import gaussian_exact_covariance, gaussian_from_model
 from gibbscert.oracles.potential import (
     RESIDUAL_RTOL,
@@ -33,6 +38,7 @@ from gibbscert.oracles.potential import (
 )
 
 COARSE = GridSpec(6.0, 0.05)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _assemble_operator(mu: np.ndarray, h: float) -> scipy.sparse.csr_matrix:
@@ -362,3 +368,88 @@ def test_solve_output_is_pinned(m, digest, iterations):
     fields = solver.solve_many(criterion_3_functions())
     assert hashlib.sha256(b"".join(pf.phi.tobytes() for pf in fields)).hexdigest() == digest
     assert [pf.iterations for pf in fields] == iterations
+
+
+def test_pde_request_stages_stay_in_budget(tmp_path, monkeypatch):
+    # traced peak of each stage of one pde_check request at m = 241 with one
+    # function, in m^2 doubles.  The PCG holds the solver's ~5, f, X, R, P, W
+    # and the V-cycle's iterate; a solve that also keeps s, its stopping
+    # weight and sublattice copies of the right-hand side reads 16.2
+    from gibbscert import cli
+
+    peaks, stages = {}, []
+
+    def enter(stage):
+        if stages:
+            peaks[stages[-1]] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        stages.append(stage)
+
+    class StagedSolver(cli.PotentialSolver):
+        def solve_many(self, observables):
+            enter("solve")
+            return super().solve_many(observables)
+
+    write_phi = cli.potential_to_csv
+
+    def staged_write(pf, path):
+        enter("phi.csv")
+        write_phi(pf, path)
+        enter("verify")
+
+    monkeypatch.setattr(cli, "PotentialSolver", StagedSolver)
+    monkeypatch.setattr(cli, "potential_to_csv", staged_write)
+    m = 241
+    cfg = cli.parse_config(
+        {
+            "model": {
+                "geometry": {"kind": "periodic_grid", "side_lengths": [2]},
+                "potential": {"q": 1.0, "perturbation": {"kind": "cosine", "amplitude": 0.1, "frequency": 1.0}},
+                "coupling": {"kind": "nearest_neighbor", "epsilon": 0.2},
+            },
+            "experiment": {"kind": "pde_check", "functions": [{"kind": "sin", "site": 1}]},
+            "grid": {"L": 6.0, "h": 12.0 / (m - 1)},
+        }
+    )
+    tracemalloc.start()
+    try:
+        enter("set-up")
+        _, passed = cli.run_experiment(cfg, tmp_path)
+        enter(None)
+    finally:
+        tracemalloc.stop()
+    assert passed
+    arrays = {stage: round(peak / (8 * m * m), 2) for stage, peak in peaks.items()}
+    assert list(arrays) == ["set-up", "solve", "phi.csv", "verify"]
+    assert max(arrays.values()) <= 12.5, arrays
+
+
+_HEAP_HOLES = """
+import numpy as np
+from gibbscert.oracles.potential import _release_free_heap
+
+
+def rss_mb():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * 4096 / 2**20
+
+
+np.ones(1 << 20)  # 8 MB from mmap; freeing it raises glibc's mmap threshold above 1 MB
+arrays = [np.ones(1 << 17) for _ in range(40)]  # 40 MB in 1 MB arrays, now from the heap
+keep = np.ones(1 << 17)  # above them, so the heap cannot shrink back
+held = rss_mb()
+del arrays
+freed = rss_mb()
+_release_free_heap()
+print(held, freed, rss_mb())
+"""
+
+
+@pytest.mark.skipif(potential._malloc_trim is None, reason="needs glibc's malloc_trim")
+def test_release_free_heap_returns_holes_below_a_live_array():
+    # a fresh interpreter, so the heap holds nothing but this script's arrays
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", _HEAP_HOLES], env=env, capture_output=True, text=True, check=True)
+    held, freed, released = map(float, out.stdout.split())
+    assert freed > held - 5, "the freed arrays should stay resident until released"
+    assert released < freed - 30

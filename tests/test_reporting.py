@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 import gibbscert.cli as cli
 from gibbscert import reporting
+from gibbscert.bounds import coordinate
 from gibbscert.cli import _write_decay_csv, parse_config, run_experiment
 from gibbscert.decay import decay_profile
 from gibbscert.interaction import interaction_from_model
 from gibbscert.lattice import distance_matrix, periodic_grid
-from gibbscert.model import GibbsModel, gaussian_potential, nearest_neighbor_coupling
-from gibbscert.oracles.potential import PotentialField, potential_to_csv
+from gibbscert.model import GibbsModel, cosine_potential, gaussian_potential, nearest_neighbor_coupling
+from gibbscert.oracles.potential import GridSpec, PotentialField, PotentialSolver, potential_to_csv
 from gibbscert.reporting import (
     CHUNK_ROWS,
     FLOAT_SLOT,
@@ -124,6 +125,20 @@ def test_phi_table_matches_per_row_writer(tmp_path):
     assert b",nan\n" in bulk and b",inf\n" in bulk
 
 
+@pytest.mark.parametrize("sites, m", [(2, 120), (2, 121), (1, 121)])
+def test_phi_table_matches_generic_writer(tmp_path, sites, m):
+    # potential_to_csv gathers the coordinate cells from nodes formatted once;
+    # write_table formats the coordinate columns chunk by chunk
+    model = GibbsModel(periodic_grid([sites]), cosine_potential(1.0, 0.1, 1.0), nearest_neighbor_coupling(0.2))
+    pf = PotentialSolver(model, GridSpec(6.0, 12.0 / (m - 1))).solve(coordinate(0, sites))
+    assert pf.phi.shape == (m,) * sites
+    potential_to_csv(pf, tmp_path / "phi.csv")
+    header = [f"x{i}" for i in range(sites)] + ["mu", "phi"]
+    coords = [pf.config[..., i].ravel() for i in range(sites)]
+    write_table(header, coords + [pf.mu.ravel(), pf.phi.ravel()], tmp_path / "generic.csv")
+    assert (tmp_path / "phi.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
+
+
 def test_decay_table_matches_per_row_writer(tmp_path):
     rng = np.random.default_rng(7)
     header = ("distance", "max_abs_inverse")
@@ -137,10 +152,11 @@ def test_decay_table_matches_per_row_writer(tmp_path):
     # the CLI's decay.csv against the per-row fmt() loop over decay_profile
     model = GibbsModel(periodic_grid([9]), gaussian_potential(1.0), nearest_neighbor_coupling(0.2))
     im = interaction_from_model(model)
-    _write_decay_csv(im, model.geometry, tmp_path, euclidean=False)
+    profile = decay_profile(im.inverse(), distance_matrix(model.geometry))
+    _write_decay_csv(profile, tmp_path)
     with open(tmp_path / "ref.csv", "w", encoding="utf-8") as fh:
         fh.write("distance,max_abs_inverse\n")
-        for d, v in decay_profile(im.inverse(), distance_matrix(model.geometry)):
+        for d, v in profile:
             fh.write(f"{fmt(d)},{fmt(v)}\n")
     assert (tmp_path / "decay.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
