@@ -24,7 +24,6 @@ from .model import (
 )
 from .interaction import (
     InteractionMatrix,
-    TiltedMatrix,
     build_interaction_matrix,
     build_tilted_matrix,
     dominance_margin,

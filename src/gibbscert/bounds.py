@@ -101,7 +101,7 @@ def covariance_bound(im: InteractionMatrix, f: Observable, g: Observable) -> Bou
     """|cov(f,g)| <= sum_ij (A^-1)_ij ||grad_i f|| ||grad_j g||."""
     inv = im.inverse()  # raises unless A is positive definite
     value = float(f.grad_norms @ inv @ g.grad_norms)
-    return BoundReport(value, "full_matrix", {"lambda_min": float(np.linalg.eigvalsh(im.A)[0])})
+    return BoundReport(value, "full_matrix", {"lambda_min": im.lambda_min()})
 
 
 def weighted_bound(
@@ -157,9 +157,8 @@ def nearest_neighbor_certificate(model: GibbsModel) -> NearestNeighborCertificat
     margin = threshold - eps_abs
 
     im = interaction_from_model(model)
-    tilted = im.tilted(geom)
-    lam_a = float(np.linalg.eigvalsh(im.A)[0])
-    lam_at = tilted.min_eigenvalue
+    lam_a = im.lambda_min()
+    lam_at = im.tilted(geom).lambda_min()
     checks = {
         "A_lower_bound_holds": bool(lam_a >= delta_uniform - 4 * eps_abs - 1e-10),
         "A_tilde_lower_bound_holds": bool(

@@ -435,8 +435,7 @@ def _run_pde_check(cfg: ExperimentConfig, out_dir: Path):
             all_ok &= dual.passed
         rep_checks = []
         for j in range(model.n_sites):
-            g = bnd.coordinate(j, model.n_sites)
-            gv = pf.evaluate(g)
+            gv = pf.coordinate(j)
             rep = pf.covariance_via_representation(gv)
             direct = pf.covariance_direct(gv)
             ok = abs(rep - direct) <= direction.tol_grid

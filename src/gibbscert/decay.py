@@ -16,7 +16,6 @@ import numpy as np
 from .interaction import (
     InteractionMatrix,
     dominance_margin,
-    inverse_entrywise,
     neumann_contraction_constant,
     neumann_partial_sums,
 )
@@ -71,13 +70,22 @@ def tilt_inequality_audit(im: InteractionMatrix, geom: LatticeGeometry) -> float
     """
     inv_a = im.inverse()  # raises unless A is positive definite
     tilted = im.tilted(geom)
-    if tilted.rho_tilde is None:
+    if tilted.lambda_min() <= 0:
         raise ValueError("tilted matrix is not positive definite")
-    inv_t = inverse_entrywise(tilted.A_tilde)  # its pivot check raises as well
+    inv_t = tilted.inverse()  # its pivot check raises as well
     delta = distance_matrix(geom)
     rhs = np.exp(-delta) * inv_t
     violation = (inv_a - rhs) / (np.abs(inv_t) + 1e-300)
     return float(np.max(violation))
+
+
+def _has_inverse(im: InteractionMatrix) -> bool:
+    """Whether im.inverse() succeeds, i.e. every Cholesky pivot clears the rule."""
+    try:
+        im.inverse()
+    except ValueError:
+        return False
+    return True
 
 
 def _fit_decay_exponent(profile: list, lo: float, hi: float, log_distance: bool):
@@ -106,12 +114,14 @@ def decay_profile(inv: np.ndarray, r: np.ndarray) -> list[tuple[float, float]]:
 def exponential_certificate(im: InteractionMatrix, geom: LatticeGeometry) -> DecayCertificate:
     """Certify |(A^-1)_ij| <= (1/rho_tilde) e^{-delta(i,j)}.
 
-    Passes iff the tilted matrix has a positive smallest eigenvalue; the
-    element-wise tilt inequality is then re-audited on the instance.
+    Passes iff the tilted matrix has a positive smallest eigenvalue rho_tilde
+    and its inverse clears the Cholesky pivot rule; the element-wise tilt
+    inequality is then re-audited on the instance.
     """
     tilted = im.tilted(geom)
-    constants = {"rho_tilde_eigenvalue": tilted.min_eigenvalue}
-    if tilted.rho_tilde is None:
+    rho_tilde = tilted.lambda_min()
+    constants = {"rho_tilde_eigenvalue": rho_tilde}
+    if rho_tilde <= 0 or not _has_inverse(tilted):
         return DecayCertificate(
             kind="exponential",
             passed=False,
@@ -134,7 +144,7 @@ def exponential_certificate(im: InteractionMatrix, geom: LatticeGeometry) -> Dec
         kind="exponential",
         passed=audit <= AUDIT_RTOL,
         rate=1.0,
-        prefactor=1.0 / tilted.rho_tilde,
+        prefactor=1.0 / rho_tilde,
         constants=constants,
         fitted_exponent=fitted,
         fit_range=fit_range,

@@ -35,8 +35,9 @@ def _require_symmetric(a: np.ndarray) -> np.ndarray:
 class InteractionMatrix:
     """Symmetric Z-matrix with A_ii = rho_i > 0 and A_ij = -kappa_ij <= 0.
 
-    The arrays are read-only, so the derived A^-1 and tilted matrices can be
-    computed once and shared by every caller.
+    The arrays are read-only, so the derived A^-1, lambda_min(A) and tilted
+    matrices (themselves InteractionMatrix records) can be computed once and
+    shared by every caller.
     """
 
     rho: np.ndarray
@@ -57,7 +58,13 @@ class InteractionMatrix:
             inv.flags.writeable = False
         return inv
 
-    def tilted(self, geom: LatticeGeometry) -> TiltedMatrix:
+    def lambda_min(self) -> float:
+        """Smallest eigenvalue of A, computed once."""
+        if "lambda_min" not in self._cache:
+            self._cache["lambda_min"] = _smallest_eigenvalue(self.A)
+        return self._cache["lambda_min"]
+
+    def tilted(self, geom: LatticeGeometry) -> InteractionMatrix:
         """build_tilted_matrix(self, geom), computed once per geometry."""
         # the cache holds geom itself, so its id cannot be reused meanwhile
         key = ("tilted", id(geom))
@@ -77,6 +84,11 @@ def build_interaction_matrix(rho, kappa, provenance=None) -> InteractionMatrix:
         raise ValueError("kappa entries must be nonnegative")
     if np.any(np.diag(kappa) != 0):
         raise ValueError("kappa must have zero diagonal")
+    return _frozen(rho, kappa, provenance)
+
+
+def _frozen(rho: np.ndarray, kappa: np.ndarray, provenance=None) -> InteractionMatrix:
+    """The InteractionMatrix of valid rho and kappa, with every array read-only."""
     A = np.diag(rho) - kappa
     for array in (rho, kappa, A):
         array.flags.writeable = False
@@ -130,31 +142,23 @@ def inverse_entrywise(a) -> np.ndarray:
     return inv
 
 
-@dataclass(frozen=True)
-class TiltedMatrix:
-    """A with off-diagonals amplified by exp(delta(i,j)).
+def build_tilted_matrix(im: InteractionMatrix, geom: LatticeGeometry) -> InteractionMatrix:
+    """A~ = diag(rho) - e^delta o kappa: A with each coupling amplified by exp(delta(i,j)).
 
-    rho_tilde is the smallest eigenvalue when positive (the exponential decay
-    certificate constant), otherwise None and the certificate is unavailable.
+    e^delta is taken on coupled pairs only, so an uncoupled pair at a distance
+    where e^delta overflows contributes 0, not inf * 0 = nan.  e^delta o kappa
+    is symmetric, nonnegative and zero on the diagonal whenever kappa is, so
+    build_interaction_matrix's checks are not repeated.
     """
-
-    A_tilde: np.ndarray = field(repr=False)
-    min_eigenvalue: float
-    rho_tilde: float | None
-
-
-def build_tilted_matrix(im: InteractionMatrix, geom: LatticeGeometry) -> TiltedMatrix:
     delta = distance_matrix(geom)
     if delta.shape != im.A.shape:
         raise ValueError("geometry and interaction matrix sizes disagree")
-    a_tilde = np.diag(im.rho) - np.exp(delta) * im.kappa
-    a_tilde.flags.writeable = False
-    lam = float(np.linalg.eigvalsh(a_tilde)[0])
-    return TiltedMatrix(
-        A_tilde=a_tilde,
-        min_eigenvalue=lam,
-        rho_tilde=lam if lam > 0 else None,
-    )
+    return _frozen(im.rho, np.exp(np.where(im.kappa > 0, delta, 0.0)) * im.kappa)
+
+
+def _smallest_eigenvalue(a: np.ndarray) -> float:
+    """lambda_min of the symmetric matrix a; the package's only eigen-solve."""
+    return float(np.linalg.eigvalsh(a)[0])
 
 
 class WeightedCheck(NamedTuple):
@@ -174,7 +178,7 @@ def weighted_similarity_check(a, weights) -> WeightedCheck:
         raise ValueError("weights must be positive")
     similar = (d[:, None] * a) / d[None, :]
     sym = 0.5 * (similar + similar.T)
-    rho = float(np.linalg.eigvalsh(sym)[0])
+    rho = _smallest_eigenvalue(sym)
     passed = rho > 0
     if passed and not is_positive_definite(a):
         raise AssertionError("weighted check passed but A is not positive definite")
@@ -187,7 +191,7 @@ def pi_criterion(a) -> float | None:
     A >= rho Id with rho > 0 certifies a Poincare inequality with constant rho.
     """
     a = _require_symmetric(a)
-    lam = float(np.linalg.eigvalsh(a)[0])
+    lam = _smallest_eigenvalue(a)
     return lam if lam > 0 else None
 
 

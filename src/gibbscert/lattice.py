@@ -6,40 +6,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-EXHAUSTIVE_TRIANGLE_LIMIT = 512
-SAMPLED_TRIANGLE_COUNT = 20_000
 
-
-def _check_triangle_inequality(table: np.ndarray, rng_seed: int = 0) -> None:
+def _check_triangle_inequality(table: np.ndarray) -> None:
     """Reject metric tables that violate the triangle inequality.
 
-    Exhaustive over all (i, s, j) for N <= 512, random triples above.
-    The decay certificates silently rely on delta(i,j) <= delta(i,s)+delta(s,j),
-    so a violating table must never be accepted.  The exhaustive pass is
-    O(N^3); on a 2-core Xeon it takes 1.3 ms at N = 64, 35 ms at 256, 0.35 s
-    at 512 and 3.2 s at 1024, which is why the limit stops at 512.
+    Exhaustive over all (i, s, j): the decay certificates silently rely on
+    delta(i,j) <= delta(i,s)+delta(s,j), so a violating table must never be
+    accepted, and a random sample of triples can miss the one that violates
+    it.  The pass is O(N^3); on a 2-core Xeon it takes 1.3 ms at N = 64,
+    35 ms at 256, 0.35 s at 512 and 3.2 s at 1024.
     """
     n = table.shape[0]
     tol = 1e-12 * max(1.0, float(np.max(table)))
-    if n <= EXHAUSTIVE_TRIANGLE_LIMIT:
-        for s in range(n):
-            slack = table[:, s][:, None] + table[s, :][None, :] - table
-            if np.min(slack) < -tol:
-                i, j = np.unravel_index(np.argmin(slack), slack.shape)
-                raise ValueError(
-                    f"metric table violates triangle inequality at "
-                    f"({i},{s},{j}): {table[i, j]} > {table[i, s]} + {table[s, j]}"
-                )
-    else:
-        rng = np.random.default_rng(rng_seed)
-        idx = rng.integers(0, n, size=(SAMPLED_TRIANGLE_COUNT, 3))
-        i, s, j = idx[:, 0], idx[:, 1], idx[:, 2]
-        slack = table[i, s] + table[s, j] - table[i, j]
+    for s in range(n):
+        slack = table[:, s][:, None] + table[s, :][None, :] - table
         if np.min(slack) < -tol:
-            k = int(np.argmin(slack))
+            i, j = np.unravel_index(np.argmin(slack), slack.shape)
             raise ValueError(
-                f"metric table violates triangle inequality at sampled triple "
-                f"({i[k]},{s[k]},{j[k]})"
+                f"metric table violates triangle inequality at "
+                f"({i},{s},{j}): {table[i, j]} > {table[i, s]} + {table[s, j]}"
             )
 
 

@@ -119,10 +119,10 @@ class PotentialField:
     The quadratures read phi's gradient through its edge fluxes w d_axis(phi),
     with w the edge weights sqrt(mu_left mu_right): they and the gradient
     energies of phi and f are computed once, on first use, so phi and
-    f_values must not change after that.  The fields of one solve_many share
-    their node coordinates, and a solver's fields share one edge_weights list,
-    which the first quadrature fills (after the solve and the phi.csv write,
-    whose peak memory it would add to).
+    f_values must not change after that.  No node-coordinate stack is kept:
+    coordinate(axis) broadcasts the shared nodes array.  A solver's fields
+    share one edge_weights list, which the first quadrature fills (after the
+    solve and the phi.csv write, whose peak memory it would add to).
     """
 
     model: GibbsModel
@@ -135,12 +135,7 @@ class PotentialField:
     f_mean: float = 0.0
     residual: float = 0.0
     iterations: int = 0  # PCG iterations this right-hand side took
-    config: np.ndarray | None = field(default=None, repr=False)  # node coordinates, grid shape + (dim,)
     edge_weights: list = field(default_factory=list, repr=False)  # per axis, filled on first use
-
-    def __post_init__(self):
-        if self.config is None:
-            self.config = _node_config(self.nodes, self.dim)
 
     @property
     def cell_volume(self) -> float:
@@ -192,9 +187,15 @@ class PotentialField:
         """int grad(phi).grad(g) dmu; should match covariance_direct."""
         return sum(self._flux_dot(flux, g_values, axis) for axis, flux in enumerate(self.phi_gradient[0]))
 
+    def coordinate(self, axis: int) -> np.ndarray:
+        """Node values of coordinate x_axis, a read-only broadcast of nodes in grid shape."""
+        shape = [1] * self.dim
+        shape[axis] = -1
+        return np.broadcast_to(self.nodes.reshape(shape), (self.nodes.size,) * self.dim)
+
     def evaluate(self, obs: Observable) -> np.ndarray:
-        """Node values of an observable on this grid."""
-        return np.asarray(obs.fn(self.config), dtype=float)
+        """Node values of an observable on this grid; builds the node coordinates per call."""
+        return np.asarray(obs.fn(_node_config(self.nodes, self.dim)), dtype=float)
 
 
 def _node_config(nodes: np.ndarray, dim: int) -> np.ndarray:
@@ -569,8 +570,8 @@ class PotentialSolver:
         """Solve for several observables against the shared measure.
 
         Only the solver's arrays, f's values and the PCG's four batches stay
-        alive through the PCG: the node coordinates are built for f and again
-        for the fields, s = sqrt(mu) is built before and after the PCG, and
+        alive through the PCG: the node coordinates are built for f only and
+        dropped, s = sqrt(mu) is built before and after the PCG, and
         the PCG weighs its stopping norm by mu itself, not by s*s, which may
         differ from mu in the last bit: a residual within rounding of its
         target can then stop one iteration apart, so phi's bytes equal an
@@ -615,7 +616,6 @@ class PotentialSolver:
                 )
             residuals.append(rel)
         del s
-        config = _node_config(self.nodes, self.dim)
         fields = []
         for row, n_iter, fv, fm, rel in zip(X, iters, f_values, f_means, residuals):
             phi = row.reshape(self.mu.shape)
@@ -630,7 +630,6 @@ class PotentialSolver:
                 f_mean=fm,
                 residual=rel,
                 iterations=int(n_iter),
-                config=config,
                 edge_weights=self.edge_weights,
             )
             phi -= pf.quad_mean(phi)
@@ -743,7 +742,7 @@ def verify_core_identity(pf: PotentialField) -> float:
         for k in range(dim):
             if k == j:
                 second = _centered_second(pf.phi, j, h)
-                hess_jk = pf.model.potential(j).second(pf.config[..., j])
+                hess_jk = pf.model.potential(j).second(pf.coordinate(j))
             else:
                 second = _centered_first(d_phi[j], k, h)
                 hess_jk = -J[j, k]

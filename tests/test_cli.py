@@ -478,6 +478,30 @@ def test_exponential_certificate_experiment(tmp_path):
     assert not passed
 
 
+def test_exponential_refuses_tilted_matrix_failing_the_pivot_rule(tmp_path):
+    # lambda_min(A~) = 9.6e-15 > 0, yet A~'s Cholesky pivots fail the 1e-12 rule the
+    # tilt audit factors with: the run refuses rather than raising
+    model = base_model_block(4, (1.0 - 1e-14) / (4.0 * math.e))
+    model["geometry"]["side_lengths"] = [4, 4]
+    cfg = parse_config({"model": model, "experiment": {"kind": "exponential_certificate"}})
+    report, passed = run_experiment(cfg, tmp_path / "out")
+    cert = report["results"]["certificate"]
+    assert not passed and not cert["passed"]
+    assert cert["reason"] == "tilted matrix is not positive definite"
+    assert 0.0 < cert["constants"]["rho_tilde_eigenvalue"] < 1e-12
+
+
+def test_exponential_certificate_with_far_uncoupled_pairs(tmp_path):
+    # e^800 overflows; the pairs 800 apart are uncoupled, so A~ keeps 0 there, not inf * 0
+    far = 800.0
+    table = [[0.0, 1.0, far, far], [1.0, 0.0, far, far], [far, far, 0.0, 1.0], [far, far, 1.0, 0.0]]
+    model = {**base_model_block(eps=0.05), "geometry": {"kind": "explicit", "metric_table": table}}
+    cfg = parse_config({"model": model, "experiment": {"kind": "exponential_certificate"}})
+    report, passed = run_experiment(cfg, tmp_path / "out")
+    assert passed
+    assert report["results"]["certificate"]["prefactor"] == pytest.approx(1.0 / (1.0 - 0.05 * math.e))
+
+
 def test_algebraic_certificate_experiment(tmp_path):
     cfg = parse_config(
         {

@@ -113,9 +113,8 @@ def test_tilted_inverse_capped_by_rho_tilde():
         n = int(rng.integers(2, 17))
         im, geom = random_tilt_safe_instance(rng, n)
         tm = build_tilted_matrix(im, geom)
-        assert tm.rho_tilde is not None
-        inv_t = inverse_entrywise(tm.A_tilde)
-        assert np.max(inv_t) <= 1.0 / tm.rho_tilde + 1e-10
+        assert tm.lambda_min() > 0
+        assert np.max(tm.inverse()) <= 1.0 / tm.lambda_min() + 1e-10
 
 
 def test_tilt_audit_requires_positive_definite():

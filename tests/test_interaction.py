@@ -89,12 +89,13 @@ def test_tilted_examples():
     im = build_interaction_matrix([2.0, 3.0], kappa_2site(0.0))
     geom = explicit_metric([[0.0, 1.0], [1.0, 0.0]])
     tm = build_tilted_matrix(im, geom)
-    assert tm.rho_tilde == pytest.approx(2.0)  # min rho for a product measure
+    assert tm.lambda_min() == pytest.approx(2.0)  # min rho for a product measure
 
     im = build_interaction_matrix([1.0, 1.0], kappa_2site(0.1))
     tm = build_tilted_matrix(im, geom)
-    assert np.allclose(tm.A_tilde, [[1.0, -0.1 * math.e], [-0.1 * math.e, 1.0]])
-    assert tm.rho_tilde == pytest.approx(1.0 - 0.1 * math.e)
+    assert np.allclose(tm.A, [[1.0, -0.1 * math.e], [-0.1 * math.e, 1.0]])
+    assert np.array_equal(tm.rho, im.rho)
+    assert tm.lambda_min() == pytest.approx(1.0 - 0.1 * math.e)
 
 
 def test_tilted_1d_ring_matches_scaled_coupling():
@@ -105,7 +106,7 @@ def test_tilted_1d_ring_matches_scaled_coupling():
     scaled = GibbsModel(
         geom, gaussian_potential(1.0), nearest_neighbor_coupling(0.1 * math.e)
     )
-    assert np.allclose(tm.A_tilde, interaction_from_model(scaled).A)
+    assert np.allclose(tm.A, interaction_from_model(scaled).A)
 
 
 def test_inverse_and_tilted_cached_read_only():
@@ -116,10 +117,14 @@ def test_inverse_and_tilted_cached_read_only():
     inv = im.inverse()
     assert im.inverse() is inv
     assert np.array_equal(inv, inverse_entrywise(im.A))
+    assert im.lambda_min() is im.lambda_min()
     tm = im.tilted(geom)
     assert im.tilted(geom) is tm
-    assert np.array_equal(tm.A_tilde, build_tilted_matrix(im, geom).A_tilde)
-    for array in (inv, tm.A_tilde, im.A, im.rho, im.kappa):
+    assert np.array_equal(tm.A, build_tilted_matrix(im, geom).A)
+    inv_t = tm.inverse()
+    assert tm.inverse() is inv_t
+    assert np.array_equal(inv_t, inverse_entrywise(tm.A))
+    for array in (inv, inv_t, tm.A, tm.kappa, im.A, im.rho, im.kappa):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 7.0
 
@@ -128,8 +133,9 @@ def test_tilted_negative_marks_unavailable():
     geom = periodic_grid([8])
     model = GibbsModel(geom, gaussian_potential(1.0), nearest_neighbor_coupling(0.2))
     tm = build_tilted_matrix(interaction_from_model(model), geom)
-    assert tm.rho_tilde is None
-    assert tm.min_eigenvalue < 0
+    assert tm.lambda_min() < 0
+    with pytest.raises(ValueError, match="positive definite"):
+        tm.inverse()
 
 
 def test_weighted_similarity_examples():

@@ -4,8 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbscert.lattice import (
-    EXHAUSTIVE_TRIANGLE_LIMIT,
-    SAMPLED_TRIANGLE_COUNT,
     distance_matrix,
     euclidean_site_distance,
     explicit_metric,
@@ -70,9 +68,9 @@ def test_explicit_geometry_has_no_euclidean_distance():
         euclidean_site_distance(geom, 0, 1)
 
 
-def test_large_explicit_metric_accepted_via_sampled_validation():
-    # above the exhaustive limit the check samples triples; a genuine metric must pass
-    n = EXHAUSTIVE_TRIANGLE_LIMIT + 8
+def test_large_explicit_metric_accepted():
+    # N = 520: a genuine metric passes the exhaustive check at any size
+    n = 520
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(n, 3))
     d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
@@ -80,11 +78,11 @@ def test_large_explicit_metric_accepted_via_sampled_validation():
 
 
 def test_triangle_violation_missed_by_sampling_is_rejected():
-    # N = 96: one violating triple, delta(a, b) = 1.9 > delta(a, s) + delta(s, b) = 1.8
-    n, a, s, b = 96, 5, 47, 90
-    sample = np.random.default_rng(0).integers(0, n, size=(SAMPLED_TRIANGLE_COUNT, 3))
+    # N = 520: one violating triple, delta(a, b) = 1.9 > delta(a, s) + delta(s, b) = 1.8
+    n, a, s, b = 520, 5, 47, 90
+    sample = np.random.default_rng(0).integers(0, n, size=(20_000, 3))
     drawn = set(map(tuple, sample.tolist()))
-    assert (a, s, b) not in drawn and (b, s, a) not in drawn  # random triples miss it
+    assert (a, s, b) not in drawn and (b, s, a) not in drawn  # 20,000 random triples miss it
     table = np.ones((n, n))
     np.fill_diagonal(table, 0.0)
     table[a, b] = table[b, a] = 1.9

@@ -134,7 +134,7 @@ def test_phi_table_matches_generic_writer(tmp_path, sites, m):
     assert pf.phi.shape == (m,) * sites
     potential_to_csv(pf, tmp_path / "phi.csv")
     header = [f"x{i}" for i in range(sites)] + ["mu", "phi"]
-    coords = [pf.config[..., i].ravel() for i in range(sites)]
+    coords = [pf.coordinate(i).ravel() for i in range(sites)]
     write_table(header, coords + [pf.mu.ravel(), pf.phi.ravel()], tmp_path / "generic.csv")
     assert (tmp_path / "phi.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
 

@@ -45,6 +45,30 @@ def test_output_digest_hashes_report_without_meta(tmp_path):
     assert digest.without_meta(written) == report_bytes(report, drop_meta=True) + b"\n"
 
 
+# scripts/output_digest.py's lines for configs/*.json; a change that moves an
+# output byte must fail here and re-pin them on purpose
+PINNED_DIGESTS = """\
+7c191505c05e8c06d92534edd38baf724e24bc204659782a33561a6dff8daca4  algebraic_1d/decay.csv
+e35049f15a4d90853bbc0699807725c8e4e1599663fb1e50085505fb1b31d531  algebraic_1d/pairs.csv
+14c48a3db27498af6ccf26b788939302f44abd94644cc2b04d983d2623c245c6  algebraic_1d/report.json
+81951c07436b6ef6b42fd07a45a7bca07be1e0c283a5e62daa9c53fd72619c3f  exponential_1d/decay.csv
+af711f7c200636d35dd00973fa08eb2d042ea54dc3ae47261c598a955a5e0526  exponential_1d/pairs.csv
+d74148fac03d838d7e5bbf22147f0226342a916b081cd48bb7e236ac4b356e83  exponential_1d/report.json
+21fed8cc75af8bed8de00b98e34c86b03a0a108e10483d3e5f071747434f31ab  gaussian_sharpness_1d/pairs.csv
+19cb19e1c732f1c12362ebc1299e2c690eba4bdc887e08c08bfe0ae898fa36f4  gaussian_sharpness_1d/report.json
+7d9033c1183c5701bd648bb4ccc58a65d53e32be77d489e3d96755ba1ad604d4  mcmc_check_1d/pairs.csv
+a22d6a339d4a220cc8311911506b3195617451ef757aabd5dffe5c33edb2b6c0  mcmc_check_1d/report.json
+e5a78b7adfaa0db13616961be27cbbe72b46aa51bec7c12e09230e7b44bc4d6e  pde_check_2site/phi.csv
+22db752907a1f50fd2449434dbb340208bfe9141713e787f1c49de942ac02c44  pde_check_2site/report.json
+c39d87f3359cc7173c31de7f87d8471e5de901202deec6faa3bd6f4f2d00e2d9  threshold_scan_2d/report.json
+"""
+
+
+def test_config_outputs_match_pinned_digests(capsys):
+    assert load_script("output_digest").main() == 0
+    assert capsys.readouterr().out == PINNED_DIGESTS
+
+
 def load_script(name):
     spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
