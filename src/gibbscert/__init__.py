@@ -24,6 +24,7 @@ from .model import (
 )
 from .interaction import (
     InteractionMatrix,
+    NotPositiveDefinite,
     build_interaction_matrix,
     build_tilted_matrix,
     dominance_margin,

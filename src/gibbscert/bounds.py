@@ -20,7 +20,7 @@ from .interaction import (
     weighted_similarity_check,
 )
 from .lattice import distance_matrix
-from .model import GibbsModel, rho_vector
+from .model import GibbsModel
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,8 @@ class NearestNeighborCertificate:
 
     With Delta = min_i rho_i and |epsilon| < (Delta/4) e^-1 the tilted matrix
     is bounded below by (Delta - 4 |epsilon| e) Id, giving per-pair bounds
-    prefactor * e^{-delta(i,j)} for unit gradient norms.
+    prefactor * e^{-delta(i,j)} for unit gradient norms.  It passes only when
+    both eigenvalue audits in ``checks`` confirm the lower bounds as well.
     """
 
     passed: bool
@@ -152,11 +153,11 @@ def nearest_neighbor_certificate(model: GibbsModel) -> NearestNeighborCertificat
         raise ValueError("certificate requires nearest-neighbor coupling")
     eps = float(model.coupling.epsilon)
     eps_abs = abs(eps)
-    delta_uniform = float(np.min(rho_vector(model)))
+    im = interaction_from_model(model)
+    delta_uniform = float(np.min(im.rho))
     threshold = delta_uniform / 4.0 * math.exp(-1.0)
     margin = threshold - eps_abs
 
-    im = interaction_from_model(model)
     lam_a = im.lambda_min()
     lam_at = im.tilted(geom).lambda_min()
     checks = {
@@ -170,7 +171,7 @@ def nearest_neighbor_certificate(model: GibbsModel) -> NearestNeighborCertificat
         prefactor = 1.0 / (delta_uniform - 4.0 * eps_abs * math.e)
         pair_bounds = prefactor * np.exp(-distance_matrix(geom))
     return NearestNeighborCertificate(
-        passed=margin > 0,
+        passed=margin > 0 and all(checks.values()),
         delta_uniform=delta_uniform,
         epsilon=eps,
         threshold=threshold,

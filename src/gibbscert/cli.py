@@ -26,7 +26,7 @@ import numpy as np
 from . import bounds as bnd
 from ._blas import single_threaded
 from .decay import algebraic_certificate, exponential_certificate
-from .interaction import interaction_from_model, pi_criterion
+from .interaction import NotPositiveDefinite, interaction_from_model, pi_criterion
 from .lattice import distance_matrix, explicit_metric, periodic_grid
 from .model import (
     Coupling,
@@ -34,9 +34,7 @@ from .model import (
     SingleSitePotential,
     algebraic_coupling,
     explicit_coupling,
-    kappa_matrix,
     nearest_neighbor_coupling,
-    rho_vector,
 )
 from .oracles.gaussian import gaussian_exact_covariance, gaussian_from_model
 from .oracles.mcmc import SamplerConfig, false_fail_probability, mcmc_covariance_matrix
@@ -352,27 +350,11 @@ def _failures(rows) -> int:
     return 0 if rows is None else int(np.count_nonzero(rows["verdict"] == "fail"))
 
 
-def _model_constants(model: GibbsModel) -> dict:
-    kappa = kappa_matrix(model)
-    return {
-        "rho": rho_vector(model).tolist(),
-        "kappa_max_row_sum": float(np.max(kappa.sum(axis=1))),
-        "n_sites": model.n_sites,
-    }
-
-
 def _run_bound_report(cfg: ExperimentConfig, out_dir: Path):
     model = cfg.model
     im = interaction_from_model(model)
-    delta = distance_matrix(model.geometry)
-    constants = _model_constants(model)
-    try:
-        inv = im.inverse()
-    except ValueError:
-        return {"constants": constants, "error": "interaction matrix not positive definite"}, None, False
-    constants["lambda_min_A"] = pi_criterion(im.A)
-    rows = _gaussian_rows(model, delta, inv)
-    return {"constants": constants}, rows, _failures(rows) == 0
+    rows = _gaussian_rows(model, distance_matrix(model.geometry), im.inverse())
+    return {"constants": {"lambda_min_A": pi_criterion(im.A)}}, rows, _failures(rows) == 0
 
 
 def _run_gaussian_sharpness(cfg: ExperimentConfig, out_dir: Path):
@@ -386,7 +368,6 @@ def _run_gaussian_sharpness(cfg: ExperimentConfig, out_dir: Path):
     tol = np.full_like(cov, tolerance)
     rows = _pair_rows(delta, inv, cov, tol, gaps <= tolerance)
     results = {
-        "constants": _model_constants(model),
         "max_relative_gap": max_gap,
         "tolerance": tolerance,
     }
@@ -413,6 +394,7 @@ def _run_pde_check(cfg: ExperimentConfig, out_dir: Path):
     im = interaction_from_model(model)
     specs = cfg.options.get("functions", [{"kind": "coordinate", "site": 0}])
     rho_full = pi_criterion(im.A)
+    im.inverse()  # refuses a matrix that is not positive definite before the grid solve
     observables = [_pde_observable(spec, model, cfg.grid) for spec in specs]
     fields = PotentialSolver(model, cfg.grid).solve_many(observables)
     potential_to_csv(fields[0], out_dir / "phi.csv")
@@ -448,7 +430,6 @@ def _run_pde_check(cfg: ExperimentConfig, out_dir: Path):
             entry["core_identity_residual"] = verify_core_identity(pf)
         checks.append(entry)
     results = {
-        "constants": _model_constants(model),
         "lambda_min_A": rho_full,
         "functions": checks,
     }
@@ -457,23 +438,20 @@ def _run_pde_check(cfg: ExperimentConfig, out_dir: Path):
 
 def _run_mcmc_check(cfg: ExperimentConfig, out_dir: Path):
     model = cfg.model
-    est, err, rate = mcmc_covariance_matrix(model, cfg.sampler)
-    delta = distance_matrix(model.geometry)
     mode = cfg.options.get("compare", "exact" if model.gaussian else "bound")
+    # the exact covariance or the bound A^-1, inverted before sampling
     if mode == "exact":
         target = gaussian_exact_covariance(gaussian_from_model(model))
         max_violations = cfg.options.get("max_violations", 1)
-        ok = np.abs(est - target) <= 3.0 * err
-        rows = _pair_rows(delta, target, est, 3.0 * err, ok)
-    else:  # bound
-        im = interaction_from_model(model)
-        bound = im.inverse()
+    else:
+        target = interaction_from_model(model).inverse()
         max_violations = cfg.options.get("max_violations", 0)
-        ok = np.abs(est) <= bound + 3.0 * err
-        rows = _pair_rows(delta, bound, est, 3.0 * err, ok)
+    est, err, rate = mcmc_covariance_matrix(model, cfg.sampler)
+    tol = 3.0 * err
+    ok = np.abs(est - target) <= tol if mode == "exact" else np.abs(est) <= target + tol
+    rows = _pair_rows(distance_matrix(model.geometry), target, est, tol, ok)
     violations = _failures(rows)
     results = {
-        "constants": _model_constants(model),
         "acceptance_rate": rate,
         "compare": mode,
         "violations": violations,
@@ -501,9 +479,7 @@ def _run_exponential_certificate(cfg: ExperimentConfig, out_dir: Path):
     if cert.passed:
         rows = _gaussian_rows(model, delta, cert.prefactor * np.exp(-delta))
         _write_decay_csv(cert.profile, out_dir)
-    results = {"constants": _model_constants(model), "certificate": cert.to_dict()}
-    passed = cert.passed and _failures(rows) == 0
-    return results, rows, passed
+    return {"certificate": cert.to_dict()}, rows, cert.passed and _failures(rows) == 0
 
 
 def _run_algebraic_certificate(cfg: ExperimentConfig, out_dir: Path):
@@ -520,9 +496,7 @@ def _run_algebraic_certificate(cfg: ExperimentConfig, out_dir: Path):
         tol = np.full_like(inv, 1e-10 * scale)
         rows = _pair_rows(r, bound, inv, tol, inv <= bound * (1 + 1e-10) + 1e-300)
         _write_decay_csv(cert.profile, out_dir)
-    results = {"constants": _model_constants(model), "certificate": cert.to_dict()}
-    passed = cert.passed and _failures(rows) == 0
-    return results, rows, passed
+    return {"certificate": cert.to_dict()}, rows, cert.passed and _failures(rows) == 0
 
 
 def _run_threshold_scan(cfg: ExperimentConfig, out_dir: Path):
@@ -547,12 +521,7 @@ def _run_threshold_scan(cfg: ExperimentConfig, out_dir: Path):
         )
         if not cert.passed and first_refused is None:
             first_refused = float(eps)
-    results = {
-        "constants": _model_constants(model),
-        "scan": scan,
-        "first_refused_epsilon": first_refused,
-    }
-    return results, None, True
+    return {"scan": scan, "first_refused_epsilon": first_refused}, None, True
 
 
 _RUNNERS = {
@@ -567,12 +536,22 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> tuple[dict, bool]:
-    """Run the configured pipeline; write report.json (+ pairs.csv) into out_dir."""
+    """Run the configured pipeline; write report.json (+ pairs.csv) into out_dir.
+
+    Every kind reports the model's constants.  A run that meets a matrix that
+    is not positive definite writes a report with an ``error`` entry and fails.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.time()
+    im = interaction_from_model(cfg.model)
+    constants = {"rho": im.rho.tolist(), "kappa_max_row_sum": float(np.max(im.kappa.sum(axis=1))), "n_sites": im.n}
     with single_threaded():
-        results, pairs, passed = _RUNNERS[cfg.kind](cfg, out_dir)
+        try:
+            results, pairs, passed = _RUNNERS[cfg.kind](cfg, out_dir)
+        except NotPositiveDefinite:  # a Gaussian precision P fails only with A: lambda_min(A) <= lambda_min(P)
+            results, pairs, passed = {"error": "interaction matrix not positive definite"}, None, False
+    results["constants"] = {**constants, **results.get("constants", {})}
     report = {
         "config": cfg.echo,
         "experiment": cfg.kind,

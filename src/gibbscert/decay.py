@@ -15,6 +15,7 @@ import numpy as np
 
 from .interaction import (
     InteractionMatrix,
+    NotPositiveDefinite,
     dominance_margin,
     neumann_contraction_constant,
     neumann_partial_sums,
@@ -68,24 +69,15 @@ def tilt_inequality_audit(im: InteractionMatrix, geom: LatticeGeometry) -> float
     instance; anything above ~1e-10 would indicate a broken hypothesis
     (most likely a metric without the triangle inequality).
     """
-    inv_a = im.inverse()  # raises unless A is positive definite
     tilted = im.tilted(geom)
-    if tilted.lambda_min() <= 0:
-        raise ValueError("tilted matrix is not positive definite")
-    inv_t = tilted.inverse()  # its pivot check raises as well
+    if not tilted.lambda_min() > 0:
+        raise NotPositiveDefinite("tilted matrix is not positive definite")
+    inv_t = tilted.inverse()  # its pivot rule raises as well
+    inv_a = im.inverse()  # as does A's, though lambda_min(A) >= lambda_min(A~)
     delta = distance_matrix(geom)
     rhs = np.exp(-delta) * inv_t
     violation = (inv_a - rhs) / (np.abs(inv_t) + 1e-300)
     return float(np.max(violation))
-
-
-def _has_inverse(im: InteractionMatrix) -> bool:
-    """Whether im.inverse() succeeds, i.e. every Cholesky pivot clears the rule."""
-    try:
-        im.inverse()
-    except ValueError:
-        return False
-    return True
 
 
 def _fit_decay_exponent(profile: list, lo: float, hi: float, log_distance: bool):
@@ -114,21 +106,21 @@ def decay_profile(inv: np.ndarray, r: np.ndarray) -> list[tuple[float, float]]:
 def exponential_certificate(im: InteractionMatrix, geom: LatticeGeometry) -> DecayCertificate:
     """Certify |(A^-1)_ij| <= (1/rho_tilde) e^{-delta(i,j)}.
 
-    Passes iff the tilted matrix has a positive smallest eigenvalue rho_tilde
-    and its inverse clears the Cholesky pivot rule; the element-wise tilt
-    inequality is then re-audited on the instance.
+    Passes iff the tilted matrix is finite, has a positive smallest eigenvalue
+    rho_tilde and its inverse clears the Cholesky pivot rule, and the
+    element-wise tilt inequality audit then holds on the instance.
     """
-    tilted = im.tilted(geom)
-    rho_tilde = tilted.lambda_min()
-    constants = {"rho_tilde_eigenvalue": rho_tilde}
-    if rho_tilde <= 0 or not _has_inverse(tilted):
+    constants = {}
+    try:
+        rho_tilde = constants["rho_tilde_eigenvalue"] = im.tilted(geom).lambda_min()
+        audit = tilt_inequality_audit(im, geom)
+    except NotPositiveDefinite:
         return DecayCertificate(
             kind="exponential",
             passed=False,
             constants=constants,
             reason="tilted matrix is not positive definite",
         )
-    audit = tilt_inequality_audit(im, geom)
     constants["tilt_audit_max_violation"] = audit
     delta = distance_matrix(geom)
     profile = decay_profile(im.inverse(), delta)

@@ -31,6 +31,10 @@ def _require_symmetric(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class NotPositiveDefinite(ValueError):
+    """A positivity decision failed: the matrix is not certified positive definite."""
+
+
 @dataclass(frozen=True)
 class InteractionMatrix:
     """Symmetric Z-matrix with A_ii = rho_i > 0 and A_ij = -kappa_ij <= 0.
@@ -43,7 +47,6 @@ class InteractionMatrix:
     rho: np.ndarray
     kappa: np.ndarray
     A: np.ndarray = field(repr=False)
-    provenance: GibbsModel | None = field(default=None, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -73,7 +76,7 @@ class InteractionMatrix:
         return self._cache[key][1]
 
 
-def build_interaction_matrix(rho, kappa, provenance=None) -> InteractionMatrix:
+def build_interaction_matrix(rho, kappa) -> InteractionMatrix:
     rho = np.array(rho, dtype=float)
     kappa = _require_symmetric(kappa).copy()
     if rho.shape != (kappa.shape[0],):
@@ -84,39 +87,52 @@ def build_interaction_matrix(rho, kappa, provenance=None) -> InteractionMatrix:
         raise ValueError("kappa entries must be nonnegative")
     if np.any(np.diag(kappa) != 0):
         raise ValueError("kappa must have zero diagonal")
-    return _frozen(rho, kappa, provenance)
+    return _frozen(rho, kappa)
 
 
-def _frozen(rho: np.ndarray, kappa: np.ndarray, provenance=None) -> InteractionMatrix:
+def _frozen(rho: np.ndarray, kappa: np.ndarray) -> InteractionMatrix:
     """The InteractionMatrix of valid rho and kappa, with every array read-only."""
     A = np.diag(rho) - kappa
     for array in (rho, kappa, A):
         array.flags.writeable = False
-    return InteractionMatrix(rho=rho, kappa=kappa, A=A, provenance=provenance)
+    return InteractionMatrix(rho=rho, kappa=kappa, A=A)
 
 
 def interaction_from_model(model: GibbsModel) -> InteractionMatrix:
-    """A for a Gibbs model: certified rho_i on the diagonal, |J_ij| off it."""
-    return build_interaction_matrix(
-        rho_vector(model), kappa_matrix(model), provenance=model
-    )
+    """A for a Gibbs model: certified rho_i on the diagonal, |J_ij| off it.
+
+    Built once and kept on the model, so every reader shares one record and
+    its cached A^-1, lambda_min(A) and tilted matrices.
+    """
+    if model._interaction is None:
+        model._interaction = build_interaction_matrix(rho_vector(model), kappa_matrix(model))
+    return model._interaction
 
 
-def cholesky_factor(a) -> tuple | None:
-    """scipy's lower Cholesky factor of the symmetric matrix a, or None unless
-    every pivot clears PIVOT_RTOL times the max diagonal."""
+def cholesky_factor(a) -> tuple:
+    """scipy's lower Cholesky factor of the symmetric matrix a.
+
+    Raises NotPositiveDefinite unless every pivot clears PIVOT_RTOL times the
+    max diagonal.
+    """
     a = _require_symmetric(a)
     try:
         cho = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
-        return None
+        cho = None
     tol = PIVOT_RTOL * float(np.max(np.diag(a)))
-    return cho if np.min(np.diag(cho[0])) ** 2 > tol else None
+    if cho is None or not np.min(np.diag(cho[0])) ** 2 > tol:
+        raise NotPositiveDefinite("matrix is not positive definite")
+    return cho
 
 
 def is_positive_definite(a) -> bool:
     """Cholesky succeeds and every pivot clears 1e-12 times the max diagonal."""
-    return cholesky_factor(a) is not None
+    try:
+        cholesky_factor(a)
+    except NotPositiveDefinite:
+        return False
+    return True
 
 
 def dominance_margin(a) -> float:
@@ -134,8 +150,6 @@ def inverse_entrywise(a) -> np.ndarray:
     The factor that decides positive definiteness is the one solved with.
     """
     cho = cholesky_factor(a)
-    if cho is None:
-        raise ValueError("matrix is not positive definite")
     inv = scipy.linalg.cho_solve(cho, np.eye(cho[0].shape[0]))
     inv = 0.5 * (inv + inv.T)
     inv[np.abs(inv) <= INVERSE_CLAMP] = 0.0
@@ -146,14 +160,20 @@ def build_tilted_matrix(im: InteractionMatrix, geom: LatticeGeometry) -> Interac
     """A~ = diag(rho) - e^delta o kappa: A with each coupling amplified by exp(delta(i,j)).
 
     e^delta is taken on coupled pairs only, so an uncoupled pair at a distance
-    where e^delta overflows contributes 0, not inf * 0 = nan.  e^delta o kappa
-    is symmetric, nonnegative and zero on the diagonal whenever kappa is, so
+    where e^delta overflows contributes 0, not inf * 0 = nan.  A coupled pair
+    whose amplified coupling overflows exceeds every rho, so its 2x2 principal
+    minor is negative: that raises NotPositiveDefinite.  e^delta o kappa is
+    symmetric, nonnegative and zero on the diagonal whenever kappa is, so
     build_interaction_matrix's checks are not repeated.
     """
     delta = distance_matrix(geom)
     if delta.shape != im.A.shape:
         raise ValueError("geometry and interaction matrix sizes disagree")
-    return _frozen(im.rho, np.exp(np.where(im.kappa > 0, delta, 0.0)) * im.kappa)
+    with np.errstate(over="ignore"):
+        kappa = np.exp(np.where(im.kappa > 0, delta, 0.0)) * im.kappa
+    if not np.all(np.isfinite(kappa)):
+        raise NotPositiveDefinite("tilted matrix is not positive definite")
+    return _frozen(im.rho, kappa)
 
 
 def _smallest_eigenvalue(a: np.ndarray) -> float:

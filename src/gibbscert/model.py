@@ -135,6 +135,8 @@ class GibbsModel:
     q: np.ndarray = field(init=False, repr=False, compare=False)
     amplitude: np.ndarray = field(init=False, repr=False, compare=False)
     frequency: np.ndarray = field(init=False, repr=False, compare=False)
+    # the InteractionMatrix that interaction_from_model builds on first request
+    _interaction: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.potentials, SingleSitePotential):

@@ -37,9 +37,7 @@ class GaussianModel:
 
 def gaussian_exact_covariance(gm: GaussianModel) -> np.ndarray:
     """cov(x_n, x_k) = (P^-1)_nk; the linear term only shifts the mean."""
-    cho = cholesky_factor(gm.precision)  # the factor that decides positivity is solved with
-    if cho is None:
-        raise ValueError("precision matrix is not positive definite")
+    cho = cholesky_factor(gm.precision)  # decides positivity, and is solved with
     cov = scipy.linalg.cho_solve(cho, np.eye(gm.precision.shape[0]))
     return 0.5 * (cov + cov.T)
 

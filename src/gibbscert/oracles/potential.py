@@ -70,8 +70,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from ..bounds import Observable
-from ..interaction import InteractionMatrix
-from ..model import GibbsModel, kappa_matrix, rho_vector
+from ..interaction import InteractionMatrix, interaction_from_model
+from ..model import GibbsModel
 from ..reporting import write_grid_table
 
 TAIL_MASS_LIMIT = 1e-8
@@ -649,13 +649,6 @@ def solve_potential(model: GibbsModel, f: Observable, grid: GridSpec) -> Potenti
     return PotentialSolver(model, grid).solve(f)
 
 
-def _check_same_model(pf: PotentialField, im: InteractionMatrix) -> None:
-    rho = rho_vector(pf.model)
-    kappa = kappa_matrix(pf.model)
-    if not (np.allclose(rho, im.rho) and np.allclose(kappa, im.kappa)):
-        raise ValueError("interaction matrix was not built from this model")
-
-
 @dataclass(frozen=True)
 class PIResult:
     """Both sides of a Poincare-type inequality as quadrature values.
@@ -681,9 +674,11 @@ def verify_directional_pi(pf: PotentialField, im: InteractionMatrix) -> PIResult
 
     Both sides are quadrature values on the solved grid; the tolerance
     tol_grid = h (1 + ||grad f||) absorbs the O(h) discretization error in
-    the sharp (equality) cases.
+    the sharp (equality) cases.  ``im`` must be interaction_from_model(pf.model),
+    the model's own record.
     """
-    _check_same_model(pf, im)
+    if im is not interaction_from_model(pf.model):
+        raise ValueError("interaction matrix was not built from this model")
     _release_free_heap()
     lhs = np.array([math.sqrt(max(e, 0.0)) for e in pf.phi_gradient[1]])
     f_norms = np.array([math.sqrt(max(e, 0.0)) for e in pf.f_energies])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gibbscert.bounds import (
     affine,
@@ -14,9 +16,11 @@ from gibbscert.bounds import (
 )
 from gibbscert.decay import exponential_certificate
 from gibbscert.interaction import (
+    InteractionMatrix,
     build_interaction_matrix,
     interaction_from_model,
     pi_criterion,
+    weighted_similarity_check,
 )
 from gibbscert.lattice import distance_matrix, graph_distance, periodic_grid
 from gibbscert.model import GibbsModel, cosine_potential, gaussian_potential, nearest_neighbor_coupling
@@ -151,6 +155,39 @@ def test_bound_hierarchy_full_below_weighted_and_baseline():
             assert full <= wtd + 1e-12
 
 
+@st.composite
+def m_matrix_weights_and_gradients(draw):
+    """A random M-matrix A (n <= 8), positive weights D and nonnegative gradient norms."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    entries = np.array(draw(st.lists(unit, min_size=n * n, max_size=n * n))).reshape(n, n)
+    kappa = np.triu(entries, 1) + np.triu(entries, 1).T
+    rho = np.array(draw(st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=n, max_size=n)))
+    # scale kappa so that lambda_max(diag(rho)^-1/2 kappa diag(rho)^-1/2) = t < 1: A is then positive definite
+    t = draw(st.floats(min_value=0.0, max_value=0.99))
+    top = float(np.linalg.eigvalsh(kappa / np.sqrt(np.outer(rho, rho)))[-1])
+    im = build_interaction_matrix(rho, kappa * (t / top) if top > 1e-6 else kappa)
+    weights = np.array(draw(st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=n, max_size=n)))
+    # no norms so small that their squares lose bits as subnormals in np.linalg.norm
+    norm = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=10.0))
+    grads = [np.array(draw(st.lists(norm, min_size=n, max_size=n))) for _ in "fg"]
+    return im, weights, grads
+
+
+@given(m_matrix_weights_and_gradients())
+@settings(max_examples=200, deadline=None)
+def test_full_matrix_bound_below_helffer_ledoux_weighted_bound(case):
+    # D A D^-1 >= rho Id (symmetric part) gives ||D^-1 A^-1 D|| <= 1/rho, so the
+    # full-matrix bound never exceeds the weighted one for any admissible D
+    im, d, (gf, gg) = case
+    check = weighted_similarity_check(im.A, d)
+    assume(check.passed)
+    f = affine(gf)  # affine observables with weights >= 0 have grad_norms = weights
+    g = affine(gg)
+    full = covariance_bound(im, f, g).bound_value
+    assert full <= weighted_bound(im, d, check.rho, f, g).bound_value * (1 + 1e-12)
+
+
 def test_bli_coincidence_ferromagnetic_affine():
     # for ferromagnetic Gaussians and affine f = g with nonnegative weights the
     # bound equals the Brascamp-Lieb right side w . Hess(H)^-1 w
@@ -183,6 +220,19 @@ def test_nearest_neighbor_certificate_examples():
     assert not refused.passed
     assert refused.margin < 0
     assert refused.prefactor is None
+
+
+def test_nearest_neighbor_certificate_needs_its_eigenvalue_audits(monkeypatch):
+    model = nn_model_2d(0.05)
+    im = interaction_from_model(model)
+    assert nearest_neighbor_certificate(model).passed
+    true_lambda_min = InteractionMatrix.lambda_min
+    # lambda_min(A) stays, lambda_min(A~) drops by 1 below the (Delta - 4 eps e) bound
+    monkeypatch.setattr(InteractionMatrix, "lambda_min", lambda self: true_lambda_min(self) - (self is not im))
+    cert = nearest_neighbor_certificate(model)
+    assert cert.margin > 0
+    assert cert.checks == {"A_lower_bound_holds": True, "A_tilde_lower_bound_holds": False}
+    assert not cert.passed
 
 
 def test_nearest_neighbor_certificate_product_case():

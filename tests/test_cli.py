@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import runpy
@@ -265,11 +266,38 @@ def test_duplicate_key_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_strong_coupling_is_valid_and_fails_verification(tmp_path, capsys):
-    # epsilon = 5 is a well-formed config whose A is not positive definite
-    config = write_config(tmp_path, {"model": base_model_block(8, 5.0), "experiment": {"kind": "bound_report"}})
+SAMPLER = {"chains": 4, "steps": 800, "burn_in": 80, "proposal_std": 1.0, "seed": 3}
+STRONG_COUPLING = {
+    "bound_report": {"experiment": {"kind": "bound_report"}},
+    "gaussian_sharpness": {"experiment": {"kind": "gaussian_sharpness"}},
+    "mcmc_check-exact": {"experiment": {"kind": "mcmc_check", "compare": "exact"}, "sampler": SAMPLER},
+    "mcmc_check-bound": {"experiment": {"kind": "mcmc_check", "compare": "bound"}, "sampler": SAMPLER},
+    "pde_check": {"model": base_model_block(2, 5.0), "experiment": {"kind": "pde_check"}, "grid": {"L": 6.0, "h": 0.1}},
+}
+
+
+@pytest.mark.parametrize("case", list(STRONG_COUPLING))
+def test_strong_coupling_is_valid_and_fails_verification(tmp_path, capsys, monkeypatch, case):
+    # epsilon = 5 is a well-formed config whose A is not positive definite: every
+    # kind refuses with a report, before it samples or solves on a grid
+    import gibbscert.cli
+
+    def oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran on a matrix that is not positive definite")
+
+    monkeypatch.setattr(gibbscert.cli, "mcmc_covariance_matrix", oracle)
+    monkeypatch.setattr(gibbscert.cli, "PotentialSolver", oracle)
+    raw = {"model": base_model_block(8, 5.0), **STRONG_COUPLING[case]}
+    config = write_config(tmp_path, raw)
     assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 1
-    assert "verification failed: bound_report" in capsys.readouterr().err
+    assert f"verification failed: {raw['experiment']['kind']}" in capsys.readouterr().err
+    report = load_report(tmp_path / "out" / "report.json")
+    assert not report["pass"]
+    assert report["results"]["error"] == "interaction matrix not positive definite"
+    assert report["results"]["constants"]["n_sites"] == raw["model"]["geometry"]["side_lengths"][0]
+    if case == "bound_report":  # the refusal bytes bound_report has always written
+        digest = hashlib.sha256(report_bytes(report, drop_meta=True)).hexdigest()
+        assert digest == "1d3700ed985542fbcf8abc73c92bea5b6b0e6d4433d4b5521a304f6a2c1052d7"
 
 
 def leaves(value, path=""):
@@ -491,6 +519,24 @@ def test_exponential_refuses_tilted_matrix_failing_the_pivot_rule(tmp_path):
     assert 0.0 < cert["constants"]["rho_tilde_eigenvalue"] < 1e-12
 
 
+def test_exponential_refuses_a_tilt_that_overflows(tmp_path):
+    # e^800 * 0.01 overflows on the coupled pair, so A~ has a 2x2 minor below 0:
+    # refused without a warning or a non-finite number in report.json
+    far = 800.0
+    model = {
+        "geometry": {"kind": "explicit", "metric_table": [[0.0, far, far], [far, 0.0, far], [far, far, 0.0]]},
+        "potential": {"q": 1.0},
+        "coupling": {"kind": "explicit", "matrix": [[0.0, 0.01, 0.0], [0.01, 0.0, 0.0], [0.0, 0.0, 0.0]]},
+    }
+    cfg = parse_config({"model": model, "experiment": {"kind": "exponential_certificate"}})
+    _, passed = run_experiment(cfg, tmp_path / "out")
+    report = load_report(tmp_path / "out" / "report.json")
+    cert = report["results"]["certificate"]
+    assert not passed and not cert["passed"]
+    assert cert["reason"] == "tilted matrix is not positive definite"
+    assert [v for _, v in leaves(report) if v in ("nan", "inf", "-inf")] == []
+
+
 def test_exponential_certificate_with_far_uncoupled_pairs(tmp_path):
     # e^800 overflows; the pairs 800 apart are uncoupled, so A~ keeps 0 there, not inf * 0
     far = 800.0
@@ -645,6 +691,51 @@ def test_exponential_run_builds_each_table_once(tmp_path, monkeypatch):
     A = interaction.interaction_from_model(cfg.model).A
     assert sum(np.array_equal(a, A) for a in inverted) == 1
     assert len(inverted) == 2  # A and the tilted matrix
+
+
+EVERY_KIND = {
+    "bound_report": {"experiment": {"kind": "bound_report"}},
+    "gaussian_sharpness": {"experiment": {"kind": "gaussian_sharpness"}},
+    "pde_check": {"model": base_model_block(2), "experiment": {"kind": "pde_check"}, "grid": {"L": 6.0, "h": 0.1}},
+    "mcmc_check": {"experiment": {"kind": "mcmc_check", "compare": "bound"}, "sampler": SAMPLER},
+    "exponential_certificate": {"experiment": {"kind": "exponential_certificate"}},
+    "algebraic_certificate": {
+        "model": {
+            "geometry": {"kind": "periodic_grid", "side_lengths": [16]},
+            "potential": {"q": 1.0},
+            "coupling": {"kind": "algebraic", "c": 0.1, "alpha": 1.0, "d": 1},
+        },
+        "experiment": {"kind": "algebraic_certificate"},
+    },
+    "threshold_scan": {
+        "model": {**base_model_block(), "geometry": {"kind": "periodic_grid", "side_lengths": [4, 4]}},
+        "experiment": {"kind": "threshold_scan", "epsilons": [0.01, 0.05, 0.2]},
+    },
+}
+
+
+@pytest.mark.parametrize("kind", list(EVERY_KIND))
+def test_every_kind_builds_each_models_interaction_matrix_once(tmp_path, monkeypatch, kind):
+    from gibbscert import interaction, model
+
+    args = {"rho_vector": [], "kappa_matrix": [], "build_interaction_matrix": []}
+    for name, calls in args.items():
+        original = getattr(interaction if name == "build_interaction_matrix" else model, name)
+
+        def counted(*a, _original=original, _calls=calls):
+            _calls.append(a[0])  # keeps each model alive, so no id is reused
+            return _original(*a)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("gibbscert") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    cfg = parse_config({"model": base_model_block(8, 0.1), **EVERY_KIND[kind]})
+    report, _ = run_experiment(cfg, tmp_path / "out")
+    assert "error" not in report["results"]
+    models = 1 + len(cfg.options.get("epsilons", ()))  # threshold_scan: one model per epsilon as well
+    for name in ("rho_vector", "kappa_matrix"):
+        assert len(args[name]) == len({id(m) for m in args[name]}) == models, name
+    assert len(args["build_interaction_matrix"]) == models
 
 
 @pytest.mark.parametrize("kind", ["exponential_certificate", "algebraic_certificate"])
