@@ -10,7 +10,8 @@ directory.  For each workload of BENCHMARK.json and each of N seeds,
 length, one after the other; the side that goes first alternates from pair
 to pair, so drift of the host falls on both sides alike.  For each
 end-to-end metric of BENCHMARK.json it prints the median and quartiles of
-both sides and the number of pairs the change wins, and two verdicts:
+both sides, the number of pairs the change wins with the exact two-sided
+sign-test p-value of those wins (tied pairs dropped), and two verdicts:
 
 * claim: the change wins at least 9 pairs in 10, its median is better than
   the parent's by more than the parent's interquartile range, and it fails
@@ -22,8 +23,9 @@ both sides and the number of pairs the change wins, and two verdicts:
 
 It also says whether the failed and known-defect counts and the output
 digests are the same on both sides of every pair.  The pair table (with
-each run's cycle count) and the verdicts go to the --out JSON file, and the
-worktrees are removed at the end.  Without --out nothing runs.
+each run's cycle count and CPU seconds) and the verdicts go to the --out
+JSON file, and the worktrees are removed at the end.  Without --out nothing
+runs.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import resource
 import subprocess
 import sys
 import tempfile
@@ -40,6 +43,12 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 CLAIM_SHARE = 0.9  # pairs the change must win for a claim: 9 of 10
+
+
+def sign_test_p(wins: int, losses: int) -> float:
+    """Exact two-sided sign-test p-value: the chance of a split at least this uneven under a fair coin."""
+    n = wins + losses
+    return min(1.0, 2 * sum(math.comb(n, k) for k in range(min(wins, losses) + 1)) / 2**n)
 
 
 def compare(parent: list, change: list, better: str, bound: float, failed: tuple = ((), ())) -> dict:
@@ -52,6 +61,7 @@ def compare(parent: list, change: list, better: str, bound: float, failed: tuple
     p_q = np.percentile(parent, [25, 50, 75]).tolist()
     c_q = np.percentile(change, [25, 50, 75]).tolist()
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    losses = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     gain = sign * (c_q[1] - p_q[1])  # positive when the change's median is better
     iqr = p_q[2] - p_q[0]
     worse = -gain / abs(p_q[1]) if p_q[1] else 0.0
@@ -66,6 +76,7 @@ def compare(parent: list, change: list, better: str, bound: float, failed: tuple
         "change": {"q1": c_q[0], "median": c_q[1], "q3": c_q[2]},
         "wins": wins,
         "pairs": len(parent),
+        "p_value": sign_test_p(wins, losses),
         "median_gain": gain,
         "parent_iqr": iqr,
         "more_failed": more_failed,
@@ -77,9 +88,11 @@ def compare(parent: list, change: list, better: str, bound: float, failed: tuple
 
 
 def run_bench(tree: Path, workload: str, seed: int) -> dict:
-    """One `bench/run.py --trace 0` in a tree: its metrics, counts, digest and cycle count."""
+    """One `bench/run.py --trace 0` in a tree: its metrics, counts, digest, cycle count and CPU seconds."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.splitlines()
     result = json.loads(lines[-1])
     record = json.loads(next(line for line in lines if line.startswith("record "))[len("record "):])
@@ -91,6 +104,7 @@ def run_bench(tree: Path, workload: str, seed: int) -> dict:
         "known_defect": record["known_defect"],
         "digest": record["digest"],
         "cycles": record["cycles"],
+        "cpu_s": (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime),
     }
 
 
@@ -138,7 +152,7 @@ def report(summary: dict) -> None:
             p, c = s["parent"], s["change"]
             print(f"  {name:16s} parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"
                   f"  change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]"
-                  f"  wins {s['wins']}/{s['pairs']}"
+                  f"  wins {s['wins']}/{s['pairs']} (p {s['p_value']:.2g})"
                   f"  claim {'holds' if s['claim_holds'] else 'no'}"
                   f"  bound {s['bound_verdict']} ({s['relative_worse']:+.3f} of {s['bound']})")
         same = entry["same_on_both_sides"]

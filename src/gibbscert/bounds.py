@@ -23,6 +23,12 @@ from .lattice import distance_matrix
 from .model import GibbsModel
 
 
+def _scaled_norm(x: np.ndarray) -> float:
+    """||x||_2 as s ||x / s|| with s = max|x|, so no square of a tiny entry is subnormal."""
+    s = float(np.max(np.abs(x), initial=0.0))
+    return s * float(np.linalg.norm(x / s)) if 0.0 < s < math.inf else s
+
+
 @dataclass(frozen=True)
 class Observable:
     """A function of the spin configuration with certified gradient norms.
@@ -40,7 +46,7 @@ class Observable:
 
     @property
     def gradient_l2(self) -> float:
-        return float(np.linalg.norm(self.grad_norms))
+        return _scaled_norm(self.grad_norms)
 
 
 def coordinate(site: int, n_sites: int) -> Observable:
@@ -115,11 +121,7 @@ def weighted_bound(
             f"weighted similarity check does not certify rho={rho} "
             f"(achieved {check.rho})"
         )
-    value = (
-        float(np.linalg.norm(d * f.grad_norms))
-        * float(np.linalg.norm(g.grad_norms / d))
-        / rho
-    )
+    value = _scaled_norm(d * f.grad_norms) * _scaled_norm(g.grad_norms / d) / rho
     return BoundReport(value, "weighted", {"rho": rho, "rho_achieved": check.rho})
 
 

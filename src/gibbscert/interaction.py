@@ -8,6 +8,7 @@ expansion of A^-1 all live here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -26,7 +27,11 @@ def _require_symmetric(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     scale = max(1.0, float(np.max(np.abs(a))))
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * scale):
+    atol = 1e-12 * scale
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, left to allclose
+        gap = np.max(np.abs(a - a.T))
+    # one pass accepts a finite matrix; NaN, +-inf or a failed test get allclose's verdict
+    if not gap <= atol < math.inf and not np.allclose(a, a.T, rtol=0.0, atol=atol):
         raise ValueError("matrix must be symmetric")
     return a
 

@@ -45,11 +45,11 @@ been rebuilt for its final residual check; phi is divided and centred in
 place in X.  Traced peaks per stage on a 2-core Xeon, in MiB (grid arrays):
 
     stage           m = 601, 1 function   m = 481, 2 functions
-    set-up          23.2 (8.4)            14.9 (8.4)
+    set-up          24.8 (9.0)            15.9 (9.0)
     PCG             32.6 (11.8)           32.9 (18.7)
     field assembly  30.5 (11.1)           23.2 (13.1)
-    phi.csv         15.2 (5.5)            13.7 (7.8)
-    verify          30.4 (11.0)           26.5 (15.0)
+    phi.csv         10.6 (3.9)            11.2 (6.3)
+    verify          24.9 (9.0)            23.0 (13.0)
 
 Verify holds mu, phi, f, the coordinates, the edge weights and phi's fluxes,
 and f's energies take one axis at a time.  Set-up, the PCG, field assembly

@@ -1,9 +1,14 @@
 """Serialization helpers: full-precision CSV tables and deterministic JSON.
 
-CSV tables are written from numpy byte slots.  Each cell of a chunk becomes a
-fixed-width row of a uint8 matrix, padded with NUL bytes; a chunk's lines are
-its column slots joined by ',' and '\\n' columns, and deleting the NULs
-(`bytes.translate`) leaves the text that fmt() gives cell by cell.
+CSV tables are written CHUNK_ROWS lines at a time from dictionary-encoded
+columns, as in column stores (Abadi, Madden & Ferreira, "Integrating
+compression and execution in column-oriented database systems", SIGMOD
+2006).  Each column of a chunk is a key table and an index: a key table is
+a uint8 matrix with one NUL-padded byte slot per distinct key, less the byte
+columns that are NUL in every key, plus one column for the ',' or '\\n' that
+ends the cell.  The chunk's lines are the indexed rows of its key tables
+side by side, and deleting the few NULs left (`bytearray.replace`) leaves the
+text that fmt() gives cell by cell.
 
 A float slot holds '%.17e' % v in 25 bytes, `[-] d . 17 digits e +/- dd[d]`,
 computed in numpy after Ryu printf (Adams, "Ryu revisited: printf floating
@@ -27,6 +32,7 @@ are built at import from exact integers.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -36,13 +42,14 @@ from pathlib import Path
 import numpy as np
 
 PAIR_COLUMNS = ("i", "j", "delta_ij", "bound", "oracle_value", "stderr_or_tol", "verdict")
-CHUNK_ROWS = 4096  # rows formatted per write; bounds the slots held in memory
+CHUNK_ROWS = 8192  # rows formatted per write; bounds the slots held in memory
 FLOAT_SLOT = 25  # bytes of the longest '%.17e' text, '-1.23456789012345678e-308'
 DEFER_MARGIN = 2.0**-30  # y's fraction this close to 1/2 is not rounded here
 PERCENT_KEYS = 64  # fewer floats than this go to '%' whole: cheaper than numpy's fixed cost
 # Rows of a full chunk probed for repeated floats.  Drawn at random, not
 # strided: a column with period T repeats on them for every T < 1122.
 PROBE_ROWS = np.array(random.Random(0).sample(range(CHUNK_ROWS), 128))
+_INT_KEYS = 2**16  # integers below this index a table of their texts
 _K_MIN, _K_MAX = -324, 308  # decimal exponents of the finite nonzero doubles
 _VELTKAMP = 2.0**27 + 1.0
 
@@ -169,48 +176,108 @@ def _float_slots(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _slots(column: np.ndarray) -> np.ndarray:
-    """One chunk of a column as NUL-padded byte slots, one row per cell.
+@functools.cache
+def _int_texts(digits: int) -> np.ndarray:
+    """Text of every integer below min(10^digits, _INT_KEYS), as NUL-padded rows of digits bytes."""
+    text = [b"%d" % v for v in range(min(10**digits, _INT_KEYS))]
+    table = np.array(text, dtype=f"S{digits}").view(np.uint8).reshape(len(text), digits)
+    table.flags.writeable = False  # shared by every caller
+    return table
 
-    Each distinct key is formatted once and its slot gathered by the inverse
-    index: integers and text are keyed by value, floats by their 64-bit
-    pattern, so 0.0 and -0.0 (equal as floats, different as text) and NaNs
-    with different payloads keep their own slots.  A full float chunk whose
-    keys on PROBE_ROWS are all distinct skips np.unique and is formatted
-    whole, as np.unique would find nearly every key distinct: k keys spread
-    evenly pass the probe with probability about exp(-128**2 / 2k), 2% at
-    k = 2048.  Either way each cell gets the same text.
+
+def _key_table(slots: np.ndarray) -> np.ndarray:
+    """slots less their NUL-only byte columns, with one more column for the separator.
+
+    A text starts at byte 0, or at byte 1 after a float's sign slot, and has
+    no NUL inside, so the byte columns that are NUL in every row are the
+    first and the last ones.
+    """
+    lo, hi = 0, slots.shape[1]
+    while hi > lo and not slots[:, hi - 1].any():
+        hi -= 1
+    while lo < hi and not slots[:, lo].any():
+        lo += 1
+    table = np.empty((len(slots), hi - lo + 1), np.uint8)
+    table[:, :-1] = slots[:, lo:hi]
+    return table
+
+
+def _slots(column: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """One chunk of a column, dictionary-encoded: a key table and an index.
+
+    Row r of the chunk reads row index[r] of the table; with index None the
+    table has one row per cell, or one row that every cell shares.  The
+    table's rows are NUL-padded byte slots (see _key_table); its last column
+    is left for the separator that _chunk_text writes.
+
+    Each distinct key is formatted once: integers and text are keyed by
+    value, floats by their 64-bit pattern, so 0.0 and -0.0 (equal as floats,
+    different as text) and NaNs with different payloads keep their own
+    slots.  The keys are found without a sort where the column allows it:
+
+    * a column whose cells all hold one key is one slot;
+    * integers in [0, _INT_KEYS) spanning no more values than the chunk has
+      rows index a table of their texts by value;
+    * a full float chunk whose keys on PROBE_ROWS are all distinct is
+      formatted whole, as np.unique would find nearly every key distinct:
+      k keys spread evenly pass the probe with probability about
+      exp(-128**2 / 2k), 2% at k = 2048.
+
+    Every other column goes through np.unique.  Either way each cell gets
+    the same text.
     """
     kind = column.dtype.kind
     if kind in "biuU":
-        keys, inverse = np.unique(column, return_inverse=True)
-        if kind == "U":
-            text = [key.encode() for key in keys.tolist()]
-        else:
-            text = [b"%d" % key for key in keys.tolist()]
-        table = np.array(text, dtype=bytes)  # the S dtype pads with NUL
-        table = table.view(np.uint8).reshape(len(text), -1)
+        keys, text = column, _text_slots
     else:
-        bits = np.ascontiguousarray(column, dtype=float).view(np.uint64)
-        if len(bits) == CHUNK_ROWS:
-            probe = np.sort(bits.take(PROBE_ROWS))
-            if not np.count_nonzero(probe[1:] == probe[:-1]):
-                return _float_slots(bits.view(float))
-        keys, inverse = np.unique(bits, return_inverse=True)
-        table = _float_slots(keys.view(float))
-    return np.take(table, inverse, axis=0)
+        keys = np.ascontiguousarray(column, dtype=float).view(np.uint64)
+        text = _bits_slots
+    if not np.count_nonzero(keys != keys[0]):
+        return _key_table(text(keys[:1])), None
+    if kind in "iu":
+        lo, hi = int(keys.min()), int(keys.max())
+        if 0 <= lo and hi < _INT_KEYS and hi - lo < len(keys):
+            return _key_table(_int_texts(len(str(hi)))[lo : hi + 1]), keys - lo
+    elif kind not in "bU" and len(keys) == CHUNK_ROWS:
+        probe = np.sort(keys.take(PROBE_ROWS))
+        if not np.count_nonzero(probe[1:] == probe[:-1]):
+            return _key_table(text(keys)), None
+    keys, inverse = np.unique(keys, return_inverse=True)
+    return _key_table(text(keys)), inverse
 
 
-def _chunk_text(slots: list, rows: int) -> bytes:
-    """Lines of one chunk: its column slots (None for empty cells) joined by ',' and '\\n'."""
-    comma = np.full((rows, 1), ord(","), np.uint8)
-    line = []
-    for s in slots:
-        if s is not None:
-            line.append(s)
-        line.append(comma)
-    line[-1] = np.full_like(comma, ord("\n"))
-    return np.concatenate(line, axis=1).tobytes().translate(None, b"\0")
+def _text_slots(keys: np.ndarray) -> np.ndarray:
+    """Integers and text as NUL-padded byte slots, one row per key."""
+    if keys.dtype.kind == "U":
+        text = [key.encode() for key in keys.tolist()]
+    else:
+        text = [b"%d" % key for key in keys.tolist()]
+    table = np.array(text, dtype=bytes)  # the S dtype pads with NUL
+    return table.view(np.uint8).reshape(len(text), -1)
+
+
+def _bits_slots(bits: np.ndarray) -> np.ndarray:
+    return _float_slots(bits.view(float))
+
+
+def _chunk_text(slots: list, rows: int) -> bytearray:
+    """Lines of one chunk from each column's (key table, index); None for a column of empty cells.
+
+    Each table's last column takes the ',' or '\\n' that ends its cells.  A
+    table row is copied as one opaque item of its width, and the NULs left
+    in the lines are deleted.
+    """
+    tables = [(np.empty((1, 1), np.uint8), None) if s is None else s for s in slots]
+    buf = bytearray(rows * sum(table.shape[1] for table, _ in tables))
+    lines = np.frombuffer(buf, np.uint8).reshape(rows, -1)
+    col = 0
+    for k, (table, index) in enumerate(tables):
+        width = table.shape[1]
+        table[:, -1] = ord("\n") if k == len(tables) - 1 else ord(",")
+        cells = table.view(f"V{width}")[:, 0]
+        lines[:, col : col + width].view(f"V{width}")[:, 0] = cells if index is None else cells.take(index)
+        col += width
+    return buf.replace(b"\0", b"")
 
 
 def _write_chunks(header, n: int, chunk_slots, path) -> None:
@@ -228,7 +295,7 @@ def write_table(header, columns, path) -> None:
     Each cell reads as fmt() writes it: integer columns as integers, text
     columns as they are, other columns in full precision, and a column given
     as None leaves its cells empty.  Rows are formatted CHUNK_ROWS at a time
-    as one uint8 matrix of byte slots (see _slots and the module docstring).
+    from one key table per column (see _slots and the module docstring).
     """
     arrays = [None if c is None else np.asarray(c) for c in columns]
     if len(header) != len(arrays):
@@ -253,12 +320,12 @@ def write_grid_table(header, nodes, shape: tuple, columns, path) -> None:
     so those columns are neither built nor sorted; `columns` gives the other
     cells, one per node.  The bytes are write_table's for the same table.
     """
-    node_slots = _float_slots(np.asarray(nodes, dtype=float))
+    node_table = _key_table(_float_slots(np.asarray(nodes, dtype=float)))
     arrays = [np.asarray(c) for c in columns]
 
     def chunk_slots(start, stop):
         index = np.unravel_index(np.arange(start, stop), shape)
-        return [np.take(node_slots, i, axis=0) for i in index] + [_slots(a[start:stop]) for a in arrays]
+        return [(node_table, i) for i in index] + [_slots(a[start:stop]) for a in arrays]
 
     _write_chunks(header, math.prod(shape), chunk_slots, path)
 

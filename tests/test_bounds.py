@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gibbscert.bounds import (
@@ -168,13 +168,18 @@ def m_matrix_weights_and_gradients(draw):
     top = float(np.linalg.eigvalsh(kappa / np.sqrt(np.outer(rho, rho)))[-1])
     im = build_interaction_matrix(rho, kappa * (t / top) if top > 1e-6 else kappa)
     weights = np.array(draw(st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=n, max_size=n)))
-    # no norms so small that their squares lose bits as subnormals in np.linalg.norm
-    norm = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=10.0))
-    grads = [np.array(draw(st.lists(norm, min_size=n, max_size=n))) for _ in "fg"]
+    # g's norms reach 1e-300, whose squares are subnormal, while every product
+    # in both bounds stays a normal number
+    grads = [
+        np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(min_value=low, max_value=10.0)), min_size=n, max_size=n)))
+        for low in (1e-3, 1e-300)
+    ]
     return im, weights, grads
 
 
 @given(m_matrix_weights_and_gradients())
+# np.linalg.norm squared 6.1e-157 to a subnormal: the weighted bound rounded below the full one
+@example((build_interaction_matrix([1.0], np.zeros((1, 1))), np.array([0.75]), [np.ones(1), np.array([4.593084552307842e-157])]))
 @settings(max_examples=200, deadline=None)
 def test_full_matrix_bound_below_helffer_ledoux_weighted_bound(case):
     # D A D^-1 >= rho Id (symmetric part) gives ||D^-1 A^-1 D|| <= 1/rho, so the

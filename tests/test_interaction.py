@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbscert.interaction import (
+    _require_symmetric,
     build_interaction_matrix,
     build_tilted_matrix,
     dominance_margin,
@@ -54,6 +55,39 @@ def test_build_rejects_bad_input():
     with pytest.raises(ValueError, match="symmetric"):
         build_interaction_matrix([1.0, 1.0], np.array([[0.0, 0.2], [0.1, 0.0]]))
 
+
+
+
+def allclose_verdict(a) -> bool:
+    """The symmetry test as one np.allclose, with the scale _require_symmetric uses."""
+    return bool(np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.max(np.abs(a))))))
+
+
+@pytest.mark.parametrize(
+    "upper, lower, symmetric",
+    [
+        (math.nan, math.nan, False),
+        (0.5, math.nan, False),
+        (math.inf, math.inf, True),
+        (-math.inf, -math.inf, True),
+        (math.inf, 0.5, False),  # the one-pass gap is inf <= atol = inf, yet asymmetric
+        (0.0, 1e-12, True),  # an asymmetry of exactly atol = 1e-12 * max(1, max|a|)
+        (0.0, math.nextafter(1e-12, 1.0), False),
+        (2.0**22, 2.0**22 + 4503 * 2.0**-30, True),  # atol = 1e-12 * max|a| ~ 4503.6 ulps of 2^22
+        (2.0**22, 2.0**22 + 4504 * 2.0**-30, False),
+    ],
+    ids=["nan-pair", "one-nan", "inf-pair", "minus-inf-pair", "one-inf", "at-atol", "above-atol", "scaled-at", "scaled-above"],
+)
+def test_symmetry_check_keeps_the_allclose_verdict(upper, lower, symmetric):
+    a = np.eye(3)
+    a[0, 2], a[2, 0] = upper, lower
+    with np.errstate(invalid="ignore"):  # allclose warns of the atol = inf that an inf entry gives
+        assert allclose_verdict(a) == symmetric
+        if symmetric:
+            assert _require_symmetric(a) is not None
+        else:
+            with pytest.raises(ValueError, match="symmetric"):
+                _require_symmetric(a)
 
 def test_positive_definite_examples():
     assert is_positive_definite(np.eye(2))

@@ -82,10 +82,11 @@ def random_pairs(rng, n, with_oracle):
 
 def test_emit_pair_table_matches_per_row_writer(tmp_path):
     rng = np.random.default_rng(3)
-    for n, with_oracle in ((3, False), (7, True), (100, True), (100, False)):
+    big = math.isqrt(2 * CHUNK_ROWS) + 1  # the smallest n whose n (n + 1) / 2 rows cross a chunk boundary
+    for n, with_oracle in ((3, False), (7, True), (big, True), (big, False)):
         pairs = random_pairs(rng, n, with_oracle)
-        if n == 100:
-            assert len(pairs["i"]) > CHUNK_ROWS  # crosses a chunk boundary
+        if n == big:
+            assert len(pairs["i"]) > CHUNK_ROWS
         bulk = assert_same_bytes(
             tmp_path,
             lambda path: emit_pair_table(pairs, path),
@@ -101,7 +102,7 @@ def test_emit_pair_table_matches_per_row_writer(tmp_path):
 
 def test_phi_table_matches_per_row_writer(tmp_path):
     rng = np.random.default_rng(5)
-    m = 71
+    m = math.isqrt(CHUNK_ROWS) + 1
     assert m * m > CHUNK_ROWS  # crosses a chunk boundary
     nodes = np.linspace(-3.0, 3.0, m)
     nodes[:3] = [-0.0, 0.0, 1e-300]
@@ -188,6 +189,48 @@ def test_repeated_values_match_per_row_writer(tmp_path):
     assert {line.split(",")[5] for line in lines[1:]} == {"0", "1"}
     assert fmt(np.float32(0.1)) == "1.00000001490116119e-01"
 
+
+
+def dictionary_columns(rows: int) -> dict:
+    """Columns that take each way of finding a chunk's keys, with the cases at their edges."""
+    rng = np.random.default_rng(17)
+    u64_max = np.iinfo(np.uint64).max
+    exponents = rng.integers(-300, 300, size=rows)
+    return {
+        "constant-float": np.full(rows, np.pi),  # one slot, broadcast
+        "constant-minus-zero": np.full(rows, -0.0),
+        "constant-nan": np.full(rows, nan_with_payload(7)),
+        "constant-text": np.full(rows, "unchecked"),
+        "ints-below-2-16": rng.integers(65000, 65536, size=rows),  # indexed by value, up to 65535
+        "ints-at-2-16": rng.integers(65535, 65537, size=rows),  # 65536 takes np.unique
+        "small-uint64": rng.integers(0, 100, size=rows, dtype=np.uint64),
+        "negative-ints": rng.integers(-50, 50, size=rows),
+        "uint64-max": rng.choice(np.array([0, 7, u64_max], dtype=np.uint64), size=rows),
+        "mixed-sign": rng.normal(size=rows),
+        "three-digit-exponents": rng.normal(size=rows) * 10.0 ** np.where(exponents % 2, exponents, 200),
+        "mixed-text": rng.choice(["pass", "fail", "unchecked"], size=rows),
+    }
+
+
+@pytest.mark.parametrize("name", list(dictionary_columns(1)))
+def test_dictionary_paths_match_per_row_writer(name, tmp_path):
+    # each column in the first, a middle and the last position, over a full
+    # chunk and a chunk of 5 rows
+    column = dictionary_columns(CHUNK_ROWS + 5)[name]
+    other = np.linspace(0.0, 1.0, len(column))
+    header, columns = ("a", "b", "c"), [column, other, column]
+    assert_same_bytes(tmp_path, lambda path: write_table(header, columns, path), header, columns)
+    if name.startswith("constant"):
+        table, index = reporting._slots(column[:CHUNK_ROWS])
+        assert len(table) == 1 and index is None
+
+
+def test_empty_last_column_matches_per_row_writer(tmp_path):
+    rows = CHUNK_ROWS + 5
+    header = ("value", "empty")
+    columns = [wide_range(np.random.default_rng(19), rows), None]
+    bulk = assert_same_bytes(tmp_path, lambda path: write_table(header, columns, path), header, columns)
+    assert bulk.splitlines()[1] == b"0.00000000000000000e+00,"
 
 def test_probe_rows_repeat_on_every_short_period():
     # a column with period T < 1122, such as x1 of phi.csv (T = m), shows a

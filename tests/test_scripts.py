@@ -84,6 +84,8 @@ def test_bench_pairs_statistics():
     s = pairs.compare(parent, change, "lower", 0.1)
     assert s["parent"] == {"q1": 120.225, "median": 120.45, "q3": 120.675}
     assert (s["wins"], s["pairs"]) == (9, 10)
+    # nine wins in ten: 2 (C(10,0) + C(10,1)) / 2^10 = 22/1024
+    assert s["p_value"] == 22 / 1024
     assert s["median_gain"] == pytest.approx(6.0) and s["parent_iqr"] == pytest.approx(0.45)
     assert s["claim_holds"] and s["bound_verdict"] == "ok"
     # the same runs are no claim if the change fails more operations on any pair
@@ -107,6 +109,10 @@ def test_bench_pairs_statistics():
     assert pairs.compare(noisy, [0.08] * 10, "lower", 0.25)["bound_verdict"] == "unresolved"
     # unless every change run beats every parent run
     assert pairs.compare(noisy, [0.02] * 10, "lower", 0.25)["bound_verdict"] == "ok"
+    # tied pairs are dropped: 3 wins, 0 losses and 2 ties give 2 C(3,0) / 2^3
+    tied = pairs.compare([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 2.0, 2.0, 3.0, 4.0], "lower", 0.25)
+    assert (tied["wins"], tied["p_value"]) == (3, 0.25)
+    assert pairs.compare(rps, rps, "higher", 0.25)["p_value"] == 1.0
 
 
 def test_bench_pairs_alternates_and_summarizes():
@@ -126,3 +132,24 @@ def test_bench_pairs_alternates_and_summarizes():
     summary = pairs.summarize(rows, benchmark)["oracles"]
     assert set(summary["metrics"]) == set(names)
     assert summary["same_on_both_sides"] == {"correct": True, "failed": True, "known_defect": True, "digest": False}
+
+
+def test_bench_pairs_records_cpu_seconds(tmp_path, monkeypatch):
+    # a stand-in for bench/run.py that burns CPU in a grandchild, then prints
+    # the two lines run_bench reads
+    pairs = load_script("bench_pairs")
+    child = (
+        "import json, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-c', 'sum(range(3 * 10**7))'], check=True)\n"
+        "print('record ' + json.dumps({'known_defect': 0, 'digest': 'd', 'cycles': 1}))\n"
+        "print(json.dumps({'metrics': {'throughput_rps': {'value': 1.0}}, 'correct': True, 'attempted': 1, 'failed': 0}))\n"
+    )
+    real_run = subprocess.run
+
+    def fake_run(cmd, **kwargs):
+        return real_run([sys.executable, "-c", child], **kwargs)
+
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    run = pairs.run_bench(tmp_path, "torus-nn", 1)
+    assert run["metrics"] == {"throughput_rps": 1.0} and run["cycles"] == 1
+    assert 0.1 < run["cpu_s"] < 60
