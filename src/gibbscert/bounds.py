@@ -19,7 +19,6 @@ from .interaction import (
     interaction_from_model,
     weighted_similarity_check,
 )
-from .lattice import distance_matrix
 from .model import GibbsModel
 
 
@@ -39,10 +38,8 @@ class Observable:
     over sites, so samplers can apply it to whole batches of configurations.
     """
 
-    kind: str
     grad_norms: np.ndarray
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    site: int | None = None
 
     @property
     def gradient_l2(self) -> float:
@@ -52,16 +49,12 @@ class Observable:
 def coordinate(site: int, n_sites: int) -> Observable:
     g = np.zeros(n_sites)
     g[site] = 1.0
-    return Observable(kind="coordinate", grad_norms=g, fn=lambda x: x[..., site], site=site)
+    return Observable(grad_norms=g, fn=lambda x: x[..., site])
 
 
 def affine(weights, offset: float = 0.0) -> Observable:
     w = np.asarray(weights, dtype=float)
-    return Observable(
-        kind="affine",
-        grad_norms=np.abs(w),
-        fn=lambda x: x @ w + offset,
-    )
+    return Observable(grad_norms=np.abs(w), fn=lambda x: x @ w + offset)
 
 
 def single_site_function(
@@ -72,12 +65,7 @@ def single_site_function(
         raise ValueError("gradient norm bound must be nonnegative")
     g = np.zeros(n_sites)
     g[site] = grad_norm_bound
-    return Observable(
-        kind="single_site",
-        grad_norms=g,
-        fn=lambda x: fn(x[..., site]),
-        site=site,
-    )
+    return Observable(grad_norms=g, fn=lambda x: fn(x[..., site]))
 
 
 @dataclass(frozen=True)
@@ -130,20 +118,16 @@ class NearestNeighborCertificate:
     """Weak-coupling exponential decay certificate on the 2D torus.
 
     With Delta = min_i rho_i and |epsilon| < (Delta/4) e^-1 the tilted matrix
-    is bounded below by (Delta - 4 |epsilon| e) Id, giving per-pair bounds
-    prefactor * e^{-delta(i,j)} for unit gradient norms.  It passes only when
-    both eigenvalue audits in ``checks`` confirm the lower bounds as well.
+    is bounded below by (Delta - 4 |epsilon| e) Id, so for unit gradient
+    norms |cov(x_i, x_j)| <= prefactor * e^{-delta(i,j)}, with prefactor None
+    when |epsilon| misses the threshold.  It passes only when both eigenvalue
+    audits in ``checks`` confirm the lower bounds as well.
     """
 
     passed: bool
-    delta_uniform: float  # Delta
-    epsilon: float
     threshold: float  # (Delta/4) e^-1
     margin: float  # threshold - |epsilon|; negative when refused
     prefactor: float | None
-    pair_bounds: np.ndarray | None
-    lambda_min_A: float
-    lambda_min_A_tilde: float
     checks: dict
 
 
@@ -153,8 +137,7 @@ def nearest_neighbor_certificate(model: GibbsModel) -> NearestNeighborCertificat
         raise ValueError("certificate requires a 2D periodic lattice")
     if model.coupling.kind != "nearest_neighbor":
         raise ValueError("certificate requires nearest-neighbor coupling")
-    eps = float(model.coupling.epsilon)
-    eps_abs = abs(eps)
+    eps_abs = abs(float(model.coupling.epsilon))
     im = interaction_from_model(model)
     delta_uniform = float(np.min(im.rho))
     threshold = delta_uniform / 4.0 * math.exp(-1.0)
@@ -168,19 +151,11 @@ def nearest_neighbor_certificate(model: GibbsModel) -> NearestNeighborCertificat
             lam_at >= delta_uniform - 4 * eps_abs * math.e - 1e-10
         ),
     }
-    prefactor = pair_bounds = None
-    if margin > 0:
-        prefactor = 1.0 / (delta_uniform - 4.0 * eps_abs * math.e)
-        pair_bounds = prefactor * np.exp(-distance_matrix(geom))
+    prefactor = 1.0 / (delta_uniform - 4.0 * eps_abs * math.e) if margin > 0 else None
     return NearestNeighborCertificate(
         passed=margin > 0 and all(checks.values()),
-        delta_uniform=delta_uniform,
-        epsilon=eps,
         threshold=threshold,
         margin=margin,
         prefactor=prefactor,
-        pair_bounds=pair_bounds,
-        lambda_min_A=lam_a,
-        lambda_min_A_tilde=lam_at,
         checks=checks,
     )

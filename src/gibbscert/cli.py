@@ -39,8 +39,10 @@ from .model import (
 from .oracles.gaussian import gaussian_exact_covariance, gaussian_from_model
 from .oracles.mcmc import SamplerConfig, false_fail_probability, mcmc_covariance_matrix
 from .oracles.potential import (
+    GridError,
     GridSpec,
     PotentialSolver,
+    check_grid,
     potential_to_csv,
     verify_core_identity,
     verify_directional_pi,
@@ -191,8 +193,17 @@ def _walk(value, rule, path: str) -> None:
             raise ConfigError(f"{where}: missing required key {key!r}")
 
 
-def _check_fit(raw: dict, model: GibbsModel) -> None:
-    """The checks that need the built model, once the schema walk has passed."""
+# the config value to change for each GridError cause; {} is the potential's block
+_GRID_KEYS = {
+    "n_sites": "model.geometry",
+    "box_halfwidth": "grid.L",
+    "amplitude": "{}.perturbation.amplitude",
+    "spacing": "grid.h",
+}
+
+
+def _check_fit(raw: dict, model: GibbsModel, grid: GridSpec | None) -> None:
+    """The checks that need the built model and grid, once the schema walk has passed."""
     exp, kind, n, geometry = raw["experiment"], raw["experiment"]["kind"], model.n_sites, model.geometry
     if raw["model"]["geometry"].get("dimension", geometry.dimension) != geometry.dimension:
         raise ConfigError(f"model.geometry.dimension: must equal len(side_lengths) = {geometry.dimension}")
@@ -205,15 +216,20 @@ def _check_fit(raw: dict, model: GibbsModel) -> None:
     for block, needed_by in (("sampler", "mcmc_check"), ("grid", "pde_check")):
         if kind == needed_by and block not in raw:
             raise ConfigError(f"{block}: experiment kind {kind!r} needs the {block!r} block")
-    if kind == "pde_check" and n > 2:
-        raise ConfigError(f"model.geometry: pde_check's grid oracle supports at most 2 sites, got {n}")
+    if kind == "pde_check":
+        try:
+            check_grid(model, grid.box_halfwidth, grid.nodes_per_axis, exp.get("core_identity", False))
+        except GridError as exc:  # an amplitude is blamed at the largest one
+            site = int(np.argmax(np.abs(model.amplitude)))
+            block = "model.potential" if "potential" in raw["model"] else f"model.potentials[{site}]"
+            raise ConfigError(f"{_GRID_KEYS[exc.cause].format(block)}: {exc}") from exc
     if exp.get("compare") == "exact" and not model.gaussian:
         raise ConfigError("experiment.compare: 'exact' needs a Gaussian model (no perturbation)")
     if kind == "algebraic_certificate" and model.coupling.kind != "algebraic":
         raise ConfigError("model.coupling.kind: algebraic_certificate needs an algebraic coupling")
     if kind == "gaussian_sharpness" and not model.gaussian:
         raise ConfigError("experiment.kind: gaussian_sharpness needs a Gaussian model (no perturbation)")
-    if kind == "gaussian_sharpness" and not gaussian_from_model(model).ferromagnetic:
+    if kind == "gaussian_sharpness" and not np.all(model.coupling_matrix() >= 0):
         leaf = "matrix" if model.coupling.kind == "explicit" else "epsilon"  # algebraic couplings have c > 0
         raise ConfigError(f"model.coupling.{leaf}: gaussian_sharpness needs a ferromagnetic coupling, J >= 0")
     if kind == "threshold_scan" and (geometry.kind, geometry.dimension) != ("periodic_grid", 2):
@@ -277,14 +293,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if ("potential" in raw["model"]) == ("potentials" in raw["model"]):
         raise ConfigError("model: provide exactly one of 'potential' or 'potentials'")
     model = _built("model", _parse_model, raw["model"])
-    _check_fit(raw, model)
     sampler = grid = None
+    if "grid" in raw:
+        grid = _built("grid", GridSpec, float(raw["grid"]["L"]), float(raw["grid"]["h"]))
+    _check_fit(raw, model, grid)
     if "sampler" in raw:
         s = raw["sampler"]
         sampler = _built("sampler", SamplerConfig, **{**s, "proposal_std": float(s["proposal_std"])})
         _built("sampler.steps", sampler.sweeps, model.n_sites)
-    if "grid" in raw:
-        grid = _built("grid", GridSpec, float(raw["grid"]["L"]), float(raw["grid"]["h"]))
     output = raw.get("output", {})
     return ExperimentConfig(
         model=model,
@@ -585,6 +601,8 @@ def main(argv=None) -> int:
             print("config error: --seed given but config has no sampler block", file=sys.stderr)
             return 2
         cfg.sampler = replace(cfg.sampler, seed=args.seed)
+        # the echoed config must rerun this run
+        cfg.echo = {**cfg.echo, "sampler": {**cfg.echo["sampler"], "seed": args.seed}}
     out_dir = Path(args.out) if args.out else Path(cfg.out_path)
     report, passed = run_experiment(cfg, out_dir)
     if not passed:

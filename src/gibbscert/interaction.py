@@ -147,16 +147,20 @@ def dominance_margin(a) -> float:
     return float(np.min(np.diag(a) - off))
 
 
+def _cholesky_inverse(a) -> np.ndarray:
+    """The symmetrized inverse of a, solved with the factor that decides its positivity."""
+    cho = cholesky_factor(a)
+    inv = scipy.linalg.cho_solve(cho, np.eye(cho[0].shape[0]))
+    return 0.5 * (inv + inv.T)
+
+
 def inverse_entrywise(a) -> np.ndarray:
     """A^-1 via Cholesky solves, with near-zero entries clamped to exact zero.
 
     For a positive definite Z-matrix (an M-matrix) the true inverse is
     entrywise nonnegative; clamping makes that assertable in floating point.
-    The factor that decides positive definiteness is the one solved with.
     """
-    cho = cholesky_factor(a)
-    inv = scipy.linalg.cho_solve(cho, np.eye(cho[0].shape[0]))
-    inv = 0.5 * (inv + inv.T)
+    inv = _cholesky_inverse(a)
     inv[np.abs(inv) <= INVERSE_CLAMP] = 0.0
     return inv
 

@@ -111,6 +111,10 @@ class GridSpec:
         if self.spacing >= self.box_halfwidth:
             raise ValueError("grid spacing must resolve the box")
 
+    @property
+    def nodes_per_axis(self) -> int:
+        return int(round(2.0 * self.box_halfwidth / self.spacing)) + 1
+
 
 @dataclass
 class PotentialField:
@@ -220,6 +224,37 @@ def tail_mass_estimate(model: GibbsModel, box_halfwidth: float) -> float:
     total_osc = 2.0 * float(np.sum(np.abs(model.amplitude)))
     tails = sum(math.erfc(box_halfwidth * math.sqrt(q) / math.sqrt(2.0)) for q in model.q.tolist())
     return math.exp(total_osc) * tails
+
+
+class GridError(ValueError):
+    """A grid the oracle cannot use; ``cause`` is "n_sites", "box_halfwidth", "amplitude" or "spacing"."""
+
+    def __init__(self, cause: str, message: str):
+        super().__init__(message)
+        self.cause = cause
+
+
+def check_grid(model: GibbsModel, box_halfwidth: float, nodes_per_axis: int, core_identity: bool = False) -> None:
+    """Raise GridError unless the grid oracle can work on this grid for the model.
+
+    The oracle needs at most 2 sites and an estimated tail mass outside the
+    box of at most TAIL_MASS_LIMIT; the core identity's second differences
+    need at least 5 nodes per axis.  The perturbations are blamed for the tail
+    mass when the Gaussian envelopes alone would fit the box.
+    """
+    if model.n_sites > 2:
+        raise GridError("n_sites", f"grid oracle supports at most 2 sites, got {model.n_sites}")
+    tail = tail_mass_estimate(model, box_halfwidth)
+    if tail > TAIL_MASS_LIMIT:
+        envelopes = tail / math.exp(2.0 * float(np.sum(np.abs(model.amplitude))))
+        raise GridError(
+            "box_halfwidth" if envelopes > TAIL_MASS_LIMIT else "amplitude",
+            f"estimated tail mass {tail:.3e} outside the box exceeds {TAIL_MASS_LIMIT}; enlarge the box",
+        )
+    if core_identity and nodes_per_axis < 5:
+        raise GridError(
+            "spacing", f"grid too coarse for second differences: {nodes_per_axis} nodes per axis, 5 needed"
+        )
 
 
 def _hamiltonian_grid(model: GibbsModel, nodes: np.ndarray) -> np.ndarray:
@@ -451,20 +486,18 @@ def _lockstep_pcg(matvec, precond, B: np.ndarray, targets: np.ndarray, maxiter: 
 
 
 class PotentialSolver:
-    """Shares the discrete operator across solves for one (model, grid) pair."""
+    """Shares the discrete operator across solves for one (model, grid) pair.
+
+    Raises GridError for more than 2 sites or a box too small for the measure
+    (tail mass above TAIL_MASS_LIMIT); solve_many raises if CG cannot push the
+    relative residual below RESIDUAL_RTOL.
+    """
 
     def __init__(self, model: GibbsModel, grid: GridSpec):
-        if model.n_sites > 2:
-            raise ValueError("grid oracle supports at most 2 sites")
-        tail = tail_mass_estimate(model, grid.box_halfwidth)
-        if tail > TAIL_MASS_LIMIT:
-            raise ValueError(
-                f"estimated tail mass {tail:.3e} outside the box exceeds "
-                f"{TAIL_MASS_LIMIT}; enlarge the box"
-            )
-        self.model = model
         L = grid.box_halfwidth
-        m = int(round(2.0 * L / grid.spacing)) + 1
+        m = grid.nodes_per_axis
+        check_grid(model, L, m)
+        self.model = model
         self.nodes = np.linspace(-L, L, m)
         self.h = float(self.nodes[1] - self.nodes[0])
         self.dim = model.n_sites
@@ -636,18 +669,6 @@ class PotentialSolver:
             fields.append(pf)
         return fields
 
-    def solve(self, obs: Observable) -> PotentialField:
-        return self.solve_many([obs])[0]
-
-
-def solve_potential(model: GibbsModel, f: Observable, grid: GridSpec) -> PotentialField:
-    """One-shot solve, centering phi under mu.
-
-    Raises if the box is too small for the measure (envelope tail mass above
-    1e-8) or if CG cannot push the relative residual below 1e-10.
-    """
-    return PotentialSolver(model, grid).solve(f)
-
 
 @dataclass(frozen=True)
 class PIResult:
@@ -718,10 +739,10 @@ def verify_core_identity(pf: PotentialField) -> float:
     For each coordinate j compares int d_j(phi) d_j(f) dmu against
     int sum_k (|d_j d_k phi|^2 + d_j(phi) d_j d_k(H) d_k(phi)) dmu, all by
     interior-node quadrature with centered differences; returns the largest
-    coordinate residual.  Expected to shrink roughly linearly in h.
+    coordinate residual.  Expected to shrink roughly linearly in h.  Raises
+    GridError on fewer than 5 nodes per axis.
     """
-    if len(pf.nodes) < 5:
-        raise ValueError("grid too coarse for second differences")
+    check_grid(pf.model, float(pf.nodes[-1]), len(pf.nodes), core_identity=True)
     dim = pf.dim
     h = pf.h
     weights = _interior(pf.mu, dim) * pf.cell_volume

@@ -129,7 +129,7 @@ def pde_solutions(cold_fine_solve):
     gauss = GibbsModel(
         periodic_grid([2]), gaussian_potential(1.0), nearest_neighbor_coupling(0.2)
     )
-    sharp = PotentialSolver(gauss, PDE_GRID).solve(bnd.coordinate(0, 2))
+    sharp = PotentialSolver(gauss, PDE_GRID).solve_many([bnd.coordinate(0, 2)])[0]
     return {
         "model": model,
         "im": im,
@@ -187,7 +187,7 @@ def test_criterion_5_core_identity_refinement():
         )
         residuals = []
         for h in (0.08, 0.04, 0.02):
-            pf = PotentialSolver(model, GridSpec(6.0, h)).solve(bnd.coordinate(0, 2))
+            pf = PotentialSolver(model, GridSpec(6.0, h)).solve_many([bnd.coordinate(0, 2)])[0]
             residuals.append(verify_core_identity(pf))
         assert residuals[0] > residuals[1] > residuals[2]  # monotone under refinement
 
@@ -235,9 +235,10 @@ def test_criterion_7_nearest_neighbor_threshold():
 
         cfg = SamplerConfig(chains=8, steps=200_000, burn_in=20_000, proposal_std=1.5, seed=7701)
         est, err, _ = mcmc_covariance_matrix(model_pass, cfg)
+        bound = cert.prefactor * np.exp(-distance_matrix(model_pass.geometry))
         for i in range(16):
             for j in range(16):
-                assert abs(est[i, j]) <= cert.pair_bounds[i, j] + 3.0 * err[i, j]
+                assert abs(est[i, j]) <= bound[i, j] + 3.0 * err[i, j]
 
 
 def test_criterion_8_mcmc_vs_exact_gaussian():

@@ -228,6 +228,40 @@ PROBES = {
         {"model.geometry.side_lengths": [3], "experiment.kind": "pde_check", "grid": GRID},
         "model.geometry",
     ),
+    "pde-check-box-too-small": (
+        {"model.geometry.side_lengths": [2], "experiment.kind": "pde_check", "grid": {"L": 2.0, "h": 0.1}},
+        "grid.L",
+    ),
+    "pde-check-perturbation-too-strong": (  # the Gaussian envelopes alone fit the box
+        {
+            "model.geometry.side_lengths": [2],
+            "model.potential.perturbation": {"kind": "cosine", "amplitude": -1, "frequency": 1.0},
+            "experiment.kind": "pde_check",
+            "grid": GRID,
+        },
+        "model.potential.perturbation.amplitude",
+    ),
+    "pde-check-one-perturbation-too-strong": (
+        {
+            "model.geometry.side_lengths": [2],
+            "model.potential": ...,
+            "model.potentials": [
+                {"q": 1.0},
+                {"q": 1.0, "perturbation": {"kind": "cosine", "amplitude": 1.0, "frequency": 1.0}},
+            ],
+            "experiment.kind": "pde_check",
+            "grid": GRID,
+        },
+        "model.potentials[1].perturbation.amplitude",
+    ),
+    "core-identity-grid-too-coarse": (
+        {
+            "model.geometry.side_lengths": [2],
+            "experiment": {"kind": "pde_check", "core_identity": True},
+            "grid": {"L": 6.0, "h": 4.0},
+        },
+        "grid.h",
+    ),
     "algebraic-certificate-on-nn": ({"experiment.kind": "algebraic_certificate"}, "model.coupling.kind"),
     "sharpness-on-cosine": (
         {
@@ -657,6 +691,12 @@ def test_seed_override(tmp_path):
     assert main(["--config", str(path), "--out", str(tmp_path / "o2"), "--seed", "7"]) == 0
     report = load_report(tmp_path / "o2" / "report.json")
     assert report["results"]["sampler"]["seed"] == 7
+    assert report["config"]["sampler"]["seed"] == 7
+    # the echoed config reruns the run
+    echoed = write_config(tmp_path, report["config"], "echoed.json")
+    assert main(["--config", str(echoed), "--out", str(tmp_path / "o3")]) == 0
+    rerun = load_report(tmp_path / "o3" / "report.json")
+    assert report_bytes(rerun, drop_meta=True) == report_bytes(report, drop_meta=True)
 
 
 def test_exponential_run_builds_each_table_once(tmp_path, monkeypatch):

@@ -30,7 +30,6 @@ from gibbscert.oracles.potential import (
     RESIDUAL_RTOL,
     GridSpec,
     PotentialSolver,
-    solve_potential,
     tail_mass_estimate,
     verify_core_identity,
     verify_directional_pi,
@@ -77,13 +76,13 @@ def two_site_model(eps, q=1.0, a=0.0, b=1.0):
 def test_constant_f_gives_zero_potential():
     model = one_site_model()
     f = single_site_function(0, 1, lambda x: np.ones_like(x), 0.0)
-    pf = solve_potential(model, f, COARSE)
+    pf = PotentialSolver(model, COARSE).solve_many([f])[0]
     assert np.max(np.abs(pf.phi)) <= 1e-10
 
 
 def test_one_site_gaussian_linear_f_unit_gradient():
     model = one_site_model()
-    pf = solve_potential(model, coordinate(0, 1), GridSpec(6.0, 0.01))
+    pf = PotentialSolver(model, GridSpec(6.0, 0.01)).solve_many([coordinate(0, 1)])[0]
     dphi = np.diff(pf.phi) / pf.h
     interior = dphi[200:-200]
     assert np.max(np.abs(interior - 1.0)) <= 1e-3
@@ -93,7 +92,7 @@ def test_one_site_gaussian_linear_f_unit_gradient():
 
 def test_two_site_representation_reproduces_gaussian_covariance():
     model = two_site_model(0.2)
-    pf = solve_potential(model, coordinate(0, 2), COARSE)
+    pf = PotentialSolver(model, COARSE).solve_many([coordinate(0, 2)])[0]
     g = pf.evaluate(coordinate(1, 2))
     cov = gaussian_exact_covariance(gaussian_from_model(model))
     rep = pf.covariance_via_representation(g)
@@ -105,7 +104,7 @@ def test_two_site_representation_reproduces_gaussian_covariance():
 def test_directional_pi_sharp_for_gaussian_linear():
     model = two_site_model(0.2)
     im = interaction_from_model(model)
-    pf = solve_potential(model, coordinate(0, 2), COARSE)
+    pf = PotentialSolver(model, COARSE).solve_many([coordinate(0, 2)])[0]
     res = verify_directional_pi(pf, im)
     assert res.passed
     assert np.max(np.abs(res.margins)) <= 5.0 * res.tol_grid  # equality case
@@ -120,7 +119,7 @@ def test_directional_pi_perturbed_model():
         single_site_function(0, 2, np.sin, 1.0),
         single_site_function(0, 2, lambda x: x**3, 3.0 * 36.0),
     ):
-        res = verify_directional_pi(solver.solve(obs), im)
+        res = verify_directional_pi(solver.solve_many([obs])[0], im)
         assert res.passed
         assert np.all(res.margins >= -res.tol_grid)
 
@@ -128,14 +127,14 @@ def test_directional_pi_perturbed_model():
 def test_directional_pi_rejects_mismatched_model():
     model = two_site_model(0.2)
     other = two_site_model(0.3)
-    pf = solve_potential(model, coordinate(0, 2), COARSE)
+    pf = PotentialSolver(model, COARSE).solve_many([coordinate(0, 2)])[0]
     with pytest.raises(ValueError, match="not built from this model"):
         verify_directional_pi(pf, interaction_from_model(other))
 
 
 def test_dual_pi_one_site_sharp():
     model = one_site_model()
-    pf = solve_potential(model, coordinate(0, 1), GridSpec(6.0, 0.01))
+    pf = PotentialSolver(model, GridSpec(6.0, 0.01)).solve_many([coordinate(0, 1)])[0]
     res = verify_dual_pi(pf, 1.0)
     assert res.passed
     assert res.lhs == pytest.approx(1.0, abs=1e-2)
@@ -146,7 +145,7 @@ def test_dual_pi_two_site():
     model = two_site_model(0.2, a=0.1)
     im = interaction_from_model(model)
     rho = pi_criterion(im.A)
-    pf = solve_potential(model, coordinate(0, 2), COARSE)
+    pf = PotentialSolver(model, COARSE).solve_many([coordinate(0, 2)])[0]
     res = verify_dual_pi(pf, rho)
     assert res.passed
 
@@ -154,7 +153,8 @@ def test_dual_pi_two_site():
 def test_single_site_pi_reformulation_on_grid():
     # int (|phi''|^2 + phi' psi'' phi') dmu >= rho int |phi'|^2 dmu
     model = one_site_model(a=0.1, b=2.0)
-    pf = solve_potential(model, single_site_function(0, 1, np.sin, 1.0), GridSpec(6.0, 0.01))
+    f = single_site_function(0, 1, np.sin, 1.0)
+    pf = PotentialSolver(model, GridSpec(6.0, 0.01)).solve_many([f])[0]
     x = pf.nodes[1:-1]
     phi = pf.phi
     d1 = (phi[2:] - phi[:-2]) / (2 * pf.h)
@@ -169,7 +169,7 @@ def test_single_site_pi_reformulation_on_grid():
 def test_core_identity_constant_f():
     model = two_site_model(0.2)
     f = single_site_function(0, 2, lambda x: np.ones_like(x), 0.0)
-    pf = solve_potential(model, f, COARSE)
+    pf = PotentialSolver(model, COARSE).solve_many([f])[0]
     assert verify_core_identity(pf) <= 1e-10
 
 
@@ -177,7 +177,7 @@ def test_core_identity_refinement_improves():
     model = two_site_model(0.2)
     residuals = []
     for h in (0.08, 0.04):
-        pf = solve_potential(model, coordinate(0, 2), GridSpec(6.0, h))
+        pf = PotentialSolver(model, GridSpec(6.0, h)).solve_many([coordinate(0, 2)])[0]
         residuals.append(verify_core_identity(pf))
     assert residuals[1] <= residuals[0] / 1.5
 
@@ -187,7 +187,7 @@ def test_tail_mass_estimate_blocks_small_boxes():
     assert tail_mass_estimate(model, 6.0) < 1e-8
     assert tail_mass_estimate(model, 3.0) > 1e-8
     with pytest.raises(ValueError, match="tail mass"):
-        solve_potential(model, coordinate(0, 2), GridSpec(3.0, 0.05))
+        PotentialSolver(model, GridSpec(3.0, 0.05)).solve_many([coordinate(0, 2)])[0]
 
 
 @pytest.mark.parametrize(
@@ -203,7 +203,7 @@ def test_more_than_two_sites_rejected():
     geom = periodic_grid([3])
     model = GibbsModel(geom, gaussian_potential(1.0), nearest_neighbor_coupling(0.1))
     with pytest.raises(ValueError, match="2 sites"):
-        solve_potential(model, coordinate(0, 3), COARSE)
+        PotentialSolver(model, COARSE).solve_many([coordinate(0, 3)])[0]
 
 
 def test_interaction_matrix_export_and_csv(tmp_path):
@@ -211,7 +211,7 @@ def test_interaction_matrix_export_and_csv(tmp_path):
     from gibbscert.reporting import write_table
 
     model = two_site_model(0.2)
-    pf = solve_potential(model, coordinate(0, 2), GridSpec(6.0, 0.5))
+    pf = PotentialSolver(model, GridSpec(6.0, 0.5)).solve_many([coordinate(0, 2)])[0]
     path = tmp_path / "phi.csv"
     potential_to_csv(pf, path)
     lines = path.read_text().splitlines()

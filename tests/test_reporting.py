@@ -131,7 +131,7 @@ def test_phi_table_matches_generic_writer(tmp_path, sites, m):
     # potential_to_csv gathers the coordinate cells from nodes formatted once;
     # write_table formats the coordinate columns chunk by chunk
     model = GibbsModel(periodic_grid([sites]), cosine_potential(1.0, 0.1, 1.0), nearest_neighbor_coupling(0.2))
-    pf = PotentialSolver(model, GridSpec(6.0, 12.0 / (m - 1))).solve(coordinate(0, sites))
+    pf = PotentialSolver(model, GridSpec(6.0, 12.0 / (m - 1))).solve_many([coordinate(0, sites)])[0]
     assert pf.phi.shape == (m,) * sites
     potential_to_csv(pf, tmp_path / "phi.csv")
     header = [f"x{i}" for i in range(sites)] + ["mu", "phi"]
