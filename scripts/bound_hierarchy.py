@@ -24,19 +24,18 @@ def main():
     model = GibbsModel(geom, gaussian_potential(1.0), nearest_neighbor_coupling(0.1))
     im = interaction_from_model(model)
     cov = gaussian_exact_covariance(gaussian_from_model(model))
-    lam = pi_criterion(im.A)
+    lam = pi_criterion(im)
     cert = exponential_certificate(im, geom)
 
     print(f"{'dist':>4} {'exact':>12} {'full':>12} {'weighted':>12} {'exponential':>12} {'baseline':>12}")
     i = 0
     for j in range(n // 2 + 1):
         f, g = coordinate(i, n), coordinate(j, n)
-        full = covariance_bound(im, f, g).bound_value
+        full = covariance_bound(im, f, g)
         d = np.array([math.exp(-graph_distance(geom, k, j)) for k in range(n)])
-        check = weighted_similarity_check(im.A, d)
-        wtd = weighted_bound(im, d, check.rho, f, g).bound_value
+        wtd = weighted_bound(im, d, weighted_similarity_check(im, d), f, g)
         expo = cert.prefactor * math.exp(-graph_distance(geom, i, j))
-        base = baseline_bound(lam, f, g).bound_value
+        base = baseline_bound(lam, f, g)
         print(
             f"{graph_distance(geom, i, j):4.0f} {cov[i, j]:12.3e} {full:12.3e} "
             f"{wtd:12.3e} {expo:12.3e} {base:12.3e}"

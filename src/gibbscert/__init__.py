@@ -37,7 +37,6 @@ from .interaction import (
     weighted_similarity_check,
 )
 from .bounds import (
-    BoundReport,
     Observable,
     affine,
     baseline_bound,

@@ -3,7 +3,9 @@
 Every bound here has the shape "constant times a product of per-coordinate
 gradient norms"; the gradient norms are certified upper bounds on
 (int |grad_i f|^2 dmu)^{1/2}, supplied exactly for coordinate and affine
-observables and by the caller (or the quadrature oracle) otherwise.
+observables and by the caller (or the quadrature oracle) otherwise.  Each
+bound function returns the bound itself as a float and raises ValueError if
+it is not >= 0 (NaN included).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from .interaction import (
     InteractionMatrix,
+    NotPositiveDefinite,
     interaction_from_model,
     weighted_similarity_check,
 )
@@ -68,18 +71,13 @@ def single_site_function(
     return Observable(grad_norms=g, fn=lambda x: fn(x[..., site]))
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    bound_value: float
-    method: str
-    constants: dict
-
-    def __post_init__(self):
-        if not self.bound_value >= 0:
-            raise ValueError("bound must be nonnegative")
+def _nonnegative(value: float) -> float:
+    if not value >= 0:  # NaN included
+        raise ValueError("bound must be nonnegative")
+    return value
 
 
-def baseline_bound(rho_pi: float, f: Observable, g: Observable) -> BoundReport:
+def baseline_bound(rho_pi: float, f: Observable, g: Observable) -> float:
     """|cov(f,g)| <= (1/rho) ||grad f||_L2(mu) ||grad g||_L2(mu).
 
     The coordinate-blind consequence of a Poincare inequality with constant
@@ -87,30 +85,27 @@ def baseline_bound(rho_pi: float, f: Observable, g: Observable) -> BoundReport:
     """
     if rho_pi <= 0:
         raise ValueError("PI constant must be positive")
-    value = f.gradient_l2 * g.gradient_l2 / rho_pi
-    return BoundReport(value, "baseline", {"rho": rho_pi})
+    return _nonnegative(f.gradient_l2 * g.gradient_l2 / rho_pi)
 
 
-def covariance_bound(im: InteractionMatrix, f: Observable, g: Observable) -> BoundReport:
+def covariance_bound(im: InteractionMatrix, f: Observable, g: Observable) -> float:
     """|cov(f,g)| <= sum_ij (A^-1)_ij ||grad_i f|| ||grad_j g||."""
     inv = im.inverse()  # raises unless A is positive definite
-    value = float(f.grad_norms @ inv @ g.grad_norms)
-    return BoundReport(value, "full_matrix", {"lambda_min": im.lambda_min()})
+    return _nonnegative(float(f.grad_norms @ inv @ g.grad_norms))
 
 
 def weighted_bound(
     im: InteractionMatrix, weights, rho: float, f: Observable, g: Observable
-) -> BoundReport:
+) -> float:
     """|cov(f,g)| <= (1/rho) ||D grad f|| ||D^-1 grad g|| for D A D^-1 >= rho Id."""
     d = np.asarray(weights, dtype=float)
-    check = weighted_similarity_check(im.A, d)
-    if not check.passed or check.rho < rho - 1e-12:
+    achieved = weighted_similarity_check(im, d)
+    if not achieved > 0 or achieved < rho - 1e-12:
         raise ValueError(
             f"weighted similarity check does not certify rho={rho} "
-            f"(achieved {check.rho})"
+            f"(achieved {achieved})"
         )
-    value = _scaled_norm(d * f.grad_norms) * _scaled_norm(g.grad_norms / d) / rho
-    return BoundReport(value, "weighted", {"rho": rho, "rho_achieved": check.rho})
+    return _nonnegative(_scaled_norm(d * f.grad_norms) * _scaled_norm(g.grad_norms / d) / rho)
 
 
 @dataclass(frozen=True)
@@ -143,13 +138,13 @@ def nearest_neighbor_certificate(model: GibbsModel) -> NearestNeighborCertificat
     threshold = delta_uniform / 4.0 * math.exp(-1.0)
     margin = threshold - eps_abs
 
-    lam_a = im.lambda_min()
-    lam_at = im.tilted(geom).lambda_min()
+    try:
+        tilde_holds = im.tilted(geom).lambda_min() >= delta_uniform - 4 * eps_abs * math.e - 1e-10
+    except NotPositiveDefinite:  # an amplified coupling overflowed, so A~ is refused
+        tilde_holds = False
     checks = {
-        "A_lower_bound_holds": bool(lam_a >= delta_uniform - 4 * eps_abs - 1e-10),
-        "A_tilde_lower_bound_holds": bool(
-            lam_at >= delta_uniform - 4 * eps_abs * math.e - 1e-10
-        ),
+        "A_lower_bound_holds": bool(im.lambda_min() >= delta_uniform - 4 * eps_abs - 1e-10),
+        "A_tilde_lower_bound_holds": tilde_holds,
     }
     prefactor = 1.0 / (delta_uniform - 4.0 * eps_abs * math.e) if margin > 0 else None
     return NearestNeighborCertificate(

@@ -190,37 +190,29 @@ def _smallest_eigenvalue(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(a)[0])
 
 
-class WeightedCheck(NamedTuple):
-    passed: bool
-    rho: float  # min eigenvalue of the symmetric part of D A D^-1
+def weighted_similarity_check(im: InteractionMatrix, weights) -> float:
+    """rho = lambda_min of the symmetric part of D A D^-1, with D = diag(weights).
 
-
-def weighted_similarity_check(a, weights) -> WeightedCheck:
-    """Check D A D^-1 >= rho Id in quadratic-form sense (symmetric part).
-
-    When the check passes, A itself must be positive definite; that
-    implication is re-verified here rather than assumed.
+    rho > 0 certifies D A D^-1 >= rho Id in quadratic-form sense.  A itself
+    must then be positive definite; that implication is re-verified here
+    rather than assumed.
     """
-    a = _require_symmetric(a)
     d = np.asarray(weights, dtype=float)
     if np.any(d <= 0):
         raise ValueError("weights must be positive")
-    similar = (d[:, None] * a) / d[None, :]
-    sym = 0.5 * (similar + similar.T)
-    rho = _smallest_eigenvalue(sym)
-    passed = rho > 0
-    if passed and not is_positive_definite(a):
+    similar = (d[:, None] * im.A) / d[None, :]
+    rho = _smallest_eigenvalue(0.5 * (similar + similar.T))
+    if rho > 0 and not is_positive_definite(im.A):
         raise AssertionError("weighted check passed but A is not positive definite")
-    return WeightedCheck(passed=passed, rho=rho)
+    return rho
 
 
-def pi_criterion(a) -> float | None:
-    """Spectral-gap certificate for the full measure: lambda_min(A) if positive.
+def pi_criterion(im: InteractionMatrix) -> float | None:
+    """Spectral-gap certificate for the full measure: im.lambda_min() if positive.
 
     A >= rho Id with rho > 0 certifies a Poincare inequality with constant rho.
     """
-    a = _require_symmetric(a)
-    lam = _smallest_eigenvalue(a)
+    lam = im.lambda_min()
     return lam if lam > 0 else None
 
 

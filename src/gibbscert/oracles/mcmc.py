@@ -39,6 +39,7 @@ from ..model import GibbsModel
 _BLOCK = 512  # sweeps drawn per generator call
 _SLAB = 64  # sweeps whose draws are moved into class order at a time
 _GROUP = 64  # chains moved together, a piece that stays in cache
+STDERR_MULTIPLE = 3.0  # an estimate passes within this many standard errors of its target
 MASK64 = (1 << 64) - 1
 
 
@@ -125,12 +126,12 @@ def t_two_sided_tail(t: float, dof: int) -> float:
 
 def false_fail_probability(chains: int, pairs: int, max_violations: int) -> float:
     """Chance that exact sampling puts more than max_violations of `pairs`
-    estimates outside 3 standard errors.
+    estimates outside STDERR_MULTIPLE standard errors.
 
     Each pair's statistic is taken as Student-t with chains - 1 degrees of
     freedom, and the pairs as independent, so the count is binomial.
     """
-    p = t_two_sided_tail(3.0, chains - 1)
+    p = t_two_sided_tail(STDERR_MULTIPLE, chains - 1)
     kept = sum(math.comb(pairs, k) * p**k * (1.0 - p) ** (pairs - k) for k in range(min(max_violations, pairs) + 1))
     return max(0.0, 1.0 - kept)
 

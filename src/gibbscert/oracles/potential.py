@@ -70,7 +70,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from ..bounds import Observable
-from ..interaction import InteractionMatrix, interaction_from_model
+from ..interaction import interaction_from_model
 from ..model import GibbsModel
 from ..reporting import write_grid_table
 
@@ -690,21 +690,19 @@ class PIResult:
         return cls(margins, lhs, rhs, tol_grid, passed=bool(np.all(margins >= -tol_grid)))
 
 
-def verify_directional_pi(pf: PotentialField, im: InteractionMatrix) -> PIResult:
+def verify_directional_pi(pf: PotentialField) -> PIResult:
     """Check (int |d_i phi|^2)^{1/2} <= sum_j (A^-1)_ij (int |d_j f|^2)^{1/2}.
 
+    A^-1 is that of the model's own record, interaction_from_model(pf.model).
     Both sides are quadrature values on the solved grid; the tolerance
     tol_grid = h (1 + ||grad f||) absorbs the O(h) discretization error in
-    the sharp (equality) cases.  ``im`` must be interaction_from_model(pf.model),
-    the model's own record.
+    the sharp (equality) cases.
     """
-    if im is not interaction_from_model(pf.model):
-        raise ValueError("interaction matrix was not built from this model")
     _release_free_heap()
     lhs = np.array([math.sqrt(max(e, 0.0)) for e in pf.phi_gradient[1]])
     f_norms = np.array([math.sqrt(max(e, 0.0)) for e in pf.f_energies])
     tol = pf.h * (1.0 + float(np.linalg.norm(f_norms)))
-    return PIResult.check(lhs, im.inverse() @ f_norms, tol)
+    return PIResult.check(lhs, interaction_from_model(pf.model).inverse() @ f_norms, tol)
 
 
 def verify_dual_pi(pf: PotentialField, rho: float) -> PIResult:

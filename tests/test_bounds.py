@@ -5,7 +5,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from gibbscert import interaction
 from gibbscert.bounds import (
+    Observable,
     affine,
     baseline_bound,
     coordinate,
@@ -34,18 +36,36 @@ def im2(k, rho=(1.0, 1.0)):
 
 def test_baseline_examples():
     f0, f1 = coordinate(0, 2), coordinate(1, 2)
-    assert baseline_bound(1.0, f0, f0).bound_value == pytest.approx(1.0)
-    assert baseline_bound(2.0, f0, f1).bound_value == pytest.approx(0.5)
+    assert baseline_bound(1.0, f0, f0) == pytest.approx(1.0)
+    assert baseline_bound(2.0, f0, f1) == pytest.approx(0.5)
     w = affine([1.0, 1.0])
-    assert baseline_bound(1.0, w, w).bound_value == pytest.approx(2.0)
+    assert baseline_bound(1.0, w, w) == pytest.approx(2.0)
 
 
 def test_covariance_bound_examples():
     f0, f1 = coordinate(0, 2), coordinate(1, 2)
-    assert covariance_bound(im2(0.0), f0, f0).bound_value == pytest.approx(1.0)
-    assert covariance_bound(im2(0.5), f0, f1).bound_value == pytest.approx(2.0 / 3.0)
+    assert covariance_bound(im2(0.0), f0, f0) == pytest.approx(1.0)
+    assert covariance_bound(im2(0.5), f0, f1) == pytest.approx(2.0 / 3.0)
     with pytest.raises(ValueError, match="positive definite"):
         covariance_bound(im2(1.0), f0, f1)
+
+
+def test_covariance_bound_runs_no_eigen_solve(monkeypatch):
+    calls = []
+    monkeypatch.setattr(interaction, "_smallest_eigenvalue", lambda a: calls.append(a) or 0.0)
+    assert covariance_bound(im2(0.5), coordinate(0, 2), coordinate(1, 2)) == pytest.approx(2.0 / 3.0)
+    assert calls == []
+
+
+def test_negative_bound_is_refused():
+    negative = Observable(grad_norms=np.array([-1.0, 0.0]), fn=lambda x: -x[..., 0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        covariance_bound(im2(0.0), negative, coordinate(0, 2))
+    with pytest.raises(ValueError, match="nonnegative"):
+        weighted_bound(im2(0.0), [1.0, 1.0], -1.0, coordinate(0, 2), coordinate(0, 2))
+    nan = Observable(grad_norms=np.array([math.nan, 0.0]), fn=lambda x: x[..., 0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        baseline_bound(1.0, nan, coordinate(0, 2))
 
 
 def test_covariance_bound_gaussian_sharpness():
@@ -56,7 +76,7 @@ def test_covariance_bound_gaussian_sharpness():
     for i in range(8):
         for j in range(8):
             b = covariance_bound(im, coordinate(i, 8), coordinate(j, 8))
-            assert b.bound_value == pytest.approx(cov[i, j], rel=1e-10)
+            assert b == pytest.approx(cov[i, j], rel=1e-10)
 
 
 def test_bound_symmetry():
@@ -65,11 +85,11 @@ def test_bound_symmetry():
     for _ in range(5):
         f = affine(rng.normal(size=2))
         g = affine(rng.normal(size=2))
-        assert covariance_bound(im, f, g).bound_value == pytest.approx(
-            covariance_bound(im, g, f).bound_value
+        assert covariance_bound(im, f, g) == pytest.approx(
+            covariance_bound(im, g, f)
         )
-        assert baseline_bound(1.2, f, g).bound_value == pytest.approx(
-            baseline_bound(1.2, g, f).bound_value
+        assert baseline_bound(1.2, f, g) == pytest.approx(
+            baseline_bound(1.2, g, f)
         )
 
 
@@ -78,8 +98,8 @@ def test_weighted_bound_examples():
     f0, f1 = coordinate(0, 2), coordinate(1, 2)
     # D = Id reduces to the baseline with rho = lambda_min(A)
     b = weighted_bound(im, [1.0, 1.0], 0.5, f0, f1)
-    assert b.bound_value == pytest.approx(2.0)  # weaker than full-matrix 2/3
-    assert covariance_bound(im, f0, f1).bound_value < b.bound_value
+    assert b == pytest.approx(2.0)  # weaker than full-matrix 2/3
+    assert covariance_bound(im, f0, f1) < b
     with pytest.raises(ValueError, match="certify"):
         weighted_bound(im, [1.0, 1.0], 0.75, f0, f1)
 
@@ -90,13 +110,11 @@ def test_weighted_bound_exponential_weights_triangle_factor():
     im = interaction_from_model(model)
     i, j = 0, 3
     d = np.array([math.exp(-graph_distance(geom, k, j)) for k in range(8)])
-    from gibbscert.interaction import weighted_similarity_check
-
-    check = weighted_similarity_check(im.A, d)
-    assert check.passed
-    b = weighted_bound(im, d, check.rho, coordinate(i, 8), coordinate(j, 8))
+    rho = weighted_similarity_check(im, d)
+    assert rho > 0
+    b = weighted_bound(im, d, rho, coordinate(i, 8), coordinate(j, 8))
     # weights contribute exactly e^{-delta(i,j)}: d_i / d_j = e^{-3}
-    assert b.bound_value == pytest.approx(math.exp(-3.0) / check.rho)
+    assert b == pytest.approx(math.exp(-3.0) / rho)
 
 
 def test_exponential_decay_bound_examples():
@@ -139,19 +157,18 @@ def test_bound_hierarchy_full_below_weighted_and_baseline():
     geom = periodic_grid([8])
     model = GibbsModel(geom, cosine_potential(1.0, 0.05, 2.0), nearest_neighbor_coupling(0.05))
     im = interaction_from_model(model)
-    lam = pi_criterion(im.A)
-    from gibbscert.interaction import weighted_similarity_check
+    lam = pi_criterion(im)
 
     for i in range(8):
         for j in range(8):
             f, g = coordinate(i, 8), coordinate(j, 8)
-            full = covariance_bound(im, f, g).bound_value
-            base = baseline_bound(lam, f, g).bound_value
+            full = covariance_bound(im, f, g)
+            base = baseline_bound(lam, f, g)
             assert full <= base + 1e-12
             d = np.array([math.exp(-graph_distance(geom, k, j)) for k in range(8)])
-            check = weighted_similarity_check(im.A, d)
-            assert check.passed
-            wtd = weighted_bound(im, d, check.rho, f, g).bound_value
+            rho = weighted_similarity_check(im, d)
+            assert rho > 0
+            wtd = weighted_bound(im, d, rho, f, g)
             assert full <= wtd + 1e-12
 
 
@@ -185,12 +202,12 @@ def test_full_matrix_bound_below_helffer_ledoux_weighted_bound(case):
     # D A D^-1 >= rho Id (symmetric part) gives ||D^-1 A^-1 D|| <= 1/rho, so the
     # full-matrix bound never exceeds the weighted one for any admissible D
     im, d, (gf, gg) = case
-    check = weighted_similarity_check(im.A, d)
-    assume(check.passed)
+    rho = weighted_similarity_check(im, d)
+    assume(rho > 0)
     f = affine(gf)  # affine observables with weights >= 0 have grad_norms = weights
     g = affine(gg)
-    full = covariance_bound(im, f, g).bound_value
-    assert full <= weighted_bound(im, d, check.rho, f, g).bound_value * (1 + 1e-12)
+    full = covariance_bound(im, f, g)
+    assert full <= weighted_bound(im, d, rho, f, g) * (1 + 1e-12)
 
 
 def test_bli_coincidence_ferromagnetic_affine():
@@ -204,7 +221,7 @@ def test_bli_coincidence_ferromagnetic_affine():
     for _ in range(20):
         w = rng.uniform(0.0, 1.0, size=8)
         f = affine(w, offset=float(rng.normal()))
-        b = covariance_bound(im, f, f).bound_value
+        b = covariance_bound(im, f, f)
         assert b == pytest.approx(w @ hess_inv @ w, rel=1e-10)
 
 

@@ -275,6 +275,7 @@ PROBES = {
         "model.coupling.epsilon",
     ),
     "threshold-scan-on-a-ring": ({"experiment": {"kind": "threshold_scan", "epsilons": [0.05]}}, "model.geometry"),
+    "dimension-key": ({"model.geometry.dimension": 1}, "model.geometry"),  # len(side_lengths) is the dimension
 }
 
 
@@ -430,6 +431,19 @@ def test_threshold_scan_flips_at_weak_coupling_threshold(tmp_path):
     assert report["results"]["first_refused_epsilon"] == pytest.approx(expected_first)
     for entry in report["results"]["scan"]:
         assert entry["passed"] == (entry["epsilon"] < threshold)
+
+
+def test_threshold_scan_refuses_an_epsilon_whose_tilt_overflows(tmp_path):
+    # e * 1e308 overflows, so A~ is refused for that epsilon alone and the scan goes on
+    raw = {
+        "model": {**base_model_block(6, 0.05), "geometry": {"kind": "periodic_grid", "side_lengths": [6, 6]}},
+        "experiment": {"kind": "threshold_scan", "epsilons": [0.05, 0.5, 1e308]},
+    }
+    config = write_config(tmp_path, raw)
+    assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    results = load_report(tmp_path / "out" / "report.json")["results"]
+    assert [entry["passed"] for entry in results["scan"]] == [True, False, False]
+    assert results["first_refused_epsilon"] == 0.5
 
 
 def test_threshold_scan_rejects_non_finite_epsilons():

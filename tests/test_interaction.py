@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gibbscert import interaction
 from gibbscert.interaction import (
     _require_symmetric,
     build_interaction_matrix,
@@ -173,15 +174,13 @@ def test_tilted_negative_marks_unavailable():
 
 
 def test_weighted_similarity_examples():
-    a = np.array([[1.0, -0.5], [-0.5, 1.0]])
-    check = weighted_similarity_check(a, [1.0, 1.0])
-    assert check.passed and check.rho == pytest.approx(0.5)  # lambda_min(A)
-    check = weighted_similarity_check(np.eye(2), [3.0, 0.5])
-    assert check.rho == pytest.approx(1.0)
-    check = weighted_similarity_check(a, [2.0, 1.0])
-    assert check.rho == pytest.approx(0.375)  # 1 - 0.625
+    im = build_interaction_matrix([1.0, 1.0], kappa_2site(0.5))
+    assert weighted_similarity_check(im, [1.0, 1.0]) == pytest.approx(0.5)  # lambda_min(A)
+    identity = build_interaction_matrix([1.0, 1.0], kappa_2site(0.0))
+    assert weighted_similarity_check(identity, [3.0, 0.5]) == pytest.approx(1.0)
+    assert weighted_similarity_check(im, [2.0, 1.0]) == pytest.approx(0.375)  # 1 - 0.625
     with pytest.raises(ValueError, match="positive"):
-        weighted_similarity_check(a, [1.0, 0.0])
+        weighted_similarity_check(im, [1.0, 0.0])
 
 
 def test_pi_criterion_gaussian_consistency():
@@ -190,13 +189,26 @@ def test_pi_criterion_gaussian_consistency():
     geom = periodic_grid([6])
     model = GibbsModel(geom, gaussian_potential(1.0), nearest_neighbor_coupling(0.15))
     im = interaction_from_model(model)
-    rho = pi_criterion(im.A)
+    rho = pi_criterion(im)
     assert rho is not None
     cov = gaussian_exact_covariance(gaussian_from_model(model))
     lam, vecs = np.linalg.eigh(im.A)
     w = vecs[:, 0]
     assert w @ cov @ w == pytest.approx(1.0 / rho, rel=1e-12)
-    assert pi_criterion(np.array([[1.0, -1.0], [-1.0, 1.0]])) is None
+    assert pi_criterion(build_interaction_matrix([1.0, 1.0], kappa_2site(1.0))) is None
+
+
+def test_pi_criterion_reads_the_cached_lambda_min(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return float(np.linalg.eigvalsh(a)[0])
+
+    monkeypatch.setattr(interaction, "_smallest_eigenvalue", counted)
+    im = build_interaction_matrix([1.0, 1.0], kappa_2site(0.5))
+    assert pi_criterion(im) == im.lambda_min() == pytest.approx(0.5)
+    assert len(calls) == 1
 
 
 def test_contraction_examples():

@@ -108,7 +108,7 @@ def test_perturbed_model_below_covariance_bound():
     est, err, _ = mcmc_covariance_matrix(model, FAST)
     for i in range(4):
         for j in range(4):
-            bound = covariance_bound(im, coordinate(i, 4), coordinate(j, 4)).bound_value
+            bound = covariance_bound(im, coordinate(i, 4), coordinate(j, 4))
             assert abs(est[i, j]) <= bound + 3.0 * err[i, j]
 
 

@@ -103,33 +103,23 @@ def test_two_site_representation_reproduces_gaussian_covariance():
 
 def test_directional_pi_sharp_for_gaussian_linear():
     model = two_site_model(0.2)
-    im = interaction_from_model(model)
     pf = PotentialSolver(model, COARSE).solve_many([coordinate(0, 2)])[0]
-    res = verify_directional_pi(pf, im)
+    res = verify_directional_pi(pf)
     assert res.passed
     assert np.max(np.abs(res.margins)) <= 5.0 * res.tol_grid  # equality case
 
 
 def test_directional_pi_perturbed_model():
     model = two_site_model(0.2, a=0.1)
-    im = interaction_from_model(model)
     solver = PotentialSolver(model, COARSE)
     for obs in (
         coordinate(0, 2),
         single_site_function(0, 2, np.sin, 1.0),
         single_site_function(0, 2, lambda x: x**3, 3.0 * 36.0),
     ):
-        res = verify_directional_pi(solver.solve_many([obs])[0], im)
+        res = verify_directional_pi(solver.solve_many([obs])[0])
         assert res.passed
         assert np.all(res.margins >= -res.tol_grid)
-
-
-def test_directional_pi_rejects_mismatched_model():
-    model = two_site_model(0.2)
-    other = two_site_model(0.3)
-    pf = PotentialSolver(model, COARSE).solve_many([coordinate(0, 2)])[0]
-    with pytest.raises(ValueError, match="not built from this model"):
-        verify_directional_pi(pf, interaction_from_model(other))
 
 
 def test_dual_pi_one_site_sharp():
@@ -144,7 +134,7 @@ def test_dual_pi_one_site_sharp():
 def test_dual_pi_two_site():
     model = two_site_model(0.2, a=0.1)
     im = interaction_from_model(model)
-    rho = pi_criterion(im.A)
+    rho = pi_criterion(im)
     pf = PotentialSolver(model, COARSE).solve_many([coordinate(0, 2)])[0]
     res = verify_dual_pi(pf, rho)
     assert res.passed
@@ -249,7 +239,7 @@ def test_kept_quadratures_match_the_per_call_formula():
     # must be the per-call formula's bit for bit, so report.json holds
     model = two_site_model(0.2, a=0.1)
     im = interaction_from_model(model)
-    rho = pi_criterion(im.A)
+    rho = pi_criterion(im)
     solver = PotentialSolver(model, GridSpec(6.0, 0.1))
     fields = solver.solve_many(criterion_3_functions())
     assert solver.edge_weights == []  # not held through the solve
@@ -257,7 +247,7 @@ def test_kept_quadratures_match_the_per_call_formula():
         assert pf.edge_weights is solver.edge_weights
         phi_sq = [per_call_grad_pair(pf, pf.phi, pf.phi, ax) for ax in range(2)]
         f_sq = [per_call_grad_pair(pf, pf.f_values, pf.f_values, ax) for ax in range(2)]
-        direction = verify_directional_pi(pf, im)
+        direction = verify_directional_pi(pf)
         assert direction.lhs.tolist() == [math.sqrt(max(e, 0.0)) for e in phi_sq]
         assert direction.rhs.tolist() == (im.inverse() @ np.sqrt(np.maximum(f_sq, 0.0))).tolist()
         dual = verify_dual_pi(pf, rho)
