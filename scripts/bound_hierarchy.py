@@ -13,7 +13,7 @@ import numpy as np
 from gibbscert.bounds import baseline_bound, coordinate, covariance_bound, weighted_bound
 from gibbscert.decay import exponential_certificate
 from gibbscert.interaction import interaction_from_model, pi_criterion, weighted_similarity_check
-from gibbscert.lattice import graph_distance, periodic_grid
+from gibbscert.lattice import distance_matrix, periodic_grid
 from gibbscert.model import GibbsModel, gaussian_potential, nearest_neighbor_coupling
 from gibbscert.oracles.gaussian import gaussian_exact_covariance, gaussian_from_model
 
@@ -27,17 +27,18 @@ def main():
     lam = pi_criterion(im)
     cert = exponential_certificate(im, geom)
 
+    delta = distance_matrix(geom).tolist()
     print(f"{'dist':>4} {'exact':>12} {'full':>12} {'weighted':>12} {'exponential':>12} {'baseline':>12}")
     i = 0
     for j in range(n // 2 + 1):
         f, g = coordinate(i, n), coordinate(j, n)
         full = covariance_bound(im, f, g)
-        d = np.array([math.exp(-graph_distance(geom, k, j)) for k in range(n)])
+        d = np.array([math.exp(-delta[k][j]) for k in range(n)])
         wtd = weighted_bound(im, d, weighted_similarity_check(im, d), f, g)
-        expo = cert.prefactor * math.exp(-graph_distance(geom, i, j))
+        expo = cert.prefactor * math.exp(-delta[i][j])
         base = baseline_bound(lam, f, g)
         print(
-            f"{graph_distance(geom, i, j):4.0f} {cov[i, j]:12.3e} {full:12.3e} "
+            f"{delta[i][j]:4.0f} {cov[i, j]:12.3e} {full:12.3e} "
             f"{wtd:12.3e} {expo:12.3e} {base:12.3e}"
         )
     print("\nfull-matrix equals the exact covariance (sharp for ferromagnetic Gaussians);")

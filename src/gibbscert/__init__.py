@@ -1,12 +1,6 @@
 """Certified covariance bounds and correlation-decay certificates for lattice Gibbs measures."""
 
-from .lattice import (
-    LatticeGeometry,
-    euclidean_site_distance,
-    explicit_metric,
-    graph_distance,
-    periodic_grid,
-)
+from .lattice import LatticeGeometry, explicit_metric, periodic_grid
 from .model import (
     Coupling,
     GibbsModel,
@@ -15,8 +9,6 @@ from .model import (
     cosine_potential,
     explicit_coupling,
     gaussian_potential,
-    grad_hamiltonian,
-    hamiltonian,
     kappa_matrix,
     nearest_neighbor_coupling,
     rho_vector,

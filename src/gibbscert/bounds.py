@@ -98,6 +98,8 @@ def weighted_bound(
     im: InteractionMatrix, weights, rho: float, f: Observable, g: Observable
 ) -> float:
     """|cov(f,g)| <= (1/rho) ||D grad f|| ||D^-1 grad g|| for D A D^-1 >= rho Id."""
+    if not rho > 0:  # NaN included
+        raise ValueError("PI constant must be positive")
     d = np.asarray(weights, dtype=float)
     achieved = weighted_similarity_check(im, d)
     if not achieved > 0 or achieved < rho - 1e-12:

@@ -559,7 +559,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> tuple[dict, bool]:
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.time()
     im = interaction_from_model(cfg.model)
-    constants = {"rho": im.rho.tolist(), "kappa_max_row_sum": float(np.max(im.kappa.sum(axis=1))), "n_sites": im.n}
+    with np.errstate(over="ignore"):  # a row sum past the double range is recorded as "inf"
+        constants = {"rho": im.rho.tolist(), "kappa_max_row_sum": float(np.max(im.kappa.sum(axis=1))), "n_sites": im.n}
     with single_threaded():
         try:
             results, pairs, passed = _RUNNERS[cfg.kind](cfg, out_dir)

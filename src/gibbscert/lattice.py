@@ -78,17 +78,6 @@ class LatticeGeometry:
             return int(np.prod(self.side_lengths))
         return self.metric_table.shape[0]
 
-    def coords(self, i: int) -> tuple[int, ...]:
-        """Multi-index of flat site i on a periodic grid (row-major)."""
-        if self.kind != "periodic_grid":
-            raise ValueError("explicit geometries have no coordinates")
-        self._check_index(i)
-        return tuple(int(c) for c in np.unravel_index(i, self.side_lengths))
-
-    def _check_index(self, i: int) -> None:
-        if not 0 <= i < self.n_sites:
-            raise IndexError(f"site index {i} out of range [0, {self.n_sites})")
-
 
 def periodic_grid(side_lengths) -> LatticeGeometry:
     sides = np.atleast_1d(side_lengths)
@@ -104,46 +93,12 @@ def explicit_metric(table) -> LatticeGeometry:
     return LatticeGeometry(kind="explicit", dimension=0, metric_table=np.asarray(table, float))
 
 
-def _torus_coordinate_gaps(geom: LatticeGeometry, i: int, j: int) -> np.ndarray:
-    ci = np.array(geom.coords(i))
-    cj = np.array(geom.coords(j))
-    L = np.array(geom.side_lengths)
-    raw = np.abs(ci - cj)
-    return np.minimum(raw, L - raw)
-
-
-def graph_distance(geom: LatticeGeometry, i: int, j: int) -> float:
-    """Metric delta(i, j).
-
-    On a periodic grid this is the L1 torus distance
-    sum_k min(|a_k - b_k|, L_k - |a_k - b_k|); for explicit geometries it is
-    the stored table entry.
-    """
-    geom._check_index(i)
-    geom._check_index(j)
-    if geom.kind == "explicit":
-        return float(geom.metric_table[i, j])
-    return float(np.sum(_torus_coordinate_gaps(geom, i, j)))
-
-
-def euclidean_site_distance(geom: LatticeGeometry, i: int, j: int) -> float:
-    """Euclidean length of the torus-minimal displacement between sites.
-
-    This is the |i - j| entering algebraically decaying couplings; any fixed
-    norm works there by norm equivalence, Euclidean is the one we fix.
-    """
-    if geom.kind != "periodic_grid":
-        raise ValueError("Euclidean site distance needs grid coordinates")
-    geom._check_index(i)
-    geom._check_index(j)
-    return float(np.linalg.norm(_torus_coordinate_gaps(geom, i, j)))
-
-
 def _torus_distance_table(geom: LatticeGeometry, euclidean: bool) -> np.ndarray:
     """All pairwise torus distances from broadcast coordinate gaps.
 
-    The gaps are integers, so summing them (or their squares) is exact and the
-    table equals the per-pair graph_distance / euclidean_site_distance values.
+    The graph metric sums the gaps min(|a_k - b_k|, L_k - |a_k - b_k|); the
+    Euclidean one, the |i - j| of algebraic couplings, is the root of their
+    summed squares.  The gaps are integers, so both sums are exact.
     """
     n = geom.n_sites
     coords = np.unravel_index(np.arange(n), geom.side_lengths)

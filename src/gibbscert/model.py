@@ -2,7 +2,8 @@
 
 A model is H(x) = sum_i psi_i(x_i) - sum_{i<j} J_ij x_i x_j at unit
 temperature.  Everything downstream (interaction matrix, samplers, grid
-oracles) only needs psi, its derivatives, and the coupling matrix J.
+oracles) reads psi from the model's per-site arrays q, amplitude and
+frequency, and the coupling matrix J.
 """
 
 from __future__ import annotations
@@ -41,21 +42,6 @@ class SingleSitePotential:
     @property
     def osc_bound(self) -> float:
         return 2.0 * abs(self.amplitude)
-
-    def delta(self, x):
-        return self.amplitude * np.cos(self.frequency * np.asarray(x, dtype=float))
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * self.q * x**2 + self.delta(x)
-
-    def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.q * x - self.amplitude * self.frequency * np.sin(self.frequency * x)
-
-    def second(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.q - self.amplitude * self.frequency**2 * np.cos(self.frequency * x)
 
 
 def gaussian_potential(q: float = 1.0) -> SingleSitePotential:
@@ -160,9 +146,6 @@ class GibbsModel:
         """No site carries a perturbation, so the measure is Gaussian."""
         return all(pot.perturbation == "none" for pot in self.potentials)
 
-    def potential(self, i: int) -> SingleSitePotential:
-        return self.potentials[i]
-
     def coupling_matrix(self) -> np.ndarray:
         return self._J.copy()
 
@@ -170,29 +153,9 @@ class GibbsModel:
         """psi_i(x_i) for configurations x with the sites on the last axis."""
         return 0.5 * self.q * x**2 + self.amplitude * np.cos(self.frequency * x)
 
-    def psi_grad(self, x: np.ndarray) -> np.ndarray:
-        return self.q * x - self.amplitude * self.frequency * np.sin(self.frequency * x)
-
     def quadratic_part(self) -> np.ndarray:
         """Hessian of the Gaussian part: diag(q) - J."""
         return np.diag(self.q) - self._J
-
-
-def hamiltonian(model: GibbsModel, x) -> float:
-    """H(x) = sum_i psi_i(x_i) - sum_{i<j} J_ij x_i x_j."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.n_sites,):
-        raise ValueError(f"configuration must have length {model.n_sites}")
-    J = model._J
-    return float(np.sum(model.psi(x)) - 0.5 * x @ J @ x)
-
-
-def grad_hamiltonian(model: GibbsModel, x) -> np.ndarray:
-    """(grad H)_i = psi_i'(x_i) - sum_j J_ij x_j."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.n_sites,):
-        raise ValueError(f"configuration must have length {model.n_sites}")
-    return model.psi_grad(x) - model._J @ x
 
 
 def kappa_matrix(model: GibbsModel) -> np.ndarray:

@@ -197,10 +197,6 @@ class PotentialField:
         shape[axis] = -1
         return np.broadcast_to(self.nodes.reshape(shape), (self.nodes.size,) * self.dim)
 
-    def evaluate(self, obs: Observable) -> np.ndarray:
-        """Node values of an observable on this grid; builds the node coordinates per call."""
-        return np.asarray(obs.fn(_node_config(self.nodes, self.dim)), dtype=float)
-
 
 def _node_config(nodes: np.ndarray, dim: int) -> np.ndarray:
     """Coordinates of every node of the grid nodes^dim, grid shape + (dim,)."""
@@ -261,8 +257,9 @@ def _hamiltonian_grid(model: GibbsModel, nodes: np.ndarray) -> np.ndarray:
     grids = np.meshgrid(*([nodes] * model.n_sites), indexing="ij", sparse=True)
     psi = model.psi(nodes[:, None])  # psi[k, i] = psi_i(nodes[k])
     H = sum(psi[:, i].reshape(g.shape) for i, g in enumerate(grids))
-    if model.n_sites == 2:
-        H = H - model.coupling_matrix()[0, 1] * grids[0] * grids[1]
+    J = model.coupling_matrix()
+    for a, b in itertools.combinations(range(model.n_sites), 2):
+        H = H - J[a, b] * grids[a] * grids[b]
     return H
 
 
@@ -747,7 +744,9 @@ def verify_core_identity(pf: PotentialField) -> float:
 
     d_phi = [_centered_first(pf.phi, ax, h) for ax in range(dim)]
     d_f = [_centered_first(pf.f_values, ax, h) for ax in range(dim)]
-    J = pf.model.coupling_matrix() if dim == 2 else None
+    J = pf.model.coupling_matrix()
+    # psi_j'' = q_j - a_j f_j^2 cos(f_j x_j), with Python float parameters
+    q, a, f = (v.tolist() for v in (pf.model.q, pf.model.amplitude, pf.model.frequency))
 
     worst = 0.0
     for j in range(dim):
@@ -756,7 +755,7 @@ def verify_core_identity(pf: PotentialField) -> float:
         for k in range(dim):
             if k == j:
                 second = _centered_second(pf.phi, j, h)
-                hess_jk = pf.model.potential(j).second(pf.coordinate(j))
+                hess_jk = q[j] - a[j] * f[j] ** 2 * np.cos(f[j] * pf.coordinate(j))
             else:
                 second = _centered_first(d_phi[j], k, h)
                 hess_jk = -J[j, k]

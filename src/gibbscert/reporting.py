@@ -33,7 +33,6 @@ are built at import from exact integers.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import random
 from json.encoder import encode_basestring_ascii as _quote
@@ -394,7 +393,3 @@ def report_bytes(report: dict, drop_meta: bool = False) -> bytes:
 
 def write_report(report: dict, path) -> None:
     Path(path).write_bytes(report_bytes(report) + b"\n")
-
-
-def load_report(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))

@@ -24,7 +24,7 @@ from gibbscert.interaction import (
     pi_criterion,
     weighted_similarity_check,
 )
-from gibbscert.lattice import distance_matrix, graph_distance, periodic_grid
+from gibbscert.lattice import distance_matrix, periodic_grid
 from gibbscert.model import GibbsModel, cosine_potential, gaussian_potential, nearest_neighbor_coupling
 from gibbscert.oracles.gaussian import gaussian_exact_covariance, gaussian_from_model
 
@@ -61,11 +61,18 @@ def test_negative_bound_is_refused():
     negative = Observable(grad_norms=np.array([-1.0, 0.0]), fn=lambda x: -x[..., 0])
     with pytest.raises(ValueError, match="nonnegative"):
         covariance_bound(im2(0.0), negative, coordinate(0, 2))
-    with pytest.raises(ValueError, match="nonnegative"):
-        weighted_bound(im2(0.0), [1.0, 1.0], -1.0, coordinate(0, 2), coordinate(0, 2))
     nan = Observable(grad_norms=np.array([math.nan, 0.0]), fn=lambda x: x[..., 0])
     with pytest.raises(ValueError, match="nonnegative"):
+        weighted_bound(im2(0.0), [1.0, 1.0], 1.0, nan, coordinate(0, 2))
+    with pytest.raises(ValueError, match="nonnegative"):
         baseline_bound(1.0, nan, coordinate(0, 2))
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+def test_weighted_bound_refuses_a_nonpositive_rho(rho):
+    # rho = 0 divided by zero, and rho = -1 was refused only as a negative bound
+    with pytest.raises(ValueError, match="PI constant must be positive"):
+        weighted_bound(im2(0.5), [1.0, 1.0], rho, coordinate(0, 2), coordinate(1, 2))
 
 
 def test_covariance_bound_gaussian_sharpness():
@@ -109,7 +116,7 @@ def test_weighted_bound_exponential_weights_triangle_factor():
     model = GibbsModel(geom, gaussian_potential(1.0), nearest_neighbor_coupling(0.05))
     im = interaction_from_model(model)
     i, j = 0, 3
-    d = np.array([math.exp(-graph_distance(geom, k, j)) for k in range(8)])
+    d = np.exp(-distance_matrix(geom)[:, j])
     rho = weighted_similarity_check(im, d)
     assert rho > 0
     b = weighted_bound(im, d, rho, coordinate(i, 8), coordinate(j, 8))
@@ -165,7 +172,7 @@ def test_bound_hierarchy_full_below_weighted_and_baseline():
             full = covariance_bound(im, f, g)
             base = baseline_bound(lam, f, g)
             assert full <= base + 1e-12
-            d = np.array([math.exp(-graph_distance(geom, k, j)) for k in range(8)])
+            d = np.exp(-distance_matrix(geom)[:, j])
             rho = weighted_similarity_check(im, d)
             assert rho > 0
             wtd = weighted_bound(im, d, rho, f, g)

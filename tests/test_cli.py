@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbscert.cli import ConfigError, load_config, main, parse_config, run_experiment
-from gibbscert.reporting import load_report, report_bytes
+from gibbscert.reporting import report_bytes
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -326,7 +326,7 @@ def test_strong_coupling_is_valid_and_fails_verification(tmp_path, capsys, monke
     config = write_config(tmp_path, raw)
     assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 1
     assert f"verification failed: {raw['experiment']['kind']}" in capsys.readouterr().err
-    report = load_report(tmp_path / "out" / "report.json")
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert not report["pass"]
     assert report["results"]["error"] == "interaction matrix not positive definite"
     assert report["results"]["constants"]["n_sites"] == raw["model"]["geometry"]["side_lengths"][0]
@@ -441,9 +441,24 @@ def test_threshold_scan_refuses_an_epsilon_whose_tilt_overflows(tmp_path):
     }
     config = write_config(tmp_path, raw)
     assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 0
-    results = load_report(tmp_path / "out" / "report.json")["results"]
+    results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
     assert [entry["passed"] for entry in results["scan"]] == [True, False, False]
     assert results["first_refused_epsilon"] == 0.5
+
+
+@pytest.mark.parametrize("kind", ["bound_report", "gaussian_sharpness", "exponential_certificate"])
+def test_kappa_row_sum_overflow_still_writes_the_refusal(tmp_path, kind):
+    # 4 * 1e308 overflows the kappa row sum; under the suite's error::RuntimeWarning
+    # the run ended in a traceback instead of its refusal report
+    raw = {
+        "model": {**base_model_block(4, 1e308), "geometry": {"kind": "periodic_grid", "side_lengths": [4, 4]}},
+        "experiment": {"kind": kind},
+    }
+    config = write_config(tmp_path, raw)
+    assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["pass"] is False
+    assert report["results"]["constants"]["kappa_max_row_sum"] == "inf"
 
 
 def test_threshold_scan_rejects_non_finite_epsilons():
@@ -578,7 +593,7 @@ def test_exponential_refuses_a_tilt_that_overflows(tmp_path):
     }
     cfg = parse_config({"model": model, "experiment": {"kind": "exponential_certificate"}})
     _, passed = run_experiment(cfg, tmp_path / "out")
-    report = load_report(tmp_path / "out" / "report.json")
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
     cert = report["results"]["certificate"]
     assert not passed and not cert["passed"]
     assert cert["reason"] == "tilted matrix is not positive definite"
@@ -683,8 +698,8 @@ def test_reports_reproducible_modulo_meta(tmp_path):
     }
     run_experiment(parse_config(raw), tmp_path / "a")
     run_experiment(parse_config(raw), tmp_path / "b")
-    ra = load_report(tmp_path / "a" / "report.json")
-    rb = load_report(tmp_path / "b" / "report.json")
+    ra = json.loads((tmp_path / "a" / "report.json").read_text())
+    rb = json.loads((tmp_path / "b" / "report.json").read_text())
     assert report_bytes(ra, drop_meta=True) == report_bytes(rb, drop_meta=True)
 
 
@@ -703,13 +718,13 @@ def test_seed_override(tmp_path):
     }
     path = write_config(tmp_path, raw)
     assert main(["--config", str(path), "--out", str(tmp_path / "o2"), "--seed", "7"]) == 0
-    report = load_report(tmp_path / "o2" / "report.json")
+    report = json.loads((tmp_path / "o2" / "report.json").read_text())
     assert report["results"]["sampler"]["seed"] == 7
     assert report["config"]["sampler"]["seed"] == 7
     # the echoed config reruns the run
     echoed = write_config(tmp_path, report["config"], "echoed.json")
     assert main(["--config", str(echoed), "--out", str(tmp_path / "o3")]) == 0
-    rerun = load_report(tmp_path / "o3" / "report.json")
+    rerun = json.loads((tmp_path / "o3" / "report.json").read_text())
     assert report_bytes(rerun, drop_meta=True) == report_bytes(report, drop_meta=True)
 
 

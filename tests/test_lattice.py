@@ -1,46 +1,48 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbscert.lattice import (
-    distance_matrix,
-    euclidean_site_distance,
-    explicit_metric,
-    graph_distance,
-    periodic_grid,
-)
+from gibbscert.lattice import distance_matrix, explicit_metric, periodic_grid
+
+
+def per_pair_distances(sides):
+    """Reference torus tables, one pair at a time in Python ints: the L1 graph
+    metric sum_k min(|a_k - b_k|, L_k - |a_k - b_k|) and the Euclidean length
+    of the same gaps."""
+    coords = list(itertools.product(*(range(L) for L in sides)))  # row-major, as the flat site index
+    graph, euclid = [], []
+    for a in coords:
+        gaps = [[min(abs(x - y), L - abs(x - y)) for x, y, L in zip(a, b, sides)] for b in coords]
+        graph.append([float(sum(g)) for g in gaps])
+        euclid.append([math.sqrt(sum(k * k for k in g)) for g in gaps])
+    return np.array(graph), np.array(euclid)
 
 
 def test_graph_distance_1d_examples():
-    geom = periodic_grid([8])
-    assert graph_distance(geom, 0, 0) == 0.0
-    assert graph_distance(geom, 0, 5) == 3.0  # min(5, 8-5)
+    d = distance_matrix(periodic_grid([8]))
+    assert d[0, 0] == 0.0
+    assert d[0, 5] == 3.0  # min(5, 8-5)
 
 
 def test_graph_distance_2d_example():
-    geom = periodic_grid([4, 4])
+    d = distance_matrix(periodic_grid([4, 4]))
     i = 0  # (0, 0)
     j = 2 * 4 + 3  # (2, 3)
-    assert graph_distance(geom, i, j) == 3.0  # 2 + 1
+    assert d[i, j] == 3.0  # 2 + 1
 
 
 def test_euclidean_distance_examples():
-    g16 = periodic_grid([16])
-    assert euclidean_site_distance(g16, 0, 4) == 4.0
-    assert euclidean_site_distance(g16, 0, 12) == 4.0  # torus wrap
-    g88 = periodic_grid([8, 8])
+    r16 = distance_matrix(periodic_grid([16]), euclidean=True)
+    assert r16[0, 4] == 4.0
+    assert r16[0, 12] == 4.0  # torus wrap
+    r88 = distance_matrix(periodic_grid([8, 8]), euclidean=True)
     i = 0
     j = 3 * 8 + 4  # (3, 4): a 3-4-5 triangle
-    assert euclidean_site_distance(g88, i, j) == 5.0
-
-
-def test_index_out_of_range():
-    geom = periodic_grid([4])
-    with pytest.raises(IndexError):
-        graph_distance(geom, 0, 4)
-    with pytest.raises(IndexError):
-        euclidean_site_distance(geom, -1, 0)
+    assert r88[i, j] == 5.0
 
 
 def test_explicit_metric_requires_triangle_inequality():
@@ -59,13 +61,13 @@ def test_explicit_metric_requires_symmetry_and_zero_diagonal():
 def test_explicit_metric_accepts_valid_table():
     table = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
     geom = explicit_metric(table)
-    assert graph_distance(geom, 0, 2) == 2.0
+    assert distance_matrix(geom)[0, 2] == 2.0
 
 
 def test_explicit_geometry_has_no_euclidean_distance():
     geom = explicit_metric([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="coordinates"):
-        euclidean_site_distance(geom, 0, 1)
+        distance_matrix(geom, euclidean=True)
 
 
 def test_large_explicit_metric_accepted():
@@ -103,11 +105,12 @@ def test_torus_metric_axioms(side, dim, data):
     i = data.draw(st.integers(min_value=0, max_value=n - 1))
     j = data.draw(st.integers(min_value=0, max_value=n - 1))
     s = data.draw(st.integers(min_value=0, max_value=n - 1))
-    dij = graph_distance(geom, i, j)
-    assert dij == graph_distance(geom, j, i)
-    assert graph_distance(geom, i, i) == 0.0
+    d = distance_matrix(geom)
+    dij = d[i, j]
+    assert dij == d[j, i]
+    assert d[i, i] == 0.0
     assert dij == int(dij)  # integer-valued on the torus
-    assert dij <= graph_distance(geom, i, s) + graph_distance(geom, s, j)
+    assert dij <= d[i, s] + d[s, j]
 
 
 def test_triangle_inequality_exhaustive_small_grids():
@@ -122,10 +125,7 @@ def test_triangle_inequality_exhaustive_small_grids():
 
 def test_distance_matrix_euclidean_matches_pointwise():
     geom = periodic_grid([4, 4])
-    r = distance_matrix(geom, euclidean=True)
-    for i in range(geom.n_sites):
-        for j in range(geom.n_sites):
-            assert r[i, j] == euclidean_site_distance(geom, i, j)
+    assert np.array_equal(distance_matrix(geom, euclidean=True), per_pair_distances([4, 4])[1])
 
 
 @given(
@@ -134,13 +134,7 @@ def test_distance_matrix_euclidean_matches_pointwise():
 @settings(max_examples=12, deadline=None)
 def test_distance_tables_match_per_pair_distances(sides):
     geom = periodic_grid(sides)
-    n = geom.n_sites
-    graph = np.zeros((n, n))
-    euclid = np.zeros((n, n))
-    for i in range(n):  # both scalar distances are symmetric (see the axioms test)
-        for j in range(i, n):
-            graph[i, j] = graph[j, i] = graph_distance(geom, i, j)
-            euclid[i, j] = euclid[j, i] = euclidean_site_distance(geom, i, j)
+    graph, euclid = per_pair_distances(sides)
     assert np.array_equal(distance_matrix(geom), graph)
     assert np.array_equal(distance_matrix(geom, euclidean=True), euclid)
 

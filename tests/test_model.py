@@ -13,13 +13,12 @@ from gibbscert.model import (
     cosine_potential,
     explicit_coupling,
     gaussian_potential,
-    grad_hamiltonian,
-    hamiltonian,
     kappa_matrix,
     nearest_neighbor_coupling,
     rho_vector,
     single_site_pi_constant,
 )
+from gibbscert.oracles.potential import _hamiltonian_grid
 
 
 MIXED = (
@@ -40,50 +39,21 @@ def two_site_model(eps, q=1.0, a=0.0, b=1.0):
     return GibbsModel(periodic_grid([2]), pot, nearest_neighbor_coupling(eps))
 
 
+def hamiltonian(model, x):
+    """H(x) = sum_i psi_i(x_i) - sum_{i<j} J_ij x_i x_j."""
+    return float(np.sum(model.psi(x)) - 0.5 * x @ model.coupling_matrix() @ x)
+
+
 def test_hamiltonian_examples():
-    m0 = two_site_model(0.0)
-    assert hamiltonian(m0, [0.0, 0.0]) == 0.0
-    m = two_site_model(0.25)
-    assert hamiltonian(m, [1.0, 1.0]) == pytest.approx(0.75)  # 0.5+0.5-0.25
+    # the grid oracle's H on the nodes' product grid: sum_i psi_i(x_i) - sum_{i<j} J_ij x_i x_j
+    nodes = np.array([0.0, 1.0])
+    assert _hamiltonian_grid(two_site_model(0.0), nodes)[0, 0] == 0.0
+    assert _hamiltonian_grid(two_site_model(0.25), nodes)[1, 1] == pytest.approx(0.75)  # 0.5+0.5-0.25
     geom1 = periodic_grid([1])
     m1 = GibbsModel(geom1, cosine_potential(1.0, 0.1, 5.0), explicit_coupling(np.zeros((1, 1))))
-    assert hamiltonian(m1, [0.0]) == pytest.approx(0.1)  # psi(0) = 0.1 cos(0)
-
-
-def test_hamiltonian_length_mismatch():
-    m = two_site_model(0.1)
-    with pytest.raises(ValueError, match="length"):
-        hamiltonian(m, [0.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="length"):
-        grad_hamiltonian(m, [0.0])
-
-
-def test_grad_examples():
-    m0 = two_site_model(0.0)
-    assert np.allclose(grad_hamiltonian(m0, [0.0, 0.0]), [0.0, 0.0])
-    m = two_site_model(0.25)
-    assert np.allclose(grad_hamiltonian(m, [1.0, 1.0]), [0.75, 0.75])
-
-
-def _fd_grad(model, x, h=1e-5):
-    g = np.zeros(len(x))
-    for i in range(len(x)):
-        xp, xm = np.array(x, float), np.array(x, float)
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (hamiltonian(model, xp) - hamiltonian(model, xm)) / (2 * h)
-    return g
-
-
-def test_grad_matches_finite_differences():
-    rng = np.random.default_rng(0)
-    geom = periodic_grid([4])
-    model = GibbsModel(geom, cosine_potential(1.3, 0.2, 3.0), nearest_neighbor_coupling(0.15))
-    for _ in range(100):
-        x = rng.normal(size=4)
-        g = grad_hamiltonian(model, x)
-        fd = _fd_grad(model, x)
-        assert np.allclose(g, fd, rtol=1e-6, atol=1e-8)
+    assert _hamiltonian_grid(m1, nodes)[0] == pytest.approx(0.1)  # psi(0) = 0.1 cos(0)
+    m3 = GibbsModel(periodic_grid([3]), gaussian_potential(1.0), nearest_neighbor_coupling(0.25))
+    assert _hamiltonian_grid(m3, nodes)[1, 1, 1] == pytest.approx(0.75)  # 1.5 - 3 * 0.25: all 3 pairs couple
 
 
 def test_kappa_examples():
@@ -183,7 +153,7 @@ def test_pi_constant_monotone_in_oscillation(a1, a2):
 def test_cosine_osc_bound_dominates_sampled_oscillation():
     pot = cosine_potential(1.0, 0.3, 4.0)
     x = np.linspace(-20, 20, 40001)
-    d = pot.delta(x)
+    d = 0.3 * np.cos(4.0 * x)  # the perturbation a cos(b x)
     assert d.max() - d.min() <= pot.osc_bound + 1e-12
     assert pot.osc_bound == pytest.approx(0.6)
 
@@ -216,15 +186,12 @@ def test_site_arrays_are_read_only_copies_of_the_fields():
     assert not two_site_model(0.1, a=0.1).gaussian
 
 
-def test_mixed_model_hamiltonian_matches_per_site_sums():
+def test_mixed_model_psi_matches_the_per_site_formula():
     model = mixed_model()
-    J = model.coupling_matrix()
     rng = np.random.default_rng(5)
     for x in rng.normal(scale=2.0, size=(20, 4)):
-        psi = sum(float(pot.value(xi)) for pot, xi in zip(MIXED, x))
-        assert hamiltonian(model, x) == pytest.approx(psi - 0.5 * x @ J @ x, rel=1e-13, abs=1e-13)
-        grad = np.array([float(pot.grad(xi)) for pot, xi in zip(MIXED, x)]) - J @ x
-        assert np.allclose(grad_hamiltonian(model, x), grad, rtol=1e-13, atol=1e-13)
+        psi = [0.5 * pot.q * xi**2 + pot.amplitude * math.cos(pot.frequency * xi) for pot, xi in zip(MIXED, x)]
+        assert np.allclose(model.psi(x), psi, rtol=1e-13, atol=1e-13)
 
 
 def test_unknown_perturbation_and_stray_none_parameters_rejected():

@@ -93,7 +93,7 @@ def test_one_site_gaussian_linear_f_unit_gradient():
 def test_two_site_representation_reproduces_gaussian_covariance():
     model = two_site_model(0.2)
     pf = PotentialSolver(model, COARSE).solve_many([coordinate(0, 2)])[0]
-    g = pf.evaluate(coordinate(1, 2))
+    g = pf.coordinate(1)
     cov = gaussian_exact_covariance(gaussian_from_model(model))
     rep = pf.covariance_via_representation(g)
     assert rep == pytest.approx(cov[0, 1], abs=5e-3)
@@ -150,7 +150,7 @@ def test_single_site_pi_reformulation_on_grid():
     d1 = (phi[2:] - phi[:-2]) / (2 * pf.h)
     d2 = (phi[2:] - 2 * phi[1:-1] + phi[:-2]) / pf.h**2
     w = pf.mu[1:-1] * pf.h
-    psi2 = pf.model.potential(0).second(x)
+    psi2 = 1.0 - 0.1 * 2.0**2 * np.cos(2.0 * x)  # psi'' of q = 1, a = 0.1, b = 2
     lhs = np.sum((d2**2 + d1 * psi2 * d1) * w)
     rhs = rho_vector(model)[0] * np.sum(d1**2 * w)
     assert lhs >= rhs - 1e-6
@@ -253,7 +253,7 @@ def test_kept_quadratures_match_the_per_call_formula():
         dual = verify_dual_pi(pf, rho)
         assert (dual.lhs, dual.rhs) == (math.sqrt(sum(phi_sq)), math.sqrt(sum(f_sq)) / rho)
         for j in range(2):
-            gv = pf.evaluate(coordinate(j, 2))
+            gv = pf.coordinate(j)
             want = sum(per_call_grad_pair(pf, pf.phi, gv, ax) for ax in range(2))
             assert pf.covariance_via_representation(gv) == want
     assert len(solver.edge_weights) == 2

@@ -69,6 +69,30 @@ def test_config_outputs_match_pinned_digests(capsys):
     assert capsys.readouterr().out == PINNED_DIGESTS
 
 
+# scripts/bound_hierarchy.py's table: the bound family against the exact
+# covariance on a 16-site Gaussian ring, every printed digit pinned
+PINNED_BOUND_HIERARCHY = """\
+dist        exact         full     weighted  exponential     baseline
+   0    1.021e+00    1.021e+00    1.446e+00    2.191e+00    1.250e+00
+   1    1.031e-01    1.031e-01    5.321e-01    8.061e-01    1.250e+00
+   2    1.042e-02    1.042e-02    1.957e-01    2.966e-01    1.250e+00
+   3    1.052e-03    1.052e-03    7.201e-02    1.091e-01    1.250e+00
+   4    1.063e-04    1.063e-04    2.649e-02    4.014e-02    1.250e+00
+   5    1.074e-05    1.074e-05    9.746e-03    1.477e-02    1.250e+00
+   6    1.085e-06    1.085e-06    3.585e-03    5.432e-03    1.250e+00
+   7    1.107e-07    1.107e-07    1.319e-03    1.998e-03    1.250e+00
+   8    2.214e-08    2.214e-08    4.852e-04    7.351e-04    1.250e+00
+
+full-matrix equals the exact covariance (sharp for ferromagnetic Gaussians);
+weighted/exponential decay with distance; the baseline ignores coordinates.
+"""
+
+
+def test_bound_hierarchy_output_is_pinned(capsys):
+    load_script("bound_hierarchy").main()
+    assert capsys.readouterr().out == PINNED_BOUND_HIERARCHY
+
+
 def load_script(name):
     spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
