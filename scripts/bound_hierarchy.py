@@ -12,7 +12,7 @@ import numpy as np
 
 from gibbscert.bounds import baseline_bound, coordinate, covariance_bound, weighted_bound
 from gibbscert.decay import exponential_certificate
-from gibbscert.interaction import interaction_from_model, pi_criterion, weighted_similarity_check
+from gibbscert.interaction import interaction_from_model
 from gibbscert.lattice import distance_matrix, periodic_grid
 from gibbscert.model import GibbsModel, gaussian_potential, nearest_neighbor_coupling
 from gibbscert.oracles.gaussian import gaussian_exact_covariance, gaussian_from_model
@@ -24,7 +24,6 @@ def main():
     model = GibbsModel(geom, gaussian_potential(1.0), nearest_neighbor_coupling(0.1))
     im = interaction_from_model(model)
     cov = gaussian_exact_covariance(gaussian_from_model(model))
-    lam = pi_criterion(im)
     cert = exponential_certificate(im, geom)
 
     delta = distance_matrix(geom).tolist()
@@ -34,9 +33,9 @@ def main():
         f, g = coordinate(i, n), coordinate(j, n)
         full = covariance_bound(im, f, g)
         d = np.array([math.exp(-delta[k][j]) for k in range(n)])
-        wtd = weighted_bound(im, d, weighted_similarity_check(im, d), f, g)
+        wtd = weighted_bound(im, d, f, g)
         expo = cert.prefactor * math.exp(-delta[i][j])
-        base = baseline_bound(lam, f, g)
+        base = baseline_bound(im, f, g)
         print(
             f"{delta[i][j]:4.0f} {cov[i, j]:12.3e} {full:12.3e} "
             f"{wtd:12.3e} {expo:12.3e} {base:12.3e}"

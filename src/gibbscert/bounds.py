@@ -4,8 +4,11 @@ Every bound here has the shape "constant times a product of per-coordinate
 gradient norms"; the gradient norms are certified upper bounds on
 (int |grad_i f|^2 dmu)^{1/2}, supplied exactly for coordinate and affine
 observables and by the caller (or the quadrature oracle) otherwise.  Each
-bound function returns the bound itself as a float and raises ValueError if
-it is not >= 0 (NaN included).
+bound function takes the model's InteractionMatrix and derives its constant
+from it (A^-1, lambda_min(A), or the rho of a weighted similarity check), so
+no caller can supply a constant the mathematics does not give.  It returns
+the bound itself as a float and raises ValueError if it is not >= 0 (NaN
+included).
 """
 
 from __future__ import annotations
@@ -44,10 +47,6 @@ class Observable:
     grad_norms: np.ndarray
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
-    @property
-    def gradient_l2(self) -> float:
-        return _scaled_norm(self.grad_norms)
-
 
 def coordinate(site: int, n_sites: int) -> Observable:
     g = np.zeros(n_sites)
@@ -77,15 +76,17 @@ def _nonnegative(value: float) -> float:
     return value
 
 
-def baseline_bound(rho_pi: float, f: Observable, g: Observable) -> float:
-    """|cov(f,g)| <= (1/rho) ||grad f||_L2(mu) ||grad g||_L2(mu).
+def baseline_bound(im: InteractionMatrix, f: Observable, g: Observable) -> float:
+    """|cov(f,g)| <= (1/rho) ||grad f||_L2(mu) ||grad g||_L2(mu) with rho = lambda_min(A).
 
-    The coordinate-blind consequence of a Poincare inequality with constant
-    rho; every sharper bound below should be compared against it.
+    The coordinate-blind consequence of the Poincare inequality that A >= rho
+    Id certifies; refused unless rho > 0.  Every sharper bound below should
+    be compared against it.
     """
-    if rho_pi <= 0:
+    rho = im.lambda_min()
+    if not rho > 0:
         raise ValueError("PI constant must be positive")
-    return _nonnegative(f.gradient_l2 * g.gradient_l2 / rho_pi)
+    return _nonnegative(_scaled_norm(f.grad_norms) * _scaled_norm(g.grad_norms) / rho)
 
 
 def covariance_bound(im: InteractionMatrix, f: Observable, g: Observable) -> float:
@@ -94,19 +95,15 @@ def covariance_bound(im: InteractionMatrix, f: Observable, g: Observable) -> flo
     return _nonnegative(float(f.grad_norms @ inv @ g.grad_norms))
 
 
-def weighted_bound(
-    im: InteractionMatrix, weights, rho: float, f: Observable, g: Observable
-) -> float:
-    """|cov(f,g)| <= (1/rho) ||D grad f|| ||D^-1 grad g|| for D A D^-1 >= rho Id."""
-    if not rho > 0:  # NaN included
-        raise ValueError("PI constant must be positive")
+def weighted_bound(im: InteractionMatrix, weights, f: Observable, g: Observable) -> float:
+    """|cov(f,g)| <= (1/rho) ||D grad f|| ||D^-1 grad g|| for D A D^-1 >= rho Id.
+
+    rho is weighted_similarity_check(im, weights); refused unless rho > 0.
+    """
     d = np.asarray(weights, dtype=float)
-    achieved = weighted_similarity_check(im, d)
-    if not achieved > 0 or achieved < rho - 1e-12:
-        raise ValueError(
-            f"weighted similarity check does not certify rho={rho} "
-            f"(achieved {achieved})"
-        )
+    rho = weighted_similarity_check(im, d)
+    if not rho > 0:
+        raise ValueError("PI constant must be positive")
     return _nonnegative(_scaled_norm(d * f.grad_norms) * _scaled_norm(g.grad_norms / d) / rho)
 
 

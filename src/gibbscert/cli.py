@@ -35,6 +35,7 @@ from .model import (
     algebraic_coupling,
     explicit_coupling,
     nearest_neighbor_coupling,
+    rho_vector,
 )
 from .oracles.gaussian import gaussian_exact_covariance, gaussian_from_model
 from .oracles.mcmc import STDERR_MULTIPLE, SamplerConfig, false_fail_probability, mcmc_covariance_matrix
@@ -202,9 +203,19 @@ _GRID_KEYS = {
 }
 
 
+def _potential_block(raw: dict, site: int) -> str:
+    """The config block that sets the potential of ``site``."""
+    return "model.potential" if "potential" in raw["model"] else f"model.potentials[{site}]"
+
+
 def _check_fit(raw: dict, model: GibbsModel, grid: GridSpec | None) -> None:
     """The checks that need the built model and grid, once the schema walk has passed."""
     exp, kind, n, geometry = raw["experiment"], raw["experiment"]["kind"], model.n_sites, model.geometry
+    try:
+        interaction_from_model(model)  # kept on the model for the run
+    except ValueError as exc:  # the only value build_interaction_matrix can refuse here is a rho of 0
+        site = int(np.argmin(rho_vector(model)))
+        raise ConfigError(f"{_potential_block(raw, site)}: rho = q exp(-2|amplitude|) underflows to 0") from exc
     for k, spec in enumerate(exp.get("functions", ())):
         path = f"experiment.functions[{k}]"
         if spec.get("site", 0) >= n:
@@ -218,8 +229,7 @@ def _check_fit(raw: dict, model: GibbsModel, grid: GridSpec | None) -> None:
         try:
             check_grid(model, grid.box_halfwidth, grid.nodes_per_axis, exp.get("core_identity", False))
         except GridError as exc:  # an amplitude is blamed at the largest one
-            site = int(np.argmax(np.abs(model.amplitude)))
-            block = "model.potential" if "potential" in raw["model"] else f"model.potentials[{site}]"
+            block = _potential_block(raw, int(np.argmax(np.abs(model.amplitude))))
             raise ConfigError(f"{_GRID_KEYS[exc.cause].format(block)}: {exc}") from exc
     if exp.get("compare") == "exact" and not model.gaussian:
         raise ConfigError("experiment.compare: 'exact' needs a Gaussian model (no perturbation)")
@@ -425,7 +435,7 @@ def _run_pde_check(cfg: ExperimentConfig, out_dir: Path):
         }
         all_ok &= direction.passed
         if rho_full is not None:
-            dual = verify_dual_pi(pf, rho_full)
+            dual = verify_dual_pi(pf)
             entry["dual_pi_margin"] = dual.margins
             entry["dual_pi_passed"] = dual.passed
             all_ok &= dual.passed
@@ -460,7 +470,10 @@ def _run_mcmc_check(cfg: ExperimentConfig, out_dir: Path):
     else:
         target = interaction_from_model(model).inverse()
         max_violations = cfg.options.get("max_violations", 0)
-    est, err, rate = mcmc_covariance_matrix(model, cfg.sampler)
+    try:
+        est, err, rate = mcmc_covariance_matrix(model, cfg.sampler)
+    except ValueError as exc:  # no chain moved a coordinate, e.g. every proposal was refused
+        return {"error": str(exc)}, None, False
     tol = STDERR_MULTIPLE * err
     ok = np.abs(est - target) <= tol if mode == "exact" else np.abs(est) <= target + tol
     rows = _pair_rows(distance_matrix(model.geometry), target, est, tol, ok)
@@ -514,27 +527,12 @@ def _run_algebraic_certificate(cfg: ExperimentConfig, out_dir: Path):
 
 
 def _run_threshold_scan(cfg: ExperimentConfig, out_dir: Path):
-    model = cfg.model
     scan = []
-    first_refused = None
     for eps in cfg.options["epsilons"]:
-        variant = GibbsModel(
-            geometry=model.geometry,
-            potentials=model.potentials,
-            coupling=nearest_neighbor_coupling(float(eps)),
-        )
-        cert = bnd.nearest_neighbor_certificate(variant)
-        scan.append(
-            {
-                "epsilon": float(eps),
-                "passed": cert.passed,
-                "margin": cert.margin,
-                "prefactor": cert.prefactor,
-                "threshold": cert.threshold,
-            }
-        )
-        if not cert.passed and first_refused is None:
-            first_refused = float(eps)
+        cert = bnd.nearest_neighbor_certificate(replace(cfg.model, coupling=nearest_neighbor_coupling(float(eps))))
+        row = {key: getattr(cert, key) for key in ("passed", "margin", "prefactor", "threshold")}
+        scan.append({"epsilon": float(eps), **row})
+    first_refused = next((row["epsilon"] for row in scan if not row["passed"]), None)
     return {"scan": scan, "first_refused_epsilon": first_refused}, None, True
 
 

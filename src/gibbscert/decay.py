@@ -9,7 +9,7 @@ audited numerically on the instance).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,7 +35,7 @@ class DecayCertificate:
     alpha_tilde: float | None = None
     prefactor: float | None = None
     contraction: float | None = None
-    dominance: float | None = None
+    dominance_margin: float | None = None
     constants: dict = field(default_factory=dict)
     fitted_exponent: float | None = None
     fit_range: tuple[float, float] | None = None
@@ -44,22 +44,9 @@ class DecayCertificate:
     profile: list | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "passed": self.passed,
-            "rate": self.rate,
-            "exponent": self.exponent,
-            "alpha_tilde": self.alpha_tilde,
-            "prefactor": self.prefactor,
-            "contraction": self.contraction,
-            "dominance_margin": self.dominance,
-            "constants": dict(self.constants),
-            "fitted_exponent": self.fitted_exponent,
-            "fit_range": list(self.fit_range) if self.fit_range else None,
-        }
-        if self.reason:
-            out["reason"] = self.reason
-        return out
+        """The report's entry: each repr field under its own name, reason only when set."""
+        shown = [f.name for f in fields(self) if f.repr and (f.name != "reason" or self.reason)]
+        return {name: getattr(self, name) for name in shown}
 
 
 def tilt_inequality_audit(im: InteractionMatrix, geom: LatticeGeometry) -> float:
@@ -206,31 +193,34 @@ def algebraic_certificate(
     with C_head = C_kappa * d^{(d+alpha)/2} * max(1/rho)^2 * max(rho)/min(rho)
     (the d^{(d+alpha)/2} factor is the Euclidean-vs-max norm-equivalence
     constant for splitting a k-hop chain at its longest hop).  Both halves,
-    and the final bound, are audited numerically entry by entry.
+    and the final bound, are audited numerically entry by entry.  A failed
+    hypothesis, or a c so close to 1 that no finite C is assembled, gives a
+    refused certificate whose reason says which.
     """
     if geom.kind != "periodic_grid":
         raise ValueError("algebraic certificate needs grid coordinates")
     d = geom.dimension
     p = d + alpha
     margin = dominance_margin(im.A)
-    if margin <= 0:
-        return DecayCertificate(
-            kind="algebraic",
-            passed=False,
-            dominance=margin,
-            reason="matrix is not strictly diagonally dominant",
-        )
-    c = neumann_contraction_constant(im)
-    r = distance_matrix(geom, euclidean=True)
-    n = im.n
-    off = ~np.eye(n, dtype=bool)
+    c = None
+    try:
+        if margin <= 0:
+            raise ValueError("matrix is not strictly diagonally dominant")
+        c = neumann_contraction_constant(im)
+        r = distance_matrix(geom, euclidean=True)
+        n = im.n
+        off = ~np.eye(n, dtype=bool)
 
-    max_inv_rho = float(np.max(1.0 / im.rho))
-    rho_ratio = float(np.max(im.rho) / np.min(im.rho))
-    c_kappa = float(np.max(im.kappa[off] * (r[off] ** p + 1.0))) if n > 1 else 0.0
-    c_head = c_kappa * d ** (p / 2.0) * max_inv_rho**2 * rho_ratio
-    c_tail = max_inv_rho / (1.0 - c)
-    prefactor = _algebraic_prefactor(c_head, c_tail, d, alpha, c)
+        max_inv_rho = float(np.max(1.0 / im.rho))
+        rho_ratio = float(np.max(im.rho) / np.min(im.rho))
+        c_kappa = float(np.max(im.kappa[off] * (r[off] ** p + 1.0))) if n > 1 else 0.0
+        c_head = c_kappa * d ** (p / 2.0) * max_inv_rho**2 * rho_ratio
+        c_tail = max_inv_rho / (1.0 - c)
+        prefactor = _algebraic_prefactor(c_head, c_tail, d, alpha, c)
+    except ValueError as exc:  # no margin, a c that rounds to 1, or no finite prefactor
+        return DecayCertificate(
+            kind="algebraic", passed=False, contraction=c, dominance_margin=margin, reason=str(exc)
+        )
 
     # cut index per pair, evaluated with math.log once per distinct distance
     log_c = math.inf if c == 0.0 else abs(math.log(c))
@@ -285,7 +275,7 @@ def algebraic_certificate(
         alpha_tilde=alpha / 2.0,
         prefactor=prefactor,
         contraction=c,
-        dominance=margin,
+        dominance_margin=margin,
         constants=constants,
         fitted_exponent=fitted,
         fit_range=(fit_lo, fit_hi),

@@ -70,7 +70,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from ..bounds import Observable
-from ..interaction import interaction_from_model
+from ..interaction import interaction_from_model, pi_criterion
 from ..model import GibbsModel
 from ..reporting import write_grid_table
 
@@ -702,9 +702,14 @@ def verify_directional_pi(pf: PotentialField) -> PIResult:
     return PIResult.check(lhs, interaction_from_model(pf.model).inverse() @ f_norms, tol)
 
 
-def verify_dual_pi(pf: PotentialField, rho: float) -> PIResult:
-    """Check ||grad phi||_L2(mu) <= (1/rho) ||grad f||_L2(mu)."""
-    if rho <= 0:
+def verify_dual_pi(pf: PotentialField) -> PIResult:
+    """Check ||grad phi||_L2(mu) <= (1/rho) ||grad f||_L2(mu).
+
+    rho is pi_criterion of the model's own record, interaction_from_model(pf.model);
+    refused unless it certifies a positive constant.
+    """
+    rho = pi_criterion(interaction_from_model(pf.model))
+    if rho is None:
         raise ValueError("PI constant must be positive")
     lhs = math.sqrt(sum(pf.phi_gradient[1]))
     f_norm = math.sqrt(sum(pf.f_energies))

@@ -251,7 +251,7 @@ def test_criterion_9_algebraic_decay():
         im = interaction_from_model(model)
         cert = algebraic_certificate(im, geom, 1.0)
         assert cert.passed
-        assert cert.dominance > 0
+        assert cert.dominance_margin > 0
         assert cert.contraction < 1.0
         assert cert.alpha_tilde == 0.5
         assert math.isfinite(cert.prefactor)

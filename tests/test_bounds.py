@@ -21,7 +21,6 @@ from gibbscert.interaction import (
     InteractionMatrix,
     build_interaction_matrix,
     interaction_from_model,
-    pi_criterion,
     weighted_similarity_check,
 )
 from gibbscert.lattice import distance_matrix, periodic_grid
@@ -36,10 +35,10 @@ def im2(k, rho=(1.0, 1.0)):
 
 def test_baseline_examples():
     f0, f1 = coordinate(0, 2), coordinate(1, 2)
-    assert baseline_bound(1.0, f0, f0) == pytest.approx(1.0)
-    assert baseline_bound(2.0, f0, f1) == pytest.approx(0.5)
+    assert baseline_bound(im2(0.0), f0, f0) == pytest.approx(1.0)
+    assert baseline_bound(im2(0.0, rho=(2.0, 2.0)), f0, f1) == pytest.approx(0.5)
     w = affine([1.0, 1.0])
-    assert baseline_bound(1.0, w, w) == pytest.approx(2.0)
+    assert baseline_bound(im2(0.0), w, w) == pytest.approx(2.0)
 
 
 def test_covariance_bound_examples():
@@ -63,16 +62,19 @@ def test_negative_bound_is_refused():
         covariance_bound(im2(0.0), negative, coordinate(0, 2))
     nan = Observable(grad_norms=np.array([math.nan, 0.0]), fn=lambda x: x[..., 0])
     with pytest.raises(ValueError, match="nonnegative"):
-        weighted_bound(im2(0.0), [1.0, 1.0], 1.0, nan, coordinate(0, 2))
+        weighted_bound(im2(0.0), [1.0, 1.0], nan, coordinate(0, 2))
     with pytest.raises(ValueError, match="nonnegative"):
-        baseline_bound(1.0, nan, coordinate(0, 2))
+        baseline_bound(im2(0.0), nan, coordinate(0, 2))
 
 
-@pytest.mark.parametrize("rho", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
-def test_weighted_bound_refuses_a_nonpositive_rho(rho):
-    # rho = 0 divided by zero, and rho = -1 was refused only as a negative bound
+@pytest.mark.parametrize("k", [1.0, 2.0], ids=["singular", "indefinite"])
+def test_bounds_refuse_a_matrix_that_certifies_no_positive_rho(k):
+    # lambda_min(A) = 1 - k, and with D = Id the weighted check gives the same rho
+    f0, f1 = coordinate(0, 2), coordinate(1, 2)
     with pytest.raises(ValueError, match="PI constant must be positive"):
-        weighted_bound(im2(0.5), [1.0, 1.0], rho, coordinate(0, 2), coordinate(1, 2))
+        weighted_bound(im2(k), [1.0, 1.0], f0, f1)
+    with pytest.raises(ValueError, match="PI constant must be positive"):
+        baseline_bound(im2(k), f0, f1)
 
 
 def test_covariance_bound_gaussian_sharpness():
@@ -95,8 +97,8 @@ def test_bound_symmetry():
         assert covariance_bound(im, f, g) == pytest.approx(
             covariance_bound(im, g, f)
         )
-        assert baseline_bound(1.2, f, g) == pytest.approx(
-            baseline_bound(1.2, g, f)
+        assert baseline_bound(im, f, g) == pytest.approx(
+            baseline_bound(im, g, f)
         )
 
 
@@ -104,11 +106,9 @@ def test_weighted_bound_examples():
     im = im2(0.5)
     f0, f1 = coordinate(0, 2), coordinate(1, 2)
     # D = Id reduces to the baseline with rho = lambda_min(A)
-    b = weighted_bound(im, [1.0, 1.0], 0.5, f0, f1)
+    b = weighted_bound(im, [1.0, 1.0], f0, f1)
     assert b == pytest.approx(2.0)  # weaker than full-matrix 2/3
     assert covariance_bound(im, f0, f1) < b
-    with pytest.raises(ValueError, match="certify"):
-        weighted_bound(im, [1.0, 1.0], 0.75, f0, f1)
 
 
 def test_weighted_bound_exponential_weights_triangle_factor():
@@ -119,7 +119,7 @@ def test_weighted_bound_exponential_weights_triangle_factor():
     d = np.exp(-distance_matrix(geom)[:, j])
     rho = weighted_similarity_check(im, d)
     assert rho > 0
-    b = weighted_bound(im, d, rho, coordinate(i, 8), coordinate(j, 8))
+    b = weighted_bound(im, d, coordinate(i, 8), coordinate(j, 8))
     # weights contribute exactly e^{-delta(i,j)}: d_i / d_j = e^{-3}
     assert b == pytest.approx(math.exp(-3.0) / rho)
 
@@ -164,18 +164,17 @@ def test_bound_hierarchy_full_below_weighted_and_baseline():
     geom = periodic_grid([8])
     model = GibbsModel(geom, cosine_potential(1.0, 0.05, 2.0), nearest_neighbor_coupling(0.05))
     im = interaction_from_model(model)
-    lam = pi_criterion(im)
 
     for i in range(8):
         for j in range(8):
             f, g = coordinate(i, 8), coordinate(j, 8)
             full = covariance_bound(im, f, g)
-            base = baseline_bound(lam, f, g)
+            base = baseline_bound(im, f, g)
             assert full <= base + 1e-12
             d = np.exp(-distance_matrix(geom)[:, j])
             rho = weighted_similarity_check(im, d)
             assert rho > 0
-            wtd = weighted_bound(im, d, rho, f, g)
+            wtd = weighted_bound(im, d, f, g)
             assert full <= wtd + 1e-12
 
 
@@ -214,7 +213,7 @@ def test_full_matrix_bound_below_helffer_ledoux_weighted_bound(case):
     f = affine(gf)  # affine observables with weights >= 0 have grad_norms = weights
     g = affine(gg)
     full = covariance_bound(im, f, g)
-    assert full <= weighted_bound(im, d, rho, f, g) * (1 + 1e-12)
+    assert full <= weighted_bound(im, d, f, g) * (1 + 1e-12)
 
 
 def test_bli_coincidence_ferromagnetic_affine():

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import math
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -671,7 +672,11 @@ def test_pde_check_experiment(tmp_path):
             },
             "experiment": {
                 "kind": "pde_check",
-                "functions": [{"kind": "coordinate", "site": 0}, {"kind": "sin", "site": 0}],
+                "functions": [
+                    {"kind": "coordinate", "site": 0},
+                    {"kind": "sin", "site": 0},
+                    {"kind": "affine", "weights": [1.0, -0.5], "offset": 3.0},
+                ],
             },
             "grid": {"L": 6.0, "h": 0.05},
         }
@@ -682,6 +687,59 @@ def test_pde_check_experiment(tmp_path):
     for entry in report["results"]["functions"]:
         assert entry["directional_pi_passed"]
         assert all(c["passed"] for c in entry["covariance_representation"])
+
+
+@pytest.mark.parametrize(
+    "potentials, block", [(None, "model.potential"), (3, r"model.potentials\[3\]")], ids=["shared", "per-site"]
+)
+def test_a_rho_that_underflows_is_a_refused_config(tmp_path, capsys, potentials, block):
+    # rho = exp(-800) rounds to 0: refused when the config is read, not raised mid-run
+    raw = {"model": base_model_block(4, 0.0), "experiment": {"kind": "bound_report"}}
+    heavy = {"q": 1.0, "perturbation": {"kind": "cosine", "amplitude": 400, "frequency": 1}}
+    if potentials is None:
+        raw["model"]["potential"] = heavy
+    else:
+        del raw["model"]["potential"]
+        raw["model"]["potentials"] = [{"q": 1.0}] * potentials + [heavy]
+    assert main(["--config", str(write_config(tmp_path, raw)), "--out", str(tmp_path / "out")]) == 2
+    assert re.search(f"config error: {block}: rho = q exp", capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_algebraic_prefactor_it_cannot_assemble_is_a_refusal(tmp_path, capsys, monkeypatch):
+    from gibbscert import decay
+
+    monkeypatch.setattr(decay, "PREFACTOR_PIECE_CAP", 1000)  # the full 2e6-piece loop takes seconds
+    raw = {
+        "model": {
+            "geometry": {"kind": "periodic_grid", "side_lengths": [8]},
+            "potential": {"q": 1.0},
+            "coupling": {"kind": "algebraic", "c": 0.6028308510638298, "alpha": 1, "d": 1},
+        },
+        "experiment": {"kind": "algebraic_certificate"},
+    }
+    assert main(["--config", str(write_config(tmp_path, raw)), "--out", str(tmp_path / "out")]) == 1
+    assert "verification failed: algebraic_certificate" in capsys.readouterr().err
+    cert = json.loads((tmp_path / "out" / "report.json").read_text())["results"]["certificate"]
+    assert cert["reason"] == "contraction constant too close to 1 to assemble a finite prefactor"
+    assert cert["contraction"] == pytest.approx(1.0 - 1e-5)
+    assert cert["dominance_margin"] > 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["report.json"]
+
+
+def test_an_mcmc_run_that_accepts_no_move_is_a_refusal(tmp_path, capsys):
+    raw = {
+        "model": base_model_block(4, 0.1),
+        "experiment": {"kind": "mcmc_check"},
+        "sampler": {"chains": 4, "steps": 4000, "burn_in": 400, "proposal_std": 1e9, "seed": 1},
+    }
+    assert main(["--config", str(write_config(tmp_path, raw)), "--out", str(tmp_path / "out")]) == 1
+    assert "verification failed: mcmc_check" in capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert not report["pass"]
+    assert report["results"]["error"] == "a coordinate has zero variance along a chain"
+    assert sorted(report["results"]) == ["constants", "error"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["report.json"]
 
 
 def test_reports_reproducible_modulo_meta(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gibbscert import decay
 from gibbscert.decay import (
     algebraic_certificate,
     decay_profile,
@@ -134,7 +135,7 @@ def test_algebraic_certificate_acceptance_instance():
     im, geom = algebraic_ring()
     cert = algebraic_certificate(im, geom, 1.0)
     assert cert.passed
-    assert cert.dominance > 0
+    assert cert.dominance_margin > 0
     assert cert.contraction < 0.23  # row sums about 0.1 (pi^2/3 - 1)
     assert cert.alpha_tilde == pytest.approx(0.5)
     assert cert.exponent == pytest.approx(1.5)
@@ -166,8 +167,62 @@ def test_algebraic_certificate_refuses_without_dominance():
     im = interaction_from_model(model)
     cert = algebraic_certificate(im, geom, 1.0)
     assert not cert.passed
-    assert cert.dominance <= 0
+    assert cert.dominance_margin <= 0
     assert "dominant" in cert.reason
+
+
+def test_algebraic_certificate_refuses_a_prefactor_it_cannot_assemble(monkeypatch):
+    # row sums 1 - 1e-5: the piece loop would need more than PREFACTOR_PIECE_CAP pieces
+    monkeypatch.setattr(decay, "PREFACTOR_PIECE_CAP", 1000)
+    im, geom = algebraic_ring(n=8, c=0.6028308510638298)
+    cert = algebraic_certificate(im, geom, 1.0)
+    assert not cert.passed
+    assert cert.reason == "contraction constant too close to 1 to assemble a finite prefactor"
+    assert cert.contraction == pytest.approx(1.0 - 1e-5)
+    assert cert.dominance_margin > 0
+    assert cert.prefactor is None and cert.constants == {}
+
+
+def test_algebraic_certificate_refuses_a_contraction_that_rounds_to_one(monkeypatch):
+    def contraction(im):
+        raise ValueError("contraction constant 1.0 >= 1; series not certified")
+
+    monkeypatch.setattr(decay, "neumann_contraction_constant", contraction)
+    cert = algebraic_certificate(*algebraic_ring(n=16), 1.0)
+    assert not cert.passed
+    assert cert.reason == "contraction constant 1.0 >= 1; series not certified"
+    assert cert.contraction is None and cert.dominance_margin > 0
+
+
+def deflate_partial_sums(expansion):
+    for partial in expansion.partial_sums:
+        partial -= 1.0
+
+
+def inflate_terms(expansion):
+    for term in expansion.terms:
+        term += 1.0
+
+
+@pytest.mark.parametrize(
+    "mutate, audit",
+    [(deflate_partial_sums, "tail_audit_ok"), (inflate_terms, "head_audit_ok")],
+    ids=["deflated-partial-sum", "inflated-term"],
+)
+def test_algebraic_audits_catch_a_broken_expansion(monkeypatch, mutate, audit):
+    expand = decay.neumann_partial_sums
+
+    def mutated(im, k):
+        expansion = expand(im, k)
+        mutate(expansion)
+        return expansion
+
+    monkeypatch.setattr(decay, "neumann_partial_sums", mutated)
+    cert = algebraic_certificate(*algebraic_ring(n=32), 1.0)
+    assert cert.constants[audit] is False
+    assert cert.constants["final_audit_ok"]  # reads A^-1, not the expansion
+    assert not cert.passed
+    assert cert.reason == "numerical audit of the proof bounds failed"
 
 
 def test_algebraic_certificate_bound_dominates_inverse():

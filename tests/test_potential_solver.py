@@ -1,5 +1,6 @@
 """Grid-oracle tests, mostly on coarse grids; the acceptance suite runs the fine ones."""
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -125,7 +126,7 @@ def test_directional_pi_perturbed_model():
 def test_dual_pi_one_site_sharp():
     model = one_site_model()
     pf = PotentialSolver(model, GridSpec(6.0, 0.01)).solve_many([coordinate(0, 1)])[0]
-    res = verify_dual_pi(pf, 1.0)
+    res = verify_dual_pi(pf)
     assert res.passed
     assert res.lhs == pytest.approx(1.0, abs=1e-2)
     assert abs(res.margins) <= res.tol_grid
@@ -133,11 +134,12 @@ def test_dual_pi_one_site_sharp():
 
 def test_dual_pi_two_site():
     model = two_site_model(0.2, a=0.1)
-    im = interaction_from_model(model)
-    rho = pi_criterion(im)
     pf = PotentialSolver(model, COARSE).solve_many([coordinate(0, 2)])[0]
-    res = verify_dual_pi(pf, rho)
+    res = verify_dual_pi(pf)
     assert res.passed
+    # the constant comes from pf.model's A: with epsilon = 5, lambda_min(A) < 0 certifies none
+    with pytest.raises(ValueError, match="PI constant must be positive"):
+        verify_dual_pi(dataclasses.replace(pf, model=two_site_model(5.0)))
 
 
 def test_single_site_pi_reformulation_on_grid():
@@ -250,7 +252,7 @@ def test_kept_quadratures_match_the_per_call_formula():
         direction = verify_directional_pi(pf)
         assert direction.lhs.tolist() == [math.sqrt(max(e, 0.0)) for e in phi_sq]
         assert direction.rhs.tolist() == (im.inverse() @ np.sqrt(np.maximum(f_sq, 0.0))).tolist()
-        dual = verify_dual_pi(pf, rho)
+        dual = verify_dual_pi(pf)
         assert (dual.lhs, dual.rhs) == (math.sqrt(sum(phi_sq)), math.sqrt(sum(f_sq)) / rho)
         for j in range(2):
             gv = pf.coordinate(j)
@@ -259,7 +261,8 @@ def test_kept_quadratures_match_the_per_call_formula():
     assert len(solver.edge_weights) == 2
 
 
-@pytest.mark.parametrize("m", [121, 241, 400, 481, 601])  # 400: coarsens through even sizes
+# 61 <= DIRECT_MAX_NODES: the V-cycle is the direct solve alone; 400: coarsens through even sizes
+@pytest.mark.parametrize("m", [61, 121, 241, 400, 481, 601])
 def test_multigrid_iterations_do_not_grow_with_the_grid(m):
     solver = PotentialSolver(two_site_model(0.2, a=0.1), GridSpec(6.0, 12.0 / (m - 1)))
     assert solver.m == m
