@@ -213,9 +213,9 @@ def _check_fit(raw: dict, model: GibbsModel, grid: GridSpec | None) -> None:
     exp, kind, n, geometry = raw["experiment"], raw["experiment"]["kind"], model.n_sites, model.geometry
     try:
         interaction_from_model(model)  # kept on the model for the run
-    except ValueError as exc:  # the only value build_interaction_matrix can refuse here is a rho of 0
-        site = int(np.argmin(rho_vector(model)))
-        raise ConfigError(f"{_potential_block(raw, site)}: rho = q exp(-2|amplitude|) underflows to 0") from exc
+    except ValueError as exc:  # the only value build_interaction_matrix can refuse here is a rho that underflowed
+        block = _potential_block(raw, int(np.argmin(rho_vector(model))))
+        raise ConfigError(f"{block}: rho = q exp(-2|amplitude|) underflows to a subnormal or 0") from exc
     for k, spec in enumerate(exp.get("functions", ())):
         path = f"experiment.functions[{k}]"
         if spec.get("site", 0) >= n:

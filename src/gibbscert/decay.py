@@ -136,26 +136,51 @@ def _smallest_integer_above(t: float) -> int:
     return int(math.floor(t)) + 1
 
 
+def _walk_outruns_cap(c_head: float, c_tail: float, p: float, alpha: float, lc: float) -> bool:
+    """True when _algebraic_prefactor's walk provably passes PREFACTOR_PIECE_CAP pieces.
+
+    Piece m has m^q/q <= s_m <= (m+1)^q/q (q = p + 2) and envelope env_m =
+    2 (C_head s_m + 2 C_tail) e^{-m beta} (beta = alpha lc/2p).  The walk ends
+    once m lc > 600, or where env_m falls below env_{m-1} and the largest g.
+    Neither happens by the cap when m lc stays <= 600; env rises on
+    2 <= m <= (q-1)/b (b = e^beta - 1), which m^{q-1} (1 - bm/q) >= 4b C_tail/C_head
+    at m = 2 ensures with a factor 2 to spare; and beyond, env_m >= 2 C_head m^q/q
+    e^{-m beta}, unimodal so checked at both ends, tops 2 C_tail + C_head/q
+    [W(beta) + W(lc)] >= every g, with W(k) = (q/k)^q e^{k-q} >= (m+1)^q e^{-km}.
+    """
+    q, beta = p + 2.0, alpha * lc / (2.0 * p)
+    b = math.expm1(beta)
+    m_rise = (q - 1.0) / b if b > 0.0 else math.inf
+    log_w = [q * math.log(q / k) + k - q for k in (beta, lc)]
+    log_g = np.logaddexp(math.log(2.0 * c_tail), math.log(c_head / q) + np.logaddexp(*log_w))
+    ends = (m_rise, PREFACTOR_PIECE_CAP) if m_rise < PREFACTOR_PIECE_CAP else ()
+    return (
+        not PREFACTOR_PIECE_CAP * lc / p * p > 600.0  # the walk's own stop test, at the cap
+        and 2.0 ** (q - 1.0) * (1.0 - 2.0 * b / q) >= 4.0 * b * c_tail / c_head
+        and all(math.log(2.0 * c_head / q) + q * math.log(m) - m * beta > log_g + 1e-6 for m in ends)
+    )
+
+
 def _algebraic_prefactor(c_head: float, c_tail: float, d: int, alpha: float, c: float):
     """Finite constant C with head + tail <= C / (r^{d+alpha/2} + 1) for all r >= 1.
 
     Evaluates g(r) = (r^{d+alpha/2}+1) [C_head S(n(r)-1)/(r^p+1) + C_tail/r^p]
     at the left endpoints of the pieces where the cut index n(r) is constant;
     g decreases within each piece, so the piecewise maximum is the supremum.
+    A walk past PREFACTOR_PIECE_CAP pieces raises ValueError.
     """
     p = d + alpha
     a = d + alpha / 2.0
     if c <= 0.0:  # product measure: A^-1 = diag(1/rho), only the r=1 piece matters
         return 2.0 * c_tail
     lc = abs(math.log(c))
-    max_val = 0.0
-    s = 0.0  # S(m) = sum_{k<=m} k^{p+1}
-    prev_env = math.inf
-    m = 0
-    while m <= PREFACTOR_PIECE_CAP:
+    max_val, s, prev_env = 0.0, 0.0, math.inf  # s = S(m) = sum_{k<=m} k^{p+1}
+    # no piece is walked when the walk provably passes the cap
+    for m in range(0 if _walk_outruns_cap(c_head, c_tail, p, alpha, lc) else PREFACTOR_PIECE_CAP + 1):
+        s += float(m) ** (p + 1.0)
         log_r = m * lc / p
         if log_r * p > 600.0:  # r^p astronomically large; envelope already decayed
-            break
+            return max_val
         r_pow_p = math.exp(log_r * p)
         r_pow_a = math.exp(log_r * a)
         g = (r_pow_a + 1.0) * (c_head * s / (r_pow_p + 1.0) + c_tail / r_pow_p)
@@ -164,13 +189,7 @@ def _algebraic_prefactor(c_head: float, c_tail: float, d: int, alpha: float, c: 
         if m >= 2 and env < max_val and env < prev_env:
             return max_val
         prev_env = env
-        m += 1
-        s += float(m) ** (p + 1.0)
-    if m > PREFACTOR_PIECE_CAP:
-        raise ValueError(
-            "contraction constant too close to 1 to assemble a finite prefactor"
-        )
-    return max_val
+    raise ValueError("contraction constant too close to 1 to assemble a finite prefactor")
 
 
 def algebraic_certificate(
@@ -192,10 +211,10 @@ def algebraic_certificate(
 
     with C_head = C_kappa * d^{(d+alpha)/2} * max(1/rho)^2 * max(rho)/min(rho)
     (the d^{(d+alpha)/2} factor is the Euclidean-vs-max norm-equivalence
-    constant for splitting a k-hop chain at its longest hop).  Both halves,
-    and the final bound, are audited numerically entry by entry.  A failed
-    hypothesis, or a c so close to 1 that no finite C is assembled, gives a
-    refused certificate whose reason says which.
+    constant for splitting a k-hop chain at its longest hop).  Both halves are
+    audited entry by entry in one pass over the streamed expansion, and the
+    final bound against A^-1.  A failed hypothesis, or a c so close to 1 that
+    no finite C is assembled, gives a refused certificate whose reason says which.
     """
     if geom.kind != "periodic_grid":
         raise ValueError("algebraic certificate needs grid coordinates")
@@ -229,25 +248,19 @@ def algebraic_certificate(
     n_cut = np.zeros((n, n), dtype=int)
     n_cut[off] = np.array(level_cut, dtype=int)[level_of]
     k_max = int(np.max(n_cut)) if n > 1 else 0
-    expansion = neumann_partial_sums(im, k_max)
     inv = im.inverse()
     scale = float(np.max(inv))
 
-    # tail audit: all pairs sharing a cut index nc at once (nc stays a numpy
-    # integer, so c**nc rounds as it does per pair)
-    tail_ok = True
-    for nc in np.unique(n_cut[off]):
-        pairs = off & (n_cut == nc)
-        tail = inv[pairs] - expansion.partial_sums[nc - 1][pairs]
-        if np.any(tail > c**nc / (1.0 - c) * max_inv_rho + AUDIT_RTOL * scale):
-            tail_ok = False
-    head_ok = True
-    coupling_profile = r**p + 1.0
-    for k in range(1, k_max + 1):
-        t_k = expansion.terms[k]
+    # at step k, T_k head-audits every pair (T_0 is 0 off the diagonal) and the pairs
+    # cut at k + 1 tail-audit against S_k (k + 1 is a numpy integer like the entries
+    # of n_cut, so c ** (k + 1) rounds as it would per pair)
+    tail_ok = head_ok = True
+    coupling_profile = (r**p + 1.0)[off]
+    for k, (t_k, s_k) in zip(np.arange(k_max + 1), neumann_partial_sums(im, k_max)):
         bound = c_head * float(k) ** (p + 1.0) / coupling_profile
-        if np.any(t_k[off] > bound[off] * (1.0 + AUDIT_RTOL) + 1e-300):
-            head_ok = False
+        head_ok &= not np.any(t_k[off] > bound * (1.0 + AUDIT_RTOL) + 1e-300)
+        cut = n_cut == k + 1
+        tail_ok &= not np.any(inv[cut] - s_k[cut] > c ** (k + 1) / (1.0 - c) * max_inv_rho + AUDIT_RTOL * scale)
     final_bound = prefactor / (r ** (d + alpha / 2.0) + 1.0)
     final_ok = bool(np.all(inv <= final_bound * (1.0 + AUDIT_RTOL) + 1e-300))
 

@@ -9,8 +9,8 @@ expansion of A^-1 all live here.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -86,8 +86,8 @@ def build_interaction_matrix(rho, kappa) -> InteractionMatrix:
     kappa = _require_symmetric(kappa).copy()
     if rho.shape != (kappa.shape[0],):
         raise ValueError("rho and kappa dimensions disagree")
-    if np.any(rho <= 0):
-        raise ValueError("diagonal entries rho must be positive")
+    if np.any(rho < np.finfo(float).tiny):  # a subnormal rho leaves no pivot rule to decide A
+        raise ValueError("diagonal entries rho must be positive normal numbers")
     if np.any(kappa < 0):
         raise ValueError("kappa entries must be nonnegative")
     if np.any(np.diag(kappa) != 0):
@@ -224,28 +224,27 @@ def neumann_contraction_constant(im: InteractionMatrix) -> float:
     return c
 
 
-class NeumannExpansion(NamedTuple):
-    terms: list[np.ndarray]  # T_0 .. T_K
-    partial_sums: list[np.ndarray]  # running sums of the terms
-
-
-def neumann_partial_sums(im: InteractionMatrix, K: int) -> NeumannExpansion:
-    """Terms of the random-walk expansion A^-1 = sum_k T_k.
+def neumann_partial_sums(im: InteractionMatrix, K: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The pairs (T_k, S_k), k = 0 .. K, of the random-walk expansion A^-1 = sum_k T_k.
 
     T_k = diag(1/rho) (kappa diag(1/rho))^k, so T_0 = diag(1/rho), T_1 has
     entries kappa_ij/(rho_i rho_j), T_2 sums kappa_is kappa_sj/(rho_i rho_s
     rho_j) over s, and so on.  All terms are nonnegative, so the running sums
-    increase entrywise to A^-1; convergence is certified by the diagonal
-    dominance margin (contraction constant c < 1).
+    S_k increase entrywise to A^-1; convergence is certified by the diagonal
+    dominance margin (contraction constant c < 1), checked when this is called.
+    Each pair is new and only the latest is held: a few n x n arrays for any K.
     """
     if dominance_margin(im.A) <= 0:
         raise ValueError("no diagonal dominance margin; expansion not certified")
     neumann_contraction_constant(im)  # raises if c >= 1
     d = 1.0 / im.rho
     step = im.kappa * d[None, :]  # kappa diag(1/rho)
-    terms = [np.diag(d)]
-    sums = [terms[0].copy()]
-    for _ in range(K):
-        terms.append(terms[-1] @ step)
-        sums.append(sums[-1] + terms[-1])
-    return NeumannExpansion(terms=terms, partial_sums=sums)
+
+    def stream(term, partial):
+        yield term, partial
+        for _ in range(K):
+            term = term @ step
+            partial = partial + term
+            yield term, partial
+
+    return stream(np.diag(d), np.diag(d))

@@ -690,12 +690,15 @@ def test_pde_check_experiment(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "potentials, block", [(None, "model.potential"), (3, r"model.potentials\[3\]")], ids=["shared", "per-site"]
+    "potentials, amplitude, block",
+    [(None, 400, "model.potential"), (3, 400, r"model.potentials\[3\]"), (None, 372, "model.potential")],
+    ids=["shared", "per-site", "subnormal"],
 )
-def test_a_rho_that_underflows_is_a_refused_config(tmp_path, capsys, potentials, block):
-    # rho = exp(-800) rounds to 0: refused when the config is read, not raised mid-run
+def test_a_rho_that_underflows_is_a_refused_config(tmp_path, capsys, potentials, amplitude, block):
+    # rho = exp(-800) rounds to 0 and exp(-744) to the subnormal 1e-323, whose A^-1
+    # holds inf and nan: refused when the config is read, not raised or written mid-run
     raw = {"model": base_model_block(4, 0.0), "experiment": {"kind": "bound_report"}}
-    heavy = {"q": 1.0, "perturbation": {"kind": "cosine", "amplitude": 400, "frequency": 1}}
+    heavy = {"q": 1.0, "perturbation": {"kind": "cosine", "amplitude": amplitude, "frequency": 1}}
     if potentials is None:
         raw["model"]["potential"] = heavy
     else:
@@ -706,10 +709,7 @@ def test_a_rho_that_underflows_is_a_refused_config(tmp_path, capsys, potentials,
     assert not (tmp_path / "out").exists()
 
 
-def test_an_algebraic_prefactor_it_cannot_assemble_is_a_refusal(tmp_path, capsys, monkeypatch):
-    from gibbscert import decay
-
-    monkeypatch.setattr(decay, "PREFACTOR_PIECE_CAP", 1000)  # the full 2e6-piece loop takes seconds
+def test_an_algebraic_prefactor_it_cannot_assemble_is_a_refusal(tmp_path, capsys):
     raw = {
         "model": {
             "geometry": {"kind": "periodic_grid", "side_lengths": [8]},

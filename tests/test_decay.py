@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,16 +173,37 @@ def test_algebraic_certificate_refuses_without_dominance():
     assert "dominant" in cert.reason
 
 
-def test_algebraic_certificate_refuses_a_prefactor_it_cannot_assemble(monkeypatch):
-    # row sums 1 - 1e-5: the piece loop would need more than PREFACTOR_PIECE_CAP pieces
-    monkeypatch.setattr(decay, "PREFACTOR_PIECE_CAP", 1000)
+def test_algebraic_certificate_refuses_a_prefactor_it_cannot_assemble():
+    # row sums 1 - 1e-5: the piece walk would need about 2.7e6 > PREFACTOR_PIECE_CAP
+    # pieces, which _walk_outruns_cap proves before walking any
     im, geom = algebraic_ring(n=8, c=0.6028308510638298)
+    start = time.perf_counter()
     cert = algebraic_certificate(im, geom, 1.0)
+    assert time.perf_counter() - start < 0.1  # the full walk to the cap took 3 s
     assert not cert.passed
     assert cert.reason == "contraction constant too close to 1 to assemble a finite prefactor"
     assert cert.contraction == pytest.approx(1.0 - 1e-5)
     assert cert.dominance_margin > 0
     assert cert.prefactor is None and cert.constants == {}
+
+
+@pytest.mark.parametrize("cap", [300, 3000])
+def test_walk_outruns_cap_only_where_the_walk_does(monkeypatch, cap):
+    # against the walk itself, with the cap lowered so that walking to it is quick
+    monkeypatch.setattr(decay, "PREFACTOR_PIECE_CAP", cap)
+    rng = np.random.default_rng(cap)
+    proven = 0
+    for _ in range(200):
+        d, alpha = int(rng.integers(1, 4)), float(rng.choice([0.25, 0.5, 1.0, 2.0, 4.0]))
+        c = math.exp(-(10 ** rng.uniform(-6, -0.5)))
+        c_head, c_tail = 10 ** rng.uniform(-3, 3), 10 ** rng.uniform(-2, 6)
+        if decay._walk_outruns_cap(c_head, c_tail, d + alpha, alpha, abs(math.log(c))):
+            proven += 1
+            with monkeypatch.context() as patch:
+                patch.setattr(decay, "_walk_outruns_cap", lambda *args: False)
+                with pytest.raises(ValueError, match="too close to 1"):
+                    decay._algebraic_prefactor(c_head, c_tail, d, alpha, c)
+    assert proven >= 50
 
 
 def test_algebraic_certificate_refuses_a_contraction_that_rounds_to_one(monkeypatch):
@@ -195,13 +218,13 @@ def test_algebraic_certificate_refuses_a_contraction_that_rounds_to_one(monkeypa
 
 
 def deflate_partial_sums(expansion):
-    for partial in expansion.partial_sums:
-        partial -= 1.0
+    for term, partial in expansion:
+        yield term, partial - 1.0
 
 
 def inflate_terms(expansion):
-    for term in expansion.terms:
-        term += 1.0
+    for term, partial in expansion:
+        yield term + 1.0, partial
 
 
 @pytest.mark.parametrize(
@@ -211,18 +234,72 @@ def inflate_terms(expansion):
 )
 def test_algebraic_audits_catch_a_broken_expansion(monkeypatch, mutate, audit):
     expand = decay.neumann_partial_sums
-
-    def mutated(im, k):
-        expansion = expand(im, k)
-        mutate(expansion)
-        return expansion
-
-    monkeypatch.setattr(decay, "neumann_partial_sums", mutated)
+    monkeypatch.setattr(decay, "neumann_partial_sums", lambda im, k: mutate(expand(im, k)))
     cert = algebraic_certificate(*algebraic_ring(n=32), 1.0)
     assert cert.constants[audit] is False
     assert cert.constants["final_audit_ok"]  # reads A^-1, not the expansion
     assert not cert.passed
     assert cert.reason == "numerical audit of the proof bounds failed"
+
+
+def reference_audits(im, geom, alpha, cert):
+    """The three audit verdicts pair by pair, with T_k from np.linalg.matrix_power."""
+    p = 1.0 + alpha
+    c, consts = cert.contraction, cert.constants
+    r = distance_matrix(geom, euclidean=True)
+    inv = inverse_entrywise(im.A)
+    d = np.diag(1.0 / im.rho)
+    n = im.n
+    cut = {(i, j): decay._smallest_integer_above(p * math.log(r[i, j]) / abs(math.log(c)))
+           for i in range(n) for j in range(n) if i != j}
+    k_max = max(cut.values())
+    terms = [d @ np.linalg.matrix_power(im.kappa @ d, k) for k in range(k_max + 1)]
+    sums = np.cumsum(terms, axis=0)
+    tail_ok = all(
+        inv[ij] - sums[k - 1][ij] <= c**k / (1.0 - c) * consts["max_inv_rho"] + 1e-10 * np.max(inv)
+        for ij, k in cut.items()
+    )
+    head_ok = all(
+        terms[k][ij] <= consts["C_head"] * k ** (p + 1.0) / (r[ij] ** p + 1.0) * (1.0 + 1e-10) + 1e-300
+        for ij in cut for k in range(1, k_max + 1)
+    )
+    final_ok = bool(np.all(inv <= cert.prefactor / (r ** cert.exponent + 1.0) * (1.0 + 1e-10) + 1e-300))
+    return {"tail_audit_ok": tail_ok, "head_audit_ok": head_ok, "final_audit_ok": final_ok, "max_cut_index": k_max}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_algebraic_audits_match_a_matrix_power_reference(seed):
+    # random per-site rho and sparse random couplings on small chains, cut
+    # indices up to 19; the verdicts and the deepest cut must agree
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 17))
+    geom = periodic_grid([n])
+    kappa = np.triu(rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.5), 1)
+    kappa = kappa + kappa.T
+    rho = kappa.sum(axis=1) / rng.uniform(0.2, 0.9) + rng.uniform(0.0, 0.1, n)
+    im = build_interaction_matrix(rho, kappa)
+    alpha = float(rng.uniform(0.5, 2.0))
+    cert = algebraic_certificate(im, geom, alpha)
+    assert {key: cert.constants[key] for key in reference_audits(im, geom, alpha, cert)} == reference_audits(
+        im, geom, alpha, cert
+    )
+
+
+def test_algebraic_certificate_peak_memory_does_not_grow_with_the_expansion():
+    # traced peak of the whole certificate on a seeded 256-site chain whose cut
+    # indices reach 7, in n x n doubles: about 15 when the expansion is streamed,
+    # 28 when every T_k and S_k is kept
+    n = 256
+    im, geom = algebraic_ring(n=n)
+    im = build_interaction_matrix(im.rho * np.random.default_rng(7).uniform(1.0, 1.5, n), im.kappa)
+    tracemalloc.start()
+    try:
+        cert = algebraic_certificate(im, geom, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.passed and cert.constants["max_cut_index"] >= 7
+    assert peak / (8 * n * n) < 20
 
 
 def test_algebraic_certificate_bound_dominates_inverse():

@@ -49,6 +49,8 @@ def test_build_examples():
 def test_build_rejects_bad_input():
     with pytest.raises(ValueError, match="positive"):
         build_interaction_matrix([1.0, 0.0], kappa_2site(0.1))
+    with pytest.raises(ValueError, match="normal"):  # subnormal: no pivot rule could decide A
+        build_interaction_matrix([1.0, 1e-323], kappa_2site(0.0))
     with pytest.raises(ValueError, match="nonnegative"):
         build_interaction_matrix([1.0, 1.0], kappa_2site(-0.1))
     with pytest.raises(ValueError, match="diagonal"):
@@ -227,11 +229,11 @@ def test_neumann_terms_match_displayed_formulas():
     # T_1 and T_2 entries against the explicit kappa/rho expressions
     rng = np.random.default_rng(3)
     im = random_dominant(rng, 5)
-    exp = neumann_partial_sums(im, 2)
+    terms, _ = zip(*neumann_partial_sums(im, 2))
     rho, kappa = im.rho, im.kappa
-    assert np.allclose(exp.terms[0], np.diag(1.0 / rho))
+    assert np.allclose(terms[0], np.diag(1.0 / rho))
     t1 = kappa / np.outer(rho, rho)
-    assert np.allclose(exp.terms[1], t1)
+    assert np.allclose(terms[1], t1)
     n = len(rho)
     t2 = np.zeros((n, n))
     for i in range(n):
@@ -239,21 +241,31 @@ def test_neumann_terms_match_displayed_formulas():
             t2[i, j] = sum(
                 kappa[i, s] * kappa[s, j] / (rho[i] * rho[s] * rho[j]) for s in range(n)
             )
-    assert np.allclose(exp.terms[2], t2)
+    assert np.allclose(terms[2], t2)
 
 
 def test_neumann_examples():
     im = build_interaction_matrix([2.0, 4.0], kappa_2site(0.0))
-    exp = neumann_partial_sums(im, 3)
-    assert np.allclose(exp.terms[0], np.diag([0.5, 0.25]))
-    assert all(np.allclose(t, 0.0) for t in exp.terms[1:])
+    terms, _ = zip(*neumann_partial_sums(im, 3))
+    assert len(terms) == 4
+    assert np.allclose(terms[0], np.diag([0.5, 0.25]))
+    assert all(np.allclose(t, 0.0) for t in terms[1:])
 
     im = build_interaction_matrix([1.0, 1.0], kappa_2site(0.5))
-    exp = neumann_partial_sums(im, 10)
-    assert abs(exp.partial_sums[10][0, 1] - 2.0 / 3.0) < 0.5**10
+    *_, (_, partial) = neumann_partial_sums(im, 10)
+    assert abs(partial[0, 1] - 2.0 / 3.0) < 0.5**10
 
+    # refused when called, before any term is drawn
     with pytest.raises(ValueError, match="dominance"):
         neumann_partial_sums(build_interaction_matrix([1.0, 1.0], kappa_2site(1.0)), 4)
+
+
+def test_neumann_stream_yields_fresh_arrays():
+    # each (T_k, S_k) is a new pair: drawing the next one leaves those kept unchanged
+    im = random_dominant(np.random.default_rng(5), 6)
+    kept = [(t.copy(), s.copy(), t, s) for t, s in neumann_partial_sums(im, 5)]
+    assert all(np.array_equal(a, t) and np.array_equal(b, s) for a, b, t, s in kept)
+    assert not any(t is s for _, _, t, s in kept)
 
 
 @given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=10_000))
@@ -261,12 +273,11 @@ def test_neumann_examples():
 def test_neumann_sums_monotone_and_convergent(n, seed):
     im = random_dominant(np.random.default_rng(seed), n)
     K = 64
-    exp = neumann_partial_sums(im, K)
     inv = inverse_entrywise(im.A)
-    prev = exp.partial_sums[0]
-    for s in exp.partial_sums[1:]:
-        assert np.all(s >= prev - 1e-14)
+    prev = None
+    for _, s in neumann_partial_sums(im, K):
+        assert prev is None or np.all(s >= prev - 1e-14)
         prev = s
     c = neumann_contraction_constant(im)
     bound = c**K / (1.0 - c) * float(np.max(1.0 / im.rho))
-    assert np.max(np.abs(inv - exp.partial_sums[K])) <= bound + 1e-12
+    assert np.max(np.abs(inv - prev)) <= bound + 1e-12
