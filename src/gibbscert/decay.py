@@ -150,15 +150,17 @@ def _walk_outruns_cap(c_head: float, c_tail: float, p: float, alpha: float, lc: 
     """
     q, beta = p + 2.0, alpha * lc / (2.0 * p)
     b = math.expm1(beta)
+    if PREFACTOR_PIECE_CAP * lc / p * p > 600.0:  # the walk's own stop test, at the cap
+        return False
+    if not c_head * 2.0 ** (q - 1.0) * (1.0 - 2.0 * b / q) >= 4.0 * b * c_tail:
+        return False
     m_rise = (q - 1.0) / b if b > 0.0 else math.inf
+    if m_rise >= PREFACTOR_PIECE_CAP:
+        return True
     log_w = [q * math.log(q / k) + k - q for k in (beta, lc)]
     log_g = np.logaddexp(math.log(2.0 * c_tail), math.log(c_head / q) + np.logaddexp(*log_w))
-    ends = (m_rise, PREFACTOR_PIECE_CAP) if m_rise < PREFACTOR_PIECE_CAP else ()
-    return (
-        not PREFACTOR_PIECE_CAP * lc / p * p > 600.0  # the walk's own stop test, at the cap
-        and 2.0 ** (q - 1.0) * (1.0 - 2.0 * b / q) >= 4.0 * b * c_tail / c_head
-        and all(math.log(2.0 * c_head / q) + q * math.log(m) - m * beta > log_g + 1e-6 for m in ends)
-    )
+    ends = (m_rise, PREFACTOR_PIECE_CAP)
+    return all(math.log(2.0 * c_head / q) + q * math.log(m) - m * beta > log_g + 1e-6 for m in ends)
 
 
 def _algebraic_prefactor(c_head: float, c_tail: float, d: int, alpha: float, c: float):
