@@ -3,7 +3,8 @@
 Experiments are described by a strict JSON config, checked against the
 schema ``_CONFIG`` before any work starts so a typo or a bad value cannot
 silently weaken a certificate hypothesis, run a pipeline for their kind, and
-write a deterministic report.json plus pair tables.  The exit status is 0
+write a deterministic report.json, plus pairs.csv from the n x n matrices
+that a runner hands to reporting.emit_pair_table.  The exit status is 0
 exactly when every enabled verification passed, 1 when one failed and 2 for
 a bad config, which makes certificates usable as CI assertions.
 """
@@ -49,7 +50,7 @@ from .oracles.potential import (
     verify_directional_pi,
     verify_dual_pi,
 )
-from .reporting import emit_pair_table, write_report, write_table
+from .reporting import emit_pair_table, pair_indices, write_report, write_table
 
 
 class ConfigError(ValueError):
@@ -155,9 +156,7 @@ _CONFIG = {
         }
     ),
     "grid": _Opt({"L": _POSITIVE, "h": _POSITIVE}),
-    "output": _Opt(
-        {"path": _Opt(_STRING), "format": _Opt(_Leaf("'json' or 'csv'", lambda v: v in ("json", "csv")))}
-    ),
+    "output": _Opt({"path": _Opt(_STRING), "format": _Opt(_Leaf("'csv'", lambda v: v == "csv"))}),
 }
 EXPERIMENT_KINDS = tuple(_CONFIG["experiment"])
 
@@ -292,7 +291,6 @@ class ExperimentConfig:
     sampler: SamplerConfig | None
     grid: GridSpec | None
     out_path: str
-    out_format: str
     echo: dict
 
 
@@ -317,7 +315,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         sampler=sampler,
         grid=grid,
         out_path=output.get("path", "out"),
-        out_format=output.get("format", "csv"),
         echo=raw,
     )
 
@@ -338,47 +335,26 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(raw)
 
 
-def _pair_rows(delta, bound, oracle=None, tol=None, ok=None) -> dict:
-    """Pair-table columns over unordered pairs (diagonal included), row-major.
-
-    ``ok`` is the per-pair check against the oracle as a boolean matrix;
-    without it every verdict is "unchecked".
-    """
-    i, j = np.triu_indices(delta.shape[0])
-    if ok is None:
-        verdict = np.full(i.size, "unchecked")
-    else:
-        verdict = np.where(ok[i, j], "pass", "fail")
-    return {
-        "i": i,
-        "j": j,
-        "delta_ij": delta[i, j],
-        "bound": bound[i, j],
-        "oracle_value": None if oracle is None else oracle[i, j],
-        "stderr_or_tol": None if tol is None else tol[i, j],
-        "verdict": verdict,
-    }
-
-
-def _gaussian_rows(model: GibbsModel, delta, bound) -> dict:
-    """Pair rows of ``bound``, checked against the exact covariance when the
-    model is Gaussian: |cov| <= bound + tol with tol = 1e-10 max|cov|."""
+def _gaussian_pairs(model: GibbsModel, delta, bound) -> dict:
+    """The pair table of ``bound``, checked against the exact covariance when
+    the model is Gaussian: |cov| <= bound + tol with tol = 1e-10 max|cov|."""
     if not model.gaussian:
-        return _pair_rows(delta, bound)
+        return dict(delta_ij=delta, bound=bound)
     cov = gaussian_exact_covariance(gaussian_from_model(model))
     tol = 1e-10 * float(np.max(np.abs(cov)))
-    return _pair_rows(delta, bound, cov, np.full_like(cov, tol), np.abs(cov) <= bound + tol)
+    return dict(delta_ij=delta, bound=bound, oracle_value=cov, stderr_or_tol=tol, ok=np.abs(cov) <= bound + tol)
 
 
-def _failures(rows) -> int:
-    return 0 if rows is None else int(np.count_nonzero(rows["verdict"] == "fail"))
+def _failures(pairs) -> int:  # the pairs.csv rows whose check fails
+    ok = None if pairs is None else pairs.get("ok")
+    return 0 if ok is None else int(np.count_nonzero(~ok[pair_indices(len(ok))]))
 
 
 def _run_bound_report(cfg: ExperimentConfig, out_dir: Path):
     model = cfg.model
     im = interaction_from_model(model)
-    rows = _gaussian_rows(model, distance_matrix(model.geometry), im.inverse())
-    return {"constants": {"lambda_min_A": pi_criterion(im)}}, rows, _failures(rows) == 0
+    pairs = _gaussian_pairs(model, distance_matrix(model.geometry), im.inverse())
+    return {"constants": {"lambda_min_A": pi_criterion(im)}}, pairs, _failures(pairs) == 0
 
 
 def _run_gaussian_sharpness(cfg: ExperimentConfig, out_dir: Path):
@@ -389,13 +365,8 @@ def _run_gaussian_sharpness(cfg: ExperimentConfig, out_dir: Path):
     delta = distance_matrix(model.geometry)
     gaps = np.abs(inv - cov) / np.maximum(np.abs(cov), 1e-300)
     max_gap = float(np.max(gaps))
-    tol = np.full_like(cov, tolerance)
-    rows = _pair_rows(delta, inv, cov, tol, gaps <= tolerance)
-    results = {
-        "max_relative_gap": max_gap,
-        "tolerance": tolerance,
-    }
-    return results, rows, max_gap <= tolerance
+    pairs = dict(delta_ij=delta, bound=inv, oracle_value=cov, stderr_or_tol=tolerance, ok=gaps <= tolerance)
+    return {"max_relative_gap": max_gap, "tolerance": tolerance}, pairs, max_gap <= tolerance
 
 
 def _pde_observable(spec: dict, model: GibbsModel, grid: GridSpec):
@@ -476,19 +447,19 @@ def _run_mcmc_check(cfg: ExperimentConfig, out_dir: Path):
         return {"error": str(exc)}, None, False
     tol = STDERR_MULTIPLE * err
     ok = np.abs(est - target) <= tol if mode == "exact" else np.abs(est) <= target + tol
-    rows = _pair_rows(distance_matrix(model.geometry), target, est, tol, ok)
-    violations = _failures(rows)
+    pairs = dict(delta_ij=distance_matrix(model.geometry), bound=target, oracle_value=est, stderr_or_tol=tol, ok=ok)
+    violations = _failures(pairs)
     results = {
         "acceptance_rate": rate,
         "compare": mode,
         "violations": violations,
         "max_violations": max_violations,
         "nominal_false_fail_probability": false_fail_probability(
-            cfg.sampler.chains, len(rows["i"]), max_violations
+            cfg.sampler.chains, len(pair_indices(model.n_sites)[0]), max_violations
         ),
         "sampler": asdict(cfg.sampler),
     }
-    return results, rows, violations <= max_violations
+    return results, pairs, violations <= max_violations
 
 
 def _write_decay_csv(profile: list, out_dir: Path) -> None:
@@ -502,11 +473,11 @@ def _run_exponential_certificate(cfg: ExperimentConfig, out_dir: Path):
     im = interaction_from_model(model)
     cert = exponential_certificate(im, model.geometry)
     delta = distance_matrix(model.geometry)
-    rows = None
+    pairs = None
     if cert.passed:
-        rows = _gaussian_rows(model, delta, cert.prefactor * np.exp(-delta))
+        pairs = _gaussian_pairs(model, delta, cert.prefactor * np.exp(-delta))
         _write_decay_csv(cert.profile, out_dir)
-    return {"certificate": cert.to_dict()}, rows, cert.passed and _failures(rows) == 0
+    return {"certificate": cert.to_dict()}, pairs, cert.passed and _failures(pairs) == 0
 
 
 def _run_algebraic_certificate(cfg: ExperimentConfig, out_dir: Path):
@@ -514,16 +485,15 @@ def _run_algebraic_certificate(cfg: ExperimentConfig, out_dir: Path):
     im = interaction_from_model(model)
     geom = model.geometry
     cert = algebraic_certificate(im, geom, model.coupling.alpha)
-    rows = None
+    pairs = None
     if cert.passed:
         r = distance_matrix(geom, euclidean=True)
         bound = cert.prefactor / (r**cert.exponent + 1.0)
         inv = im.inverse()
-        scale = float(np.max(inv))
-        tol = np.full_like(inv, 1e-10 * scale)
-        rows = _pair_rows(r, bound, inv, tol, inv <= bound * (1 + 1e-10) + 1e-300)
+        ok = inv <= bound * (1 + 1e-10) + 1e-300
+        pairs = dict(delta_ij=r, bound=bound, oracle_value=inv, stderr_or_tol=1e-10 * float(np.max(inv)), ok=ok)
         _write_decay_csv(cert.profile, out_dir)
-    return {"certificate": cert.to_dict()}, rows, cert.passed and _failures(rows) == 0
+    return {"certificate": cert.to_dict()}, pairs, cert.passed and _failures(pairs) == 0
 
 
 def _run_threshold_scan(cfg: ExperimentConfig, out_dir: Path):
@@ -573,7 +543,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> tuple[dict, bool]:
         "meta": {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"), "elapsed_s": time.time() - start},
     }
     write_report(report, out_dir / "report.json")
-    if pairs is not None and cfg.out_format == "csv":
+    if pairs is not None:
         emit_pair_table(pairs, out_dir / "pairs.csv")
     return report, bool(passed)
 

@@ -84,7 +84,10 @@ def _fit_decay_exponent(profile: list, lo: float, hi: float, log_distance: bool)
 def decay_profile(inv: np.ndarray, r: np.ndarray) -> list[tuple[float, float]]:
     """(distance, max |(A^-1)_ij| at that distance) rows, for plotting/export."""
     off = ~np.eye(inv.shape[0], dtype=bool)
-    levels, level_of = np.unique(np.round(r[off], 9), return_inverse=True)
+    dist = r[off]
+    near = np.abs(dist) < np.finfo(float).max / 1e9  # np.round(x, 9) scales by 1e9; every double past is whole
+    dist[near] = np.round(dist[near], 9)
+    levels, level_of = np.unique(dist, return_inverse=True)
     peaks = np.zeros(levels.size)
     np.maximum.at(peaks, level_of, np.abs(inv[off]))
     return list(zip(levels.tolist(), peaks.tolist()))

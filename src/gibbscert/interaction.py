@@ -82,8 +82,11 @@ class InteractionMatrix:
 
 
 def build_interaction_matrix(rho, kappa) -> InteractionMatrix:
-    rho = np.array(rho, dtype=float)
-    kappa = _require_symmetric(kappa).copy()
+    rho, kappa = np.array(rho, dtype=float), np.array(kappa, dtype=float)
+    for name, values in (("rho", rho), ("kappa", kappa)):
+        if not np.all(np.isfinite(values)):  # NaN passes every comparison below
+            raise ValueError(f"{name} entries must be finite")
+    kappa = _require_symmetric(kappa)
     if rho.shape != (kappa.shape[0],):
         raise ValueError("rho and kappa dimensions disagree")
     if np.any(rho < np.finfo(float).tiny):  # a subnormal rho leaves no pivot rule to decide A

@@ -8,7 +8,9 @@ a uint8 matrix with one NUL-padded byte slot per distinct key, less the byte
 columns that are NUL in every key, plus one column for the ',' or '\\n' that
 ends the cell.  The chunk's lines are the indexed rows of its key tables
 side by side, and deleting the few NULs left (`bytearray.replace`) leaves the
-text that fmt() gives cell by cell.
+text that fmt() gives cell by cell.  write_table takes the columns whole;
+emit_pair_table gathers the pairs i <= j of a run's matrices chunk by chunk
+and writes a verdict as a row of a two-key table indexed by the check.
 
 A float slot holds '%.17e' % v in 25 bytes, `[-] d . 17 digits e +/- dd[d]`,
 computed in numpy after Ryu printf (Adams, "Ryu revisited: printf floating
@@ -209,10 +211,10 @@ def _slots(column: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     table's rows are NUL-padded byte slots (see _key_table); its last column
     is left for the separator that _chunk_text writes.
 
-    Each distinct key is formatted once: integers and text are keyed by
-    value, floats by their 64-bit pattern, so 0.0 and -0.0 (equal as floats,
-    different as text) and NaNs with different payloads keep their own
-    slots.  The keys are found without a sort where the column allows it:
+    Each distinct key is formatted once: integers are keyed by value, floats
+    by their 64-bit pattern, so 0.0 and -0.0 (equal as floats, different as
+    text) and NaNs with different payloads keep their own slots.  The keys
+    are found without a sort where the column allows it:
 
     * a column whose cells all hold one key is one slot;
     * integers in [0, _INT_KEYS) spanning no more values than the chunk has
@@ -226,8 +228,8 @@ def _slots(column: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     the same text.
     """
     kind = column.dtype.kind
-    if kind in "biuU":
-        keys, text = column, _text_slots
+    if kind in "biu":
+        keys, text = column, _int_slots
     else:
         keys = np.ascontiguousarray(column, dtype=float).view(np.uint64)
         text = _bits_slots
@@ -237,7 +239,7 @@ def _slots(column: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         lo, hi = int(keys.min()), int(keys.max())
         if 0 <= lo and hi < _INT_KEYS and hi - lo < len(keys):
             return _key_table(_int_texts(len(str(hi)))[lo : hi + 1]), keys - lo
-    elif kind not in "bU" and len(keys) == CHUNK_ROWS:
+    elif kind != "b" and len(keys) == CHUNK_ROWS:
         probe = np.sort(keys.take(PROBE_ROWS))
         if not np.count_nonzero(probe[1:] == probe[:-1]):
             return _key_table(text(keys)), None
@@ -245,14 +247,10 @@ def _slots(column: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return _key_table(text(keys)), inverse
 
 
-def _text_slots(keys: np.ndarray) -> np.ndarray:
-    """Integers and text as NUL-padded byte slots, one row per key."""
-    if keys.dtype.kind == "U":
-        text = [key.encode() for key in keys.tolist()]
-    else:
-        text = [b"%d" % key for key in keys.tolist()]
-    table = np.array(text, dtype=bytes)  # the S dtype pads with NUL
-    return table.view(np.uint8).reshape(len(text), -1)
+def _int_slots(keys: np.ndarray) -> np.ndarray:
+    """Integers as NUL-padded byte slots, one row per key."""
+    table = np.array([b"%d" % key for key in keys.tolist()], dtype=bytes)  # the S dtype pads with NUL
+    return table.view(np.uint8).reshape(len(table), -1)
 
 
 def _bits_slots(bits: np.ndarray) -> np.ndarray:
@@ -291,9 +289,9 @@ def _write_chunks(header, n: int, chunk_slots, path) -> None:
 def write_table(header, columns, path) -> None:
     """CSV with a header line and one line per entry of the parallel columns.
 
-    Each cell reads as fmt() writes it: integer columns as integers, text
-    columns as they are, other columns in full precision, and a column given
-    as None leaves its cells empty.  Rows are formatted CHUNK_ROWS at a time
+    Each cell reads as fmt() writes it: integer and boolean columns as
+    integers, other columns in full precision, and a column given as None
+    leaves its cells empty.  Rows are formatted CHUNK_ROWS at a time
     from one key table per column (see _slots and the module docstring).
     """
     arrays = [None if c is None else np.asarray(c) for c in columns]
@@ -329,14 +327,39 @@ def write_grid_table(header, nodes, shape: tuple, columns, path) -> None:
     _write_chunks(header, math.prod(shape), chunk_slots, path)
 
 
-def emit_pair_table(pairs: dict, path) -> None:
-    """CSV of per-pair results; one row per unordered pair including diagonal.
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of the pairs i <= j of n sites, row-major: the rows of pairs.csv."""
+    return np.triu_indices(n)
 
-    ``pairs`` maps every name in PAIR_COLUMNS to a column of equal length:
-    integer ``i`` and ``j``, text ``verdict`` and float values otherwise; a
-    float column given as None leaves its cells empty.
+
+def emit_pair_table(pairs: dict, path) -> None:
+    """pairs.csv: one row per pair i <= j of a run's n x n matrices, as pair_indices orders them.
+
+    ``pairs`` maps ``delta_ij`` and ``bound`` to matrices, and may map
+    ``oracle_value`` to a matrix, ``stderr_or_tol`` to a matrix or one
+    number, and ``ok`` to the boolean check of each pair.  A column left
+    out has empty cells; the verdict is "pass" or "fail" by ``ok``, else
+    "unchecked".  Each cell reads as fmt() writes it.
     """
-    write_table(PAIR_COLUMNS, [pairs[name] for name in PAIR_COLUMNS], path)
+    i, j = pair_indices(len(pairs["bound"]))
+    ok = pairs.get("ok")
+    words = np.array([b"unchecked"] if ok is None else [b"fail", b"pass"])  # row ok[i, j] is the verdict
+    verdicts = _key_table(words[:, None].view(np.uint8))
+
+    def column(value):  # rows -> the column's slots on those rows
+        if value is None or np.ndim(value):
+            return lambda rows: None if value is None else _slots(value[rows])
+        slot = _slots(np.array([value], dtype=float))  # one number: one slot that every row shares
+        return lambda rows: slot
+
+    columns = [column(pairs.get(name)) for name in PAIR_COLUMNS[2:6]]
+
+    def chunk_slots(start, stop):
+        rows = i[start:stop], j[start:stop]
+        cells = [cells_of(rows) for cells_of in columns]
+        return [_slots(rows[0]), _slots(rows[1]), *cells, (verdicts, None if ok is None else ok[rows])]
+
+    _write_chunks(PAIR_COLUMNS, len(i), chunk_slots, path)
 
 
 def _atom(obj) -> str:

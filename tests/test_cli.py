@@ -213,6 +213,7 @@ PROBES = {
         "experiment.core_identity",
     ),
     "number-output-path": ({"output": {"path": 3}}, "output.path"),
+    "json-output-format": ({"output": {"format": "json"}}, "output.format"),  # it only skipped pairs.csv
     "unknown-compare": (
         {"experiment": {"kind": "mcmc_check", "compare": "exakt"}, "sampler": SAMPLER},
         "experiment.compare",

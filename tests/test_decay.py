@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gibbscert import decay
+from gibbscert.cli import parse_config, run_experiment
 from gibbscert.decay import (
     algebraic_certificate,
     decay_profile,
@@ -341,3 +342,26 @@ def test_decay_profile_rows():
     for d, v in rows:
         mask = (np.round(r, 9) == round(d, 9)) & ~np.eye(16, dtype=bool)
         assert v == pytest.approx(np.max(np.abs(inv[mask])))
+
+
+def test_decay_profile_keeps_huge_distances_finite(tmp_path):
+    # rounding to 9 decimals scales by 1e9: a distance of 1e300 became inf
+    r = np.array([[0.0, 1e300], [1e300, 0.0]])
+    assert decay_profile(np.eye(2), r) == [(1e300, 0.0)]
+    r = np.full((3, 3), 1e290)
+    np.fill_diagonal(r, 0.0)
+    r[0, 1] = r[1, 0] = 0.1 + 0.2  # still rounded onto the level of 0.3
+    r[0, 2] = r[2, 0] = 0.3
+    assert [d for d, _ in decay_profile(np.ones((3, 3)), r)] == [0.3, 1e290]
+
+    raw = {
+        "model": {
+            "geometry": {"kind": "explicit", "metric_table": [[0, 1e300], [1e300, 0]]},
+            "potential": {"q": 1.0},
+            "coupling": {"kind": "nearest_neighbor", "epsilon": 0.1},
+        },
+        "experiment": {"kind": "exponential_certificate"},
+    }
+    _, passed = run_experiment(parse_config(raw), tmp_path)
+    assert passed
+    assert (tmp_path / "decay.csv").read_text().splitlines()[1] == "1.00000000000000005e+300,0.00000000000000000e+00"

@@ -59,6 +59,17 @@ def test_build_rejects_bad_input():
         build_interaction_matrix([1.0, 1.0], np.array([[0.0, 0.2], [0.1, 0.0]]))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus-inf"])
+def test_build_refuses_non_finite_rho_and_kappa(value):
+    # a NaN rho passed every comparison, and lambda_min(A) then read -0.14 while
+    # A^-1 raised "matrix must be symmetric"; an inf rho gave lambda_min nan
+    with pytest.raises(ValueError, match="rho entries must be finite"):
+        build_interaction_matrix([value, 1.0], kappa_2site(0.1))
+    with pytest.raises(ValueError, match="kappa entries must be finite"):
+        build_interaction_matrix([1.0, 1.0], kappa_2site(value))
+    with pytest.raises(ValueError, match="kappa entries must be finite"):
+        build_interaction_matrix([1.0, 1.0], np.array([[0.0, 0.1], [value, 0.0]]))
+
 
 
 def allclose_verdict(a) -> bool:

@@ -25,6 +25,7 @@ from gibbscert.reporting import (
     _proven_slots,
     emit_pair_table,
     fmt,
+    pair_indices,
     report_bytes,
     write_table,
 )
@@ -64,40 +65,46 @@ def wide_range(rng, m):
     return values
 
 
-def random_pairs(rng, n, with_oracle):
-    i, j = np.triu_indices(n)
-    m = i.size
-    return {
-        "i": i,
-        "j": j,
-        "delta_ij": np.abs(i - j).astype(float),
-        "bound": wide_range(rng, m),
-        "oracle_value": rng.normal(size=m) if with_oracle else None,
-        "stderr_or_tol": np.full(m, 1e-10) if with_oracle else None,
-        "verdict": (
-            rng.choice(["pass", "fail"], size=m) if with_oracle else np.full(m, "unchecked")
-        ),
-    }
+def pair_rows(pairs: dict) -> list:
+    """The columns of pairs.csv, built row by row from the run's n x n matrices."""
+    n = len(pairs["bound"])
+    rows = [(i, j) for i in range(n) for j in range(i, n)]
+    columns = [[i for i, _ in rows], [j for _, j in rows]]
+    for name in PAIR_COLUMNS[2:6]:
+        value = pairs.get(name)
+        if value is None:
+            columns.append(None)
+        elif np.ndim(value) == 0:
+            columns.append([value] * len(rows))
+        else:
+            columns.append([value[i, j] for i, j in rows])
+    ok = pairs.get("ok")
+    columns.append(["unchecked" if ok is None else "pass" if ok[i, j] else "fail" for i, j in rows])
+    return columns
+
+
+def random_pairs(rng, n, tolerance):
+    """Matrices of a pair table; no oracle and no check when tolerance is None."""
+    i, j = np.indices((n, n))
+    pairs = {"delta_ij": np.abs(i - j).astype(float), "bound": wide_range(rng, n * n).reshape(n, n)}
+    if tolerance is not None:
+        pairs.update(oracle_value=rng.normal(size=(n, n)), stderr_or_tol=tolerance, ok=rng.random((n, n)) < 0.5)
+    return pairs
 
 
 def test_emit_pair_table_matches_per_row_writer(tmp_path):
     rng = np.random.default_rng(3)
     big = math.isqrt(2 * CHUNK_ROWS) + 1  # the smallest n whose n (n + 1) / 2 rows cross a chunk boundary
-    for n, with_oracle in ((3, False), (7, True), (big, True), (big, False)):
-        pairs = random_pairs(rng, n, with_oracle)
-        if n == big:
-            assert len(pairs["i"]) > CHUNK_ROWS
-        bulk = assert_same_bytes(
-            tmp_path,
-            lambda path: emit_pair_table(pairs, path),
-            PAIR_COLUMNS,
-            [pairs[name] for name in PAIR_COLUMNS],
-        )
-        assert bulk.count(b"\n") == 1 + n * (n + 1) // 2
+    assert big * (big + 1) // 2 > CHUNK_ROWS
     verdicts = set()
-    for with_oracle in (True, False):
-        verdicts |= set(random_pairs(rng, 10, with_oracle)["verdict"].tolist())
+    for n, tol in ((3, None), (7, 1e-10), (7, "matrix"), (big, 1e-10), (big, "matrix"), (big, None)):
+        pairs = random_pairs(rng, n, np.abs(rng.normal(size=(n, n))) if tol == "matrix" else tol)
+        columns = pair_rows(pairs)
+        bulk = assert_same_bytes(tmp_path, lambda path: emit_pair_table(pairs, path), PAIR_COLUMNS, columns)
+        assert bulk.count(b"\n") == 1 + n * (n + 1) // 2
+        verdicts |= set(columns[-1])
     assert verdicts == {"pass", "fail", "unchecked"}
+    assert [list(k) for k in pair_indices(3)] == [[0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]]
 
 
 def test_phi_table_matches_per_row_writer(tmp_path):
@@ -200,7 +207,6 @@ def dictionary_columns(rows: int) -> dict:
         "constant-float": np.full(rows, np.pi),  # one slot, broadcast
         "constant-minus-zero": np.full(rows, -0.0),
         "constant-nan": np.full(rows, nan_with_payload(7)),
-        "constant-text": np.full(rows, "unchecked"),
         "ints-below-2-16": rng.integers(65000, 65536, size=rows),  # indexed by value, up to 65535
         "ints-at-2-16": rng.integers(65535, 65537, size=rows),  # 65536 takes np.unique
         "small-uint64": rng.integers(0, 100, size=rows, dtype=np.uint64),
@@ -208,7 +214,6 @@ def dictionary_columns(rows: int) -> dict:
         "uint64-max": rng.choice(np.array([0, 7, u64_max], dtype=np.uint64), size=rows),
         "mixed-sign": rng.normal(size=rows),
         "three-digit-exponents": rng.normal(size=rows) * 10.0 ** np.where(exponents % 2, exponents, 200),
-        "mixed-text": rng.choice(["pass", "fail", "unchecked"], size=rows),
     }
 
 
@@ -325,10 +330,8 @@ def mixed_table(rows):
     exponents = rng.choice([-1, 1], size=rows) * rng.integers(120, 300, size=rows)
     values = -np.abs(rng.normal(size=rows)) * 10.0**exponents  # '-d.ddd...e+ddd', FLOAT_SLOT bytes
     values[: len(SPECIAL) + 4] = SPECIAL + [-np.inf, 5e-324, -5e-324, (2**53 - 1) / 16]
-    # characters of 4 UTF-8 bytes fill the 4 bytes a character of the numpy dtype
-    words = np.array(["\U0001d711\U0001d713", "\U0001d713\U0001d711", "\U0001d711\U0001d711"])
-    header = ("i", "u", "value", "empty", "word")
-    return header, [ints, unsigned, values, None, words[rng.integers(0, 3, size=rows)]]
+    header = ("i", "u", "value", "empty", "flag")
+    return header, [ints, unsigned, values, None, rng.integers(0, 2, size=rows).astype(bool)]
 
 
 @pytest.mark.parametrize(
@@ -382,16 +385,16 @@ def test_write_table_rejects_mismatched_input(header, columns, message, tmp_path
     assert not (tmp_path / "t.csv").exists()
 
 
-def capture_pair_rows(monkeypatch):
-    """Record every pair table that the CLI runners build."""
+def capture_pairs(monkeypatch):
+    """Record the matrices of every pair table that the CLI writes."""
     captured = []
-    build = cli._pair_rows
+    emit = cli.emit_pair_table
 
-    def recorded(*args, **kwargs):
-        captured.append(build(*args, **kwargs))
-        return captured[-1]
+    def recorded(pairs, path):
+        captured.append(pairs)
+        emit(pairs, path)
 
-    monkeypatch.setattr(cli, "_pair_rows", recorded)
+    monkeypatch.setattr(cli, "emit_pair_table", recorded)
     return captured
 
 
@@ -407,19 +410,37 @@ def torus_config(kind):
 
 
 def test_cli_tables_match_per_row_writer(tmp_path, monkeypatch):
-    """pairs.csv and decay.csv of real runs, whose A^-1 repeats by translation invariance."""
-    for kind in ("gaussian_sharpness", "exponential_certificate"):
-        captured = capture_pair_rows(monkeypatch)
-        cfg = parse_config(torus_config(kind))
+    """pairs.csv of real runs against the per-row writer, and one run's decay.csv.
+
+    The torus runs' A^-1 repeats by translation invariance; bound_report on a
+    cosine model has no oracle and no check, algebraic_certificate shares one
+    tolerance, and mcmc_check has a tolerance per pair and a failing pair.
+    """
+    mcmc = RUNNER_CONFIGS["mcmc_check"]
+    configs = {kind: torus_config(kind) for kind in ("gaussian_sharpness", "exponential_certificate")}
+    configs.update((kind, RUNNER_CONFIGS[kind]) for kind in ("bound_report", "algebraic_certificate"))
+    configs["mcmc_check"] = {**mcmc, "sampler": {**mcmc["sampler"], "seed": 8}}  # 1 of 10 pairs fails, 1 allowed
+    for kind, raw in configs.items():
+        captured = capture_pairs(monkeypatch)
+        cfg = parse_config(raw)
         out = tmp_path / kind
         _, passed = run_experiment(cfg, out)
         assert passed and len(captured) == 1
-        rows = captured[0]
-        reference_table(PAIR_COLUMNS, [rows[name] for name in PAIR_COLUMNS], tmp_path / "ref.csv")
-        pairs = (out / "pairs.csv").read_bytes()
-        assert pairs == (tmp_path / "ref.csv").read_bytes()
-        assert pairs.count(b"\n") == 1 + 36 * 37 // 2
-        assert len(np.unique(rows["bound"])) < len(rows["bound"]) // 4  # the table repeats
+        pairs, n = captured[0], cfg.model.n_sites
+        columns = pair_rows(pairs)
+        reference_table(PAIR_COLUMNS, columns, tmp_path / "ref.csv")
+        table = (out / "pairs.csv").read_bytes()
+        assert table == (tmp_path / "ref.csv").read_bytes()
+        assert table.count(b"\n") == 1 + n * (n + 1) // 2
+        tol, verdicts = pairs.get("stderr_or_tol"), set(columns[-1])
+        if kind == "bound_report":
+            assert tol is None and b",,unchecked\n" in table and verdicts == {"unchecked"}
+        elif kind == "mcmc_check":
+            assert np.ndim(tol) == 2 and verdicts == {"pass", "fail"}
+        else:
+            assert np.ndim(tol) == 0 and verdicts == {"pass"}
+        if n == 36:
+            assert len(np.unique(columns[3])) < len(columns[3]) // 4  # the table repeats
         if kind == "exponential_certificate":
             im = interaction_from_model(cfg.model)
             profile = decay_profile(im.inverse(), distance_matrix(cfg.model.geometry))
@@ -458,7 +479,6 @@ def test_report_bytes_match_recursive_conversion(tmp_path):
             "coupling": {"kind": "nearest_neighbor", "epsilon": np.float32(0.125)},
         },
         "experiment": {"kind": "gaussian_sharpness", "tolerance": 1e-6},
-        "output": {"format": "json"},
     }
     report, passed = run_experiment(parse_config(raw), tmp_path / "out")
     assert passed and report["results"]["tolerance"] == 1e-6

@@ -26,6 +26,18 @@ def test_every_traced_target_resolves():
         assert inspect.isfunction(value), target
 
 
+def test_every_traced_writer_takes_the_path_second():
+    # the hook that counts bytes written reads the output path as args[1]
+    spans = runpy.run_path(str(SPANS))
+    writers = [t for names, _, hook in spans["LAYERS"].values() if hook is spans["_bytes_written"] for t in names]
+    assert writers
+    for target in writers:
+        mod_name, attr = target.split(":")
+        params = list(inspect.signature(getattr(importlib.import_module(mod_name), attr)).parameters.values())
+        assert len(params) >= 2 and params[1].name == "path", target
+        assert params[1].kind in (params[1].POSITIONAL_ONLY, params[1].POSITIONAL_OR_KEYWORD), target
+
+
 def test_potential_attributes_read_by_bench_resolve():
     from gibbscert.oracles import potential
 
