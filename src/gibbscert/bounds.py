@@ -42,16 +42,26 @@ class Observable:
     bound) for coordinate and affine observables, whose gradients are
     constant.  ``fn`` evaluates the observable on arrays whose last axis runs
     over sites, so samplers can apply it to whole batches of configurations.
+    A set ``site`` means that ``fn`` reads ``x[..., site]`` only, and
+    elementwise, so the grid oracle evaluates it on that axis's nodes alone.
     """
 
     grad_norms: np.ndarray
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    site: int | None = None
+
+
+def _one_site_norms(site: int, n_sites: int, grad_norm: float) -> np.ndarray:
+    if not 0 <= site < n_sites:
+        raise ValueError(f"site must be in [0, {n_sites}), got {site}")
+    g = np.zeros(n_sites)
+    g[site] = grad_norm
+    return g
 
 
 def coordinate(site: int, n_sites: int) -> Observable:
-    g = np.zeros(n_sites)
-    g[site] = 1.0
-    return Observable(grad_norms=g, fn=lambda x: x[..., site])
+    g = _one_site_norms(site, n_sites, 1.0)
+    return Observable(grad_norms=g, fn=lambda x: x[..., site], site=site)
 
 
 def affine(weights, offset: float = 0.0) -> Observable:
@@ -62,12 +72,14 @@ def affine(weights, offset: float = 0.0) -> Observable:
 def single_site_function(
     site: int, n_sites: int, fn: Callable, grad_norm_bound: float
 ) -> Observable:
-    """Nonlinear observable of one coordinate with a caller-certified bound."""
-    if grad_norm_bound < 0:
+    """Nonlinear observable of one coordinate with a caller-certified bound.
+
+    ``fn`` must act elementwise: the grid oracle applies it to one axis's nodes.
+    """
+    if not grad_norm_bound >= 0:  # NaN included
         raise ValueError("gradient norm bound must be nonnegative")
-    g = np.zeros(n_sites)
-    g[site] = grad_norm_bound
-    return Observable(grad_norms=g, fn=lambda x: fn(x[..., site]))
+    g = _one_site_norms(site, n_sites, grad_norm_bound)
+    return Observable(grad_norms=g, fn=lambda x: fn(x[..., site]), site=site)
 
 
 def _nonnegative(value: float) -> float:

@@ -455,7 +455,7 @@ def _run_mcmc_check(cfg: ExperimentConfig, out_dir: Path):
         "violations": violations,
         "max_violations": max_violations,
         "nominal_false_fail_probability": false_fail_probability(
-            cfg.sampler.chains, len(pair_indices(model.n_sites)[0]), max_violations
+            cfg.sampler.chains, model.n_sites * (model.n_sites + 1) // 2, max_violations
         ),
         "sampler": asdict(cfg.sampler),
     }

@@ -36,25 +36,27 @@ PCG weighs its stopping norm by mu itself.  mu and s*s can differ in the
 last bit, so a residual within rounding of its target can stop one
 iteration apart from an s*s-weighted test; on 100 sampled oracles solves
 the iteration counts and phi's bytes were the same under both weights.
-Each right-hand side holds 6:
-f's values, the PCG's X, R and P, one work array that takes A p, alpha p
-and then z, and the V-cycle's iterate; the V-cycle reads its right-hand side
-and D through strided sublattice views.  The node coordinates are built for
-f, dropped, and built again for the fields once each right-hand side has
-been rebuilt for its final residual check; phi is divided and centred in
-place in X.  Traced peaks per stage on a 2-core Xeon, in MiB (grid arrays):
+Each right-hand side holds 5: the PCG's X, R and P, one work array that
+takes A p, alpha p and then z, and the V-cycle's iterate; the V-cycle reads
+its right-hand side and D through strided sublattice views.  An f of one
+site is evaluated on the m nodes of its axis and kept as a read-only
+broadcast of them; only an f of no single site (affine) is evaluated on the
+node coordinates and held as a grid array.  The fields' coordinates
+broadcast ``nodes`` too, and phi is divided and centred in place in X.
+Traced peaks per stage of the seed-101 oracles bench cells (functions of
+one site) on a 2-core Xeon, in MiB (grid arrays):
 
     stage           m = 601, 1 function   m = 481, 2 functions
-    set-up          24.8 (9.0)            15.9 (9.0)
-    PCG             32.6 (11.8)           32.9 (18.7)
-    field assembly  30.5 (11.1)           23.2 (13.1)
-    phi.csv         10.6 (3.9)            11.2 (6.3)
-    verify          24.9 (9.0)            23.0 (13.0)
+    set-up          23.2 (8.4)            14.9 (8.4)
+    PCG             29.8 (10.8)           29.4 (16.7)
+    field assembly  27.8 (10.1)           19.6 (11.1)
+    phi.csv         7.8 (2.8)             7.6 (4.3)
+    verify          22.1 (8.0)            19.4 (11.0)
 
-Verify holds mu, phi, f, the coordinates, the edge weights and phi's fluxes,
-and f's energies take one axis at a time.  Set-up, the PCG, field assembly
-and verify each start with _release_free_heap, so the process's peak RSS
-follows these counts whatever holes earlier requests left in the C heap.
+Verify holds mu, phi, the edge weights and phi's fluxes, and f's energies
+take one axis at a time.  Set-up, the PCG, field assembly and verify each
+start with _release_free_heap, so the process's peak RSS follows these
+counts whatever holes earlier requests left in the C heap.
 """
 
 from __future__ import annotations
@@ -193,14 +195,40 @@ class PotentialField:
 
     def coordinate(self, axis: int) -> np.ndarray:
         """Node values of coordinate x_axis, a read-only broadcast of nodes in grid shape."""
-        shape = [1] * self.dim
-        shape[axis] = -1
-        return np.broadcast_to(self.nodes.reshape(shape), (self.nodes.size,) * self.dim)
+        return _along_axis(self.nodes, axis, self.mu.shape)
+
+
+def _along_axis(values, axis: int, shape: tuple) -> np.ndarray:
+    """Values per node of one axis as a read-only broadcast in grid shape."""
+    axis_shape = [1] * len(shape)
+    axis_shape[axis] = -1
+    return np.broadcast_to(np.reshape(values, axis_shape), shape)
 
 
 def _node_config(nodes: np.ndarray, dim: int) -> np.ndarray:
     """Coordinates of every node of the grid nodes^dim, grid shape + (dim,)."""
     return np.stack(np.meshgrid(*([nodes] * dim), indexing="ij"), axis=-1)
+
+
+def _grid_values(observables: list[Observable], nodes: np.ndarray, dim: int) -> list:
+    """Each observable's values on the grid nodes^dim.
+
+    One with a site is evaluated on the diagonal nodes (x, ..., x), whose
+    x[..., site] has the full grid's stride, so the same ufunc loop computes
+    the same values, and is broadcast along its axis: m doubles, not m^dim.
+    The others are evaluated on the node coordinates, which are then dropped.
+    """
+    shape = (nodes.size,) * dim
+    diagonal = np.stack([nodes] * dim, axis=-1)
+    config = _node_config(nodes, dim) if any(obs.site is None for obs in observables) else None
+    values = []
+    for obs in observables:
+        if obs.site is None:
+            fv = np.asarray(obs.fn(config), dtype=float)
+            values.append(fv.copy() if np.may_share_memory(fv, config) else fv)  # a view keeps config alive
+        else:
+            values.append(_along_axis(np.ascontiguousarray(obs.fn(diagonal), dtype=float), obs.site, shape))
+    return values
 
 
 def _edge_weights(mu: np.ndarray) -> list:
@@ -600,8 +628,10 @@ class PotentialSolver:
         """Solve for several observables against the shared measure.
 
         Only the solver's arrays, f's values and the PCG's four batches stay
-        alive through the PCG: the node coordinates are built for f only and
-        dropped, s = sqrt(mu) is built before and after the PCG, and
+        alive through the PCG.  An observable with a site is evaluated once, on
+        the m nodes of its axis, and its f_values is a read-only broadcast of
+        them; only one of no site builds the node coordinates, which are dropped
+        before the PCG.  s = sqrt(mu) is built before and after the PCG, and
         the PCG weighs its stopping norm by mu itself, not by s*s, which may
         differ from mu in the last bit: a residual within rounding of its
         target can then stop one iteration apart, so phi's bytes equal an
@@ -610,14 +640,7 @@ class PotentialSolver:
         has been rebuilt for its final residual check.
         """
         h_dim = self.h**self.dim
-        config = _node_config(self.nodes, self.dim)
-        f_values = []
-        for obs in observables:
-            fv = np.asarray(obs.fn(config), dtype=float)
-            if np.may_share_memory(fv, config):
-                fv = fv.copy()  # a coordinate is a view that would keep config alive
-            f_values.append(fv)
-        del config
+        f_values = _grid_values(observables, self.nodes, self.dim)
         _release_free_heap()
         f_means = [float(np.sum(fv * self.mu) * h_dim) for fv in f_values]
         s = self.s

@@ -97,7 +97,8 @@ def _power_tables():
         shift.append(q)
     ten_up.append(math.inf)  # 10^309 lies past the largest double
     hi = np.array(hi)
-    return np.array(ten_up), hi, *_veltkamp(hi), np.array(lo), np.array(shift)
+    # int32 shifts keep e + shift int32, which np.ldexp has its fast loop for
+    return np.array(ten_up), hi, *_veltkamp(hi), np.array(lo), np.array(shift, dtype=np.int32)
 
 
 # _TEN_UP[k - _K_MIN] is the smallest double >= 10^k; row k - _K_MIN of the

@@ -67,6 +67,21 @@ def test_negative_bound_is_refused():
         baseline_bound(im2(0.0), nan, coordinate(0, 2))
 
 
+@pytest.mark.parametrize("site", [-1, 2, 5])
+def test_one_site_observables_refuse_a_site_off_the_model(site):
+    # site -1 was accepted and read the last site; site 5 raised a bare IndexError
+    for build in (lambda: coordinate(site, 2), lambda: single_site_function(site, 2, np.sin, 1.0)):
+        with pytest.raises(ValueError, match=rf"site must be in \[0, 2\), got {site}"):
+            build()
+
+
+@pytest.mark.parametrize("bound", [-1.0, math.nan])
+def test_single_site_function_refuses_a_bound_that_is_not_nonnegative(bound):
+    # a NaN bound gave grad_norms [nan, 0]
+    with pytest.raises(ValueError, match="nonnegative"):
+        single_site_function(0, 2, np.sin, bound)
+
+
 @pytest.mark.parametrize("k", [1.0, 2.0], ids=["singular", "indefinite"])
 def test_bounds_refuse_a_matrix_that_certifies_no_positive_rho(k):
     # lambda_min(A) = 1 - k, and with D = Id the weighted check gives the same rho

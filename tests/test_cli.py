@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gibbscert import cli
 from gibbscert.cli import ConfigError, load_config, main, parse_config, run_experiment
 from gibbscert.reporting import report_bytes
 
@@ -519,6 +520,22 @@ def test_invalid_pde_functions_rejected(spec, message):
     functions = [{"kind": "coordinate", "site": 0}, spec]
     with pytest.raises(ConfigError, match=rf"experiment\.functions\[1\].*{message}"):
         parse_config(pde_config(functions))
+
+
+def test_pde_observables_carry_their_site():
+    # the grid oracle evaluates an observable with a site on its axis alone
+    cfg = parse_config(pde_config([{"kind": "coordinate"}]))
+    sites = [
+        cli._pde_observable(spec, cfg.model, cfg.grid).site
+        for spec in (
+            {"kind": "coordinate", "site": 1},
+            {"kind": "sin", "site": 0},
+            {"kind": "cubic", "site": 1},
+            {"kind": "coordinate"},
+            {"kind": "affine", "weights": [1.0, -0.5]},
+        )
+    ]
+    assert sites == [1, 0, 1, 0, None]
 
 
 def test_invalid_pde_function_exits_2(tmp_path, capsys):
