@@ -46,15 +46,20 @@ broadcast ``nodes`` too, and phi is divided and centred in place in X.
 Traced peaks per stage of the seed-101 oracles bench cells (functions of
 one site) on a 2-core Xeon, in MiB (grid arrays):
 
-    stage           m = 601, 1 function   m = 481, 2 functions
-    set-up          23.2 (8.4)            14.9 (8.4)
-    PCG             29.8 (10.8)           29.4 (16.7)
-    field assembly  27.8 (10.1)           19.6 (11.1)
-    phi.csv         7.8 (2.8)             7.6 (4.3)
-    verify          22.1 (8.0)            19.4 (11.0)
+    stage                   m = 601, 1 function   m = 481, 2 functions
+    set-up                  23.2 (8.4)            14.9 (8.4)
+    PCG                     29.8 (10.8)           29.4 (16.7)
+    field assembly          27.8 (10.1)           19.6 (11.1)
+    phi.csv                 7.8 (2.8)             7.6 (4.3)
+    verify                  22.1 (8.0)            19.4 (11.0)
+    verify + core identity  33.2 (12.0)           26.6 (15.0)
 
 Verify holds mu, phi, the edge weights and phi's fluxes, and f's energies
-take one axis at a time.  Set-up, the PCG, field assembly and verify each
+take one axis at a time.  The core identity adds the interior weights,
+phi's centred differences (each interior along its own axis, whole along
+the other), the sum and two temporaries.  It computes no value at a
+wrapped-around node; differences rolled over the whole grid read 17.0 and
+20.0 arrays here.  Set-up, the PCG, field assembly and verify each
 start with _release_free_heap, so the process's peak RSS follows these
 counts whatever holes earlier requests left in the C heap.
 """
@@ -112,6 +117,8 @@ class GridSpec:
             raise ValueError("grid needs finite, positive box halfwidth and spacing")
         if self.spacing >= self.box_halfwidth:
             raise ValueError("grid spacing must resolve the box")
+        if not math.isfinite(2.0 * self.box_halfwidth / self.spacing):
+            raise ValueError("grid node count 2L/h + 1 is not a finite number")
 
     @property
     def nodes_per_axis(self) -> int:
@@ -239,15 +246,23 @@ def _edge_weights(mu: np.ndarray) -> list:
     ]
 
 
+def _envelope_tails(model: GibbsModel, box_halfwidth: float) -> float:
+    """Mass of the single-site envelopes exp(-q_i x^2 / 2) outside [-L, L], summed."""
+    return sum(math.erfc(box_halfwidth * math.sqrt(q) / math.sqrt(2.0)) for q in model.q.tolist())
+
+
 def tail_mass_estimate(model: GibbsModel, box_halfwidth: float) -> float:
     """Gaussian-envelope estimate of the measure's mass outside [-L, L]^N.
 
     Uses the single-site envelopes exp(-q_i x^2 / 2) with the total
-    oscillation of the perturbations as a density-distortion factor.
+    oscillation of the perturbations as a density-distortion factor; inf
+    when that factor exp(2 sum |a_i|) overflows a double.
     """
-    total_osc = 2.0 * float(np.sum(np.abs(model.amplitude)))
-    tails = sum(math.erfc(box_halfwidth * math.sqrt(q) / math.sqrt(2.0)) for q in model.q.tolist())
-    return math.exp(total_osc) * tails
+    try:
+        factor = math.exp(2.0 * float(np.sum(np.abs(model.amplitude))))
+    except OverflowError:
+        return math.inf
+    return factor * _envelope_tails(model, box_halfwidth)
 
 
 class GridError(ValueError):
@@ -270,9 +285,8 @@ def check_grid(model: GibbsModel, box_halfwidth: float, nodes_per_axis: int, cor
         raise GridError("n_sites", f"grid oracle supports at most 2 sites, got {model.n_sites}")
     tail = tail_mass_estimate(model, box_halfwidth)
     if tail > TAIL_MASS_LIMIT:
-        envelopes = tail / math.exp(2.0 * float(np.sum(np.abs(model.amplitude))))
         raise GridError(
-            "box_halfwidth" if envelopes > TAIL_MASS_LIMIT else "amplitude",
+            "box_halfwidth" if _envelope_tails(model, box_halfwidth) > TAIL_MASS_LIMIT else "amplitude",
             f"estimated tail mass {tail:.3e} outside the box exceeds {TAIL_MASS_LIMIT}; enlarge the box",
         )
     if core_identity and nodes_per_axis < 5:
@@ -739,21 +753,10 @@ def verify_dual_pi(pf: PotentialField) -> PIResult:
     return PIResult.check(lhs, f_norm / rho, pf.h * (1.0 + f_norm))
 
 
-def _interior(values: np.ndarray, dim: int) -> np.ndarray:
-    sl = tuple(slice(1, -1) for _ in range(dim))
-    return values[sl]
-
-
-def _centered_first(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    shifted_p = np.roll(values, -1, axis=axis)
-    shifted_m = np.roll(values, 1, axis=axis)
-    return (shifted_p - shifted_m) / (2.0 * h)
-
-
-def _centered_second(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    shifted_p = np.roll(values, -1, axis=axis)
-    shifted_m = np.roll(values, 1, axis=axis)
-    return (shifted_p - 2.0 * values + shifted_m) / h**2
+def _centred(values: np.ndarray, axis: int) -> tuple:
+    """Views of values below, at and above each node interior along the axis, whole along the others."""
+    m = values.shape[axis]
+    return tuple(values[_axis_slice(values.ndim, axis, slice(a, m - 2 + a))] for a in range(3))
 
 
 def verify_core_identity(pf: PotentialField) -> float:
@@ -761,36 +764,41 @@ def verify_core_identity(pf: PotentialField) -> float:
 
     For each coordinate j compares int d_j(phi) d_j(f) dmu against
     int sum_k (|d_j d_k phi|^2 + d_j(phi) d_j d_k(H) d_k(phi)) dmu, all by
-    interior-node quadrature with centered differences; returns the largest
-    coordinate residual.  Expected to shrink roughly linearly in h.  Raises
-    GridError on fewer than 5 nodes per axis.
+    interior-node quadrature with centered differences, each taken only on
+    the nodes interior along its own axis (d_phi[k] is whole along the other
+    axis, for the cross difference); returns the largest coordinate residual.
+    Expected to shrink roughly linearly in h.  Raises GridError on fewer than
+    5 nodes per axis.
     """
     check_grid(pf.model, float(pf.nodes[-1]), len(pf.nodes), core_identity=True)
-    dim = pf.dim
-    h = pf.h
-    weights = _interior(pf.mu, dim) * pf.cell_volume
+    dim, h = pf.dim, pf.h
+    across = [tuple(slice(None) if a == ax else slice(1, -1) for a in range(dim)) for ax in range(dim)]
 
-    d_phi = [_centered_first(pf.phi, ax, h) for ax in range(dim)]
-    d_f = [_centered_first(pf.f_values, ax, h) for ax in range(dim)]
+    def first(values: np.ndarray, axis: int) -> np.ndarray:
+        lo, _, hi = _centred(values, axis)
+        return (hi - lo) / (2.0 * h)
+
+    weights = pf.mu[(slice(1, -1),) * dim] * pf.cell_volume
+    d_phi = [first(pf.phi, ax) for ax in range(dim)]
     J = pf.model.coupling_matrix()
     # psi_j'' = q_j - a_j f_j^2 cos(f_j x_j), with Python float parameters
     q, a, f = (v.tolist() for v in (pf.model.q, pf.model.amplitude, pf.model.frequency))
 
-    worst = 0.0
-    for j in range(dim):
-        lhs = float(np.sum(_interior(d_phi[j] * d_f[j], dim) * weights))
-        rhs_field = np.zeros_like(pf.phi)
-        for k in range(dim):
+    def residual(j: int) -> float:
+        d_phi_j = d_phi[j][across[j]]
+        lhs = float(np.sum(first(pf.f_values[across[j]], j) * d_phi_j * weights))
+        rhs_field = np.zeros_like(weights)
+        for k in range(dim):  # each term in one expression, so no operand outlives it
             if k == j:
-                second = _centered_second(pf.phi, j, h)
-                hess_jk = q[j] - a[j] * f[j] ** 2 * np.cos(f[j] * pf.coordinate(j))
+                lo, mid, hi = _centred(pf.phi[across[j]], j)
+                psi2 = _along_axis(q[j] - a[j] * f[j] ** 2 * np.cos(f[j] * pf.nodes[1:-1]), j, weights.shape)
+                rhs_field += ((hi - 2.0 * mid + lo) / h**2) ** 2 + d_phi_j * psi2 * d_phi_j
             else:
-                second = _centered_first(d_phi[j], k, h)
-                hess_jk = -J[j, k]
-            rhs_field += second**2 + d_phi[j] * hess_jk * d_phi[k]
-        rhs = float(np.sum(_interior(rhs_field, dim) * weights))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+                rhs_field += first(d_phi[j], k) ** 2 + d_phi_j * -J[j, k] * d_phi[k][across[k]]
+        rhs_field *= weights
+        return abs(lhs - float(np.sum(rhs_field)))
+
+    return max(0.0, *map(residual, range(dim)))
 
 
 def potential_to_csv(pf: PotentialField, path) -> None:

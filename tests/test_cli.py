@@ -257,6 +257,23 @@ PROBES = {
         },
         "model.potentials[1].perturbation.amplitude",
     ),
+    "pde-check-tail-factor-overflows": (  # exp(2 (354 + 1)) is past the largest double; each rho is still normal
+        {
+            "model.geometry.side_lengths": [2],
+            "model.potential": ...,
+            "model.potentials": [
+                {"q": 1.0, "perturbation": {"kind": "cosine", "amplitude": 354, "frequency": 1.0}},
+                {"q": 1.0, "perturbation": {"kind": "cosine", "amplitude": 1, "frequency": 1.0}},
+            ],
+            "experiment.kind": "pde_check",
+            "grid": GRID,
+        },
+        "model.potentials[0].perturbation.amplitude",
+    ),
+    "pde-check-node-count-overflows": (  # 2L/h is inf
+        {"model.geometry.side_lengths": [2], "experiment.kind": "pde_check", "grid": {"L": 1e308, "h": 1}},
+        "grid",
+    ),
     "core-identity-grid-too-coarse": (
         {
             "model.geometry.side_lengths": [2],

@@ -174,6 +174,57 @@ def test_core_identity_refinement_improves():
     assert residuals[1] <= residuals[0] / 1.5
 
 
+def roll_core_identity(pf):
+    """The core identity's residual with np.roll differences over the whole grid, boundary nodes dropped."""
+    dim, h = pf.dim, pf.h
+    interior = (slice(1, -1),) * dim
+
+    def first(v, axis):
+        return (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2.0 * h)
+
+    weights = pf.mu[interior] * pf.cell_volume
+    d_phi = [first(pf.phi, ax) for ax in range(dim)]
+    d_f = [first(pf.f_values, ax) for ax in range(dim)]
+    J = pf.model.coupling_matrix()
+    q, a, f = (v.tolist() for v in (pf.model.q, pf.model.amplitude, pf.model.frequency))
+    worst = 0.0
+    for j in range(dim):
+        lhs = float(np.sum((d_phi[j] * d_f[j])[interior] * weights))
+        rhs_field = np.zeros_like(pf.phi)
+        for k in range(dim):
+            if k == j:
+                second = (np.roll(pf.phi, -1, axis=j) - 2.0 * pf.phi + np.roll(pf.phi, 1, axis=j)) / h**2
+                hess_jk = q[j] - a[j] * f[j] ** 2 * np.cos(f[j] * pf.coordinate(j))
+            else:
+                second = first(d_phi[j], k)
+                hess_jk = -J[j, k]
+            rhs_field += second**2 + d_phi[j] * hess_jk * d_phi[k]
+        rhs = float(np.sum(rhs_field[interior] * weights))
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+@pytest.mark.parametrize("m", [61, 60], ids=["odd", "even"])
+@pytest.mark.parametrize(
+    "model",
+    [one_site_model(a=0.1, b=2.0), two_site_model(0.2, a=0.1), two_site_model(-0.3, a=0.2, b=2.0)],
+    ids=["1-site", "2-site-eps>0", "2-site-eps<0"],
+)
+def test_core_identity_matches_the_roll_formula(model, m):
+    # interior slices must give the whole-grid np.roll formula bit for bit,
+    # for f of one site (a broadcast, at either site) and affine f (a grid array)
+    n = model.n_sites
+    observables = [
+        single_site_function(0, n, np.sin, 1.0),
+        single_site_function(n - 1, n, lambda x: x**3, 3.0 * 36.0),
+        affine([1.0, -0.5][:n], 0.25),
+    ]
+    solver = PotentialSolver(model, GridSpec(6.0, 12.0 / (m - 1)))
+    assert solver.m == m
+    for pf in solver.solve_many(observables):
+        assert verify_core_identity(pf).hex() == roll_core_identity(pf).hex()
+
+
 def test_tail_mass_estimate_blocks_small_boxes():
     model = two_site_model(0.2, a=0.1)
     assert tail_mass_estimate(model, 6.0) < 1e-8
@@ -183,10 +234,13 @@ def test_tail_mass_estimate_blocks_small_boxes():
 
 
 @pytest.mark.parametrize(
-    "L, h", [(math.nan, 0.1), (math.inf, 0.1), (6.0, math.nan)], ids=["nan-L", "inf-L", "nan-h"]
+    "L, h",
+    [(math.nan, 0.1), (math.inf, 0.1), (6.0, math.nan), (1e308, 1.0), (1e200, 1e-200)],
+    ids=["nan-L", "inf-L", "nan-h", "inf-2L", "inf-2L-over-h"],
 )
 def test_grid_spec_rejects_non_finite_sizes(L, h):
-    # NaN and inf passed both comparisons of the old check
+    # NaN and inf passed both comparisons of the old check; an infinite 2L/h
+    # made nodes_per_axis raise OverflowError
     with pytest.raises(ValueError, match="finite"):
         GridSpec(L, h)
 
@@ -403,7 +457,8 @@ def test_pde_request_stages_stay_in_budget(tmp_path, monkeypatch):
     # traced peak of each stage of one pde_check request at m = 241 with one
     # function, in m^2 doubles.  The PCG holds the solver's ~5, X, R, P, W
     # and the V-cycle's iterate, 11.1 here; holding the one-site f on every
-    # node reads 12.1
+    # node reads 12.1.  With core_identity the verify stage reads 12.24;
+    # differences rolled over the whole grid read 17.06 there
     from gibbscert import cli
 
     peaks, stages = {}, []
@@ -429,28 +484,35 @@ def test_pde_request_stages_stay_in_budget(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "PotentialSolver", StagedSolver)
     monkeypatch.setattr(cli, "potential_to_csv", staged_write)
     m = 241
-    cfg = cli.parse_config(
-        {
-            "model": {
-                "geometry": {"kind": "periodic_grid", "side_lengths": [2]},
-                "potential": {"q": 1.0, "perturbation": {"kind": "cosine", "amplitude": 0.1, "frequency": 1.0}},
-                "coupling": {"kind": "nearest_neighbor", "epsilon": 0.2},
-            },
-            "experiment": {"kind": "pde_check", "functions": [{"kind": "sin", "site": 1}]},
-            "grid": {"L": 6.0, "h": 12.0 / (m - 1)},
-        }
-    )
-    tracemalloc.start()
-    try:
-        enter("set-up")
-        _, passed = cli.run_experiment(cfg, tmp_path)
-        enter(None)
-    finally:
-        tracemalloc.stop()
-    assert passed
-    arrays = {stage: round(peak / (8 * m * m), 2) for stage, peak in peaks.items()}
-    assert list(arrays) == ["set-up", "solve", "phi.csv", "verify"]
-    assert max(arrays.values()) <= 11.5, arrays
+    for core_identity, budget in ((False, 11.5), (True, 12.5)):
+        cfg = cli.parse_config(
+            {
+                "model": {
+                    "geometry": {"kind": "periodic_grid", "side_lengths": [2]},
+                    "potential": {"q": 1.0, "perturbation": {"kind": "cosine", "amplitude": 0.1, "frequency": 1.0}},
+                    "coupling": {"kind": "nearest_neighbor", "epsilon": 0.2},
+                },
+                "experiment": {
+                    "kind": "pde_check",
+                    "functions": [{"kind": "sin", "site": 1}],
+                    "core_identity": core_identity,
+                },
+                "grid": {"L": 6.0, "h": 12.0 / (m - 1)},
+            }
+        )
+        peaks.clear()
+        stages.clear()
+        tracemalloc.start()
+        try:
+            enter("set-up")
+            _, passed = cli.run_experiment(cfg, tmp_path / f"core_identity_{core_identity}")
+            enter(None)
+        finally:
+            tracemalloc.stop()
+        assert passed
+        arrays = {stage: round(peak / (8 * m * m), 2) for stage, peak in peaks.items()}
+        assert list(arrays) == ["set-up", "solve", "phi.csv", "verify"]
+        assert max(arrays.values()) <= budget, (core_identity, arrays)
 
 
 _HEAP_HOLES = """
