@@ -34,7 +34,7 @@ def main():
         full = covariance_bound(im, f, g)
         d = np.array([math.exp(-delta[k][j]) for k in range(n)])
         wtd = weighted_bound(im, d, f, g)
-        expo = cert.prefactor * math.exp(-delta[i][j])
+        expo = cert.bound[i, j]
         base = baseline_bound(im, f, g)
         print(
             f"{delta[i][j]:4.0f} {cov[i, j]:12.3e} {full:12.3e} "

@@ -8,7 +8,9 @@ bound function takes the model's InteractionMatrix and derives its constant
 from it (A^-1, lambda_min(A), or the rho of a weighted similarity check), so
 no caller can supply a constant the mathematics does not give.  It returns
 the bound itself as a float and raises ValueError if it is not >= 0 (NaN
-included).
+included).  nearest_neighbor_certificate, the closed-form weak-coupling
+decay certificate on the 2D torus, returns a decay.DecayCertificate like
+the decay module's certificates.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from .decay import DecayCertificate
 from .interaction import (
     InteractionMatrix,
     NotPositiveDefinite,
@@ -119,25 +122,16 @@ def weighted_bound(im: InteractionMatrix, weights, f: Observable, g: Observable)
     return _nonnegative(_scaled_norm(d * f.grad_norms) * _scaled_norm(g.grad_norms / d) / rho)
 
 
-@dataclass(frozen=True)
-class NearestNeighborCertificate:
+def nearest_neighbor_certificate(model: GibbsModel) -> DecayCertificate:
     """Weak-coupling exponential decay certificate on the 2D torus.
 
     With Delta = min_i rho_i and |epsilon| < (Delta/4) e^-1 the tilted matrix
     is bounded below by (Delta - 4 |epsilon| e) Id, so for unit gradient
     norms |cov(x_i, x_j)| <= prefactor * e^{-delta(i,j)}, with prefactor None
     when |epsilon| misses the threshold.  It passes only when both eigenvalue
-    audits in ``checks`` confirm the lower bounds as well.
+    audits in ``constants`` confirm the lower bounds as well; the threshold
+    (Delta/4) e^-1 and the margin threshold - |epsilon| are there too.
     """
-
-    passed: bool
-    threshold: float  # (Delta/4) e^-1
-    margin: float  # threshold - |epsilon|; negative when refused
-    prefactor: float | None
-    checks: dict
-
-
-def nearest_neighbor_certificate(model: GibbsModel) -> NearestNeighborCertificate:
     geom = model.geometry
     if geom.kind != "periodic_grid" or geom.dimension != 2:
         raise ValueError("certificate requires a 2D periodic lattice")
@@ -158,10 +152,10 @@ def nearest_neighbor_certificate(model: GibbsModel) -> NearestNeighborCertificat
         "A_tilde_lower_bound_holds": tilde_holds,
     }
     prefactor = 1.0 / (delta_uniform - 4.0 * eps_abs * math.e) if margin > 0 else None
-    return NearestNeighborCertificate(
+    return DecayCertificate(
+        kind="nearest_neighbor",
         passed=margin > 0 and all(checks.values()),
-        threshold=threshold,
-        margin=margin,
+        rate=1.0,
         prefactor=prefactor,
-        checks=checks,
+        constants={"threshold": threshold, "margin": margin, **checks},
     )

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import bounds as bnd
 from ._blas import single_threaded
-from .decay import algebraic_certificate, exponential_certificate
+from .decay import AUDIT_RTOL, algebraic_certificate, exponential_certificate
 from .interaction import NotPositiveDefinite, interaction_from_model, pi_criterion
 from .lattice import distance_matrix, explicit_metric, periodic_grid
 from .model import (
@@ -337,11 +337,11 @@ def load_config(path) -> ExperimentConfig:
 
 def _gaussian_pairs(model: GibbsModel, delta, bound) -> dict:
     """The pair table of ``bound``, checked against the exact covariance when
-    the model is Gaussian: |cov| <= bound + tol with tol = 1e-10 max|cov|."""
+    the model is Gaussian: |cov| <= bound + tol with tol = AUDIT_RTOL max|cov|."""
     if not model.gaussian:
         return dict(delta_ij=delta, bound=bound)
     cov = gaussian_exact_covariance(gaussian_from_model(model))
-    tol = 1e-10 * float(np.max(np.abs(cov)))
+    tol = AUDIT_RTOL * float(np.max(np.abs(cov)))
     return dict(delta_ij=delta, bound=bound, oracle_value=cov, stderr_or_tol=tol, ok=np.abs(cov) <= bound + tol)
 
 
@@ -472,10 +472,9 @@ def _run_exponential_certificate(cfg: ExperimentConfig, out_dir: Path):
     model = cfg.model
     im = interaction_from_model(model)
     cert = exponential_certificate(im, model.geometry)
-    delta = distance_matrix(model.geometry)
     pairs = None
     if cert.passed:
-        pairs = _gaussian_pairs(model, delta, cert.prefactor * np.exp(-delta))
+        pairs = _gaussian_pairs(model, distance_matrix(model.geometry), cert.bound)
         _write_decay_csv(cert.profile, out_dir)
     return {"certificate": cert.to_dict()}, pairs, cert.passed and _failures(pairs) == 0
 
@@ -488,10 +487,9 @@ def _run_algebraic_certificate(cfg: ExperimentConfig, out_dir: Path):
     pairs = None
     if cert.passed:
         r = distance_matrix(geom, euclidean=True)
-        bound = cert.prefactor / (r**cert.exponent + 1.0)
         inv = im.inverse()
-        ok = inv <= bound * (1 + 1e-10) + 1e-300
-        pairs = dict(delta_ij=r, bound=bound, oracle_value=inv, stderr_or_tol=1e-10 * float(np.max(inv)), ok=ok)
+        tol = AUDIT_RTOL * float(np.max(inv))
+        pairs = dict(delta_ij=r, bound=cert.bound, oracle_value=inv, stderr_or_tol=tol, ok=cert.bound_ok)
         _write_decay_csv(cert.profile, out_dir)
     return {"certificate": cert.to_dict()}, pairs, cert.passed and _failures(pairs) == 0
 
@@ -500,8 +498,8 @@ def _run_threshold_scan(cfg: ExperimentConfig, out_dir: Path):
     scan = []
     for eps in cfg.options["epsilons"]:
         cert = bnd.nearest_neighbor_certificate(replace(cfg.model, coupling=nearest_neighbor_coupling(float(eps))))
-        row = {key: getattr(cert, key) for key in ("passed", "margin", "prefactor", "threshold")}
-        scan.append({"epsilon": float(eps), **row})
+        row = {key: cert.constants[key] for key in ("margin", "threshold")}
+        scan.append({"epsilon": float(eps), "passed": cert.passed, "prefactor": cert.prefactor, **row})
     first_refused = next((row["epsilon"] for row in scan if not row["passed"]), None)
     return {"scan": scan, "first_refused_epsilon": first_refused}, None, True
 

@@ -1,9 +1,12 @@
 """Machine-checkable correlation-decay certificates.
 
-Exponential decay is certified through the metric-tilted matrix; algebraic
-decay through the random-walk expansion of A^-1 with an explicit, finite
-prefactor (no unquantified constants: every bound the certificate asserts is
-audited numerically on the instance).
+Every certificate is one DecayCertificate record.  Exponential decay is
+certified through the metric-tilted matrix; algebraic decay through the
+random-walk expansion of A^-1 with an explicit, finite prefactor (no
+unquantified constants: every bound the certificate asserts is audited
+numerically on the instance).  The record carries the n x n bound it
+certifies, and the algebraic one its per-pair final audit, so a consumer
+reads them rather than deriving them again from the record's scalars.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ PREFACTOR_PIECE_CAP = 2_000_000
 
 @dataclass(frozen=True)
 class DecayCertificate:
-    kind: str  # exponential | algebraic
+    kind: str  # exponential | algebraic | nearest_neighbor (bounds.nearest_neighbor_certificate)
     passed: bool
     rate: float | None = None  # exponential: decay per unit metric distance
     exponent: float | None = None  # algebraic: d + alpha/2
@@ -42,6 +45,9 @@ class DecayCertificate:
     reason: str | None = None
     # decay_profile(A^-1, distances) once the inverse exists; decay.csv reads it, report.json does not
     profile: list | None = field(default=None, repr=False, compare=False)
+    # the n x n bound on |A^-1| once the prefactor exists, and (algebraic) its final audit per pair
+    bound: np.ndarray | None = field(default=None, repr=False, compare=False)
+    bound_ok: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         """The report's entry: each repr field under its own name, reason only when set."""
@@ -132,6 +138,7 @@ def exponential_certificate(im: InteractionMatrix, geom: LatticeGeometry) -> Dec
         fit_range=fit_range,
         reason=None if audit <= AUDIT_RTOL else "tilt inequality audit failed",
         profile=profile,
+        bound=1.0 / rho_tilde * np.exp(-delta),
     )
 
 
@@ -218,8 +225,11 @@ def algebraic_certificate(
     (the d^{(d+alpha)/2} factor is the Euclidean-vs-max norm-equivalence
     constant for splitting a k-hop chain at its longest hop).  Both halves are
     audited entry by entry in one pass over the streamed expansion, and the
-    final bound against A^-1.  A failed hypothesis, or a c so close to 1 that
-    no finite C is assembled, gives a refused certificate whose reason says which.
+    final bound against A^-1, pair by pair; the record carries that bound and
+    the per-pair verdicts.  A failed hypothesis, a c so close to 1 that no
+    finite C is assembled, or a constant past the double range (C_head, C_tail,
+    C, or C_head n^{d+alpha+1} at the largest cut index) gives a refused
+    certificate whose reason says which.
     """
     if geom.kind != "periodic_grid":
         raise ValueError("algebraic certificate needs grid coordinates")
@@ -237,22 +247,29 @@ def algebraic_certificate(
 
         max_inv_rho = float(np.max(1.0 / im.rho))
         rho_ratio = float(np.max(im.rho) / np.min(im.rho))
-        c_kappa = float(np.max(im.kappa[off] * (r[off] ** p + 1.0))) if n > 1 else 0.0
+        with np.errstate(over="ignore"):  # an r^p past the double range is inf, so that pair's head bound is 0
+            coupling_profile = r[off] ** p + 1.0
+        # C_kappa on coupled pairs only, so an uncoupled pair gives 0, not 0 * inf
+        c_kappa = float(np.max(im.kappa[off] * np.where(im.kappa[off] > 0, coupling_profile, 0.0), initial=0.0))
         c_head = c_kappa * d ** (p / 2.0) * max_inv_rho**2 * rho_ratio
         c_tail = max_inv_rho / (1.0 - c)
+        if not (math.isfinite(c_head) and math.isfinite(c_tail)):
+            raise OverflowError
         prefactor = _algebraic_prefactor(c_head, c_tail, d, alpha, c)
-    except ValueError as exc:  # no margin, a c that rounds to 1, or no finite prefactor
-        return DecayCertificate(
-            kind="algebraic", passed=False, contraction=c, dominance_margin=margin, reason=str(exc)
-        )
 
-    # cut index per pair, evaluated with math.log once per distinct distance
-    log_c = math.inf if c == 0.0 else abs(math.log(c))
-    levels, level_of = np.unique(r[off], return_inverse=True)
-    level_cut = [_smallest_integer_above(p * math.log(x) / log_c) for x in levels.tolist()]
-    n_cut = np.zeros((n, n), dtype=int)
-    n_cut[off] = np.array(level_cut, dtype=int)[level_of]
-    k_max = int(np.max(n_cut)) if n > 1 else 0
+        # cut index per pair, evaluated with math.log once per distinct distance
+        log_c = math.inf if c == 0.0 else abs(math.log(c))
+        levels, level_of = np.unique(r[off], return_inverse=True)
+        level_cut = [_smallest_integer_above(p * math.log(x) / log_c) for x in levels.tolist()]
+        n_cut = np.zeros((n, n), dtype=int)
+        n_cut[off] = np.array(level_cut, dtype=int)[level_of]
+        k_max = int(np.max(n_cut)) if n > 1 else 0
+        # the head audit's largest constant; the smaller ones below it are finite too
+        if not (math.isfinite(prefactor) and math.isfinite(c_head * float(k_max) ** (p + 1.0))):
+            raise OverflowError
+    except (ValueError, OverflowError) as exc:  # no margin, a c that rounds to 1, no finite prefactor, an overflow
+        reason = str(exc) if isinstance(exc, ValueError) else "a constant of the proof overflows a double"
+        return DecayCertificate(kind="algebraic", passed=False, contraction=c, dominance_margin=margin, reason=reason)
     inv = im.inverse()
     scale = float(np.max(inv))
 
@@ -260,19 +277,22 @@ def algebraic_certificate(
     # cut at k + 1 tail-audit against S_k (k + 1 is a numpy integer like the entries
     # of n_cut, so c ** (k + 1) rounds as it would per pair)
     tail_ok = head_ok = True
-    coupling_profile = (r**p + 1.0)[off]
     for k, (t_k, s_k) in zip(np.arange(k_max + 1), neumann_partial_sums(im, k_max)):
         bound = c_head * float(k) ** (p + 1.0) / coupling_profile
         head_ok &= not np.any(t_k[off] > bound * (1.0 + AUDIT_RTOL) + 1e-300)
         cut = n_cut == k + 1
         tail_ok &= not np.any(inv[cut] - s_k[cut] > c ** (k + 1) / (1.0 - c) * max_inv_rho + AUDIT_RTOL * scale)
-    final_bound = prefactor / (r ** (d + alpha / 2.0) + 1.0)
-    final_ok = bool(np.all(inv <= final_bound * (1.0 + AUDIT_RTOL) + 1e-300))
 
     fit_lo = max(n ** 0.25, float(np.min(r[off])) if n > 1 else 1.0)
     fit_hi = n / 4.0
     profile = decay_profile(inv, r)
     fitted = _fit_decay_exponent(profile, fit_lo, fit_hi, log_distance=True)
+    # after the profile, so that its peak does not hold bound_ok too; an r^(d + alpha/2)
+    # past the double range is inf, which bounds its pair by 0
+    with np.errstate(over="ignore"):
+        final_bound = prefactor / (r ** (d + alpha / 2.0) + 1.0)
+    bound_ok = inv <= final_bound * (1.0 + AUDIT_RTOL) + 1e-300
+    final_ok = bool(np.all(bound_ok))
 
     passed = tail_ok and head_ok and final_ok
     constants = {
@@ -299,4 +319,6 @@ def algebraic_certificate(
         fit_range=(fit_lo, fit_hi),
         reason=None if passed else "numerical audit of the proof bounds failed",
         profile=profile,
+        bound=final_bound,
+        bound_ok=bound_ok,
     )

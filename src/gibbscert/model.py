@@ -72,7 +72,8 @@ class Coupling:
             J = np.where(delta == 1.0, self.epsilon, 0.0)
         elif self.kind == "algebraic":
             r = distance_matrix(geom, euclidean=True)
-            J = self.c / (r ** (self.d + self.alpha) + 1.0)
+            with np.errstate(over="ignore"):  # an r^(d+alpha) past the double range gives J = c/(inf + 1) = 0
+                J = self.c / (r ** (self.d + self.alpha) + 1.0)
             np.fill_diagonal(J, 0.0)
         elif self.kind == "explicit":
             J = np.asarray(self.matrix, dtype=float)
@@ -112,7 +113,8 @@ class GibbsModel:
 
     ``q``, ``amplitude`` and ``frequency`` are read-only per-site arrays of
     the potentials' fields, so psi_i(x) = q_i/2 x^2 + amplitude_i
-    cos(frequency_i x) at every site.
+    cos(frequency_i x) at every site; ``coupling_matrix()`` returns J,
+    read-only as well.
     """
 
     geometry: LatticeGeometry
@@ -136,6 +138,7 @@ class GibbsModel:
             values.flags.writeable = False
             setattr(self, name, values)
         self._J = self.coupling.build(self.geometry)
+        self._J.flags.writeable = False
 
     @property
     def n_sites(self) -> int:
@@ -147,7 +150,7 @@ class GibbsModel:
         return all(pot.perturbation == "none" for pot in self.potentials)
 
     def coupling_matrix(self) -> np.ndarray:
-        return self._J.copy()
+        return self._J
 
     def psi(self, x: np.ndarray) -> np.ndarray:
         """psi_i(x_i) for configurations x with the sites on the last axis."""

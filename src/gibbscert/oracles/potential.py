@@ -285,10 +285,11 @@ def check_grid(model: GibbsModel, box_halfwidth: float, nodes_per_axis: int, cor
         raise GridError("n_sites", f"grid oracle supports at most 2 sites, got {model.n_sites}")
     tail = tail_mass_estimate(model, box_halfwidth)
     if tail > TAIL_MASS_LIMIT:
-        raise GridError(
-            "box_halfwidth" if _envelope_tails(model, box_halfwidth) > TAIL_MASS_LIMIT else "amplitude",
-            f"estimated tail mass {tail:.3e} outside the box exceeds {TAIL_MASS_LIMIT}; enlarge the box",
-        )
+        if _envelope_tails(model, box_halfwidth) > TAIL_MASS_LIMIT:
+            cause, advice = "box_halfwidth", "enlarge the box"
+        else:  # the Gaussian envelopes alone fit the box; exp(2 sum |amplitude|) carries the rest
+            cause, advice = "amplitude", "reduce the perturbation amplitude"
+        raise GridError(cause, f"estimated tail mass {tail:.3e} outside the box exceeds {TAIL_MASS_LIMIT}; {advice}")
     if core_identity and nodes_per_axis < 5:
         raise GridError(
             "spacing", f"grid too coarse for second differences: {nodes_per_axis} nodes per axis, 5 needed"

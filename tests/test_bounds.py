@@ -253,15 +253,15 @@ def nn_model_2d(eps, q=1.0, a=0.0):
 
 def test_nearest_neighbor_certificate_examples():
     cert = nearest_neighbor_certificate(nn_model_2d(0.05))
-    assert cert.passed
-    assert cert.threshold == pytest.approx(math.exp(-1.0) / 4.0)
+    assert (cert.kind, cert.passed, cert.rate) == ("nearest_neighbor", True, 1.0)
+    assert cert.constants["threshold"] == pytest.approx(math.exp(-1.0) / 4.0)
     assert cert.prefactor == pytest.approx(1.0 / (1.0 - 0.2 * math.e))
-    assert cert.checks["A_lower_bound_holds"]
-    assert cert.checks["A_tilde_lower_bound_holds"]
+    assert cert.constants["A_lower_bound_holds"]
+    assert cert.constants["A_tilde_lower_bound_holds"]
 
     refused = nearest_neighbor_certificate(nn_model_2d(0.1))
     assert not refused.passed
-    assert refused.margin < 0
+    assert refused.constants["margin"] < 0
     assert refused.prefactor is None
 
 
@@ -273,8 +273,9 @@ def test_nearest_neighbor_certificate_needs_its_eigenvalue_audits(monkeypatch):
     # lambda_min(A) stays, lambda_min(A~) drops by 1 below the (Delta - 4 eps e) bound
     monkeypatch.setattr(InteractionMatrix, "lambda_min", lambda self: true_lambda_min(self) - (self is not im))
     cert = nearest_neighbor_certificate(model)
-    assert cert.margin > 0
-    assert cert.checks == {"A_lower_bound_holds": True, "A_tilde_lower_bound_holds": False}
+    assert cert.constants["margin"] > 0
+    assert cert.constants["A_lower_bound_holds"] is True
+    assert cert.constants["A_tilde_lower_bound_holds"] is False
     assert not cert.passed
 
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -13,8 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbscert import cli
+from gibbscert._blas import single_threaded
 from gibbscert.cli import ConfigError, load_config, main, parse_config, run_experiment
-from gibbscert.reporting import report_bytes
+from gibbscert.decay import DecayCertificate, algebraic_certificate, exponential_certificate
+from gibbscert.interaction import interaction_from_model
+from gibbscert.lattice import distance_matrix
+from gibbscert.oracles.gaussian import gaussian_exact_covariance, gaussian_from_model
+from gibbscert.reporting import emit_pair_table, report_bytes
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -308,6 +314,8 @@ def test_invalid_config_exits_2_naming_the_key(tmp_path, capsys, edits, path):
     assert err.startswith(f"config error: {path}: "), err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+    if "tail mass" in err:  # only a box-blamed refusal says to enlarge the box
+        assert err.endswith("; enlarge the box\n" if path == "grid.L" else "; reduce the perturbation amplitude\n"), err
 
 
 def test_duplicate_key_exits_2(tmp_path, capsys):
@@ -762,6 +770,30 @@ def test_an_algebraic_prefactor_it_cannot_assemble_is_a_refusal(tmp_path, capsys
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["report.json"]
 
 
+ALGEBRAIC_OVERFLOWS = {  # each ended in an OverflowError traceback and an empty output directory
+    "prefactor-piece": (16, 1.0, 0.1, 150),  # m^(p+1) in the prefactor walk
+    "c-head": (8, 1e-300, 1e-302, 1),  # max(1/rho)^2
+    "far-pairs": (8, 1.0, 0.1, 800),  # r^(d+alpha) on uncoupled pairs, then a prefactor piece
+}
+
+
+@pytest.mark.parametrize("n, q, c, alpha", ALGEBRAIC_OVERFLOWS.values(), ids=ALGEBRAIC_OVERFLOWS.keys())
+def test_an_algebraic_constant_that_overflows_is_a_refusal(tmp_path, capsys, n, q, c, alpha):
+    raw = {
+        "model": {
+            "geometry": {"kind": "periodic_grid", "side_lengths": [n]},
+            "potential": {"q": q},
+            "coupling": {"kind": "algebraic", "c": c, "alpha": alpha, "d": 1},
+        },
+        "experiment": {"kind": "algebraic_certificate"},
+    }
+    assert main(["--config", str(write_config(tmp_path, raw)), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "verification failed: algebraic_certificate\n"
+    cert = json.loads((tmp_path / "out" / "report.json").read_text())["results"]["certificate"]
+    assert (cert["passed"], cert["reason"]) == (False, "a constant of the proof overflows a double")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["report.json"]
+
+
 def test_an_mcmc_run_that_accepts_no_move_is_a_refusal(tmp_path, capsys):
     raw = {
         "model": base_model_block(4, 0.1),
@@ -926,3 +958,85 @@ def test_passing_decay_run_builds_its_profile_once(tmp_path, monkeypatch, kind):
     assert passed and report["results"]["certificate"]["fitted_exponent"] is not None
     assert (tmp_path / "decay.csv").exists()
     assert len(calls) == 1  # the fit and decay.csv share one profile
+
+
+def parent_certified_pairs(cfg):
+    """A certificate run's record and pair table as the runners formed that table
+    before the record carried its bound: each bound from the record's scalars and
+    the algebraic final audit per pair again; None for a record with no prefactor."""
+    model, geom = cfg.model, cfg.model.geometry
+    im = interaction_from_model(model)
+    if cfg.kind == "exponential_certificate":
+        cert = exponential_certificate(im, geom)
+        if cert.prefactor is None:
+            return cert, None
+        delta = distance_matrix(geom)
+        bound = cert.prefactor * np.exp(-delta)
+        if not model.gaussian:
+            return cert, dict(delta_ij=delta, bound=bound)
+        cov = gaussian_exact_covariance(gaussian_from_model(model))
+        tol = 1e-10 * float(np.max(np.abs(cov)))
+        return cert, dict(delta_ij=delta, bound=bound, oracle_value=cov, stderr_or_tol=tol, ok=np.abs(cov) <= bound + tol)
+    cert = algebraic_certificate(im, geom, model.coupling.alpha)
+    if cert.prefactor is None:
+        return cert, None
+    r = distance_matrix(geom, euclidean=True)
+    bound = cert.prefactor / (r**cert.exponent + 1.0)
+    inv = im.inverse()
+    ok = inv <= bound * (1 + 1e-10) + 1e-300
+    return cert, dict(delta_ij=r, bound=bound, oracle_value=inv, stderr_or_tol=1e-10 * float(np.max(inv)), ok=ok)
+
+
+def random_certificate_configs(rng, count):
+    """Exponential runs on NN rings and tori and algebraic runs on chains and tori,
+    with per-site q, a cosine model every third run, and couplings on both sides
+    of each threshold."""
+    configs = []
+    for k in range(count):
+        sides = [int(rng.integers(6, 40))] if k % 2 else [int(rng.integers(3, 9))] * 2
+        potentials = [{"q": float(rng.uniform(0.8, 2.0))} for _ in range(math.prod(sides))]
+        for pot in potentials if k % 3 == 0 else ():
+            pot["perturbation"] = {"kind": "cosine", "amplitude": float(rng.uniform(-0.2, 0.2)), "frequency": 1.0}
+        if k % 4 < 2:
+            eps = float(rng.uniform(-0.25, 0.25))
+            coupling, kind = {"kind": "nearest_neighbor", "epsilon": eps}, "exponential_certificate"
+        else:
+            c, alpha = float(rng.uniform(0.02, 0.4)), float(rng.uniform(0.3, 3.0))
+            coupling, kind = {"kind": "algebraic", "c": c, "alpha": alpha, "d": len(sides)}, "algebraic_certificate"
+        geometry = {"kind": "periodic_grid", "side_lengths": sides}
+        configs.append({"model": {"geometry": geometry, "potentials": potentials, "coupling": coupling}, "experiment": {"kind": kind}})
+    return configs
+
+
+def test_certified_bounds_and_verdicts_match_the_parent_formulas(tmp_path):
+    workloads = runpy.run_path(str(ROOT / "bench" / "workloads.py"))  # compiled in memory: writes nothing under bench/
+    bench = [raw for workload in ("torus-nn", "chain-hetero") for raw in workloads["cycle"](workload, 101, 0)]
+    configs = bench + random_certificate_configs(np.random.default_rng(36), 24)
+    kinds = ("exponential_certificate", "algebraic_certificate")
+    checked = {kind: 0 for kind in kinds}
+    for k, raw in enumerate(c for c in configs if c["experiment"]["kind"] in kinds):
+        with single_threaded():  # as run_experiment runs, so A^-1 and the covariance keep their bits
+            cert, pairs = parent_certified_pairs(parse_config(raw))
+        run_experiment(parse_config(raw), tmp_path / str(k))
+        if pairs is None:
+            assert cert.bound is None
+            continue
+        assert cert.bound.tobytes() == pairs["bound"].tobytes()
+        if cert.kind == "algebraic":
+            assert np.array_equal(cert.bound_ok, pairs["ok"])
+        if cert.passed:  # pairs.csv, verdicts included, byte for byte
+            emit_pair_table(pairs, tmp_path / f"{k}.csv")
+            assert (tmp_path / str(k) / "pairs.csv").read_bytes() == (tmp_path / f"{k}.csv").read_bytes()
+            checked[raw["experiment"]["kind"]] += 1
+    assert min(checked.values()) >= 8, checked
+
+
+@pytest.mark.parametrize("kind", ["exponential_certificate", "algebraic_certificate"])
+def test_no_hidden_certificate_field_reaches_the_report(tmp_path, kind):
+    hidden = {f.name for f in dataclasses.fields(DecayCertificate) if not f.repr}
+    assert hidden == {"profile", "bound", "bound_ok"}
+    report, passed = run_experiment(parse_config({"model": base_model_block(8, 0.1), **EVERY_KIND[kind]}), tmp_path)
+    assert passed
+    assert not hidden & set(report["results"]["certificate"])
+    text = (tmp_path / "report.json").read_text()
+    assert not [name for name in hidden if f'"{name}"' in text]

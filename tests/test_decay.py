@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -365,3 +366,20 @@ def test_decay_profile_keeps_huge_distances_finite(tmp_path):
     _, passed = run_experiment(parse_config(raw), tmp_path)
     assert passed
     assert (tmp_path / "decay.csv").read_text().splitlines()[1] == "1.00000000000000005e+300,0.00000000000000000e+00"
+
+
+@pytest.mark.parametrize("n", [3, 8, 16])
+def test_algebraic_certificate_refuses_every_overflow_with_a_reason(n):
+    # powers and products past the double range: C_head's max(1/rho)^2, a prefactor piece
+    # m^(p+1), the head audit's k^(p+1), r^p on pairs too far apart to couple; each raised
+    # OverflowError or, under the suite's error::RuntimeWarning, a numpy overflow
+    refusals = 0
+    for q, c, alpha in itertools.product([1e-300, 1.0, 1e300], [1e-302, 1e-100, 0.1, 0.5], [1, 150, 800, 3000, 1e300]):
+        model = GibbsModel(periodic_grid([n]), gaussian_potential(q), algebraic_coupling(c, alpha, 1))
+        cert = algebraic_certificate(interaction_from_model(model), model.geometry, alpha)
+        if cert.passed:
+            assert math.isfinite(cert.prefactor) and np.all(np.isfinite(cert.bound))
+        else:
+            assert cert.reason
+            refusals += cert.reason == "a constant of the proof overflows a double"
+    assert refusals > 0

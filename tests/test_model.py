@@ -201,3 +201,21 @@ def test_unknown_perturbation_and_stray_none_parameters_rejected():
         SingleSitePotential(q=1.0, amplitude=0.1)
     with pytest.raises(ValueError, match="'none'"):
         SingleSitePotential(q=1.0, frequency=2.0)
+
+
+def test_coupling_matrix_is_read_only_and_not_copied():
+    J = np.array([[0.0, 0.2], [0.2, 0.0]])
+    model = GibbsModel(periodic_grid([2]), gaussian_potential(1.0), explicit_coupling(J))
+    assert model.coupling_matrix() is model.coupling_matrix()
+    with pytest.raises(ValueError, match="read-only"):
+        model.coupling_matrix()[0, 1] = 5.0
+    J[0, 1] = J[1, 0] = 5.0  # the caller's matrix is not the model's
+    assert model.coupling_matrix()[0, 1] == 0.2
+
+
+def test_algebraic_coupling_past_the_double_range_is_zero():
+    # 3^801 overflows; the suite's error::RuntimeWarning turned that into a traceback
+    model = GibbsModel(periodic_grid([8]), gaussian_potential(1.0), algebraic_coupling(0.1, 800.0, 1))
+    J = model.coupling_matrix()
+    assert J[0, 1] == 0.05 and J[0, 2] == 0.1 / (2.0**801 + 1.0) > 0.0
+    assert np.all(J[0, 3:6] == 0.0)
