@@ -25,9 +25,11 @@ from .decay import DecayCertificate
 from .interaction import (
     InteractionMatrix,
     NotPositiveDefinite,
+    build_tilted_matrix,
     interaction_from_model,
     weighted_similarity_check,
 )
+from .lattice import distance_matrix
 from .model import GibbsModel
 
 
@@ -144,7 +146,8 @@ def nearest_neighbor_certificate(model: GibbsModel) -> DecayCertificate:
     margin = threshold - eps_abs
 
     try:
-        tilde_holds = im.tilted(geom).lambda_min() >= delta_uniform - 4 * eps_abs * math.e - 1e-10
+        tilted = build_tilted_matrix(im, distance_matrix(geom))
+        tilde_holds = tilted.lambda_min() >= delta_uniform - 4 * eps_abs * math.e - 1e-10
     except NotPositiveDefinite:  # an amplified coupling overflowed, so A~ is refused
         tilde_holds = False
     checks = {

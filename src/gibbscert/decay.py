@@ -19,6 +19,7 @@ import numpy as np
 from .interaction import (
     InteractionMatrix,
     NotPositiveDefinite,
+    build_tilted_matrix,
     dominance_margin,
     neumann_contraction_constant,
     neumann_partial_sums,
@@ -55,19 +56,17 @@ class DecayCertificate:
         return {name: getattr(self, name) for name in shown}
 
 
-def tilt_inequality_audit(im: InteractionMatrix, geom: LatticeGeometry) -> float:
-    """Max relative violation of (A^-1)_ij <= e^{-delta(i,j)} (A~^-1)_ij.
+def tilt_inequality_audit(im: InteractionMatrix, tilted: InteractionMatrix, delta: np.ndarray) -> float:
+    """Max relative violation of (A^-1)_ij <= e^{-delta(i,j)} (A~^-1)_ij, A~ = build_tilted_matrix(im, delta).
 
     Zero or negative means the element-wise tilt inequality holds on the
     instance; anything above ~1e-10 would indicate a broken hypothesis
     (most likely a metric without the triangle inequality).
     """
-    tilted = im.tilted(geom)
     if not tilted.lambda_min() > 0:
         raise NotPositiveDefinite("tilted matrix is not positive definite")
     inv_t = tilted.inverse()  # its pivot rule raises as well
     inv_a = im.inverse()  # as does A's, though lambda_min(A) >= lambda_min(A~)
-    delta = distance_matrix(geom)
     rhs = np.exp(-delta) * inv_t
     violation = (inv_a - rhs) / (np.abs(inv_t) + 1e-300)
     return float(np.max(violation))
@@ -107,9 +106,11 @@ def exponential_certificate(im: InteractionMatrix, geom: LatticeGeometry) -> Dec
     element-wise tilt inequality audit then holds on the instance.
     """
     constants = {}
+    delta = distance_matrix(geom)
     try:
-        rho_tilde = constants["rho_tilde_eigenvalue"] = im.tilted(geom).lambda_min()
-        audit = tilt_inequality_audit(im, geom)
+        tilted = build_tilted_matrix(im, delta)
+        rho_tilde = constants["rho_tilde_eigenvalue"] = tilted.lambda_min()
+        audit = tilt_inequality_audit(im, tilted, delta)
     except NotPositiveDefinite:
         return DecayCertificate(
             kind="exponential",
@@ -118,7 +119,7 @@ def exponential_certificate(im: InteractionMatrix, geom: LatticeGeometry) -> Dec
             reason="tilted matrix is not positive definite",
         )
     constants["tilt_audit_max_violation"] = audit
-    delta = distance_matrix(geom)
+    del tilted  # A~, its kappa and inverse, which the profile and bound below would add to
     profile = decay_profile(im.inverse(), delta)
     dmax = float(np.max(delta))
     fitted = None

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .lattice import LatticeGeometry, distance_matrix
 from .model import GibbsModel, kappa_matrix, rho_vector
 
 PIVOT_RTOL = 1e-12  # Cholesky pivot tolerance, relative to max diagonal
@@ -44,15 +43,14 @@ class NotPositiveDefinite(ValueError):
 class InteractionMatrix:
     """Symmetric Z-matrix with A_ii = rho_i > 0 and A_ij = -kappa_ij <= 0.
 
-    The arrays are read-only, so the derived A^-1, lambda_min(A) and tilted
-    matrices (themselves InteractionMatrix records) can be computed once and
-    shared by every caller.
+    The arrays are read-only, so the derived A^-1 and lambda_min(A) can be
+    computed once and shared by every caller.
     """
 
     rho: np.ndarray
     kappa: np.ndarray
     A: np.ndarray = field(repr=False)
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # A^-1, lambda_min(A)
 
     @property
     def n(self) -> int:
@@ -71,14 +69,6 @@ class InteractionMatrix:
         if "lambda_min" not in self._cache:
             self._cache["lambda_min"] = _smallest_eigenvalue(self.A)
         return self._cache["lambda_min"]
-
-    def tilted(self, geom: LatticeGeometry) -> InteractionMatrix:
-        """build_tilted_matrix(self, geom), computed once per geometry."""
-        # the cache holds geom itself, so its id cannot be reused meanwhile
-        key = ("tilted", id(geom))
-        if key not in self._cache:
-            self._cache[key] = (geom, build_tilted_matrix(self, geom))
-        return self._cache[key][1]
 
 
 def build_interaction_matrix(rho, kappa) -> InteractionMatrix:
@@ -110,7 +100,7 @@ def interaction_from_model(model: GibbsModel) -> InteractionMatrix:
     """A for a Gibbs model: certified rho_i on the diagonal, |J_ij| off it.
 
     Built once and kept on the model, so every reader shares one record and
-    its cached A^-1, lambda_min(A) and tilted matrices.
+    its cached A^-1 and lambda_min(A).
     """
     if model._interaction is None:
         model._interaction = build_interaction_matrix(rho_vector(model), kappa_matrix(model))
@@ -168,8 +158,10 @@ def inverse_entrywise(a) -> np.ndarray:
     return inv
 
 
-def build_tilted_matrix(im: InteractionMatrix, geom: LatticeGeometry) -> InteractionMatrix:
+def build_tilted_matrix(im: InteractionMatrix, delta: np.ndarray) -> InteractionMatrix:
     """A~ = diag(rho) - e^delta o kappa: A with each coupling amplified by exp(delta(i,j)).
+
+    delta is the site distance table, lattice.distance_matrix(geom).
 
     e^delta is taken on coupled pairs only, so an uncoupled pair at a distance
     where e^delta overflows contributes 0, not inf * 0 = nan.  A coupled pair
@@ -178,9 +170,8 @@ def build_tilted_matrix(im: InteractionMatrix, geom: LatticeGeometry) -> Interac
     symmetric, nonnegative and zero on the diagonal whenever kappa is, so
     build_interaction_matrix's checks are not repeated.
     """
-    delta = distance_matrix(geom)
     if delta.shape != im.A.shape:
-        raise ValueError("geometry and interaction matrix sizes disagree")
+        raise ValueError("distance table and interaction matrix sizes disagree")
     with np.errstate(over="ignore"):
         kappa = np.exp(np.where(im.kappa > 0, delta, 0.0)) * im.kappa
     if not np.all(np.isfinite(kappa)):

@@ -69,6 +69,7 @@ from __future__ import annotations
 import ctypes
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -85,6 +86,7 @@ TAIL_MASS_LIMIT = 1e-8
 RESIDUAL_RTOL = 1e-10
 CG_MAXITER = 400
 DIRECT_MAX_NODES = 80  # per axis, on the V-cycle's last level (solved by sparse LU)
+PEAK_GRID_ARRAYS = 10  # the PCG's ~5 solver arrays and one right-hand side's 5 (module docstring)
 _FFT_WORKERS = 2  # unused by the solver; bench/run.py still records it
 
 try:
@@ -279,7 +281,9 @@ def check_grid(model: GibbsModel, box_halfwidth: float, nodes_per_axis: int, cor
     The oracle needs at most 2 sites and an estimated tail mass outside the
     box of at most TAIL_MASS_LIMIT; the core identity's second differences
     need at least 5 nodes per axis.  The perturbations are blamed for the tail
-    mass when the Gaussian envelopes alone would fit the box.
+    mass when the Gaussian envelopes alone would fit the box.  A grid whose
+    PEAK_GRID_ARRAYS arrays of m^dim doubles exceed the machine's physical
+    memory is refused before any of them is allocated.
     """
     if model.n_sites > 2:
         raise GridError("n_sites", f"grid oracle supports at most 2 sites, got {model.n_sites}")
@@ -293,6 +297,13 @@ def check_grid(model: GibbsModel, box_halfwidth: float, nodes_per_axis: int, cor
     if core_identity and nodes_per_axis < 5:
         raise GridError(
             "spacing", f"grid too coarse for second differences: {nodes_per_axis} nodes per axis, 5 needed"
+        )
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if 8 * PEAK_GRID_ARRAYS * nodes_per_axis**model.n_sites > memory:  # exact in ints, past the double range too
+        raise GridError(
+            "spacing",
+            f"{PEAK_GRID_ARRAYS} grid arrays of {nodes_per_axis:.3g}^{model.n_sites} doubles exceed "
+            f"the {memory:.3e} bytes of physical memory; increase the spacing",
         )
 
 
@@ -486,7 +497,7 @@ def _lockstep_pcg(matvec, precond, B: np.ndarray, targets: np.ndarray, maxiter: 
     on sqrt(sum w2 residual^2) <= target per row (w2, a squared weight,
     undoes a similarity scaling so the targets can live in the original
     variables).  B is overwritten with the residual.  Returns (X, iterations
-    per row, converged_mask).
+    per row); the caller decides convergence on each row's true residual.
 
     Besides X, R = B and P it holds one work array W, which takes in turn
     A p, alpha p and the preconditioned residual z: matvec and precond
@@ -500,7 +511,7 @@ def _lockstep_pcg(matvec, precond, B: np.ndarray, targets: np.ndarray, maxiter: 
     active = residual_norms(R) > targets
     iters = np.zeros(len(B), dtype=int)
     if not active.any():
-        return X, iters, ~active
+        return X, iters
     P = precond(R)
     rz = np.einsum("ij,ij->i", R, P)
     W = np.empty_like(B)
@@ -522,7 +533,7 @@ def _lockstep_pcg(matvec, precond, B: np.ndarray, targets: np.ndarray, maxiter: 
         rz = rz_new
         P *= beta[:, None]
         P += W
-    return X, iters, ~active
+    return X, iters
 
 
 class PotentialSolver:
@@ -573,10 +584,6 @@ class PotentialSolver:
         y = self.levels[0].stencil(self._batch(V), self._batch(out))
         y *= 1.0 / self.h**2
         return y.reshape(V.shape)
-
-    def _project(self, V: np.ndarray) -> np.ndarray:
-        self.levels[0].project(V)
-        return V
 
     def _vcycle(self, g: np.ndarray, depth: int = 0, out: np.ndarray | None = None) -> np.ndarray:
         """One symmetric V(1,1) cycle for h^2 K_hat x = g from x = 0, into out if given."""
@@ -662,11 +669,11 @@ class PotentialSolver:
         B = np.empty((len(f_values), s.size))
         for i, (fv, fm) in enumerate(zip(f_values, f_means)):
             B[i] = self._rhs_hat(fv, fm, s)  # a row view left in a name would keep B alive
-        self._project(B)
+        self.levels[0].project(B)
         # stop on the untransformed residual: ||K phi - rhs|| = ||s * (K_hat psi - rhs_hat)||
         targets = 0.5 * RESIDUAL_RTOL * np.linalg.norm(s * B, axis=1)
         del s
-        X, iters, _ = _lockstep_pcg(
+        X, iters = _lockstep_pcg(
             self._apply_khat, self._precond, B, targets, CG_MAXITER, self.mu.ravel()
         )
         del B  # now the PCG's residual

@@ -16,6 +16,7 @@ from gibbscert.cli import parse_config, run_experiment
 from gibbscert.decay import algebraic_certificate, tilt_inequality_audit
 from gibbscert.interaction import (
     build_interaction_matrix,
+    build_tilted_matrix,
     interaction_from_model,
     inverse_entrywise,
     neumann_contraction_constant,
@@ -206,7 +207,8 @@ def test_criterion_6_tilt_inequality_audit():
         for _ in range(50):
             n = int(rng.integers(2, 33))
             im, geom = _random_tilt_safe(rng, n)
-            worst = max(worst, tilt_inequality_audit(im, geom))
+            delta = distance_matrix(geom)
+            worst = max(worst, tilt_inequality_audit(im, build_tilted_matrix(im, delta), delta))
         assert worst <= 1e-10
 
 

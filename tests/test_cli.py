@@ -280,6 +280,14 @@ PROBES = {
         {"model.geometry.side_lengths": [2], "experiment.kind": "pde_check", "grid": {"L": 1e308, "h": 1}},
         "grid",
     ),
+    "pde-check-grid-exceeds-memory": (  # m = 1.2M nodes per axis: one grid array alone is 1.2e13 bytes
+        {"model.geometry.side_lengths": [2], "experiment.kind": "pde_check", "grid": {"L": 6, "h": 1e-5}},
+        "grid.h",
+    ),
+    "pde-check-grid-bytes-past-the-double-range": (  # (2e307)^2 doubles
+        {"model.geometry.side_lengths": [2], "experiment.kind": "pde_check", "grid": {"L": 1e300, "h": 1e-7}},
+        "grid.h",
+    ),
     "core-identity-grid-too-coarse": (
         {
             "model.geometry.side_lengths": [2],
@@ -420,6 +428,21 @@ def test_gaussian_sharpness_report(tmp_path):
     pairs = (tmp_path / "out" / "pairs.csv").read_text().splitlines()
     assert pairs[0] == "i,j,delta_ij,bound,oracle_value,stderr_or_tol,verdict"
     assert len(pairs) == 1 + 36  # 8 sites: unordered pairs incl diagonal
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="INVERSE_CLAMP zeroes the entries of A^-1 below 1e-12, so their relative gap to cov reads 1.0",
+)
+def test_gaussian_sharpness_passes_where_the_covariance_is_tiny(tmp_path):
+    # A = P bitwise on this ring, so the exact answer is a pass; the far entries
+    # of cov are about 3.7e-22, below the clamp on A^-1 but far above 1e-300
+    cfg = parse_config({"model": base_model_block(64, 0.2), "experiment": {"kind": "gaussian_sharpness"}})
+    assert np.min(gaussian_exact_covariance(gaussian_from_model(cfg.model))) > 3e-22
+    report, passed = run_experiment(cfg, tmp_path / "out")
+    assert report["results"]["max_relative_gap"] <= 1e-10
+    assert passed
 
 
 def test_pair_table_roundtrip_matches_json(tmp_path):
@@ -885,6 +908,45 @@ def test_exponential_run_builds_each_table_once(tmp_path, monkeypatch):
     A = interaction.interaction_from_model(cfg.model).A
     assert sum(np.array_equal(a, A) for a in inverted) == 1
     assert len(inverted) == 2  # A and the tilted matrix
+
+
+def count_tilted_builds(monkeypatch) -> list:
+    """Rebind build_tilted_matrix in every gibbscert module holding it; the list grows per call."""
+    from gibbscert import interaction
+
+    built = []
+    build = interaction.build_tilted_matrix
+
+    def counted_build(im, delta):
+        built.append(delta)
+        return build(im, delta)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gibbscert") and getattr(module, "build_tilted_matrix", None) is build:
+            monkeypatch.setattr(module, "build_tilted_matrix", counted_build)
+    return built
+
+
+def test_exponential_run_builds_the_tilted_matrix_once_and_keeps_none(tmp_path, monkeypatch):
+    built = count_tilted_builds(monkeypatch)
+    block = base_model_block(6, 0.05)
+    block["geometry"]["side_lengths"] = [6, 6]
+    cfg = parse_config({"model": block, "experiment": {"kind": "exponential_certificate"}})
+    report, passed = run_experiment(cfg, tmp_path / "out")
+    assert passed
+    assert len(built) == 1
+    assert built[0] is distance_matrix(cfg.model.geometry)  # the table the audit reads
+    # the model's record keeps A^-1 and lambda_min(A) only, no tilted matrix
+    assert set(interaction_from_model(cfg.model)._cache) <= {"inverse", "lambda_min"}
+
+
+def test_threshold_scan_builds_one_tilted_matrix_per_epsilon(tmp_path, monkeypatch):
+    built = count_tilted_builds(monkeypatch)
+    epsilons = [0.02, 0.05, 0.1, 0.5]
+    block = {**base_model_block(6, 0.05), "geometry": {"kind": "periodic_grid", "side_lengths": [6, 6]}}
+    cfg = parse_config({"model": block, "experiment": {"kind": "threshold_scan", "epsilons": epsilons}})
+    run_experiment(cfg, tmp_path / "out")
+    assert len(built) == len(epsilons)
 
 
 EVERY_KIND = {

@@ -15,7 +15,9 @@ from gibbscert.decay import (
     tilt_inequality_audit,
 )
 from gibbscert.interaction import (
+    NotPositiveDefinite,
     build_interaction_matrix,
+    build_tilted_matrix,
     interaction_from_model,
     inverse_entrywise,
 )
@@ -39,6 +41,12 @@ def random_metric(rng, n):
     pts = rng.normal(size=(n, 3))
     d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
     return explicit_metric(d)
+
+
+def audit_tilt(im, geom):
+    """tilt_inequality_audit on the A~ of geom's distance table."""
+    delta = distance_matrix(geom)
+    return tilt_inequality_audit(im, build_tilted_matrix(im, delta), delta)
 
 
 def random_tilt_safe_instance(rng, n):
@@ -93,7 +101,7 @@ def test_exponential_certificate_bounds_gaussian_covariance():
 def test_tilt_audit_two_site_closed_form():
     im = build_interaction_matrix([1.0, 1.0], np.array([[0.0, 0.1], [0.1, 0.0]]))
     geom = explicit_metric([[0.0, 1.0], [1.0, 0.0]])
-    violation = tilt_inequality_audit(im, geom)
+    violation = audit_tilt(im, geom)
     assert violation <= 1e-10
     # closed forms: (A^-1)_01 = 0.1/(1-0.01); e^-1 (A~^-1)_01 = e^-1 0.1e/(1-(0.1e)^2)
     lhs = 0.1 / (1.0 - 0.01)
@@ -106,18 +114,16 @@ def test_tilt_audit_random_instances():
     for _ in range(25):
         n = int(rng.integers(2, 33))
         im, geom = random_tilt_safe_instance(rng, n)
-        assert tilt_inequality_audit(im, geom) <= 1e-10
+        assert audit_tilt(im, geom) <= 1e-10
 
 
 def test_tilted_inverse_capped_by_rho_tilde():
     # A~ >= rho_tilde Id implies every entry of A~^-1 is at most 1/rho_tilde
     rng = np.random.default_rng(17)
-    from gibbscert.interaction import build_tilted_matrix
-
     for _ in range(10):
         n = int(rng.integers(2, 17))
         im, geom = random_tilt_safe_instance(rng, n)
-        tm = build_tilted_matrix(im, geom)
+        tm = build_tilted_matrix(im, distance_matrix(geom))
         assert tm.lambda_min() > 0
         assert np.max(tm.inverse()) <= 1.0 / tm.lambda_min() + 1e-10
 
@@ -126,7 +132,11 @@ def test_tilt_audit_requires_positive_definite():
     im = build_interaction_matrix([1.0, 1.0], np.array([[0.0, 1.0], [1.0, 0.0]]))
     geom = explicit_metric([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="positive definite"):
-        tilt_inequality_audit(im, geom)
+        audit_tilt(im, geom)
+    # e^800 * 1 overflows on the coupled pair: A~ is refused before any audit
+    far = np.array([[0.0, 800.0], [800.0, 0.0]])
+    with pytest.raises(NotPositiveDefinite, match="tilted matrix"):
+        build_tilted_matrix(im, far)
 
 
 def algebraic_ring(n=128, c=0.1, alpha=1.0):
@@ -303,6 +313,26 @@ def test_algebraic_certificate_peak_memory_does_not_grow_with_the_expansion():
         tracemalloc.stop()
     assert cert.passed and cert.constants["max_cut_index"] >= 7
     assert peak / (8 * n * n) < 20
+
+
+def test_exponential_certificate_frees_the_tilted_matrix_before_its_profile():
+    # traced peak of the certificate on a 16 x 16 torus whose A^-1 and distance
+    # table already exist, in n x n doubles: 6.36 when A~, its kappa and its
+    # inverse are freed after the audit, 9.36 when they live on into the
+    # profile and the bound
+    geom = periodic_grid([16, 16])
+    n = geom.n_sites
+    im = interaction_from_model(GibbsModel(geom, gaussian_potential(1.0), nearest_neighbor_coupling(0.05)))
+    im.inverse()
+    distance_matrix(geom)
+    tracemalloc.start()
+    try:
+        cert = exponential_certificate(im, geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.passed
+    assert peak / (8 * n * n) < 7.5
 
 
 def test_algebraic_certificate_bound_dominates_inverse():

@@ -19,7 +19,7 @@ from gibbscert.interaction import (
     pi_criterion,
     weighted_similarity_check,
 )
-from gibbscert.lattice import explicit_metric, periodic_grid
+from gibbscert.lattice import distance_matrix, periodic_grid
 from gibbscert.model import GibbsModel, gaussian_potential, nearest_neighbor_coupling
 from gibbscert.oracles.gaussian import gaussian_exact_covariance, gaussian_from_model
 
@@ -135,12 +135,12 @@ def test_m_matrix_inverse_nonnegative(n, seed):
 
 def test_tilted_examples():
     im = build_interaction_matrix([2.0, 3.0], kappa_2site(0.0))
-    geom = explicit_metric([[0.0, 1.0], [1.0, 0.0]])
-    tm = build_tilted_matrix(im, geom)
+    delta = np.array([[0.0, 1.0], [1.0, 0.0]])
+    tm = build_tilted_matrix(im, delta)
     assert tm.lambda_min() == pytest.approx(2.0)  # min rho for a product measure
 
     im = build_interaction_matrix([1.0, 1.0], kappa_2site(0.1))
-    tm = build_tilted_matrix(im, geom)
+    tm = build_tilted_matrix(im, delta)
     assert np.allclose(tm.A, [[1.0, -0.1 * math.e], [-0.1 * math.e, 1.0]])
     assert np.array_equal(tm.rho, im.rho)
     assert tm.lambda_min() == pytest.approx(1.0 - 0.1 * math.e)
@@ -150,7 +150,7 @@ def test_tilted_1d_ring_matches_scaled_coupling():
     geom = periodic_grid([8])
     model = GibbsModel(geom, gaussian_potential(1.0), nearest_neighbor_coupling(0.1))
     im = interaction_from_model(model)
-    tm = build_tilted_matrix(im, geom)
+    tm = build_tilted_matrix(im, distance_matrix(geom))
     scaled = GibbsModel(
         geom, gaussian_potential(1.0), nearest_neighbor_coupling(0.1 * math.e)
     )
@@ -166,9 +166,7 @@ def test_inverse_and_tilted_cached_read_only():
     assert im.inverse() is inv
     assert np.array_equal(inv, inverse_entrywise(im.A))
     assert im.lambda_min() is im.lambda_min()
-    tm = im.tilted(geom)
-    assert im.tilted(geom) is tm
-    assert np.array_equal(tm.A, build_tilted_matrix(im, geom).A)
+    tm = build_tilted_matrix(im, distance_matrix(geom))
     inv_t = tm.inverse()
     assert tm.inverse() is inv_t
     assert np.array_equal(inv_t, inverse_entrywise(tm.A))
@@ -180,7 +178,7 @@ def test_inverse_and_tilted_cached_read_only():
 def test_tilted_negative_marks_unavailable():
     geom = periodic_grid([8])
     model = GibbsModel(geom, gaussian_potential(1.0), nearest_neighbor_coupling(0.2))
-    tm = build_tilted_matrix(interaction_from_model(model), geom)
+    tm = build_tilted_matrix(interaction_from_model(model), distance_matrix(geom))
     assert tm.lambda_min() < 0
     with pytest.raises(ValueError, match="positive definite"):
         tm.inverse()

@@ -374,7 +374,8 @@ def test_vcycle_preconditioner_is_symmetric_positive(model, m):
     solver = PotentialSolver(model, GridSpec(6.0, 12.0 / (m - 1)))
     assert solver.m == m
     rng = np.random.default_rng(3)
-    U = solver._project(rng.normal(size=(2, solver.s.size)))
+    U = rng.normal(size=(2, solver.s.size))
+    solver.levels[0].project(U)
     BU = solver._precond(U.copy())
     asym = abs(U[0] @ BU[1] - U[1] @ BU[0])
     assert asym <= 1e-12 * np.linalg.norm(U[0]) * np.linalg.norm(BU[1])
