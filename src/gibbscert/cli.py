@@ -28,7 +28,7 @@ from . import bounds as bnd
 from ._blas import single_threaded
 from .decay import AUDIT_RTOL, algebraic_certificate, exponential_certificate
 from .interaction import NotPositiveDefinite, interaction_from_model, pi_criterion
-from .lattice import distance_matrix, explicit_metric, periodic_grid
+from .lattice import LatticeGeometry, distance_matrix, explicit_metric, periodic_grid, physical_memory
 from .model import (
     Coupling,
     GibbsModel,
@@ -275,12 +275,27 @@ def _parse_coupling(block) -> Coupling:
     return explicit_coupling(np.asarray(block["matrix"], dtype=float))
 
 
-def _parse_model(block) -> GibbsModel:
+def _parse_model(block, geometry: LatticeGeometry) -> GibbsModel:
     if "potential" in block:
         pots = _parse_potential(block["potential"])
     else:
         pots = tuple(map(_parse_potential, block["potentials"]))
-    return GibbsModel(_parse_geometry(block["geometry"]), pots, _parse_coupling(block["coupling"]))
+    return GibbsModel(geometry, pots, _parse_coupling(block["coupling"]))
+
+
+# n x n doubles a request holds at once; the costliest runner, algebraic_certificate,
+# traces 17.6 at n = 256 and 512 (the exponential certificate 11.4, the others 9-11)
+PEAK_DENSE_ARRAYS = 18
+
+
+def _check_dense_fits(geometry: LatticeGeometry) -> None:
+    """Refuse a model whose PEAK_DENSE_ARRAYS n x n arrays of doubles exceed physical memory."""
+    n, memory = geometry.n_sites, physical_memory()
+    if 8 * PEAK_DENSE_ARRAYS * n * n > memory:  # exact in ints, past the double range too
+        raise ConfigError(
+            f"model.geometry: {PEAK_DENSE_ARRAYS} arrays of n x n doubles for n = {n} sites "
+            f"exceed the {memory:.3e} bytes of physical memory"
+        )
 
 
 @dataclass
@@ -298,7 +313,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _walk(raw, _CONFIG, "")
     if ("potential" in raw["model"]) == ("potentials" in raw["model"]):
         raise ConfigError("model: provide exactly one of 'potential' or 'potentials'")
-    model = _built("model", _parse_model, raw["model"])
+    geometry = _built("model", _parse_geometry, raw["model"]["geometry"])
+    _check_dense_fits(geometry)  # before any n x n array
+    model = _built("model", _parse_model, raw["model"], geometry)
     sampler = grid = None
     if "grid" in raw:
         grid = _built("grid", GridSpec, float(raw["grid"]["L"]), float(raw["grid"]["h"]))

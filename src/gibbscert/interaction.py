@@ -189,12 +189,17 @@ def weighted_similarity_check(im: InteractionMatrix, weights) -> float:
 
     rho > 0 certifies D A D^-1 >= rho Id in quadratic-form sense.  A itself
     must then be positive definite; that implication is re-verified here
-    rather than assumed.
+    rather than assumed.  Weights that are not n finite positive numbers,
+    or that overflow a double in D A D^-1 (a ratio d_i/d_j past the double
+    range, say), raise ValueError.
     """
     d = np.asarray(weights, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("weights must be positive")
-    similar = (d[:, None] * im.A) / d[None, :]
+    if d.shape != (im.n,) or not np.all(np.isfinite(d) & (d > 0)):
+        raise ValueError(f"weights must be {im.n} finite positive numbers")
+    with np.errstate(over="ignore", invalid="ignore"):
+        similar = (d[:, None] * im.A) / d[None, :]
+    if not np.all(np.isfinite(similar)):
+        raise ValueError("weights overflow a double in D A D^-1")
     rho = _smallest_eigenvalue(0.5 * (similar + similar.T))
     if rho > 0 and not is_positive_definite(im.A):
         raise AssertionError("weighted check passed but A is not positive definite")

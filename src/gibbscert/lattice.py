@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,7 +77,7 @@ class LatticeGeometry:
     @property
     def n_sites(self) -> int:
         if self.kind == "periodic_grid":
-            return int(np.prod(self.side_lengths))
+            return math.prod(self.side_lengths)  # Python ints: np.prod wraps in int64
         return self.metric_table.shape[0]
 
 
@@ -91,6 +93,11 @@ def periodic_grid(side_lengths) -> LatticeGeometry:
 
 def explicit_metric(table) -> LatticeGeometry:
     return LatticeGeometry(kind="explicit", dimension=0, metric_table=np.asarray(table, float))
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory, the limit on the arrays a run may hold at once."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def _torus_distance_table(geom: LatticeGeometry, euclidean: bool) -> np.ndarray:

@@ -44,32 +44,29 @@ broadcast of them; only an f of no single site (affine) is evaluated on the
 node coordinates and held as a grid array.  The fields' coordinates
 broadcast ``nodes`` too, and phi is divided and centred in place in X.
 Traced peaks per stage of the seed-101 oracles bench cells (functions of
-one site) on a 2-core Xeon, in MiB (grid arrays):
+one site) on a 2-core Xeon, in MiB (grid arrays).  Set-up runs from the
+request's start to the solve_many call, solve is solve_many (f's values,
+the PCG and the field assembly), phi.csv is its write and verify the rest:
 
     stage                   m = 601, 1 function   m = 481, 2 functions
     set-up                  23.2 (8.4)            14.9 (8.4)
-    PCG                     29.8 (10.8)           29.4 (16.7)
-    field assembly          27.8 (10.1)           19.6 (11.1)
+    solve                   29.9 (10.8)           29.4 (16.7)
     phi.csv                 7.8 (2.8)             7.6 (4.3)
     verify                  22.1 (8.0)            19.4 (11.0)
-    verify + core identity  33.2 (12.0)           26.6 (15.0)
+    verify + core identity  33.1 (12.0)           26.6 (15.0)
 
 Verify holds mu, phi, the edge weights and phi's fluxes, and f's energies
 take one axis at a time.  The core identity adds the interior weights,
 phi's centred differences (each interior along its own axis, whole along
 the other), the sum and two temporaries.  It computes no value at a
 wrapped-around node; differences rolled over the whole grid read 17.0 and
-20.0 arrays here.  Set-up, the PCG, field assembly and verify each
-start with _release_free_heap, so the process's peak RSS follows these
-counts whatever holes earlier requests left in the C heap.
+20.0 arrays here.
 """
 
 from __future__ import annotations
 
-import ctypes
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -79,6 +76,7 @@ import scipy.sparse.linalg
 
 from ..bounds import Observable
 from ..interaction import interaction_from_model, pi_criterion
+from ..lattice import physical_memory
 from ..model import GibbsModel
 from ..reporting import write_grid_table
 
@@ -88,26 +86,6 @@ CG_MAXITER = 400
 DIRECT_MAX_NODES = 80  # per axis, on the V-cycle's last level (solved by sparse LU)
 PEAK_GRID_ARRAYS = 10  # the PCG's ~5 solver arrays and one right-hand side's 5 (module docstring)
 _FFT_WORKERS = 2  # unused by the solver; bench/run.py still records it
-
-try:
-    _malloc_trim = ctypes.CDLL(None).malloc_trim  # glibc
-except (AttributeError, OSError, TypeError):  # another C library or platform
-    _malloc_trim = None
-
-
-def _release_free_heap() -> None:
-    """Hand the C heap's free pages back to the system; a no-op without glibc.
-
-    Grid arrays below glibc's dynamic mmap threshold come from the heap, and
-    the pages they leave when freed stay resident.  Where earlier requests
-    left those holes depends on the address layout, so the same request
-    sequence peaked 11-13 MB higher in 2 of 35 oracles bench runs.  Each
-    stage that builds grid arrays calls this first, so its peak RSS is what
-    the stage holds.
-    """
-    if _malloc_trim is not None:
-        _malloc_trim(0)
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -298,7 +276,7 @@ def check_grid(model: GibbsModel, box_halfwidth: float, nodes_per_axis: int, cor
         raise GridError(
             "spacing", f"grid too coarse for second differences: {nodes_per_axis} nodes per axis, 5 needed"
         )
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    memory = physical_memory()
     if 8 * PEAK_GRID_ARRAYS * nodes_per_axis**model.n_sites > memory:  # exact in ints, past the double range too
         raise GridError(
             "spacing",
@@ -554,7 +532,6 @@ class PotentialSolver:
         self.dim = model.n_sites
         self.m = m
 
-        _release_free_heap()
         H = _hamiltonian_grid(model, self.nodes)
         w = np.exp(-(H - H.min()))
         w = np.maximum(w, 1e-300)
@@ -663,7 +640,6 @@ class PotentialSolver:
         """
         h_dim = self.h**self.dim
         f_values = _grid_values(observables, self.nodes, self.dim)
-        _release_free_heap()
         f_means = [float(np.sum(fv * self.mu) * h_dim) for fv in f_values]
         s = self.s
         B = np.empty((len(f_values), s.size))
@@ -677,7 +653,6 @@ class PotentialSolver:
             self._apply_khat, self._precond, B, targets, CG_MAXITER, self.mu.ravel()
         )
         del B  # now the PCG's residual
-        _release_free_heap()
 
         s = self.s
         residuals = []
@@ -740,7 +715,6 @@ def verify_directional_pi(pf: PotentialField) -> PIResult:
     tol_grid = h (1 + ||grad f||) absorbs the O(h) discretization error in
     the sharp (equality) cases.
     """
-    _release_free_heap()
     lhs = np.array([math.sqrt(max(e, 0.0)) for e in pf.phi_gradient[1]])
     f_norms = np.array([math.sqrt(max(e, 0.0)) for e in pf.f_energies])
     tol = pf.h * (1.0 + float(np.linalg.norm(f_norms)))

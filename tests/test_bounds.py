@@ -139,6 +139,19 @@ def test_weighted_bound_exponential_weights_triangle_factor():
     assert b == pytest.approx(math.exp(-3.0) / rho)
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [[1.0, math.nan, 1.0, 1.0], [1.0, math.inf, 1.0, 1.0], [1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1e308, 1e-308]],
+    ids=["nan", "inf", "zero", "three-of-four", "ratio-overflows"],
+)
+def test_bad_weights_are_refused(weights):
+    im = interaction_from_model(GibbsModel(periodic_grid([4]), gaussian_potential(1.0), nearest_neighbor_coupling(0.1)))
+    with pytest.raises(ValueError, match="weights"):
+        weighted_similarity_check(im, weights)
+    with pytest.raises(ValueError, match="weights"):
+        weighted_bound(im, weights, coordinate(0, 4), coordinate(1, 4))
+
+
 def test_exponential_decay_bound_examples():
     # the per-pair bound prefactor * e^{-delta(i,j)} that the CLI writes,
     # with prefactor 1/rho_tilde and rho_tilde = 1 - 0.1 e = 0.7282

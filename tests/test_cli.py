@@ -326,6 +326,25 @@ def test_invalid_config_exits_2_naming_the_key(tmp_path, capsys, edits, path):
         assert err.endswith("; enlarge the box\n" if path == "grid.L" else "; reduce the perturbation amplitude\n"), err
 
 
+@pytest.mark.parametrize(
+    "sides, status",
+    [([64], 0), ([65], 2), ([1000, 1000], 2), ([3, 4611686018427387904], 2)],  # the last wraps an int64 product
+)
+def test_dense_model_past_physical_memory_exits_2_naming_the_geometry(tmp_path, capsys, monkeypatch, sides, status):
+    # memory for a 64-site model exactly, so a refusal is never a large allocation that failed
+    monkeypatch.setattr(cli, "physical_memory", lambda: 8 * cli.PEAK_DENSE_ARRAYS * 64 * 64)
+    raw = edited({"model": base_model_block(), "experiment": {"kind": "bound_report"}}, {"model.geometry.side_lengths": sides})
+    config = write_config(tmp_path, raw)
+    assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == status
+    err = capsys.readouterr().err
+    if status == 2:
+        assert err.startswith(f"config error: model.geometry: {cli.PEAK_DENSE_ARRAYS} arrays of n x n doubles "), err
+        assert f"for n = {math.prod(sides)} sites" in err
+        assert not (tmp_path / "out").exists()
+    else:
+        assert err == ""
+
+
 def test_duplicate_key_exits_2(tmp_path, capsys):
     # json.loads kept the last value, so this certified epsilon = 0.01
     text = json.dumps({"model": base_model_block(8, 0.5), "experiment": {"kind": "bound_report"}})
@@ -455,10 +474,10 @@ def test_pair_table_roundtrip_matches_json(tmp_path):
     for row in rows:
         i, j, _, bound, *_ = row.split(",")
         inv_from_csv[(int(i), int(j))] = float(bound)
-    from gibbscert.cli import _parse_model
     from gibbscert.interaction import interaction_from_model, inverse_entrywise
 
-    inv = inverse_entrywise(interaction_from_model(_parse_model(base_model_block())).A)
+    fresh = parse_config({"model": base_model_block(), "experiment": {"kind": "bound_report"}}).model
+    inv = inverse_entrywise(interaction_from_model(fresh).A)
     for (i, j), v in inv_from_csv.items():
         assert v == inv[i, j]  # full-precision round trip is exact
 

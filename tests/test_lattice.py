@@ -45,6 +45,10 @@ def test_euclidean_distance_examples():
     assert r88[i, j] == 5.0
 
 
+def test_site_count_is_exact_past_int64():
+    assert periodic_grid([3, 2**62]).n_sites == 3 * 2**62  # np.prod wraps this to a negative int64
+
+
 def test_explicit_metric_requires_triangle_inequality():
     bad = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
     with pytest.raises(ValueError, match="triangle"):

@@ -3,11 +3,7 @@
 import dataclasses
 import hashlib
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +21,6 @@ from gibbscert.model import (
     nearest_neighbor_coupling,
     rho_vector,
 )
-from gibbscert.oracles import potential
 from gibbscert.oracles.gaussian import gaussian_exact_covariance, gaussian_from_model
 from gibbscert.oracles.potential import (
     RESIDUAL_RTOL,
@@ -38,7 +33,6 @@ from gibbscert.oracles.potential import (
 )
 
 COARSE = GridSpec(6.0, 0.05)
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _assemble_operator(mu: np.ndarray, h: float) -> scipy.sparse.csr_matrix:
@@ -514,34 +508,3 @@ def test_pde_request_stages_stay_in_budget(tmp_path, monkeypatch):
         arrays = {stage: round(peak / (8 * m * m), 2) for stage, peak in peaks.items()}
         assert list(arrays) == ["set-up", "solve", "phi.csv", "verify"]
         assert max(arrays.values()) <= budget, (core_identity, arrays)
-
-
-_HEAP_HOLES = """
-import numpy as np
-from gibbscert.oracles.potential import _release_free_heap
-
-
-def rss_mb():
-    with open("/proc/self/statm") as f:
-        return int(f.read().split()[1]) * 4096 / 2**20
-
-
-np.ones(1 << 20)  # 8 MB from mmap; freeing it raises glibc's mmap threshold above 1 MB
-arrays = [np.ones(1 << 17) for _ in range(40)]  # 40 MB in 1 MB arrays, now from the heap
-keep = np.ones(1 << 17)  # above them, so the heap cannot shrink back
-held = rss_mb()
-del arrays
-freed = rss_mb()
-_release_free_heap()
-print(held, freed, rss_mb())
-"""
-
-
-@pytest.mark.skipif(potential._malloc_trim is None, reason="needs glibc's malloc_trim")
-def test_release_free_heap_returns_holes_below_a_live_array():
-    # a fresh interpreter, so the heap holds nothing but this script's arrays
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
-    out = subprocess.run([sys.executable, "-c", _HEAP_HOLES], env=env, capture_output=True, text=True, check=True)
-    held, freed, released = map(float, out.stdout.split())
-    assert freed > held - 5, "the freed arrays should stay resident until released"
-    assert released < freed - 30
