@@ -22,7 +22,8 @@ sign-test p-value of those wins (tied pairs dropped), and two verdicts:
   change run beats every parent run.
 
 It also says whether the failed and known-defect counts and the output
-digests are the same on both sides of every pair.  The pair table (with
+digests are the same on both sides of every pair, and prints each side's
+failed and known-defect totals over the pairs.  The pair table (with
 each run's cycle count and CPU seconds) and the verdicts go to the --out
 JSON file, and the worktrees are removed at the end.  Without --out nothing
 runs.
@@ -123,7 +124,7 @@ def plan(benchmark: dict, pairs: int, first_seed: int) -> list:
 
 
 def summarize(pairs: list, benchmark: dict) -> dict:
-    """Per workload, compare() on every end-to-end metric and the count checks."""
+    """Per workload, compare() on every end-to-end metric, the count checks and each side's count totals."""
     out = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
         rows = [p for p in pairs if p["workload"] == workload]
@@ -141,7 +142,11 @@ def summarize(pairs: list, benchmark: dict) -> dict:
             key: all(r["parent"][key] == r["change"][key] for r in rows)
             for key in ("correct", "failed", "known_defect", "digest")
         }
-        out[workload] = {"metrics": metrics, "same_on_both_sides": same}
+        totals = {
+            side: {key: sum(r[side][key] for r in rows) for key in ("failed", "known_defect")}
+            for side in ("parent", "change")
+        }
+        out[workload] = {"metrics": metrics, "same_on_both_sides": same, "totals": totals}
     return out
 
 
@@ -157,6 +162,9 @@ def report(summary: dict) -> None:
                   f"  bound {s['bound_verdict']} ({s['relative_worse']:+.3f} of {s['bound']})")
         same = entry["same_on_both_sides"]
         print("  same on both sides: " + ", ".join(f"{k} {'yes' if v else 'NO'}" for k, v in same.items()))
+        totals = entry["totals"]
+        print("  totals: " + ", ".join(
+            f"{key} parent {totals['parent'][key]} change {totals['change'][key]}" for key in totals["parent"]))
 
 
 def main(argv=None) -> int:

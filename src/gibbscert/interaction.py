@@ -18,7 +18,6 @@ import scipy.linalg
 from .model import GibbsModel, kappa_matrix, rho_vector
 
 PIVOT_RTOL = 1e-12  # Cholesky pivot tolerance, relative to max diagonal
-INVERSE_CLAMP = 1e-12  # entries of A^-1 this close to zero are clamped
 
 
 def _require_symmetric(a: np.ndarray) -> np.ndarray:
@@ -148,14 +147,13 @@ def _cholesky_inverse(a) -> np.ndarray:
 
 
 def inverse_entrywise(a) -> np.ndarray:
-    """A^-1 via Cholesky solves, with near-zero entries clamped to exact zero.
+    """_cholesky_inverse(a); for an M-matrix (a positive definite Z-matrix), entrywise >= +0.0.
 
-    For a positive definite Z-matrix (an M-matrix) the true inverse is
-    entrywise nonnegative; clamping makes that assertable in floating point.
+    The factor's off-diagonal entries are a_ij <= 0 minus sums of products of
+    two nonpositive entries, and each substitution step of the solves adds
+    only nonnegative terms, so rounding cannot make an entry negative.
     """
-    inv = _cholesky_inverse(a)
-    inv[np.abs(inv) <= INVERSE_CLAMP] = 0.0
-    return inv
+    return _cholesky_inverse(a)
 
 
 def build_tilted_matrix(im: InteractionMatrix, delta: np.ndarray) -> InteractionMatrix:

@@ -11,8 +11,7 @@ from ..model import GibbsModel
 def gaussian_exact_covariance(precision) -> np.ndarray:
     """cov(x_n, x_k) = (P^-1)_nk for the density exp(-x.Px/2 - b.x), whatever b.
 
-    No entry near zero is clamped.  Raises NotPositiveDefinite unless P
-    passes the Cholesky pivot rule.
+    Raises NotPositiveDefinite unless P passes the Cholesky pivot rule.
     """
     return _cholesky_inverse(precision)
 

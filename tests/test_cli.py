@@ -449,19 +449,35 @@ def test_gaussian_sharpness_report(tmp_path):
     assert len(pairs) == 1 + 36  # 8 sites: unordered pairs incl diagonal
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="INVERSE_CLAMP zeroes the entries of A^-1 below 1e-12, so their relative gap to cov reads 1.0",
-)
 def test_gaussian_sharpness_passes_where_the_covariance_is_tiny(tmp_path):
     # A = P bitwise on this ring, so the exact answer is a pass; the far entries
-    # of cov are about 3.7e-22, below the clamp on A^-1 but far above 1e-300
+    # of cov are about 3.7e-22, far above the 1e-300 guard of the relative gap
     cfg = parse_config({"model": base_model_block(64, 0.2), "experiment": {"kind": "gaussian_sharpness"}})
     assert np.min(gaussian_exact_covariance(gaussian_from_model(cfg.model))) > 3e-22
     report, passed = run_experiment(cfg, tmp_path / "out")
     assert report["results"]["max_relative_gap"] <= 1e-10
     assert passed
+
+
+@pytest.mark.parametrize("n, eps", [(64, 0.2), (128, 0.05)])
+def test_bound_report_prints_the_closed_form_ring_covariance(tmp_path, n, eps):
+    # On a Gaussian NN ring with q = 1, cov = A^-1 has a closed form that uses
+    # no Cholesky: (r^k + r^(n-k)) / (eps (1/r - r) (1 - r^n)) at ring distance
+    # k, with r the smaller root of eps r^2 - q r + eps.  The far entries reach
+    # 3.7e-22 (n = 64) and 1.3e-83 (n = 128).
+    q = 1.0
+    r = (q - math.sqrt(q * q - 4.0 * eps * eps)) / (2.0 * eps)
+    cfg = parse_config({"model": base_model_block(n, eps), "experiment": {"kind": "bound_report"}})
+    _, passed = run_experiment(cfg, tmp_path / "out")
+    assert passed
+    rows = (tmp_path / "out" / "pairs.csv").read_text().splitlines()[1:]
+    assert len(rows) == n * (n + 1) // 2
+    for row in rows:
+        i, j, _, bound, *_ = row.split(",")
+        k = int(j) - int(i)
+        exact = (r**k + r ** (n - k)) / (eps * (1.0 / r - r) * (1.0 - r**n))
+        assert float(bound) > 0.0
+        assert abs(float(bound) - exact) <= 1e-12 * exact, (i, j, bound, exact)
 
 
 def test_pair_table_roundtrip_matches_json(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbscert.interaction import INVERSE_CLAMP, interaction_from_model, inverse_entrywise
+from gibbscert.interaction import interaction_from_model, inverse_entrywise
 from gibbscert.lattice import explicit_metric, periodic_grid
 from gibbscert.model import (
     GibbsModel,
@@ -44,14 +44,12 @@ def test_from_model_rejects_perturbed():
         gaussian_from_model(model)
 
 
-def _assert_oracle_is_the_unclamped_inverse(model):
+def _assert_oracle_is_the_inverse_of_a(model):
     # for a ferromagnetic Gaussian model A = diag(q) - J is the precision
     # matrix itself, and both are inverted by one routine
     cov = gaussian_exact_covariance(gaussian_from_model(model))
     inv = inverse_entrywise(interaction_from_model(model).A)
-    kept = np.abs(cov) > INVERSE_CLAMP
-    assert inv[kept].tobytes() == cov[kept].tobytes()
-    assert np.all(inv[~kept] == 0.0)
+    assert inv.tobytes() == cov.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -64,7 +62,7 @@ def test_oracle_matches_inverse_on_nearest_neighbour_models(sides, q, strength):
     # strength < 1 keeps A strictly diagonally dominant: each site has at most 2 * dim neighbours
     eps = strength * q / (2 * len(sides))
     model = GibbsModel(periodic_grid(sides), gaussian_potential(q), nearest_neighbor_coupling(eps))
-    _assert_oracle_is_the_unclamped_inverse(model)
+    _assert_oracle_is_the_inverse_of_a(model)
 
 
 @settings(max_examples=40, deadline=None)
@@ -79,4 +77,4 @@ def test_oracle_matches_inverse_on_explicit_couplings(n, seed, sparsity):
         tuple(gaussian_potential(float(qi)) for qi in q),
         explicit_coupling(J),
     )
-    _assert_oracle_is_the_unclamped_inverse(model)
+    _assert_oracle_is_the_inverse_of_a(model)

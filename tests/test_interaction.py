@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbscert import interaction
+from gibbscert._blas import single_threaded
 from gibbscert.interaction import (
     _require_symmetric,
     build_interaction_matrix,
@@ -125,12 +127,40 @@ def test_inverse_examples():
         inverse_entrywise(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
-@given(st.integers(min_value=2, max_value=16), st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=60, deadline=None)
-def test_m_matrix_inverse_nonnegative(n, seed):
-    im = random_dominant(np.random.default_rng(seed), n)
-    inv = inverse_entrywise(im.A)
-    assert np.all(inv >= 0.0)  # clamped M-matrix inverse
+def random_z_matrix(rng, n, density, margin, scaled):
+    """A positive definite Z-matrix s I - K, s = (1 + margin) lambda_max(K), or D (s I - K) D.
+
+    K is nonnegative and symmetric with about the given share of nonzero
+    entries, so s I - K has lambda_min = margin lambda_max(K) and, for small
+    margins, rows that are not diagonally dominant; D = diag(d) with d > 0
+    keeps the signs.
+    """
+    K = np.triu(rng.exponential(size=(n, n)) * (rng.uniform(size=(n, n)) < density), 1)
+    K = K + K.T
+    K[0, 1] = K[1, 0] = 1.0  # K is never 0, so lambda_max(K) > 0
+    a = (1.0 + margin) * np.linalg.eigvalsh(K)[-1] * np.eye(n) - K
+    if scaled:
+        d = np.exp(rng.uniform(-3.0, 3.0, size=n))
+        a = d[:, None] * a * d[None, :]
+    return a
+
+
+@given(
+    n=st.integers(2, 300),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.floats(0.0, 1.0),
+    log_margin=st.floats(-6.0, 0.0),
+    scaled=st.booleans(),
+    one_thread=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_m_matrix_inverse_nonnegative(n, seed, density, log_margin, scaled, one_thread):
+    # n runs past LAPACK's block size; one BLAS thread or the default count
+    a = random_z_matrix(np.random.default_rng(seed), n, density, 10.0**log_margin, scaled)
+    with single_threaded() if one_thread else contextlib.nullcontext():
+        inv = inverse_entrywise(a)
+    assert not np.any(inv < 0.0)
+    assert not np.any(np.signbit(inv))  # no -0.0 either
 
 
 def test_tilted_examples():

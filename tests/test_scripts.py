@@ -139,7 +139,7 @@ def test_bench_pairs_statistics():
     assert pairs.compare(rps, rps, "higher", 0.25)["p_value"] == 1.0
 
 
-def test_bench_pairs_alternates_and_summarizes():
+def test_bench_pairs_alternates_and_summarizes(capsys):
     pairs = load_script("bench_pairs")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     benchmark["workloads"] = [w for w in benchmark["workloads"] if w["name"] == "oracles"]
@@ -148,14 +148,24 @@ def test_bench_pairs_alternates_and_summarizes():
     assert [order[0] for _, _, order in runs] == ["parent", "change", "parent", "change"]
     names = [m["name"] for m in benchmark["end_to_end"]]
 
-    def side(value, digest="d"):
-        return {"metrics": dict.fromkeys(names, value), "correct": True, "failed": 0, "known_defect": 0, "digest": digest}
+    def side(value, digest="d", failed=0):
+        return {"metrics": dict.fromkeys(names, value), "correct": True, "failed": failed, "known_defect": failed,
+                "digest": digest}
 
     rows = [{"workload": "oracles", "seed": s, "parent": side(1.0), "change": side(1.0, "e" if s == 9 else "d")}
             for _, s, _ in runs]
     summary = pairs.summarize(rows, benchmark)["oracles"]
     assert set(summary["metrics"]) == set(names)
     assert summary["same_on_both_sides"] == {"correct": True, "failed": True, "known_defect": True, "digest": False}
+    assert summary["totals"] == dict.fromkeys(("parent", "change"), {"failed": 0, "known_defect": 0})
+    # a change that fails fewer requests: each side's totals are reported, not only that they differ
+    rows = [{"workload": "oracles", "seed": s, "parent": side(1.0, failed=s % 3), "change": side(1.0)}
+            for _, s, _ in runs]
+    summary = pairs.summarize(rows, benchmark)["oracles"]
+    assert summary["same_on_both_sides"]["failed"] is False
+    assert summary["totals"] == {"parent": {"failed": 4, "known_defect": 4}, "change": {"failed": 0, "known_defect": 0}}
+    pairs.report({"oracles": summary})
+    assert "totals: failed parent 4 change 0, known_defect parent 4 change 0" in capsys.readouterr().out
 
 
 def test_bench_pairs_records_cpu_seconds(tmp_path, monkeypatch):
