@@ -352,12 +352,20 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(raw)
 
 
+def _exact_covariance(model: GibbsModel) -> np.ndarray:
+    """P^-1 of a Gaussian model: A's cached inverse where P is bitwise A (J >= 0), else P's own."""
+    im, precision = interaction_from_model(model), gaussian_from_model(model)
+    if np.array_equal(precision.view(np.uint64), im.A.view(np.uint64)):  # bits, so -0.0 vs +0.0 factors P
+        return im.inverse()
+    return gaussian_exact_covariance(precision)
+
+
 def _gaussian_pairs(model: GibbsModel, delta, bound) -> dict:
     """The pair table of ``bound``, checked against the exact covariance when
     the model is Gaussian: |cov| <= bound + tol with tol = AUDIT_RTOL max|cov|."""
     if not model.gaussian:
         return dict(delta_ij=delta, bound=bound)
-    cov = gaussian_exact_covariance(gaussian_from_model(model))
+    cov = _exact_covariance(model)
     tol = AUDIT_RTOL * float(np.max(np.abs(cov)))
     return dict(delta_ij=delta, bound=bound, oracle_value=cov, stderr_or_tol=tol, ok=np.abs(cov) <= bound + tol)
 
@@ -378,7 +386,7 @@ def _run_gaussian_sharpness(cfg: ExperimentConfig, out_dir: Path):
     model = cfg.model
     tolerance = float(cfg.options.get("tolerance", 1e-10))
     inv = interaction_from_model(model).inverse()
-    cov = gaussian_exact_covariance(gaussian_from_model(model))
+    cov = _exact_covariance(model)
     delta = distance_matrix(model.geometry)
     gaps = np.abs(inv - cov) / np.maximum(np.abs(cov), 1e-300)
     max_gap = float(np.max(gaps))
@@ -453,7 +461,7 @@ def _run_mcmc_check(cfg: ExperimentConfig, out_dir: Path):
     mode = cfg.options.get("compare", "exact" if model.gaussian else "bound")
     # the exact covariance or the bound A^-1, inverted before sampling
     if mode == "exact":
-        target = gaussian_exact_covariance(gaussian_from_model(model))
+        target = _exact_covariance(model)
         max_violations = cfg.options.get("max_violations", 1)
     else:
         target = interaction_from_model(model).inverse()

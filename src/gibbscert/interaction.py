@@ -139,21 +139,18 @@ def dominance_margin(a) -> float:
     return float(np.min(np.diag(a) - off))
 
 
-def _cholesky_inverse(a) -> np.ndarray:
-    """The symmetrized inverse of a, solved with the factor that decides its positivity."""
-    cho = cholesky_factor(a)
-    inv = scipy.linalg.cho_solve(cho, np.eye(cho[0].shape[0]))
-    return 0.5 * (inv + inv.T)
-
-
 def inverse_entrywise(a) -> np.ndarray:
-    """_cholesky_inverse(a); for an M-matrix (a positive definite Z-matrix), entrywise >= +0.0.
+    """The package's one dense inverse: the symmetrized a^-1, solved with the
+    factor that decides a's positivity (NotPositiveDefinite if it fails).
 
-    The factor's off-diagonal entries are a_ij <= 0 minus sums of products of
+    For an M-matrix (a positive definite Z-matrix) it is entrywise >= +0.0:
+    the factor's off-diagonal entries are a_ij <= 0 minus sums of products of
     two nonpositive entries, and each substitution step of the solves adds
     only nonnegative terms, so rounding cannot make an entry negative.
     """
-    return _cholesky_inverse(a)
+    cho = cholesky_factor(a)
+    inv = scipy.linalg.cho_solve(cho, np.eye(cho[0].shape[0]))
+    return 0.5 * (inv + inv.T)
 
 
 def build_tilted_matrix(im: InteractionMatrix, delta: np.ndarray) -> InteractionMatrix:

@@ -1,10 +1,17 @@
-"""Exact covariances of Gaussian measures from their precision matrices."""
+"""Exact covariances of Gaussian measures from their precision matrices.
+
+The precision P = diag(q) - J goes through the same inverse routine as the
+interaction matrix A = diag(rho) - |J|.  On a Gaussian model with J >= 0,
+rho = q and |J| = J, so P is bitwise A and the CLI reads A's cached inverse
+in its place; P^-1 is computed apart from A^-1 only when J has a negative
+entry.  An inverse in exact arithmetic lives in the tests.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..interaction import _cholesky_inverse
+from ..interaction import inverse_entrywise
 from ..model import GibbsModel
 
 
@@ -13,7 +20,7 @@ def gaussian_exact_covariance(precision) -> np.ndarray:
 
     Raises NotPositiveDefinite unless P passes the Cholesky pivot rule.
     """
-    return _cholesky_inverse(precision)
+    return inverse_entrywise(precision)
 
 
 def gaussian_from_model(model: GibbsModel) -> np.ndarray:

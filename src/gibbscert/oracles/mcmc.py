@@ -129,11 +129,21 @@ def false_fail_probability(chains: int, pairs: int, max_violations: int) -> floa
     estimates outside STDERR_MULTIPLE standard errors.
 
     Each pair's statistic is taken as Student-t with chains - 1 degrees of
-    freedom, and the pairs as independent, so the count is binomial.
+    freedom, and the pairs as independent, so the count is binomial.  A
+    binomial coefficient past the double range has its term summed in logs.
     """
+    if max_violations >= pairs:
+        return 0.0
     p = t_two_sided_tail(STDERR_MULTIPLE, chains - 1)
-    kept = sum(math.comb(pairs, k) * p**k * (1.0 - p) ** (pairs - k) for k in range(min(max_violations, pairs) + 1))
-    return max(0.0, 1.0 - kept)
+
+    def term(k: int) -> float:
+        c = math.comb(pairs, k)
+        try:
+            return c * p**k * (1.0 - p) ** (pairs - k)
+        except OverflowError:  # float(c) overflows; math.log reads the int exactly
+            return math.exp(math.log(c) + k * math.log(p) + (pairs - k) * math.log1p(-p))
+
+    return max(0.0, 1.0 - sum(map(term, range(max_violations + 1))))
 
 
 def mcmc_covariance_matrix(model: GibbsModel, cfg: SamplerConfig):

@@ -760,6 +760,20 @@ def test_mcmc_check_states_its_false_fail_probability(tmp_path):
     assert results["nominal_false_fail_probability"] == pytest.approx(0.16, abs=0.005)
 
 
+def test_mcmc_check_with_many_allowed_violations_writes_its_report(tmp_path):
+    # 2080 pairs and 300 allowed violations: binomial coefficients past the
+    # double range from k = 226 on used to raise OverflowError after sampling
+    raw = {
+        "model": base_model_block(64, 0.1),
+        "experiment": {"kind": "mcmc_check", "max_violations": 300},
+        "sampler": {"chains": 8, "steps": 2000, "burn_in": 200, "proposal_std": 1.5, "seed": 5},
+    }
+    assert main(["--config", str(write_config(tmp_path, raw)), "--out", str(tmp_path / "out")]) == 0
+    results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+    assert results["violations"] <= 300
+    assert 0.0 <= results["nominal_false_fail_probability"] <= 1e-15
+
+
 def test_pde_check_experiment(tmp_path):
     cfg = parse_config(
         {
@@ -940,9 +954,82 @@ def test_exponential_run_builds_each_table_once(tmp_path, monkeypatch):
     assert passed
     assert (tmp_path / "out" / "decay.csv").exists()
     assert tables == [False]  # the graph table, once; no Euclidean table
+    # every inverse routine is rebound, the Gaussian oracle's included: its
+    # precision is bitwise A here, so the pair table reads A's cached inverse
     A = interaction.interaction_from_model(cfg.model).A
     assert sum(np.array_equal(a, A) for a in inverted) == 1
     assert len(inverted) == 2  # A and the tilted matrix
+
+
+def count_factors(monkeypatch) -> list:
+    """Rebind cholesky_factor in every gibbscert module holding it; the list grows by each input."""
+    from gibbscert import interaction
+
+    factored = []
+    factor = interaction.cholesky_factor
+
+    def counted(a):
+        factored.append(np.array(a))
+        return factor(a)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gibbscert") and getattr(module, "cholesky_factor", None) is factor:
+            monkeypatch.setattr(module, "cholesky_factor", counted)
+    return factored
+
+
+def bitwise_equal(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+FERROMAGNETIC_GAUSSIAN_RUNS = {
+    "bound_report": {"kind": "bound_report"},
+    "gaussian_sharpness": {"kind": "gaussian_sharpness"},
+    "exponential_certificate": {"kind": "exponential_certificate"},
+    "mcmc_check-exact": {"kind": "mcmc_check", "compare": "exact"},
+}
+
+
+@pytest.mark.parametrize("experiment", FERROMAGNETIC_GAUSSIAN_RUNS.values(), ids=FERROMAGNETIC_GAUSSIAN_RUNS.keys())
+def test_ferromagnetic_gaussian_run_factors_a_once(tmp_path, monkeypatch, experiment):
+    # P = diag(q) - J is bitwise A = diag(rho) - |J| when J >= 0, so the
+    # Gaussian oracle reads A's cached inverse instead of factoring A's bits again
+    factored = count_factors(monkeypatch)
+    raw = {"model": base_model_block(6, 0.1), "experiment": experiment}
+    if experiment["kind"] == "mcmc_check":
+        raw["sampler"] = {"chains": 4, "steps": 400, "burn_in": 40, "proposal_std": 1.5, "seed": 3}
+    cfg = parse_config(raw)
+    report, _ = run_experiment(cfg, tmp_path / "out")
+    assert "error" not in report["results"]
+    A = interaction_from_model(cfg.model).A
+    assert bitwise_equal(gaussian_from_model(cfg.model), A)
+    assert sum(bitwise_equal(a, A) for a in factored) == 1
+
+
+def test_mixed_sign_gaussian_oracle_factors_its_own_precision(tmp_path, monkeypatch):
+    J = np.zeros((5, 5))
+    for i, j, value in ((0, 1, 0.2), (1, 2, -0.15), (2, 3, 0.1), (3, 4, -0.2), (4, 0, 0.05), (0, 2, -0.1)):
+        J[i, j] = J[j, i] = value
+    block = {**base_model_block(5), "coupling": {"kind": "explicit", "matrix": J.tolist()}}
+    cfg = parse_config({"model": block, "experiment": {"kind": "bound_report"}})
+    factored = count_factors(monkeypatch)
+    tables = []
+    emit = cli.emit_pair_table
+
+    def captured(pairs, path):
+        tables.append(pairs)
+        emit(pairs, path)
+
+    monkeypatch.setattr(cli, "emit_pair_table", captured)
+    _, passed = run_experiment(cfg, tmp_path / "out")
+    assert passed
+    A, P = interaction_from_model(cfg.model).A, gaussian_from_model(cfg.model)
+    assert not bitwise_equal(P, A)
+    assert sum(bitwise_equal(a, A) for a in factored) == 1
+    assert sum(bitwise_equal(a, P) for a in factored) == 1
+    with single_threaded():
+        cov = gaussian_exact_covariance(P)
+    assert tables[0]["oracle_value"].tobytes() == cov.tobytes()
 
 
 def count_tilted_builds(monkeypatch) -> list:

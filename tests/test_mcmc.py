@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -336,6 +337,55 @@ def test_false_fail_probability_is_binomial_over_pairs():
         got = mcmc.false_fail_probability(chains, pairs, allowed)
         assert got == pytest.approx(expected, rel=1e-9, abs=1e-15)
     assert mcmc.false_fail_probability(8, 36, 1) == pytest.approx(0.16, abs=0.005)
+
+
+def exact_false_fail_probability(chains: int, pairs: int, allowed: int) -> Fraction:
+    """P(Binomial(pairs, p) > allowed) in exact arithmetic, p the double the library uses."""
+    p = Fraction(mcmc.t_two_sided_tail(mcmc.STDERR_MULTIPLE, chains - 1))
+    a, d = p.numerator, p.denominator  # d is a power of two, so b / d = 1 - p exactly
+    b = d - a
+
+    def weight(lo: int, hi: int) -> int:  # sum of C(pairs, k) a^k b^(pairs-k) over lo <= k <= hi, by Horner
+        total, a_power = 0, 1
+        for k in range(lo, hi + 1):
+            total = total * b + math.comb(pairs, k) * a_power
+            a_power *= a
+        return total * a**lo * b ** (pairs - hi)
+
+    if allowed < pairs // 2:  # the shorter of the two sums
+        return 1 - Fraction(weight(0, allowed), d**pairs)
+    return Fraction(weight(allowed + 1, pairs), d**pairs)
+
+
+@pytest.mark.parametrize("chains", [2, 3, 8, 64])
+def test_false_fail_probability_matches_the_exact_binomial_tail(chains):
+    for pairs in (1, 10, 136, 2080):
+        for allowed in sorted({0, 1, 5, 136, 226, 300, pairs - 1, pairs, pairs + 5}):
+            got = mcmc.false_fail_probability(chains, pairs, allowed)
+            assert 0.0 <= got <= 1.0
+            if allowed >= pairs:
+                assert got == 0.0
+            exact = exact_false_fail_probability(chains, pairs, allowed)
+            assert abs(Fraction(got) - exact) <= Fraction(1e-12), (chains, pairs, allowed, got, float(exact))
+
+
+def test_false_fail_probability_past_the_double_range_of_a_coefficient():
+    # C(2080, 226) > 1.8e308: the first term that raised OverflowError (about 1e-92)
+    assert float(math.comb(2080, 225)) < math.inf
+    with pytest.raises(OverflowError):
+        float(math.comb(2080, 226))
+    assert 0.0 <= mcmc.false_fail_probability(8, 2080, 300) <= 1e-15
+    # 16 sites, every one of the 136 pairs allowed to fail: nothing can fail the run
+    assert mcmc.false_fail_probability(8, 136, 136) == 0.0
+
+
+def test_false_fail_probability_keeps_the_bits_of_the_binomial_sum():
+    # wherever no coefficient overflows, the value is the plain sum it always was
+    for chains in (2, 8, 64):
+        p = mcmc.t_two_sided_tail(mcmc.STDERR_MULTIPLE, chains - 1)
+        for pairs, allowed in ((36, 1), (136, 1), (136, 60), (2080, 0), (2080, 225), (300, 299)):
+            kept = sum(math.comb(pairs, k) * p**k * (1.0 - p) ** (pairs - k) for k in range(allowed + 1))
+            assert mcmc.false_fail_probability(chains, pairs, allowed) == max(0.0, 1.0 - kept)
 
 
 def test_pooled_mean_keeps_exact_comparison_at_1024_chains():

@@ -51,6 +51,8 @@ PINNED_DIGESTS = """\
 7c191505c05e8c06d92534edd38baf724e24bc204659782a33561a6dff8daca4  algebraic_1d/decay.csv
 e35049f15a4d90853bbc0699807725c8e4e1599663fb1e50085505fb1b31d531  algebraic_1d/pairs.csv
 14c48a3db27498af6ccf26b788939302f44abd94644cc2b04d983d2623c245c6  algebraic_1d/report.json
+28af370967268572fe1e44dd82b1db3163cbde147211387d80e2a167001383f5  bound_report_frustrated_2d/pairs.csv
+5fd11d9d3fff0f345dc0ef62fb77c24d31e29bb4fb9e9af8146e62e5839adb98  bound_report_frustrated_2d/report.json
 81951c07436b6ef6b42fd07a45a7bca07be1e0c283a5e62daa9c53fd72619c3f  exponential_1d/decay.csv
 af711f7c200636d35dd00973fa08eb2d042ea54dc3ae47261c598a955a5e0526  exponential_1d/pairs.csv
 d74148fac03d838d7e5bbf22147f0226342a916b081cd48bb7e236ac4b356e83  exponential_1d/report.json
