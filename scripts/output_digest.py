@@ -1,12 +1,15 @@
 """Print a sha256 digest of every file that the configs/*.json runs write.
 
     python3 scripts/output_digest.py > digests.txt
+    python3 scripts/output_digest.py path/to/config.json ...
 
-Each config runs through the library of this checkout into a temporary
-directory, and one line `<sha256>  <config>/<file>` is printed per output
-file.  report.json is hashed without its volatile "meta" entry.  Diffing
-the output of two checkouts shows whether a change keeps every output
-byte-identical.
+Each config (every configs/*.json unless paths are given) runs through the
+library of this checkout into a temporary directory, and one line
+`<sha256>  <config>/<file>` is printed per output file, <config> being the
+file name without .json.  report.json is hashed without its volatile "meta"
+entry.  Diffing the output of two checkouts shows whether a change keeps
+every output byte-identical; a path lets one config, or a variant of one,
+be digested in both.
 """
 
 import hashlib
@@ -28,9 +31,10 @@ def without_meta(report: bytes) -> bytes:
     return b"".join(lines[:start] + lines[end + 1 :])
 
 
-def main() -> int:
+def main(configs: list[str] | None = None) -> int:
+    paths = [Path(c) for c in configs] if configs else sorted((ROOT / "configs").glob("*.json"))
     with tempfile.TemporaryDirectory() as tmp:
-        for config in sorted((ROOT / "configs").glob("*.json")):
+        for config in paths:
             out = Path(tmp) / config.stem
             run_experiment(load_config(config), out)
             for path in sorted(out.iterdir()):
@@ -42,4 +46,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -26,8 +26,9 @@ McCormick, A Multigrid Tutorial, 2000):
 
 The iteration count is then independent of m (at most 11 on the 2D grids
 from m = 100 to 2401 that were tried, cold or warm-started), and prime m
-costs nothing extra.  Several right-hand sides against one measure run in
-lockstep, so every cycle works on all of them at once.
+costs nothing extra.  Several right-hand sides against one measure are
+solved one after another on the shared levels, so each phi has the bytes of
+its function solved alone.
 
 Memory, in grid arrays of m^dim doubles.  Through the PCG the solver holds
 about 5: mu, and per level D, 1/D and the null vector, the coarser levels
@@ -36,13 +37,15 @@ PCG weighs its stopping norm by mu itself.  mu and s*s can differ in the
 last bit, so a residual within rounding of its target can stop one
 iteration apart from an s*s-weighted test; on 100 sampled oracles solves
 the iteration counts and phi's bytes were the same under both weights.
-Each right-hand side holds 5: the PCG's X, R and P, one work array that
-takes A p, alpha p and then z, and the V-cycle's iterate; the V-cycle reads
-its right-hand side and D through strided sublattice views.  An f of one
-site is evaluated on the m nodes of its axis and kept as a read-only
-broadcast of them; only an f of no single site (affine) is evaluated on the
-node coordinates and held as a grid array.  The fields' coordinates
-broadcast ``nodes`` too, and phi is divided and centred in place in X.
+The PCG holds 5 more, however many functions there are: its x, r and p,
+one work array that takes A p, alpha p and then z, and the V-cycle's
+iterate; the V-cycle reads its right-hand side and D through strided
+sublattice views.  Each function solved before keeps only its phi.  An f
+of one site is evaluated on the m nodes of its axis and kept as a
+read-only broadcast of them; only an f of no single site (affine) is
+evaluated on the node coordinates and held as a grid array.  The fields'
+coordinates broadcast ``nodes`` too, and phi is divided and centred in
+place in x.
 Traced peaks per stage of the seed-101 oracles bench cells (functions of
 one site) on a 2-core Xeon, in MiB (grid arrays).  Set-up runs from the
 request's start to the solve_many call, solve is solve_many (f's values,
@@ -50,10 +53,10 @@ the PCG and the field assembly), phi.csv is its write and verify the rest:
 
     stage                   m = 601, 1 function   m = 481, 2 functions
     set-up                  23.2 (8.4)            14.9 (8.4)
-    solve                   29.9 (10.8)           29.4 (16.7)
-    phi.csv                 7.8 (2.8)             7.6 (4.3)
+    solve                   29.9 (10.8)           20.9 (11.8)
+    phi.csv                 7.8 (2.8)             7.7 (4.3)
     verify                  22.1 (8.0)            19.4 (11.0)
-    verify + core identity  33.1 (12.0)           26.6 (15.0)
+    verify + core identity  33.1 (12.0)           26.5 (15.0)
 
 Verify holds mu, phi, the edge weights and phi's fluxes, and f's energies
 take one axis at a time.  The core identity adds the interior weights,
@@ -84,7 +87,7 @@ TAIL_MASS_LIMIT = 1e-8
 RESIDUAL_RTOL = 1e-10
 CG_MAXITER = 400
 DIRECT_MAX_NODES = 80  # per axis, on the V-cycle's last level (solved by sparse LU)
-PEAK_GRID_ARRAYS = 10  # the PCG's ~5 solver arrays and one right-hand side's 5 (module docstring)
+PEAK_GRID_ARRAYS = 10  # the solver's ~5 arrays and the PCG's 5 (module docstring)
 _FFT_WORKERS = 2  # unused by the solver; bench/run.py still records it
 
 @dataclass(frozen=True)
@@ -302,9 +305,9 @@ def _axis_slice(ndim: int, axis: int, sl: slice) -> tuple:
 
 
 def _neighbour_sum(x: np.ndarray) -> np.ndarray:
-    """Sum of each node's grid neighbours; axis 0 indexes right-hand sides."""
+    """Sum of each node's grid neighbours."""
     out = np.zeros_like(x)
-    for axis in range(1, x.ndim):
+    for axis in range(x.ndim):
         lo = _axis_slice(x.ndim, axis, slice(0, -1))
         hi = _axis_slice(x.ndim, axis, slice(1, None))
         out[hi] += x[lo]
@@ -319,13 +322,13 @@ def _midpoints(c: np.ndarray, par: tuple, fine_shape: tuple) -> np.ndarray:
     twice the spacing; an odd index along an axis is a midpoint there, except
     that on an axis of even size the last fine node lies one step past the
     last coarse node and takes its value.  `par` gives the parity of each
-    grid axis; axis 0 of c is the batch.
+    grid axis.
     """
-    for axis, p in enumerate(par, start=1):
+    for axis, p in enumerate(par):
         if p:
             n_mid = c.shape[axis] - 1
             shape = list(c.shape)
-            shape[axis] = fine_shape[axis - 1] // 2  # n_mid, or n_mid + 1 on an even axis
+            shape[axis] = fine_shape[axis] // 2  # n_mid, or n_mid + 1 on an even axis
             mid = np.empty(shape)
             lo = c[_axis_slice(c.ndim, axis, slice(0, -1))]
             hi = c[_axis_slice(c.ndim, axis, slice(1, None))]
@@ -343,10 +346,10 @@ def _spread(r: np.ndarray, par: tuple, coarse_shape: tuple) -> np.ndarray:
 
     r is overwritten, and returned as it is when `par` has no odd axis.
     """
-    for axis, p in enumerate(par, start=1):
+    for axis, p in enumerate(par):
         if p:
             shape = list(r.shape)
-            shape[axis] = coarse_shape[axis - 1]
+            shape[axis] = coarse_shape[axis]
             out = np.zeros(shape)
             n_mid = shape[axis] - 1
             half = r[_axis_slice(r.ndim, axis, slice(0, n_mid))]
@@ -371,7 +374,7 @@ def _shift_add(out: np.ndarray, src: np.ndarray, axis: int, offset: int) -> None
 
 
 def _sublattice(parity: tuple) -> tuple:
-    return (slice(None),) + tuple(slice(p, None, 2) for p in parity)
+    return tuple(slice(p, None, 2) for p in parity)
 
 
 class _Level:
@@ -379,25 +382,25 @@ class _Level:
 
     K_hat s = 0 for s = sqrt(mu), so the diagonal is D = (neighbour sum of
     s) / s, and the matvec and the Gauss-Seidel sweep are 5-point stencils.
-    Inside the cycle a batch lives as its 2^dim sublattices (one parity per
-    axis), each a contiguous array: a node's neighbours all lie on
+    Inside the cycle a grid function lives as its 2^dim sublattices (one
+    parity per axis), each a contiguous array: a node's neighbours all lie on
     sublattices of the other colour, so a red-black sweep is a few shifted
     adds of whole arrays.
     """
 
     def __init__(self, s: np.ndarray):
         self.shape = s.shape
-        self.D = _neighbour_sum(s[None])[0] / s
+        self.D = _neighbour_sum(s) / s
         self.null = (s / np.linalg.norm(s)).ravel()
         self.parities = list(itertools.product((0, 1), repeat=s.ndim))
         self.red = [p for p in self.parities if sum(p) % 2 == 0]
         self.black = [p for p in self.parities if sum(p) % 2 == 1]
-        self.inv_D = {p: 1.0 / self.D[_sublattice(p)[1:]] for p in self.parities}
+        self.inv_D = {p: 1.0 / self.D[_sublattice(p)] for p in self.parities}
 
-    def stencil(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """h^2 K_hat x for a batch x of shape (k,) + grid, into out if given."""
+    def stencil(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """h^2 K_hat x for a grid function x, into out."""
         y = np.multiply(self.D, x, out=out)
-        for axis in range(1, x.ndim):
+        for axis in range(x.ndim):
             lo = _axis_slice(x.ndim, axis, slice(0, -1))
             hi = _axis_slice(x.ndim, axis, slice(1, None))
             y[hi] -= x[lo]
@@ -405,18 +408,17 @@ class _Level:
         return y
 
     def project(self, x: np.ndarray) -> None:
-        """Remove the null direction sqrt(mu) from each batch member, in place."""
-        flat = x.reshape(len(x), -1)
-        for row, c in zip(flat, flat @ self.null):
-            row -= c * self.null
+        """Remove the null direction sqrt(mu) from a contiguous x, in place."""
+        flat = x.reshape(-1)
+        flat -= (flat @ self.null) * self.null
 
     def views(self, x: np.ndarray) -> dict:
-        """The sublattices of a batch x as strided views."""
+        """The sublattices of a grid function x as strided views."""
         return {p: x[_sublattice(p)] for p in self.parities}
 
     def merge(self, xs: dict, out: np.ndarray | None = None) -> np.ndarray:
         if out is None:
-            out = np.empty((len(xs[self.parities[0]]),) + self.shape)
+            out = np.empty(self.shape)
         for p, v in xs.items():
             out[_sublattice(p)] = v
         return out
@@ -426,7 +428,7 @@ class _Level:
         for axis, p in enumerate(par):
             src = xs[par[:axis] + (1 - p,) + par[axis + 1 :]]
             for offset in (-1, 0) if p == 0 else (0, 1):
-                _shift_add(acc, src, axis + 1, offset)
+                _shift_add(acc, src, axis, offset)
 
     def relax(self, xs: dict, gs: dict, colour: list) -> None:
         """Gauss-Seidel on the nodes of one colour of diag(D) x - adj x = g."""
@@ -438,7 +440,7 @@ class _Level:
 
     def residual(self, xs: dict, gs: dict, par: tuple) -> np.ndarray:
         """g - (diag(D) - adj) x on sublattice `par` (only red ones are formed)."""
-        acc = self.D[_sublattice(par)[1:]] * xs[par]
+        acc = self.D[_sublattice(par)] * xs[par]
         np.subtract(gs[par], acc, out=acc)
         self._add_neighbours(acc, xs, par)
         return acc
@@ -458,60 +460,53 @@ class _Level:
         lu = scipy.sparse.linalg.splu(A.tocsc())
 
         def solve(g: np.ndarray) -> np.ndarray:
-            rhs = g.reshape(len(g), -1).T.copy()
+            rhs = g.flatten()
             rhs[pin] = 0.0
-            x = lu.solve(rhs).T.reshape(g.shape)
+            x = lu.solve(rhs).reshape(g.shape)
             self.project(x)
             return x
 
         return solve
 
 
-def _lockstep_pcg(matvec, precond, B: np.ndarray, targets: np.ndarray, maxiter: int, w2: np.ndarray):
-    """Preconditioned CG on one operator with several right-hand sides.
+def _pcg(matvec, precond, b: np.ndarray, target: float, maxiter: int, w2: np.ndarray):
+    """Preconditioned CG from x = 0 on one right-hand side (Saad 2003, Alg. 9.1).
 
-    Rows of B are solved simultaneously (each with its own step sizes) so
-    the matrix and preconditioner applications batch.  Convergence is judged
-    on sqrt(sum w2 residual^2) <= target per row (w2, a squared weight,
-    undoes a similarity scaling so the targets can live in the original
-    variables).  B is overwritten with the residual.  Returns (X, iterations
-    per row); the caller decides convergence on each row's true residual.
+    Convergence is judged on sqrt(sum w2 r^2) <= target (w2, a squared
+    weight, undoes a similarity scaling so the target can live in the
+    original variables).  b is overwritten with the residual.  Returns (x,
+    iterations); the caller decides convergence on the true residual.
 
-    Besides X, R = B and P it holds one work array W, which takes in turn
+    Besides x, r = b and p it holds one work array w, which takes in turn
     A p, alpha p and the preconditioned residual z: matvec and precond
     write into their `out` argument.
     """
-    def residual_norms(R):
-        return np.sqrt(np.einsum("ij,ij,j->i", R, R, w2))
+    def active(r):
+        return np.sqrt(np.einsum("i,i,i->", r, r, w2)) > target
 
-    X = np.zeros_like(B)
-    R = B
-    active = residual_norms(R) > targets
-    iters = np.zeros(len(B), dtype=int)
-    if not active.any():
-        return X, iters
-    P = precond(R)
-    rz = np.einsum("ij,ij->i", R, P)
-    W = np.empty_like(B)
-    for _ in range(maxiter):
-        iters += active
-        matvec(P, out=W)
-        pap = np.einsum("ij,ij->i", P, W)
-        pap = np.where(pap == 0.0, 1.0, pap)
-        alpha = np.where(active, rz / pap, 0.0)[:, None]
-        W *= alpha
-        R -= W
-        X += np.multiply(alpha, P, out=W)
-        active = residual_norms(R) > targets
-        if not active.any():
+    x = np.zeros_like(b)
+    r = b
+    if not active(r):
+        return x, 0
+    p = precond(r)
+    rz = np.einsum("i,i->", r, p)
+    w = np.empty_like(b)
+    for iterations in range(1, maxiter + 1):
+        matvec(p, out=w)
+        pap = np.einsum("i,i->", p, w)
+        alpha = rz / (1.0 if pap == 0.0 else pap)
+        w *= alpha
+        r -= w
+        x += np.multiply(alpha, p, out=w)
+        if not active(r):
             break
-        precond(R, out=W)
-        rz_new = np.einsum("ij,ij->i", R, W)
-        beta = np.where(active, rz_new / np.where(rz == 0.0, 1.0, rz), 0.0)
+        precond(r, out=w)
+        rz_new = np.einsum("i,i->", r, w)
+        beta = rz_new / (1.0 if rz == 0.0 else rz)
         rz = rz_new
-        P *= beta[:, None]
-        P += W
-    return X, iters
+        p *= beta
+        p += w
+    return x, iterations
 
 
 class PotentialSolver:
@@ -553,14 +548,12 @@ class PotentialSolver:
         """sqrt(mu), flat: the similarity scaling K = diag(s) K_hat diag(s), rebuilt on each use."""
         return np.sqrt(self.mu).ravel()
 
-    def _batch(self, V: np.ndarray | None) -> np.ndarray | None:
-        """Rows of V as grids, a view; None stays None."""
-        return None if V is None else V.reshape((len(V),) + self.mu.shape)
-
-    def _apply_khat(self, V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        y = self.levels[0].stencil(self._batch(V), self._batch(out))
-        y *= 1.0 / self.h**2
-        return y.reshape(V.shape)
+    def _apply_khat(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """K_hat v for a flat v, into out if given."""
+        out = np.empty_like(v) if out is None else out
+        self.levels[0].stencil(v.reshape(self.mu.shape), out.reshape(self.mu.shape))
+        out *= 1.0 / self.h**2
+        return out
 
     def _vcycle(self, g: np.ndarray, depth: int = 0, out: np.ndarray | None = None) -> np.ndarray:
         """One symmetric V(1,1) cycle for h^2 K_hat x = g from x = 0, into out if given."""
@@ -596,10 +589,12 @@ class PotentialSolver:
         level.project(x)
         return x
 
-    def _precond(self, V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        x = self._vcycle(self._batch(V), out=self._batch(out))
-        x *= self.h**2  # the cycle is linear: solve (h^2 K_hat) x = V, then scale
-        return x.reshape(V.shape)
+    def _precond(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """One V-cycle on a flat v, into out if given."""
+        out = np.empty_like(v) if out is None else out
+        self._vcycle(v.reshape(self.mu.shape), out=out.reshape(self.mu.shape))
+        out *= self.h**2  # the cycle is linear: solve (h^2 K_hat) x = v, then scale
+        return out
 
     def _rhs_hat(self, fv: np.ndarray, fm: float, s: np.ndarray) -> np.ndarray:
         """The centred right-hand side (f - <f>) mu over s, flat; 0 if centred f is constant."""
@@ -618,57 +613,53 @@ class PotentialSolver:
         rhs_norm = float(np.linalg.norm(rhs))
         if rhs_norm == 0.0:
             return 0.0
-        k_phi = self._apply_khat((s * phi)[None])[0]
+        k_phi = self._apply_khat(s * phi)
         k_phi *= s
         k_phi -= rhs
         return float(np.linalg.norm(k_phi) / rhs_norm)
 
     def solve_many(self, observables: list[Observable]) -> list[PotentialField]:
-        """Solve for several observables against the shared measure.
+        """Solve for each observable in turn against the shared measure.
 
-        Only the solver's arrays, f's values and the PCG's four batches stay
-        alive through the PCG.  An observable with a site is evaluated once, on
-        the m nodes of its axis, and its f_values is a read-only broadcast of
-        them; only one of no site builds the node coordinates, which are dropped
-        before the PCG.  s = sqrt(mu) is built before and after the PCG, and
-        the PCG weighs its stopping norm by mu itself, not by s*s, which may
-        differ from mu in the last bit: a residual within rounding of its
-        target can then stop one iteration apart, so phi's bytes equal an
-        s*s-weighted solve's on the samples checked, not by construction.
-        phi is divided and centred in place in X, after each right-hand side
-        has been rebuilt for its final residual check.
+        Each field's bytes are those of the observable solved alone.  Only the
+        solver's arrays, f's values, the fields solved so far and one PCG's
+        four arrays stay alive through a PCG.  An observable with a site is
+        evaluated once, on the m nodes of its axis, and its f_values is a
+        read-only broadcast of them; only one of no site builds the node
+        coordinates, which are dropped before the first PCG.  s = sqrt(mu) is
+        built before and after each PCG, and the PCG weighs its stopping norm
+        by mu itself, not by s*s, which may differ from mu in the last bit: a
+        residual within rounding of its target can then stop one iteration
+        apart, so phi's bytes equal an s*s-weighted solve's on the samples
+        checked, not by construction.  phi is divided and centred in place in
+        the PCG's x, after the right-hand side has been rebuilt for its final
+        residual check.
         """
         h_dim = self.h**self.dim
-        f_values = _grid_values(observables, self.nodes, self.dim)
-        f_means = [float(np.sum(fv * self.mu) * h_dim) for fv in f_values]
-        s = self.s
-        B = np.empty((len(f_values), s.size))
-        for i, (fv, fm) in enumerate(zip(f_values, f_means)):
-            B[i] = self._rhs_hat(fv, fm, s)  # a row view left in a name would keep B alive
-        self.levels[0].project(B)
-        # stop on the untransformed residual: ||K phi - rhs|| = ||s * (K_hat psi - rhs_hat)||
-        targets = 0.5 * RESIDUAL_RTOL * np.linalg.norm(s * B, axis=1)
-        del s
-        X, iters = _lockstep_pcg(
-            self._apply_khat, self._precond, B, targets, CG_MAXITER, self.mu.ravel()
-        )
-        del B  # now the PCG's residual
+        fields = []
+        for fv in _grid_values(observables, self.nodes, self.dim):
+            fm = float(np.sum(fv * self.mu) * h_dim)
+            s = self.s
+            b = self._rhs_hat(fv, fm, s)
+            self.levels[0].project(b)
+            # stop on the untransformed residual: ||K phi - rhs|| = ||s * (K_hat psi - rhs_hat)||
+            # by add.reduce, not norm(), whose dot product can round apart and move an iteration count
+            scaled = s * b
+            target = 0.5 * RESIDUAL_RTOL * np.sqrt(np.add.reduce(scaled * scaled))
+            del s, scaled
+            phi, n_iter = _pcg(self._apply_khat, self._precond, b, target, CG_MAXITER, self.mu.ravel())
+            del b  # now the PCG's residual
 
-        s = self.s
-        residuals = []
-        for phi, n_iter, fv, fm in zip(X, iters, f_values, f_means):
+            s = self.s
             phi /= s
             rel = self._relative_residual(phi, fv, fm, s)
+            del s
             if rel > RESIDUAL_RTOL:
                 raise RuntimeError(
                     f"CG did not converge after {n_iter} iterations "
                     f"(relative residual {rel:.3e})"
                 )
-            residuals.append(rel)
-        del s
-        fields = []
-        for row, n_iter, fv, fm, rel in zip(X, iters, f_values, f_means, residuals):
-            phi = row.reshape(self.mu.shape)
+            phi = phi.reshape(self.mu.shape)
             pf = PotentialField(
                 model=self.model,
                 nodes=self.nodes,
@@ -679,7 +670,7 @@ class PotentialSolver:
                 f_values=fv,
                 f_mean=fm,
                 residual=rel,
-                iterations=int(n_iter),
+                iterations=n_iter,
                 edge_weights=self.edge_weights,
             )
             phi -= pf.quad_mean(phi)

@@ -60,8 +60,8 @@ d74148fac03d838d7e5bbf22147f0226342a916b081cd48bb7e236ac4b356e83  exponential_1d
 19cb19e1c732f1c12362ebc1299e2c690eba4bdc887e08c08bfe0ae898fa36f4  gaussian_sharpness_1d/report.json
 7d9033c1183c5701bd648bb4ccc58a65d53e32be77d489e3d96755ba1ad604d4  mcmc_check_1d/pairs.csv
 a22d6a339d4a220cc8311911506b3195617451ef757aabd5dffe5c33edb2b6c0  mcmc_check_1d/report.json
-e5a78b7adfaa0db13616961be27cbbe72b46aa51bec7c12e09230e7b44bc4d6e  pde_check_2site/phi.csv
-22db752907a1f50fd2449434dbb340208bfe9141713e787f1c49de942ac02c44  pde_check_2site/report.json
+e0dc526a8d6b49b4acc87a76ad97b0bbfb120c772879e92490fbed8e5e7176f1  pde_check_2site/phi.csv
+b680a25654c57305a28b1678dc58fa70b01741b81cb6c2f788cf8b6f1691f1df  pde_check_2site/report.json
 c39d87f3359cc7173c31de7f87d8471e5de901202deec6faa3bd6f4f2d00e2d9  threshold_scan_2d/report.json
 """
 
@@ -69,6 +69,12 @@ c39d87f3359cc7173c31de7f87d8471e5de901202deec6faa3bd6f4f2d00e2d9  threshold_scan
 def test_config_outputs_match_pinned_digests(capsys):
     assert load_script("output_digest").main() == 0
     assert capsys.readouterr().out == PINNED_DIGESTS
+
+
+def test_output_digest_of_one_config_prints_its_lines_of_the_full_run(capsys):
+    assert load_script("output_digest").main([str(ROOT / "configs" / "pde_check_2site.json")]) == 0
+    lines = PINNED_DIGESTS.splitlines(keepends=True)
+    assert capsys.readouterr().out == "".join(line for line in lines if "  pde_check_2site/" in line)
 
 
 # scripts/bound_hierarchy.py's table: the bound family against the exact
