@@ -50,7 +50,7 @@ from .oracles.potential import (
     verify_directional_pi,
     verify_dual_pi,
 )
-from .reporting import emit_pair_table, pair_indices, write_report, write_table
+from .reporting import emit_pair_table, write_report, write_table
 
 
 class ConfigError(ValueError):
@@ -372,7 +372,7 @@ def _gaussian_pairs(model: GibbsModel, delta, bound) -> dict:
 
 def _failures(pairs) -> int:  # the pairs.csv rows whose check fails
     ok = None if pairs is None else pairs.get("ok")
-    return 0 if ok is None else int(np.count_nonzero(~ok[pair_indices(len(ok))]))
+    return 0 if ok is None else int(np.count_nonzero(np.triu(~ok)))
 
 
 def _run_bound_report(cfg: ExperimentConfig, out_dir: Path):

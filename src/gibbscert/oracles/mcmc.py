@@ -40,6 +40,7 @@ _BLOCK = 512  # sweeps drawn per generator call
 _SLAB = 64  # sweeps whose draws are moved into class order at a time
 _GROUP = 64  # chains moved together, a piece that stays in cache
 STDERR_MULTIPLE = 3.0  # an estimate passes within this many standard errors of its target
+TAIL_SUM_BELOW = 2.0**-20  # a false-fail chance below this is summed over its tail, as 1 - sum cancels
 MASK64 = (1 << 64) - 1
 
 
@@ -131,19 +132,35 @@ def false_fail_probability(chains: int, pairs: int, max_violations: int) -> floa
     Each pair's statistic is taken as Student-t with chains - 1 degrees of
     freedom, and the pairs as independent, so the count is binomial.  A
     binomial coefficient past the double range has its term summed in logs.
+    The chance is 1 minus the terms up to max_violations; where that is
+    below TAIL_SUM_BELOW it has cancelled, and the terms past
+    max_violations are summed instead, in logs, as p^k may underflow where
+    the coefficient does not overflow.
     """
     if max_violations >= pairs:
         return 0.0
     p = t_two_sided_tail(STDERR_MULTIPLE, chains - 1)
 
-    def term(k: int) -> float:
-        c = math.comb(pairs, k)
-        try:
-            return c * p**k * (1.0 - p) ** (pairs - k)
-        except OverflowError:  # float(c) overflows; math.log reads the int exactly
-            return math.exp(math.log(c) + k * math.log(p) + (pairs - k) * math.log1p(-p))
+    def log_term(k: int) -> float:  # math.log reads an int past the double range exactly
+        return math.log(math.comb(pairs, k)) + k * math.log(p) + (pairs - k) * math.log1p(-p)
 
-    return max(0.0, 1.0 - sum(map(term, range(max_violations + 1))))
+    def term(k: int) -> float:
+        try:
+            return math.comb(pairs, k) * p**k * (1.0 - p) ** (pairs - k)
+        except OverflowError:  # float(C(pairs, k)) overflows
+            return math.exp(log_term(k))
+
+    chance = max(0.0, 1.0 - sum(map(term, range(max_violations + 1))))
+    if chance >= TAIL_SUM_BELOW:
+        return chance
+    # the terms fall past the mode, which lies below max_violations here
+    tail = 0.0
+    for k in range(max_violations + 1, pairs + 1):
+        t = math.exp(log_term(k))
+        tail += t
+        if t <= 2.0**-60 * tail:  # also stops once the terms underflow to 0
+            break
+    return tail
 
 
 def mcmc_covariance_matrix(model: GibbsModel, cfg: SamplerConfig):

@@ -328,36 +328,30 @@ def write_grid_table(header, nodes, shape: tuple, columns, path) -> None:
     _write_chunks(header, math.prod(shape), chunk_slots, path)
 
 
-def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j) of the pairs i <= j of n sites, row-major: the rows of pairs.csv."""
-    return np.triu_indices(n)
-
-
 def emit_pair_table(pairs: dict, path) -> None:
-    """pairs.csv: one row per pair i <= j of a run's n x n matrices, as pair_indices orders them.
+    """pairs.csv: one row per pair i <= j of a run's n x n matrices, in np.triu_indices order.
 
     ``pairs`` maps ``delta_ij`` and ``bound`` to matrices, and may map
     ``oracle_value`` to a matrix, ``stderr_or_tol`` to a matrix or one
     number, and ``ok`` to the boolean check of each pair.  A column left
     out has empty cells; the verdict is "pass" or "fail" by ``ok``, else
-    "unchecked".  Each cell reads as fmt() writes it.
+    "unchecked".  Each cell reads as fmt() writes it.  A matrix or number
+    given for two columns (one object) is gathered and encoded once per
+    chunk, and both columns take its slots.
     """
-    i, j = pair_indices(len(pairs["bound"]))
+    i, j = np.triu_indices(len(pairs["bound"]))
     ok = pairs.get("ok")
     words = np.array([b"unchecked"] if ok is None else [b"fail", b"pass"])  # row ok[i, j] is the verdict
     verdicts = _key_table(words[:, None].view(np.uint8))
-
-    def column(value):  # rows -> the column's slots on those rows
-        if value is None or np.ndim(value):
-            return lambda rows: None if value is None else _slots(value[rows])
-        slot = _slots(np.array([value], dtype=float))  # one number: one slot that every row shares
-        return lambda rows: slot
-
-    columns = [column(pairs.get(name)) for name in PAIR_COLUMNS[2:6]]
+    values = [pairs.get(name) for name in PAIR_COLUMNS[2:6]]
+    sources = {id(v): v for v in values}  # by identity: a matrix given twice is one source
 
     def chunk_slots(start, stop):
         rows = i[start:stop], j[start:stop]
-        cells = [cells_of(rows) for cells_of in columns]
+        slots = {
+            k: v if v is None else _slots(v[rows] if np.ndim(v) else np.array([v], float)) for k, v in sources.items()
+        }
+        cells = [slots[id(v)] for v in values]
         return [_slots(rows[0]), _slots(rows[1]), *cells, (verdicts, None if ok is None else ok[rows])]
 
     _write_chunks(PAIR_COLUMNS, len(i), chunk_slots, path)

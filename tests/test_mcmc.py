@@ -380,12 +380,29 @@ def test_false_fail_probability_past_the_double_range_of_a_coefficient():
 
 
 def test_false_fail_probability_keeps_the_bits_of_the_binomial_sum():
-    # wherever no coefficient overflows, the value is the plain sum it always was
+    # wherever no coefficient overflows and the sum has not cancelled, the
+    # value is the plain sum it always was; below that, it is the exact tail
     for chains in (2, 8, 64):
         p = mcmc.t_two_sided_tail(mcmc.STDERR_MULTIPLE, chains - 1)
         for pairs, allowed in ((36, 1), (136, 1), (136, 60), (2080, 0), (2080, 225), (300, 299)):
             kept = sum(math.comb(pairs, k) * p**k * (1.0 - p) ** (pairs - k) for k in range(allowed + 1))
-            assert mcmc.false_fail_probability(chains, pairs, allowed) == max(0.0, 1.0 - kept)
+            got = mcmc.false_fail_probability(chains, pairs, allowed)
+            if 1.0 - kept >= mcmc.TAIL_SUM_BELOW:
+                assert got == max(0.0, 1.0 - kept)
+            else:  # within 1e-12 relative; a tail below half the least double, such as p^300, reads 0
+                exact = exact_false_fail_probability(chains, pairs, allowed)
+                assert abs(Fraction(got) - exact) <= Fraction(1e-12) * exact + Fraction(1, 2**1075), (chains, pairs)
+
+
+@pytest.mark.parametrize(
+    "chains, pairs, allowed", [(8, 2080, 225), (64, 2080, 226), (64, 2080, 130), (8, 2080, 300), (2, 136, 60)]
+)
+def test_false_fail_probability_keeps_its_relative_accuracy_in_the_far_tail(chains, pairs, allowed):
+    # 1 - sum cancelled to 3.3e-16 at (8, 2080, 225) and to 0.0 at (64, 2080, 226)
+    got = mcmc.false_fail_probability(chains, pairs, allowed)
+    exact = exact_false_fail_probability(chains, pairs, allowed)
+    assert 0 < exact < mcmc.TAIL_SUM_BELOW
+    assert abs(Fraction(got) - exact) <= Fraction(1e-12) * exact, (got, float(exact))
 
 
 def test_pooled_mean_keeps_exact_comparison_at_1024_chains():

@@ -25,7 +25,6 @@ from gibbscert.reporting import (
     _proven_slots,
     emit_pair_table,
     fmt,
-    pair_indices,
     report_bytes,
     write_table,
 )
@@ -104,7 +103,34 @@ def test_emit_pair_table_matches_per_row_writer(tmp_path):
         assert bulk.count(b"\n") == 1 + n * (n + 1) // 2
         verdicts |= set(columns[-1])
     assert verdicts == {"pass", "fail", "unchecked"}
-    assert [list(k) for k in pair_indices(3)] == [[0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]]
+
+
+def test_emit_pair_table_encodes_a_matrix_given_twice_once_per_chunk(tmp_path):
+    # gaussian_sharpness and a J >= 0 Gaussian bound_report give A^-1 as both bound and oracle_value
+    rng = np.random.default_rng(11)
+    n = math.isqrt(2 * CHUNK_ROWS) + 1  # two chunks
+    pairs = random_pairs(rng, n, 1e-10)
+    pairs["oracle_value"] = shared = pairs["bound"]
+    i, j = np.triu_indices(n)
+    chunks = [(i[s : s + CHUNK_ROWS], j[s : s + CHUNK_ROWS]) for s in range(0, len(i), CHUNK_ROWS)]
+    assert len(chunks) == 2
+    encoded = []
+    with mock.patch.object(reporting, "_slots", side_effect=reporting._slots) as slots:
+        assert_same_bytes(tmp_path, lambda path: emit_pair_table(pairs, path), PAIR_COLUMNS, pair_rows(pairs))
+    for rows in chunks:
+        gathered = shared[rows]
+        encoded.append(sum(np.array_equal(c.args[0], gathered, equal_nan=True) for c in slots.call_args_list))
+    assert encoded == [1, 1]
+
+
+def test_failures_counts_the_failing_rows_of_pairs_csv():
+    # a check need not be symmetric: only its cells i <= j are rows of pairs.csv
+    rng = np.random.default_rng(13)
+    for n in (3, 7, 40):
+        pairs = random_pairs(rng, n, 1e-10)
+        pairs["ok"][1, 0] = not pairs["ok"][0, 1]
+        assert cli._failures(pairs) == pair_rows(pairs)[-1].count("fail")
+    assert cli._failures(None) == cli._failures(random_pairs(rng, 3, None)) == 0
 
 
 def test_phi_table_matches_per_row_writer(tmp_path):

@@ -101,6 +101,22 @@ def test_bound_hierarchy_output_is_pinned(capsys):
     assert capsys.readouterr().out == PINNED_BOUND_HIERARCHY
 
 
+def test_layer_ab_times_a_tree_against_itself():
+    root = str(ROOT)
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "layer_ab.py"), "--base", root, "--head", root]
+        + ["--workload", "torus-nn", "--seed", "101", "--target", "gibbscert.reporting:emit_pair_table", "--repeats", "1"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    calls = int(lines[0].split(": ")[1].split(" calls")[0])
+    assert calls > 0
+    assert lines[-1] == f"bytes equal: yes, on {calls} of {calls} calls"
+
+
 def load_script(name):
     spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
