@@ -30,33 +30,54 @@ costs nothing extra.  Several right-hand sides against one measure are
 solved one after another on the shared levels, so each phi has the bytes of
 its function solved alone.
 
-Memory, in grid arrays of m^dim doubles.  Through the PCG the solver holds
-about 5: mu, and per level D, 1/D and the null vector, the coarser levels
-adding a third.  s = sqrt(mu) is rebuilt before and after the PCG, and the
-PCG weighs its stopping norm by mu itself.  mu and s*s can differ in the
-last bit, so a residual within rounding of its target can stop one
-iteration apart from an s*s-weighted test; on 100 sampled oracles solves
-the iteration counts and phi's bytes were the same under both weights.
-The PCG holds 5 more, however many functions there are: its x, r and p,
-one work array that takes A p, alpha p and then z, and the V-cycle's
-iterate; the V-cycle reads its right-hand side and D through strided
-sublattice views.  Each function solved before keeps only its phi.  An f
-of one site is evaluated on the m nodes of its axis and kept as a
-read-only broadcast of them; only an f of no single site (affine) is
-evaluated on the node coordinates and held as a grid array.  The fields'
-coordinates broadcast ``nodes`` too, and phi is divided and centred in
-place in x.
+Memory, in grid arrays of m^dim doubles.  Each level keeps only its
+diagonal D, one contiguous block per sublattice.  1/D is formed on use, and
+so is the null vector sqrt(mu)/|sqrt(mu)|, from the level's strided sample
+of mu; |sqrt(mu)| is taken once, at set-up.  Each level also owns workspaces
+that the solver allocates once and every V-cycle and right-hand side reuses:
+a level array for the iterate's sublattice blocks, which then takes the null
+vector; a sublattice scratch for 1/D, the residual and the transfers; and,
+below the finest level, a level array for the right-hand side, which the
+cycle overwrites with its result.  A level's D and workspaces are views of
+one allocation.  Through the PCG the solver so holds about 4.3: mu, the
+diagonals (4/3) and the workspaces (about 2).  Set-up builds H, then w, then
+mu in one array, and each D in place.  The last level's sparse LU is
+factored by the first V-cycle, so its memory lies above the first phi in the
+heap and leaves with the solver.  s = sqrt(mu) is rebuilt before and
+after the PCG, and the PCG weighs its stopping norm by mu itself.  mu and
+s*s can differ in the last bit, so a residual within rounding of its target
+can stop one iteration apart from an s*s-weighted test; on 100 sampled
+oracles solves the iteration counts and phi's bytes were the same under
+both weights.  The PCG holds 4 more, however many functions there are: its
+x, r and p, and one work array that takes A p, alpha p and then z; the
+V-cycle reads its right-hand side through strided sublattice views, and the
+final residual check forms s phi in the finest level's workspace.  Each
+function solved before keeps only its phi.  An f of one site is evaluated on
+the m nodes of its axis and kept as a read-only broadcast of them; only an
+f of no single site (affine) is evaluated on the node coordinates and held
+as a grid array.  The fields' coordinates broadcast ``nodes`` too, and phi
+is divided and centred in place in x.
 Traced peaks per stage of the seed-101 oracles bench cells (functions of
-one site) on a 2-core Xeon, in MiB (grid arrays).  Set-up runs from the
-request's start to the solve_many call, solve is solve_many (f's values,
-the PCG and the field assembly), phi.csv is its write and verify the rest:
+one site) on a 2-core Xeon, in MiB (grid arrays), from
+``scripts/grid_memory.py --seed 101``.  Set-up runs from the request's start
+to the solve_many call, solve is solve_many (f's values, the LU, the PCG and
+the field assembly), phi.csv is its write and verify the rest; levels that
+kept D, 1/D and the null vector read 23.2 (8.4) and 29.9 (10.8) at set-up
+and solve for m = 601, 14.9 (8.4) and 20.9 (11.8) for m = 481:
 
     stage                   m = 601, 1 function   m = 481, 2 functions
-    set-up                  23.2 (8.4)            14.9 (8.4)
-    solve                   29.9 (10.8)           20.9 (11.8)
-    phi.csv                 7.8 (2.8)             7.7 (4.3)
+    set-up                  14.7 (5.3)            9.5 (5.4)
+    solve                   23.1 (8.4)            16.7 (9.5)
+    phi.csv                 7.8 (2.8)             7.6 (4.3)
     verify                  22.1 (8.0)            19.4 (11.0)
     verify + core identity  33.1 (12.0)           26.5 (15.0)
+
+A steady-state request (the script's last untraced round) takes 10.9k
+minor page faults at m = 601 (set-up 1.9k, solve 4.0k, phi.csv 0.5k, verify
+4.4k) and 7.5k at m = 481, against 14.3k (set-up 7.3k, solve 2.2k, phi.csv
+0.5k, verify 4.4k) and 10.5k with the earlier levels.  With D and each
+workspace allocated apart they read 4.4k and 2.7k, but the bench's oracles
+peak RSS then read 97.2-101.4 MB over ten seeds instead of 97.3-97.5.
 
 Verify holds mu, phi, the edge weights and phi's fluxes, and f's energies
 take one axis at a time.  The core identity adds the interior weights,
@@ -87,7 +108,7 @@ TAIL_MASS_LIMIT = 1e-8
 RESIDUAL_RTOL = 1e-10
 CG_MAXITER = 400
 DIRECT_MAX_NODES = 80  # per axis, on the V-cycle's last level (solved by sparse LU)
-PEAK_GRID_ARRAYS = 10  # the solver's ~5 arrays and the PCG's 5 (module docstring)
+PEAK_GRID_ARRAYS = 9  # a one-function solve's traced peak, 8.4 at m = 601, rounded up (module docstring)
 _FFT_WORKERS = 2  # unused by the solver; bench/run.py still records it
 
 @dataclass(frozen=True)
@@ -294,7 +315,7 @@ def _hamiltonian_grid(model: GibbsModel, nodes: np.ndarray) -> np.ndarray:
     H = sum(psi[:, i].reshape(g.shape) for i, g in enumerate(grids))
     J = model.coupling_matrix()
     for a, b in itertools.combinations(range(model.n_sites), 2):
-        H = H - J[a, b] * grids[a] * grids[b]
+        H -= J[a, b] * grids[a] * grids[b]
     return H
 
 
@@ -304,63 +325,61 @@ def _axis_slice(ndim: int, axis: int, sl: slice) -> tuple:
     return tuple(out)
 
 
-def _neighbour_sum(x: np.ndarray) -> np.ndarray:
-    """Sum of each node's grid neighbours."""
-    out = np.zeros_like(x)
-    for axis in range(x.ndim):
-        lo = _axis_slice(x.ndim, axis, slice(0, -1))
-        hi = _axis_slice(x.ndim, axis, slice(1, None))
-        out[hi] += x[lo]
-        out[lo] += x[hi]
-    return out
+def _take(buf: np.ndarray, shape: tuple) -> np.ndarray:
+    """The first prod(shape) doubles of a flat workspace, as a contiguous array of that shape."""
+    return buf[: math.prod(shape)].reshape(shape)
 
 
-def _midpoints(c: np.ndarray, par: tuple, fine_shape: tuple) -> np.ndarray:
+def _midpoints(c: np.ndarray, par: tuple, fine_shape: tuple, bufs: tuple) -> np.ndarray:
     """Linear interpolation of coarse-grid values onto one fine sublattice.
 
     The coarse nodes are the fine nodes of even index on every axis, at
     twice the spacing; an odd index along an axis is a midpoint there, except
     that on an axis of even size the last fine node lies one step past the
     last coarse node and takes its value.  `par` gives the parity of each
-    grid axis.
+    grid axis.  Each step along an odd axis writes into the two flat
+    workspaces `bufs` in turn; c is returned as it is when `par` has none.
     """
-    for axis, p in enumerate(par):
-        if p:
-            n_mid = c.shape[axis] - 1
-            shape = list(c.shape)
-            shape[axis] = fine_shape[axis] // 2  # n_mid, or n_mid + 1 on an even axis
-            mid = np.empty(shape)
-            lo = c[_axis_slice(c.ndim, axis, slice(0, -1))]
-            hi = c[_axis_slice(c.ndim, axis, slice(1, None))]
-            head = mid[_axis_slice(c.ndim, axis, slice(0, n_mid))]
-            np.add(lo, hi, out=head)
-            head *= 0.5
-            tail = _axis_slice(c.ndim, axis, slice(n_mid, None))
-            mid[tail] = c[tail]  # empty unless the axis is even
-            c = mid
+    for step, axis in enumerate(a for a, p in enumerate(par) if p):
+        n_mid = c.shape[axis] - 1
+        shape = list(c.shape)
+        shape[axis] = fine_shape[axis] // 2  # n_mid, or n_mid + 1 on an even axis
+        mid = _take(bufs[step % 2], shape)
+        lo = c[_axis_slice(c.ndim, axis, slice(0, -1))]
+        hi = c[_axis_slice(c.ndim, axis, slice(1, None))]
+        head = mid[_axis_slice(c.ndim, axis, slice(0, n_mid))]
+        np.add(lo, hi, out=head)
+        head *= 0.5
+        tail = _axis_slice(c.ndim, axis, slice(n_mid, None))
+        mid[tail] = c[tail]  # empty unless the axis is even
+        c = mid
     return c
 
 
-def _spread(r: np.ndarray, par: tuple, coarse_shape: tuple) -> np.ndarray:
+def _spread(r: np.ndarray, par: tuple, coarse_shape: tuple, bufs: tuple, out: np.ndarray | None = None) -> np.ndarray:
     """Transpose of _midpoints: fine sublattice values onto the coarse grid.
 
-    r is overwritten, and returned as it is when `par` has no odd axis.
+    r lives in bufs[1] and is overwritten.  Each step along an odd axis
+    writes into the flat workspaces bufs[0] and bufs[1] in turn (r is spent
+    after the first), the last into `out` if given.
     """
-    for axis, p in enumerate(par):
-        if p:
-            shape = list(r.shape)
-            shape[axis] = coarse_shape[axis]
-            out = np.zeros(shape)
-            n_mid = shape[axis] - 1
-            half = r[_axis_slice(r.ndim, axis, slice(0, n_mid))]
-            half *= 0.5
-            out[_axis_slice(out.ndim, axis, slice(0, -1))] += half
-            out[_axis_slice(out.ndim, axis, slice(1, None))] += half
-            if r.shape[axis] > n_mid:
-                out[_axis_slice(out.ndim, axis, slice(-1, None))] += r[
-                    _axis_slice(r.ndim, axis, slice(n_mid, None))
-                ]
-            r = out
+    odd = [axis for axis, p in enumerate(par) if p]
+    if not odd and out is not None:
+        out[...] = r
+        return out
+    for step, axis in enumerate(odd):
+        shape = list(r.shape)
+        shape[axis] = coarse_shape[axis]
+        dest = out if out is not None and step == len(odd) - 1 else _take(bufs[step % 2], shape)
+        dest.fill(0.0)
+        n_mid = shape[axis] - 1
+        half = r[_axis_slice(r.ndim, axis, slice(0, n_mid))]
+        half *= 0.5
+        dest[_axis_slice(dest.ndim, axis, slice(0, -1))] += half
+        dest[_axis_slice(dest.ndim, axis, slice(1, None))] += half
+        if r.shape[axis] > n_mid:
+            dest[_axis_slice(dest.ndim, axis, slice(-1, None))] += r[_axis_slice(r.ndim, axis, slice(n_mid, None))]
+        r = dest
     return r
 
 
@@ -386,42 +405,82 @@ class _Level:
     parity per axis), each a contiguous array: a node's neighbours all lie on
     sublattices of the other colour, so a red-black sweep is a few shifted
     adds of whole arrays.
+
+    A level keeps only D, one contiguous block per sublattice.  1/D and the
+    null vector s / |s| are formed on use, from D and from `mu`, the level's
+    strided sample of the finest mu; |s| is taken once, here.  Its
+    workspaces, allocated once and reused by every cycle:
+
+    * `flat`, a level array: the iterate's sublattice blocks, then the null
+      vector after they are merged; the finer level's transfers use it too;
+    * `scratch`, one sublattice (none on the last level): 1/D, the residual
+      and the transfer steps;
+    * `rhs`, a level array on the coarse levels: the right-hand side, which
+      the cycle overwrites with its result.
     """
 
-    def __init__(self, s: np.ndarray):
+    def __init__(self, mu: np.ndarray, s: np.ndarray, coarse: bool, last: bool):
         self.shape = s.shape
-        self.D = _neighbour_sum(s) / s
-        self.null = (s / np.linalg.norm(s)).ravel()
+        self.mu = mu
         self.parities = list(itertools.product((0, 1), repeat=s.ndim))
         self.red = [p for p in self.parities if sum(p) % 2 == 0]
         self.black = [p for p in self.parities if sum(p) % 2 == 1]
-        self.inv_D = {p: 1.0 / self.D[_sublattice(p)] for p in self.parities}
+        ss = self.views(s)
+        # D's blocks and the workspaces share one allocation, so a dropped
+        # solver leaves one hole per level that later grid arrays can reuse
+        blocks = [v.size for v in ss.values()]
+        sizes = blocks + [s.size, 0 if last else blocks[0], s.size if coarse else 0]
+        *D, self.flat, scratch, rhs = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+        self.D = {}
+        for (par, v), d in zip(ss.items(), D):  # (neighbour sum of s) / s, each axis's lower neighbour added first
+            self.D[par] = d.reshape(v.shape)
+            self.D[par].fill(0.0)
+            self._add_neighbours(self.D[par], ss, par)
+            self.D[par] /= v
+        self.norm = np.linalg.norm(s)
+        x = np.split(self.flat, np.cumsum(blocks)[:-1])
+        self.x = {par: b.reshape(v.shape) for (par, v), b in zip(ss.items(), x)}
+        self.scratch = None if last else scratch
+        self.rhs = rhs.reshape(self.shape) if coarse else None
 
     def stencil(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """h^2 K_hat x for a grid function x, into out."""
-        y = np.multiply(self.D, x, out=out)
+        for par, d in self.D.items():
+            sub = _sublattice(par)
+            np.multiply(d, x[sub], out=out[sub])
         for axis in range(x.ndim):
             lo = _axis_slice(x.ndim, axis, slice(0, -1))
             hi = _axis_slice(x.ndim, axis, slice(1, None))
-            y[hi] -= x[lo]
-            y[lo] -= x[hi]
-        return y
+            out[hi] -= x[lo]
+            out[lo] -= x[hi]
+        return out
+
+    def null(self) -> np.ndarray:
+        """The null vector sqrt(mu) / |sqrt(mu)|, flat, formed in `flat`."""
+        null = self.flat
+        np.sqrt(self.mu, out=null.reshape(self.shape))
+        null /= self.norm
+        return null
 
     def project(self, x: np.ndarray) -> None:
-        """Remove the null direction sqrt(mu) from a contiguous x, in place."""
+        """Remove the null direction from a contiguous x, in place; `flat` must be free."""
         flat = x.reshape(-1)
-        flat -= (flat @ self.null) * self.null
+        null = self.null()
+        null *= flat @ null
+        flat -= null
 
     def views(self, x: np.ndarray) -> dict:
         """The sublattices of a grid function x as strided views."""
         return {p: x[_sublattice(p)] for p in self.parities}
 
-    def merge(self, xs: dict, out: np.ndarray | None = None) -> np.ndarray:
-        if out is None:
-            out = np.empty(self.shape)
+    def merge(self, xs: dict, out: np.ndarray) -> np.ndarray:
         for p, v in xs.items():
             out[_sublattice(p)] = v
         return out
+
+    def inverse_diagonal(self, par: tuple) -> np.ndarray:
+        """1 / D on sublattice `par`, formed in `scratch`."""
+        return np.divide(1.0, self.D[par], out=_take(self.scratch, self.D[par].shape))
 
     def _add_neighbours(self, acc: np.ndarray, xs: dict, par: tuple) -> None:
         """acc += the neighbour sum on sublattice `par`."""
@@ -430,19 +489,19 @@ class _Level:
             for offset in (-1, 0) if p == 0 else (0, 1):
                 _shift_add(acc, src, axis, offset)
 
-    def relax(self, xs: dict, gs: dict, colour: list) -> None:
-        """Gauss-Seidel on the nodes of one colour of diag(D) x - adj x = g."""
+    def relax(self, gs: dict, colour: list) -> None:
+        """Gauss-Seidel on the nodes of one colour of diag(D) x - adj x = g, in the iterate."""
         for par in colour:
-            acc = gs[par].copy()
-            self._add_neighbours(acc, xs, par)
-            acc *= self.inv_D[par]
-            xs[par] = acc
+            x = self.x[par]
+            np.copyto(x, gs[par])
+            self._add_neighbours(x, self.x, par)  # the other colour's blocks only
+            x *= self.inverse_diagonal(par)
 
-    def residual(self, xs: dict, gs: dict, par: tuple) -> np.ndarray:
-        """g - (diag(D) - adj) x on sublattice `par` (only red ones are formed)."""
-        acc = self.D[_sublattice(par)] * xs[par]
+    def residual(self, gs: dict, par: tuple) -> np.ndarray:
+        """g - (diag(D) - adj) x on sublattice `par`, in `scratch` (only red ones are formed)."""
+        acc = np.multiply(self.D[par], self.x[par], out=_take(self.scratch, self.D[par].shape))
         np.subtract(gs[par], acc, out=acc)
-        self._add_neighbours(acc, xs, par)
+        self._add_neighbours(acc, self.x, par)
         return acc
 
     def direct_solver(self):
@@ -451,20 +510,21 @@ class _Level:
         path = scipy.sparse.diags([np.ones(m - 1), np.ones(m - 1)], [-1, 1])
         eye = scipy.sparse.identity(m)
         adj = path if len(self.shape) == 1 else scipy.sparse.kron(path, eye) + scipy.sparse.kron(eye, path)
-        pin = int(np.argmax(self.null))
-        keep = np.ones(self.null.size)
+        pin = int(np.argmax(self.null()))
+        keep = np.ones(self.flat.size)
         keep[pin] = 0.0
         mask = scipy.sparse.diags(keep)
-        A = mask @ (scipy.sparse.diags(self.D.ravel()) - adj) @ mask
+        A = mask @ (scipy.sparse.diags(self.merge(self.D, np.empty(self.shape)).ravel()) - adj) @ mask
         A = A + scipy.sparse.diags(1.0 - keep)
         lu = scipy.sparse.linalg.splu(A.tocsc())
 
-        def solve(g: np.ndarray) -> np.ndarray:
+        def solve(g: np.ndarray, out: np.ndarray) -> np.ndarray:
             rhs = g.flatten()
             rhs[pin] = 0.0
             x = lu.solve(rhs).reshape(g.shape)
             self.project(x)
-            return x
+            out[...] = x
+            return out
 
         return solve
 
@@ -514,7 +574,8 @@ class PotentialSolver:
 
     Raises GridError for more than 2 sites or a box too small for the measure
     (tail mass above TAIL_MASS_LIMIT); solve_many raises if CG cannot push the
-    relative residual below RESIDUAL_RTOL.
+    relative residual below RESIDUAL_RTOL.  Every V-cycle of a solver reuses
+    its levels' workspaces, so a solver runs one solve at a time.
     """
 
     def __init__(self, model: GibbsModel, grid: GridSpec):
@@ -527,21 +588,36 @@ class PotentialSolver:
         self.dim = model.n_sites
         self.m = m
 
-        H = _hamiltonian_grid(model, self.nodes)
-        w = np.exp(-(H - H.min()))
-        w = np.maximum(w, 1e-300)
-        self.mu = w / (w.sum() * self.h**self.dim)
+        mu = _hamiltonian_grid(model, self.nodes)  # H, then w = exp(-(H - min H)), then mu, in place
+        mu -= mu.min()
+        np.negative(mu, out=mu)
+        np.exp(mu, out=mu)
+        np.maximum(mu, 1e-300, out=mu)
+        mu /= mu.sum() * self.h**self.dim
+        self.mu = mu
 
-        s = np.sqrt(self.mu)
+        s = np.sqrt(mu)
         # K_hat = diag(1/s) K diag(1/s) = (path Laplacian + potential)/h^2
         # exactly; each coarser level of the V-cycle samples s at every other
         # node, down to at most DIRECT_MAX_NODES per axis, solved directly.
-        self.levels = [_Level(s)]
-        while s.shape[0] > DIRECT_MAX_NODES:
-            s = s[tuple(slice(None, None, 2) for _ in range(self.dim))]
-            self.levels.append(_Level(s))
-        self._direct = self.levels[-1].direct_solver()
+        strides = [1]
+        while -(-m // strides[-1]) > DIRECT_MAX_NODES:
+            strides.append(2 * strides[-1])
+        samples = [(slice(None, None, k),) * self.dim for k in strides]
+        self.levels = [
+            _Level(mu[sample], s[sample], coarse=k > 1, last=k == strides[-1]) for k, sample in zip(strides, samples)
+        ]
         self.edge_weights = []  # shared by the fields, filled by their first quadrature
+
+    @cached_property
+    def _direct(self):
+        """The last level's sparse LU, factored by the first V-cycle.
+
+        SuperLU's factor and its freed working memory then lie above the
+        first phi in the heap, so they can be returned to the system with the
+        solver instead of staying resident under a phi that outlives it.
+        """
+        return self.levels[-1].direct_solver()
 
     @property
     def s(self) -> np.ndarray:
@@ -555,44 +631,42 @@ class PotentialSolver:
         out *= 1.0 / self.h**2
         return out
 
-    def _vcycle(self, g: np.ndarray, depth: int = 0, out: np.ndarray | None = None) -> np.ndarray:
-        """One symmetric V(1,1) cycle for h^2 K_hat x = g from x = 0, into out if given."""
+    def _vcycle(self, depth: int, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """One symmetric V(1,1) cycle for h^2 K_hat x = g from x = 0, into out.
+
+        Below the finest level g and out are the level's `rhs`.  The level's
+        transfers write into its `scratch` and the next level's `flat`, which
+        is free before and after the coarse cycle.
+        """
         if depth == len(self.levels) - 1:
-            x = self._direct(g)
-            if out is None:
-                return x
-            out[...] = x
-            return out
-        level = self.levels[depth]
+            return self._direct(g, out)
+        level, coarse = self.levels[depth], self.levels[depth + 1]
+        bufs = (coarse.flat, level.scratch)
         gs = level.views(g)
-        xs = {par: gs[par] * level.inv_D[par] for par in level.red}  # neighbours still 0
-        level.relax(xs, gs, level.black)
+        for par in level.red:  # neighbours still 0
+            np.multiply(gs[par], level.inverse_diagonal(par), out=level.x[par])
+        level.relax(gs, level.black)
         # the black sweep leaves a zero residual on black nodes; the coarse
-        # right-hand side is (2h)^2 R r with R = 2^-dim P^T
-        coarse_shape = self.levels[depth + 1].shape
-        # the odd parities first, while there is no sum to hold beside their
-        # transfer temporaries (two terms in 2D, whose sum has no order)
+        # right-hand side is (2h)^2 R r with R = 2^-dim P^T, summed over the
+        # odd parities first (two terms in 2D, whose sum has no order)
         first, *rest = reversed(level.red)
-        coarse = _spread(level.residual(xs, gs, first), first, coarse_shape)
+        _spread(level.residual(gs, first), first, coarse.shape, bufs, out=coarse.rhs)
         for par in rest:
-            coarse += _spread(level.residual(xs, gs, par), par, coarse_shape)
-        coarse *= 2.0 ** (2 - self.dim)
-        self.levels[depth + 1].project(coarse)
-        correction = self._vcycle(coarse, depth + 1)
-        del coarse
+            coarse.rhs += _spread(level.residual(gs, par), par, coarse.shape, bufs)
+        coarse.rhs *= 2.0 ** (2 - self.dim)
+        coarse.project(coarse.rhs)
+        correction = self._vcycle(depth + 1, coarse.rhs, coarse.rhs)
         for par in level.parities:
-            xs[par] += _midpoints(correction, par, level.shape)
-        level.relax(xs, gs, level.black)
-        level.relax(xs, gs, level.red)
-        x = level.merge(xs, out)
-        del xs  # before project's temporary
-        level.project(x)
-        return x
+            level.x[par] += _midpoints(correction, par, level.shape, bufs)
+        level.relax(gs, level.black)
+        level.relax(gs, level.red)
+        level.project(level.merge(level.x, out))
+        return out
 
     def _precond(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One V-cycle on a flat v, into out if given."""
         out = np.empty_like(v) if out is None else out
-        self._vcycle(v.reshape(self.mu.shape), out=out.reshape(self.mu.shape))
+        self._vcycle(0, v.reshape(self.mu.shape), out.reshape(self.mu.shape))
         out *= self.h**2  # the cycle is linear: solve (h^2 K_hat) x = v, then scale
         return out
 
@@ -613,7 +687,8 @@ class PotentialSolver:
         rhs_norm = float(np.linalg.norm(rhs))
         if rhs_norm == 0.0:
             return 0.0
-        k_phi = self._apply_khat(s * phi)
+        # s phi goes into the finest level's `flat`, which is free between V-cycles
+        k_phi = self._apply_khat(np.multiply(s, phi, out=self.levels[0].flat))
         k_phi *= s
         k_phi -= rhs
         return float(np.linalg.norm(k_phi) / rhs_norm)
@@ -645,7 +720,8 @@ class PotentialSolver:
             # stop on the untransformed residual: ||K phi - rhs|| = ||s * (K_hat psi - rhs_hat)||
             # by add.reduce, not norm(), whose dot product can round apart and move an iteration count
             scaled = s * b
-            target = 0.5 * RESIDUAL_RTOL * np.sqrt(np.add.reduce(scaled * scaled))
+            scaled *= scaled
+            target = 0.5 * RESIDUAL_RTOL * np.sqrt(np.add.reduce(scaled))
             del s, scaled
             phi, n_iter = _pcg(self._apply_khat, self._precond, b, target, CG_MAXITER, self.mu.ravel())
             del b  # now the PCG's residual

@@ -345,6 +345,24 @@ def test_dense_model_past_physical_memory_exits_2_naming_the_geometry(tmp_path, 
         assert err == ""
 
 
+@pytest.mark.parametrize("m, status", [(61, 0), (62, 2)])
+def test_grid_past_physical_memory_exits_2_naming_the_grid(tmp_path, capsys, monkeypatch, m, status):
+    # memory for the solver's PEAK_GRID_ARRAYS arrays at m = 61 exactly: one node per axis more is refused
+    from gibbscert.oracles import potential
+
+    monkeypatch.setattr(potential, "physical_memory", lambda: 8 * potential.PEAK_GRID_ARRAYS * 61 * 61)
+    raw = {"model": base_model_block(2), "experiment": {"kind": "pde_check"}, "grid": {"L": 6.0, "h": 12.0 / (m - 1)}}
+    config = write_config(tmp_path, raw)
+    assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == status
+    err = capsys.readouterr().err
+    if status == 2:
+        assert err.startswith(f"config error: grid.h: {potential.PEAK_GRID_ARRAYS} grid arrays of 62^2 doubles "), err
+        assert not (tmp_path / "out").exists()
+    else:
+        assert err == ""
+        assert (tmp_path / "out" / "phi.csv").exists()
+
+
 def test_duplicate_key_exits_2(tmp_path, capsys):
     # json.loads kept the last value, so this certified epsilon = 0.01
     text = json.dumps({"model": base_model_block(8, 0.5), "experiment": {"kind": "bound_report"}})

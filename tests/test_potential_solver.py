@@ -377,12 +377,13 @@ def test_vcycle_preconditioner_is_symmetric_positive(model, m):
     assert np.all(np.einsum("ij,ij->i", U, BU) > 0.0)
 
 
-@pytest.mark.parametrize("n_functions, budget", [(3, 13.5), (1, 11.5)])
+@pytest.mark.parametrize("n_functions, budget", [(3, 11.2), (1, 9.1)])
 def test_solve_peak_memory_stays_in_budget(n_functions, budget):
     # traced peak from set-up through the solve at m = 241, in m^2 doubles:
-    # 13.2 and 11.1 here, each further function adding its phi; a solve that
-    # holds each one-site f on every node reads 12.1 for one function, and
-    # three functions solved in lockstep read 22.6
+    # 10.88 and 8.76 here, each further function adding its phi; levels that
+    # kept D, 1/D and the null vector read 13.2 and 11.1, a solve that holds
+    # each one-site f on every node 12.1 for one function, and three
+    # functions solved in lockstep 22.6
     m = 241
     tracemalloc.start()
     try:
@@ -393,6 +394,32 @@ def test_solve_peak_memory_stays_in_budget(n_functions, budget):
         tracemalloc.stop()
     assert solver.m == m
     assert peak / (8 * m * m) <= budget
+
+
+@pytest.mark.parametrize("m", [241, 240])
+def test_reused_workspaces_carry_no_state_between_calls(m):
+    # the levels' workspaces outlive each V-cycle: a warm solver must give
+    # every vector the bits a fresh solver gives it, in any call order, and
+    # allocate almost nothing of its own per call
+    grid = GridSpec(6.0, 12.0 / (m - 1))
+    solver = PotentialSolver(two_site_model(0.2, a=0.1), grid)
+    assert solver.m == m and len(solver.levels) == 3
+    U = np.random.default_rng(11).normal(size=(2, solver.s.size))
+    for u in U:
+        solver.levels[0].project(u)
+    solo = [PotentialSolver(two_site_model(0.2, a=0.1), grid)._precond(u.copy()).tobytes() for u in U]
+    assert solo[0] != solo[1]
+    assert [solver._precond(U[0].copy()).tobytes() for _ in range(2)] == [solo[0]] * 2
+    assert [solver._precond(U[k].copy()).tobytes() for k in (1, 0, 1, 0)] == [solo[1], solo[0]] * 2
+    v, out = U[1].copy(), np.empty_like(U[1])
+    tracemalloc.start()
+    try:
+        solver._precond(v, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.tobytes() == solo[1]
+    assert peak < 0.5 * 8 * m * m
 
 
 @pytest.mark.parametrize(
@@ -467,9 +494,10 @@ def test_one_site_f_values_are_a_read_only_broadcast_of_m_floats():
 
 def test_pde_request_stages_stay_in_budget(tmp_path, monkeypatch):
     # traced peak of each stage of one pde_check request at m = 241 with one
-    # function, in m^2 doubles.  The PCG holds the solver's ~5, X, R, P, W
-    # and the V-cycle's iterate, 11.1 here; holding the one-site f on every
-    # node reads 12.1.  With core_identity the verify stage reads 12.24;
+    # function, in m^2 doubles.  The solve holds mu, the levels' diagonals and
+    # workspaces, and the PCG's X, R, P, W, 8.85 here; levels that kept D,
+    # 1/D and the null vector read 11.14, and holding the one-site f on every
+    # node 12.1.  With core_identity the verify stage reads 12.26;
     # differences rolled over the whole grid read 17.06 there
     from gibbscert import cli
 
@@ -496,7 +524,7 @@ def test_pde_request_stages_stay_in_budget(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "PotentialSolver", StagedSolver)
     monkeypatch.setattr(cli, "potential_to_csv", staged_write)
     m = 241
-    for core_identity, budget in ((False, 11.5), (True, 12.5)):
+    for core_identity, budget in ((False, 9.2), (True, 12.5)):
         cfg = cli.parse_config(
             {
                 "model": {

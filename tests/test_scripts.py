@@ -211,3 +211,19 @@ def test_bench_pairs_records_cpu_seconds(tmp_path, monkeypatch):
     run = pairs.run_bench(tmp_path, "torus-nn", 1)
     assert run["metrics"] == {"throughput_rps": 1.0} and run["cycles"] == 1
     assert 0.1 < run["cpu_s"] < 60
+
+
+def test_grid_memory_prints_each_stage_of_the_pde_cells_on_a_coarse_grid(capsys):
+    assert load_script("grid_memory").main(["--seed", "101", "--h", "0.2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the oracles stream holds two pde_check cells, each a header, a column line and five rows
+    assert len(lines) == 14
+    for cell in (lines[:7], lines[7:]):
+        assert cell[0].startswith("m = 61, ") and cell[0].endswith("grid array 0.03 MiB")
+        assert cell[1].split() == ["stage", "MiB", "arrays", "minflt"]
+        rows = [row.split() for row in cell[2:]]
+        assert [row[0] for row in rows] == ["set-up", "solve", "phi.csv", "verify", "request"]
+        arrays = [float(row[2]) for row in rows]
+        assert all(a > 0 for a in arrays) and arrays[-1] == max(arrays[:-1])
+        faults = [int(row[3]) for row in rows]
+        assert min(faults) >= 0 and faults[-1] == sum(faults[:-1])
