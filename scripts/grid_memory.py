@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Traced peak memory and minor page faults of each stage of a pde_check request.
+"""Traced peak memory, wall time and minor page faults of each stage of a pde_check request.
 
     python3 scripts/grid_memory.py --seed 101            # the oracles PDE cells of cycle 0
     python3 scripts/grid_memory.py --seed 101 --h 0.1    # the same cells at spacing 0.1
@@ -10,10 +10,13 @@ given, and runs each through parse_config and run_experiment in this process.
 A request has four stages: set-up, from its start to the solve_many call;
 solve, solve_many (f's values, the PCG and the field assembly); phi.csv, its
 write; and verify, the rest of the request.  The cells run in turn RUNS
-times untraced, and the last round's minor page faults (ru_minflt) per stage
-are printed as the steady state; then once more in turn under tracemalloc,
-whose peak per stage is printed in MiB and in grid arrays of m^dim doubles.
-Without --seed nothing runs.
+times untraced, and the last round's wall time and minor page faults
+(ru_minflt) per stage are printed as the steady state; then once more in
+turn under tracemalloc, whose peak per stage is printed in MiB and in grid
+arrays of m^dim doubles.  tracemalloc does not see SuperLU's factor of the
+V-cycle's last level, so each cell's header also gives that factor's
+nonzeros in L + U and their bytes, FACTOR_BYTES per nonzero, from a solver
+built for the cell after the rounds.  Without --seed nothing runs.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import importlib.util
 import resource
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -30,7 +34,8 @@ from gibbscert import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 STAGES = ("set-up", "solve", "phi.csv", "verify")
-RUNS = 3  # untraced rounds over the cells; the last one's page faults are printed
+RUNS = 3  # untraced rounds over the cells; the last one's page faults and times are printed
+FACTOR_BYTES = 12  # per nonzero of SuperLU's L + U: a double and a 32-bit row index
 
 
 def pde_cells(seed: int, h: float | None) -> list[dict]:
@@ -44,19 +49,20 @@ def pde_cells(seed: int, h: float | None) -> list[dict]:
 
 
 def staged_request(raw: dict, out: Path) -> dict:
-    """Run one request; per stage, its minor page faults and, when tracing, its traced peak in bytes."""
-    faults, peaks, stages = {}, {}, []
+    """Run one request; per stage, its minor page faults, its wall time in s and, when tracing, its traced peak in bytes."""
+    faults, seconds, peaks, stages = {}, {}, {}, []
 
     def enter(stage):
-        now = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        now, clock = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
         if stages:
             faults[stages[-1]] = now - faults[stages[-1]]
+            seconds[stages[-1]] = clock - seconds[stages[-1]]
             if tracemalloc.is_tracing():
                 peaks[stages[-1]] = tracemalloc.get_traced_memory()[1]
         if tracemalloc.is_tracing():
             tracemalloc.reset_peak()
         if stage is not None:
-            faults[stage] = now
+            faults[stage], seconds[stage] = now, clock
             stages.append(stage)
 
     class StagedSolver(cli.PotentialSolver):
@@ -79,7 +85,7 @@ def staged_request(raw: dict, out: Path) -> dict:
         cli.PotentialSolver, cli.potential_to_csv = solver, write_phi
     if tuple(stages) != STAGES:
         raise RuntimeError(f"request ran the stages {stages}, not {list(STAGES)}")
-    return {"faults": faults, "peaks": peaks}
+    return {"faults": faults, "seconds": seconds, "peaks": peaks}
 
 
 def main(argv=None) -> int:
@@ -94,25 +100,34 @@ def main(argv=None) -> int:
     cells = pde_cells(args.seed, args.h)
     with tempfile.TemporaryDirectory(prefix="grid-memory-") as tmp:
         for run in range(RUNS):  # the cells in turn, as the stream interleaves them
-            faults = [staged_request(raw, Path(tmp) / f"run{run}-cell{k}")["faults"] for k, raw in enumerate(cells)]
+            steady = [staged_request(raw, Path(tmp) / f"run{run}-cell{k}") for k, raw in enumerate(cells)]
         tracemalloc.start()
         try:
             peaks = [staged_request(raw, Path(tmp) / f"traced-cell{k}")["peaks"] for k, raw in enumerate(cells)]
         finally:
             tracemalloc.stop()
-    for raw, cell_faults, cell_peaks in zip(cells, faults, peaks):
+    for raw, cell, cell_peaks in zip(cells, steady, peaks):
         cfg = cli.parse_config(raw)
         m = cfg.grid.nodes_per_axis
         array = 8 * m**cfg.model.n_sites
+        lu = cli.PotentialSolver(cfg.model, cfg.grid)._direct.lu
+        nnz = lu.L.nnz + lu.U.nnz
         functions = raw["experiment"]["functions"]
         kinds = ", ".join(f["kind"] for f in functions)
-        print(f"m = {m}, {len(functions)} function(s) ({kinds}), grid array {array / 2**20:.2f} MiB")
-        print(f"{'stage':<8} {'MiB':>7} {'arrays':>7} {'minflt':>8}")
+        print(
+            f"m = {m}, {len(functions)} function(s) ({kinds}), grid array {array / 2**20:.2f} MiB, "
+            f"coarse factor {nnz} nonzeros, {FACTOR_BYTES * nnz / 2**20:.2f} MiB"
+        )
+        print(f"{'stage':<8} {'MiB':>7} {'arrays':>7} {'ms':>8} {'minflt':>8}")
         for stage in STAGES:
             peak = cell_peaks[stage]
-            print(f"{stage:<8} {peak / 2**20:>7.1f} {peak / array:>7.1f} {cell_faults[stage]:>8}")
+            print(
+                f"{stage:<8} {peak / 2**20:>7.1f} {peak / array:>7.1f} "
+                f"{1e3 * cell['seconds'][stage]:>8.1f} {cell['faults'][stage]:>8}"
+            )
         peak = max(cell_peaks.values())
-        print(f"{'request':<8} {peak / 2**20:>7.1f} {peak / array:>7.1f} {sum(cell_faults.values()):>8}")
+        total = 1e3 * sum(cell["seconds"].values())
+        print(f"{'request':<8} {peak / 2**20:>7.1f} {peak / array:>7.1f} {total:>8.1f} {sum(cell['faults'].values()):>8}")
     return 0
 
 

@@ -226,7 +226,8 @@ def _check_fit(raw: dict, model: GibbsModel, grid: GridSpec | None) -> None:
             raise ConfigError(f"{block}: experiment kind {kind!r} needs the {block!r} block")
     if kind == "pde_check":
         try:
-            check_grid(model, grid.box_halfwidth, grid.nodes_per_axis, exp.get("core_identity", False))
+            n_functions = len(exp.get("functions", [None]))  # one coordinate by default
+            check_grid(model, grid.box_halfwidth, grid.nodes_per_axis, exp.get("core_identity", False), n_functions)
         except GridError as exc:  # an amplitude is blamed at the largest one
             block = _potential_block(raw, int(np.argmax(np.abs(model.amplitude))))
             raise ConfigError(f"{_GRID_KEYS[exc.cause].format(block)}: {exc}") from exc
@@ -420,7 +421,8 @@ def _run_pde_check(cfg: ExperimentConfig, out_dir: Path):
     potential_to_csv(fields[0], out_dir / "phi.csv")
     checks = []
     all_ok = True
-    for spec, pf in zip(specs, fields):
+    for spec in specs:
+        pf = fields.pop(0)  # the field before, with its fluxes, is dropped here
         direction = verify_directional_pi(pf)
         entry = {
             "function": spec,

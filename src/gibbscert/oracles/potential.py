@@ -22,7 +22,11 @@ McCormick, A Multigrid Tutorial, 2000):
   correction and black then red after it, so the cycle is symmetric;
 * restriction is the transpose of linear interpolation, scaled by 2^-dim,
   and sqrt(mu), the null vector, is projected out at every level;
-* the last level is one sparse LU with its densest node pinned.
+* the last level is one sparse LU with its densest node pinned, its columns
+  ordered by minimum degree on A^T + A (George & Liu, Computer Solution of
+  Large Sparse Positive Definite Systems, 1981): on the 76^2 level of
+  m = 601 L + U hold 191k nonzeros, 2.2 MiB, against 340k under SuperLU's
+  default COLAMD.
 
 The iteration count is then independent of m (at most 11 on the 2D grids
 from m = 100 to 2401 that were tried, cold or warm-started), and prime m
@@ -30,65 +34,75 @@ costs nothing extra.  Several right-hand sides against one measure are
 solved one after another on the shared levels, so each phi has the bytes of
 its function solved alone.
 
+The PCG runs in the finest level's block order: a grid function is one flat
+array of its 2^dim sublattice blocks, one after another.  The right-hand side
+is built block by block, the matvec is the blockwise stencil
+D_b x_b - (neighbour sum), and the finest V-cycle level reads its
+right-hand side from the PCG's blocks and writes its iterate straight into
+the PCG's output blocks; phi is copied back into grid order once, at the end.
+The PCG solves h^2 K_hat y = rhs_hat, so neither the matvec nor the V-cycle
+scales by h^2, and psi = h^2 y.  Its dot products are summed in block
+order, and its stopping norm is sqrt(sum mu r^2), weighted by mu itself.
+
 Memory, in grid arrays of m^dim doubles.  Each level keeps only its
-diagonal D, one contiguous block per sublattice.  1/D is formed on use, and
-so is the null vector sqrt(mu)/|sqrt(mu)|, from the level's strided sample
-of mu; |sqrt(mu)| is taken once, at set-up.  Each level also owns workspaces
-that the solver allocates once and every V-cycle and right-hand side reuses:
-a level array for the iterate's sublattice blocks, which then takes the null
-vector; a sublattice scratch for 1/D, the residual and the transfers; and,
-below the finest level, a level array for the right-hand side, which the
-cycle overwrites with its result.  A level's D and workspaces are views of
-one allocation.  Through the PCG the solver so holds about 4.3: mu, the
-diagonals (4/3) and the workspaces (about 2).  Set-up builds H, then w, then
-mu in one array, and each D in place.  The last level's sparse LU is
-factored by the first V-cycle, so its memory lies above the first phi in the
-heap and leaves with the solver.  s = sqrt(mu) is rebuilt before and
-after the PCG, and the PCG weighs its stopping norm by mu itself.  mu and
-s*s can differ in the last bit, so a residual within rounding of its target
-can stop one iteration apart from an s*s-weighted test; on 100 sampled
-oracles solves the iteration counts and phi's bytes were the same under
-both weights.  The PCG holds 4 more, however many functions there are: its
-x, r and p, and one work array that takes A p, alpha p and then z; the
-V-cycle reads its right-hand side through strided sublattice views, and the
-final residual check forms s phi in the finest level's workspace.  Each
-function solved before keeps only its phi.  An f of one site is evaluated on
-the m nodes of its axis and kept as a read-only broadcast of them; only an
-f of no single site (affine) is evaluated on the node coordinates and held
-as a grid array.  The fields' coordinates broadcast ``nodes`` too, and phi
-is divided and centred in place in x.
+diagonal D, one contiguous block per sublattice.  1/D and s = sqrt(mu) are
+formed on use, one sublattice at a time, from D and from the level's strided
+sample of mu; |s|^2 is taken once, at set-up.  Each level also owns
+workspaces that the solver allocates once and every V-cycle and right-hand
+side reuses: a sublattice scratch for 1/D, s, the residual and the
+transfers; and, below the finest level, a level array for the iterate's
+sublattice blocks and one for the right-hand side, which the cycle
+overwrites with its result.  A level's D and workspaces are views of one
+allocation.  Through the PCG the solver so holds about 3.3: mu, the
+diagonals (4/3) and the workspaces (about 1), and the last level's LU,
+which tracemalloc does not see.  Set-up builds H, then w, then mu in one
+array, and each D in place.  The LU is factored by the first V-cycle, so its
+memory lies above the first phi in the heap and leaves with the solver.  The
+PCG holds 4 more, however many functions there are: its x, r and p, and one
+work array that takes A p, alpha p and then z.  The final residual check
+forms s phi and then the right-hand side in the spent r, and K phi in one
+new array; phi's copy into grid order holds x and phi.  Each function solved
+before keeps only its phi.  An f of one site is evaluated on the m nodes of
+its axis and kept as a read-only broadcast of them; only an f of no single
+site (affine) is evaluated on the node coordinates and held as a grid array.
+The fields' coordinates broadcast ``nodes`` too.
 Traced peaks per stage of the seed-101 oracles bench cells (functions of
 one site) on a 2-core Xeon, in MiB (grid arrays), from
-``scripts/grid_memory.py --seed 101``.  Set-up runs from the request's start
-to the solve_many call, solve is solve_many (f's values, the LU, the PCG and
-the field assembly), phi.csv is its write and verify the rest; levels that
-kept D, 1/D and the null vector read 23.2 (8.4) and 29.9 (10.8) at set-up
-and solve for m = 601, 14.9 (8.4) and 20.9 (11.8) for m = 481:
+``scripts/grid_memory.py --seed 101``, which also prints the LU's bytes as
+12 per nonzero of L + U.  Set-up runs from the request's start to the
+solve_many call, solve is solve_many (f's values, the LU, the PCG and the
+field assembly), phi.csv is its write and verify the rest; a finest level
+that read its right-hand side through strided views and kept a level array
+of its own read 14.7 (5.3) and 23.1 (8.4) at set-up and solve for m = 601,
+9.5 (5.4) and 16.7 (9.5) for m = 481, and its COLAMD LU as in the brackets:
 
     stage                   m = 601, 1 function   m = 481, 2 functions
-    set-up                  14.7 (5.3)            9.5 (5.4)
-    solve                   23.1 (8.4)            16.7 (9.5)
+    set-up                  12.0 (4.3)            7.7 (4.4)
+    solve                   20.3 (7.4)            14.9 (8.4)
     phi.csv                 7.8 (2.8)             7.6 (4.3)
-    verify                  22.1 (8.0)            19.4 (11.0)
-    verify + core identity  33.1 (12.0)           26.5 (15.0)
+    verify                  19.4 (7.0)            14.3 (8.1)
+    verify + core identity  33.3 (12.1)           23.2 (13.1)
+    LU, untraced            2.2 [3.9]             1.3 [2.2]
 
-A steady-state request (the script's last untraced round) takes 10.9k
-minor page faults at m = 601 (set-up 1.9k, solve 4.0k, phi.csv 0.5k, verify
-4.4k) and 7.5k at m = 481, against 14.3k (set-up 7.3k, solve 2.2k, phi.csv
-0.5k, verify 4.4k) and 10.5k with the earlier levels.  With D and each
-workspace allocated apart they read 4.4k and 2.7k, but the bench's oracles
-peak RSS then read 97.2-101.4 MB over ten seeds instead of 97.3-97.5.
+A steady-state request (the script's last untraced round) takes 10.0k
+minor page faults at m = 601 (set-up 2.5k, solve 3.4k, phi.csv 0.5k, verify
+3.7k) and 5.9k at m = 481, against 10.9k (set-up 1.9k, solve 4.0k, phi.csv
+0.5k, verify 4.4k) and 7.5k before.
 
-Verify holds mu, phi, the edge weights and phi's fluxes, and f's energies
-take one axis at a time.  The core identity adds the interior weights,
-phi's centred differences (each interior along its own axis, whole along
-the other), the sum and two temporaries.  It computes no value at a
+Verify holds mu, phi, the edge weights and phi's fluxes.  f's energies are
+taken first, one axis at a time, before phi's fluxes are kept, and the
+direct covariance forms f g mu in one array and drops it before g mu, so no
+check peaks above the PCG.  The CLI drops each field, with its fluxes, when
+its checks are done.  The core identity adds the interior weights, phi's
+centred differences (each interior along its own axis, whole along the
+other), the sum and two temporaries.  It computes no value at a
 wrapped-around node; differences rolled over the whole grid read 17.0 and
 20.0 arrays here.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -108,7 +122,8 @@ TAIL_MASS_LIMIT = 1e-8
 RESIDUAL_RTOL = 1e-10
 CG_MAXITER = 400
 DIRECT_MAX_NODES = 80  # per axis, on the V-cycle's last level (solved by sparse LU)
-PEAK_GRID_ARRAYS = 9  # a one-function solve's traced peak, 8.4 at m = 601, rounded up (module docstring)
+PEAK_GRID_ARRAYS = 8  # a one-function request's traced peak, the solve's 7.4 at m = 601, rounded up (module docstring)
+CORE_IDENTITY_GRID_ARRAYS = 13  # the same with the core identity, whose verify stage reads 12.0 there
 _FFT_WORKERS = 2  # unused by the solver; bench/run.py still records it
 
 @dataclass(frozen=True)
@@ -162,10 +177,12 @@ class PotentialField:
         return float(np.sum(values * self.mu) * self.cell_volume)
 
     def covariance_direct(self, g_values: np.ndarray) -> float:
-        """Direct quadrature of cov(f, g)."""
-        return self.quad_mean(self.f_values * g_values) - self.f_mean * self.quad_mean(
-            g_values
-        )
+        """Direct quadrature of cov(f, g); f g mu is formed in place and dropped before g mu."""
+        fg = self.f_values * g_values
+        fg *= self.mu
+        mean_fg = float(np.sum(fg) * self.cell_volume)
+        del fg
+        return mean_fg - self.f_mean * self.quad_mean(g_values)
 
     def _difference(self, values: np.ndarray, axis: int) -> np.ndarray:
         """d_axis(values) on every edge along the axis, a new array."""
@@ -277,15 +294,22 @@ class GridError(ValueError):
         self.cause = cause
 
 
-def check_grid(model: GibbsModel, box_halfwidth: float, nodes_per_axis: int, core_identity: bool = False) -> None:
+def grid_arrays(n_functions: int = 1, core_identity: bool = False) -> int:
+    """The grid arrays a pde_check request peaks at: each function past the first keeps its phi."""
+    return (CORE_IDENTITY_GRID_ARRAYS if core_identity else PEAK_GRID_ARRAYS) + n_functions - 1
+
+
+def check_grid(
+    model: GibbsModel, box_halfwidth: float, nodes_per_axis: int, core_identity: bool = False, n_functions: int = 1
+) -> None:
     """Raise GridError unless the grid oracle can work on this grid for the model.
 
     The oracle needs at most 2 sites and an estimated tail mass outside the
     box of at most TAIL_MASS_LIMIT; the core identity's second differences
     need at least 5 nodes per axis.  The perturbations are blamed for the tail
     mass when the Gaussian envelopes alone would fit the box.  A grid whose
-    PEAK_GRID_ARRAYS arrays of m^dim doubles exceed the machine's physical
-    memory is refused before any of them is allocated.
+    grid_arrays(n_functions, core_identity) arrays of m^dim doubles exceed the
+    machine's physical memory is refused before any of them is allocated.
     """
     if model.n_sites > 2:
         raise GridError("n_sites", f"grid oracle supports at most 2 sites, got {model.n_sites}")
@@ -301,10 +325,11 @@ def check_grid(model: GibbsModel, box_halfwidth: float, nodes_per_axis: int, cor
             "spacing", f"grid too coarse for second differences: {nodes_per_axis} nodes per axis, 5 needed"
         )
     memory = physical_memory()
-    if 8 * PEAK_GRID_ARRAYS * nodes_per_axis**model.n_sites > memory:  # exact in ints, past the double range too
+    arrays = grid_arrays(n_functions, core_identity)
+    if 8 * arrays * nodes_per_axis**model.n_sites > memory:  # exact in ints, past the double range too
         raise GridError(
             "spacing",
-            f"{PEAK_GRID_ARRAYS} grid arrays of {nodes_per_axis:.3g}^{model.n_sites} doubles exceed "
+            f"{arrays} grid arrays of {nodes_per_axis:.3g}^{model.n_sites} doubles exceed "
             f"the {memory:.3e} bytes of physical memory; increase the spacing",
         )
 
@@ -383,13 +408,18 @@ def _spread(r: np.ndarray, par: tuple, coarse_shape: tuple, bufs: tuple, out: np
     return r
 
 
-def _shift_add(out: np.ndarray, src: np.ndarray, axis: int, offset: int) -> None:
-    """out[..., a, ...] += src[..., a + offset, ...] wherever both exist."""
+def _shift_add(out: np.ndarray, src: np.ndarray, axis: int, offset: int, op=np.add) -> None:
+    """out[..., a, ...] op= src[..., a + offset, ...] wherever both exist (op is np.add or np.subtract)."""
     lo = max(0, -offset)
     hi = min(out.shape[axis], src.shape[axis] - offset)
-    out[_axis_slice(out.ndim, axis, slice(lo, hi))] += src[
-        _axis_slice(src.ndim, axis, slice(lo + offset, hi + offset))
-    ]
+    acc = out[_axis_slice(out.ndim, axis, slice(lo, hi))]
+    op(acc, src[_axis_slice(src.ndim, axis, slice(lo + offset, hi + offset))], out=acc)
+
+
+def _inner(*arrays: np.ndarray) -> float:
+    """The sum over every node of the product of equal-shape arrays, strided or not, by einsum."""
+    axes = list(range(arrays[0].ndim))
+    return float(np.einsum(*itertools.chain.from_iterable((a, axes) for a in arrays), []))
 
 
 def _sublattice(parity: tuple) -> tuple:
@@ -406,147 +436,177 @@ class _Level:
     sublattices of the other colour, so a red-black sweep is a few shifted
     adds of whole arrays.
 
-    A level keeps only D, one contiguous block per sublattice.  1/D and the
-    null vector s / |s| are formed on use, from D and from `mu`, the level's
-    strided sample of the finest mu; |s| is taken once, here.  Its
-    workspaces, allocated once and reused by every cycle:
+    The finest level works in block order: a grid function is one flat array
+    holding its sublattice blocks one after another, so the PCG's vectors,
+    the cycle's right-hand side and its iterate are all contiguous blocks.  A
+    coarse level's right-hand side and result are grid arrays, read through
+    strided sublattice views; its iterate lives in blocks of its own.
 
-    * `flat`, a level array: the iterate's sublattice blocks, then the null
-      vector after they are merged; the finer level's transfers use it too;
-    * `scratch`, one sublattice (none on the last level): 1/D, the residual
-      and the transfer steps;
-    * `rhs`, a level array on the coarse levels: the right-hand side, which
-      the cycle overwrites with its result.
+    A level keeps only D, one contiguous block per sublattice.  1/D and
+    s = sqrt(mu) are formed on use, one sublattice at a time, from D and from
+    `mu`, the level's strided sample of the finest mu; |s|^2 is taken once,
+    here.  Its workspaces, allocated once and reused by every cycle:
+
+    * `scratch`, one sublattice: 1/D, s, the residual and the transfer steps;
+    * on the coarse levels, `flat`, a level array for the iterate's sublattice
+      blocks, which the finer level's transfers use too, and `rhs`, a level
+      array for the right-hand side, which the cycle overwrites with its
+      result.
     """
 
-    def __init__(self, mu: np.ndarray, s: np.ndarray, coarse: bool, last: bool):
+    def __init__(self, mu: np.ndarray, s: np.ndarray, coarse: bool):
         self.shape = s.shape
         self.mu = mu
+        self.coarse = coarse
         self.parities = list(itertools.product((0, 1), repeat=s.ndim))
         self.red = [p for p in self.parities if sum(p) % 2 == 0]
         self.black = [p for p in self.parities if sum(p) % 2 == 1]
         ss = self.views(s)
+        blocks = [v.size for v in ss.values()]
+        self.offsets = np.cumsum(blocks)[:-1]
         # D's blocks and the workspaces share one allocation, so a dropped
         # solver leaves one hole per level that later grid arrays can reuse
-        blocks = [v.size for v in ss.values()]
-        sizes = blocks + [s.size, 0 if last else blocks[0], s.size if coarse else 0]
-        *D, self.flat, scratch, rhs = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+        array = s.size if coarse else 0
+        sizes = blocks + [blocks[0], array, array]
+        *D, self.scratch, self.flat, rhs = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
         self.D = {}
         for (par, v), d in zip(ss.items(), D):  # (neighbour sum of s) / s, each axis's lower neighbour added first
             self.D[par] = d.reshape(v.shape)
             self.D[par].fill(0.0)
             self._add_neighbours(self.D[par], ss, par)
             self.D[par] /= v
-        self.norm = np.linalg.norm(s)
-        x = np.split(self.flat, np.cumsum(blocks)[:-1])
-        self.x = {par: b.reshape(v.shape) for (par, v), b in zip(ss.items(), x)}
-        self.scratch = None if last else scratch
+        self.norm_sq = np.linalg.norm(s) ** 2
+        self.x = self.blocks(self.flat) if coarse else None
         self.rhs = rhs.reshape(self.shape) if coarse else None
 
-    def stencil(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """h^2 K_hat x for a grid function x, into out."""
-        for par, d in self.D.items():
-            sub = _sublattice(par)
-            np.multiply(d, x[sub], out=out[sub])
-        for axis in range(x.ndim):
-            lo = _axis_slice(x.ndim, axis, slice(0, -1))
-            hi = _axis_slice(x.ndim, axis, slice(1, None))
-            out[hi] -= x[lo]
-            out[lo] -= x[hi]
-        return out
-
-    def null(self) -> np.ndarray:
-        """The null vector sqrt(mu) / |sqrt(mu)|, flat, formed in `flat`."""
-        null = self.flat
-        np.sqrt(self.mu, out=null.reshape(self.shape))
-        null /= self.norm
-        return null
-
-    def project(self, x: np.ndarray) -> None:
-        """Remove the null direction from a contiguous x, in place; `flat` must be free."""
-        flat = x.reshape(-1)
-        null = self.null()
-        null *= flat @ null
-        flat -= null
-
     def views(self, x: np.ndarray) -> dict:
-        """The sublattices of a grid function x as strided views."""
+        """The sublattices of a grid array x as strided views."""
         return {p: x[_sublattice(p)] for p in self.parities}
 
+    def blocks(self, flat: np.ndarray) -> dict:
+        """The sublattices of a flat array in block order, as contiguous views."""
+        return {p: b.reshape(d.shape) for (p, d), b in zip(self.D.items(), np.split(flat, self.offsets))}
+
+    def split(self, x: np.ndarray) -> dict:
+        """The sublattices of a grid function in the level's own order: block order on the finest level."""
+        return self.views(x.reshape(self.shape)) if self.coarse else self.blocks(x.reshape(-1))
+
     def merge(self, xs: dict, out: np.ndarray) -> np.ndarray:
+        """Sublattices into a grid array, out."""
         for p, v in xs.items():
             out[_sublattice(p)] = v
         return out
+
+    def order(self) -> np.ndarray:
+        """The C-order grid index of each entry of a flat grid function in the level's own order."""
+        order = np.empty(math.prod(self.shape), dtype=np.intp)
+        grid = np.arange(order.size).reshape(self.shape)
+        for par, o in self.split(order).items():
+            o[...] = grid[_sublattice(par)]
+        return order
+
+    def root(self, par: tuple) -> np.ndarray:
+        """s = sqrt(mu) on sublattice `par`, formed in `scratch`."""
+        mu = self.mu[_sublattice(par)]
+        return np.sqrt(mu, out=_take(self.scratch, mu.shape))
+
+    def project(self, xs: dict) -> None:
+        """Remove the null direction s from a grid function given by its sublattices, in place.
+
+        `scratch` must be free: it takes s one sublattice at a time, twice.
+        """
+        c = sum(_inner(x, self.root(par)) for par, x in xs.items()) / self.norm_sq
+        for par, x in xs.items():
+            null = self.root(par)
+            null *= c
+            x -= null
 
     def inverse_diagonal(self, par: tuple) -> np.ndarray:
         """1 / D on sublattice `par`, formed in `scratch`."""
         return np.divide(1.0, self.D[par], out=_take(self.scratch, self.D[par].shape))
 
-    def _add_neighbours(self, acc: np.ndarray, xs: dict, par: tuple) -> None:
-        """acc += the neighbour sum on sublattice `par`."""
+    def _add_neighbours(self, acc: np.ndarray, xs: dict, par: tuple, op=np.add) -> None:
+        """acc op= the neighbour sum on sublattice `par` (op is np.add or np.subtract)."""
         for axis, p in enumerate(par):
             src = xs[par[:axis] + (1 - p,) + par[axis + 1 :]]
             for offset in (-1, 0) if p == 0 else (0, 1):
-                _shift_add(acc, src, axis, offset)
+                _shift_add(acc, src, axis, offset, op)
 
-    def relax(self, gs: dict, colour: list) -> None:
-        """Gauss-Seidel on the nodes of one colour of diag(D) x - adj x = g, in the iterate."""
+    def stencil(self, xs: dict, outs: dict) -> None:
+        """diag(D) x - adj x, one sublattice at a time, into outs."""
+        for par, out in outs.items():
+            np.multiply(self.D[par], xs[par], out=out)
+            self._add_neighbours(out, xs, par, np.subtract)
+
+    def relax(self, gs: dict, xs: dict, colour: list) -> None:
+        """Gauss-Seidel on the nodes of one colour of diag(D) x - adj x = g, in the iterate xs."""
         for par in colour:
-            x = self.x[par]
+            x = xs[par]
             np.copyto(x, gs[par])
-            self._add_neighbours(x, self.x, par)  # the other colour's blocks only
+            self._add_neighbours(x, xs, par)  # the other colour's blocks only
             x *= self.inverse_diagonal(par)
 
-    def residual(self, gs: dict, par: tuple) -> np.ndarray:
+    def residual(self, gs: dict, xs: dict, par: tuple) -> np.ndarray:
         """g - (diag(D) - adj) x on sublattice `par`, in `scratch` (only red ones are formed)."""
-        acc = np.multiply(self.D[par], self.x[par], out=_take(self.scratch, self.D[par].shape))
+        acc = np.multiply(self.D[par], xs[par], out=_take(self.scratch, self.D[par].shape))
         np.subtract(gs[par], acc, out=acc)
-        self._add_neighbours(acc, self.x, par)
+        self._add_neighbours(acc, xs, par)
         return acc
 
+    def operator(self) -> scipy.sparse.csr_matrix:
+        """diag(D) - adj, assembled in the level's own order.
+
+        The adjacency is a sum over the axes of Kronecker products, a path
+        along the axis and identities along the others, built one axis at a
+        time by Kronecker sums.
+        """
+        paths = [scipy.sparse.diags([np.ones(n - 1), np.ones(n - 1)], [-1, 1], format="csr") for n in self.shape]
+        adj = functools.reduce(lambda adj, path: scipy.sparse.kronsum(path, adj, format="csr"), paths)
+        order = self.order()
+        return (scipy.sparse.diags(self.merge(self.D, np.empty(self.shape)).ravel()) - adj).tocsr()[order][:, order]
+
     def direct_solver(self):
-        """Sparse LU of the level operator with the densest node pinned to 0."""
-        m = self.shape[0]
-        path = scipy.sparse.diags([np.ones(m - 1), np.ones(m - 1)], [-1, 1])
-        eye = scipy.sparse.identity(m)
-        adj = path if len(self.shape) == 1 else scipy.sparse.kron(path, eye) + scipy.sparse.kron(eye, path)
-        pin = int(np.argmax(self.null()))
-        keep = np.ones(self.flat.size)
+        """Sparse LU of the level operator with the densest node pinned to 0; the LU is the solver's `lu`.
+
+        SuperLU orders the columns by minimum degree on A^T + A (George &
+        Liu, Computer Solution of Large Sparse Positive Definite Systems,
+        1981): on the 76^2 level of m = 601, L + U hold 191k nonzeros against
+        340k with COLAMD.
+        """
+        pin = int(np.argmax(self.mu.ravel()[self.order()]))
+        keep = np.ones(math.prod(self.shape))
         keep[pin] = 0.0
         mask = scipy.sparse.diags(keep)
-        A = mask @ (scipy.sparse.diags(self.merge(self.D, np.empty(self.shape)).ravel()) - adj) @ mask
-        A = A + scipy.sparse.diags(1.0 - keep)
-        lu = scipy.sparse.linalg.splu(A.tocsc())
+        A = mask @ self.operator() @ mask + scipy.sparse.diags(1.0 - keep)
+        lu = scipy.sparse.linalg.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
         def solve(g: np.ndarray, out: np.ndarray) -> np.ndarray:
             rhs = g.flatten()
             rhs[pin] = 0.0
-            x = lu.solve(rhs).reshape(g.shape)
-            self.project(x)
-            out[...] = x
+            x = lu.solve(rhs)
+            self.project(self.split(x))
+            out[...] = x.reshape(out.shape)
             return out
 
+        solve.lu = lu
         return solve
 
 
-def _pcg(matvec, precond, b: np.ndarray, target: float, maxiter: int, w2: np.ndarray):
+def _pcg(matvec, precond, b: np.ndarray, target: float, maxiter: int, norm):
     """Preconditioned CG from x = 0 on one right-hand side (Saad 2003, Alg. 9.1).
 
-    Convergence is judged on sqrt(sum w2 r^2) <= target (w2, a squared
-    weight, undoes a similarity scaling so the target can live in the
-    original variables).  b is overwritten with the residual.  Returns (x,
-    iterations); the caller decides convergence on the true residual.
+    Convergence is judged on norm(r) <= target (a weighted norm can undo a
+    similarity scaling, so the target can live in the original variables).
+    b is overwritten with the residual.  Returns (x, iterations); the caller
+    decides convergence on the true residual.
 
     Besides x, r = b and p it holds one work array w, which takes in turn
     A p, alpha p and the preconditioned residual z: matvec and precond
     write into their `out` argument.
     """
-    def active(r):
-        return np.sqrt(np.einsum("i,i,i->", r, r, w2)) > target
-
     x = np.zeros_like(b)
     r = b
-    if not active(r):
+    if not norm(r) > target:
         return x, 0
     p = precond(r)
     rz = np.einsum("i,i->", r, p)
@@ -558,7 +618,7 @@ def _pcg(matvec, precond, b: np.ndarray, target: float, maxiter: int, w2: np.nda
         w *= alpha
         r -= w
         x += np.multiply(alpha, p, out=w)
-        if not active(r):
+        if not norm(r) > target:
             break
         precond(r, out=w)
         rz_new = np.einsum("i,i->", r, w)
@@ -575,7 +635,8 @@ class PotentialSolver:
     Raises GridError for more than 2 sites or a box too small for the measure
     (tail mass above TAIL_MASS_LIMIT); solve_many raises if CG cannot push the
     relative residual below RESIDUAL_RTOL.  Every V-cycle of a solver reuses
-    its levels' workspaces, so a solver runs one solve at a time.
+    its levels' workspaces, so a solver runs one solve at a time.  The PCG's
+    vectors are in the finest level's block order (`_Level.split`).
     """
 
     def __init__(self, model: GibbsModel, grid: GridSpec):
@@ -604,9 +665,7 @@ class PotentialSolver:
         while -(-m // strides[-1]) > DIRECT_MAX_NODES:
             strides.append(2 * strides[-1])
         samples = [(slice(None, None, k),) * self.dim for k in strides]
-        self.levels = [
-            _Level(mu[sample], s[sample], coarse=k > 1, last=k == strides[-1]) for k, sample in zip(strides, samples)
-        ]
+        self.levels = [_Level(mu[sample], s[sample], coarse=k > 1) for k, sample in zip(strides, samples)]
         self.edge_weights = []  # shared by the fields, filled by their first quadrature
 
     @cached_property
@@ -619,77 +678,96 @@ class PotentialSolver:
         """
         return self.levels[-1].direct_solver()
 
-    @property
-    def s(self) -> np.ndarray:
-        """sqrt(mu), flat: the similarity scaling K = diag(s) K_hat diag(s), rebuilt on each use."""
-        return np.sqrt(self.mu).ravel()
+    def _scale(self, v: np.ndarray, op) -> np.ndarray:
+        """v op= s for a block-order v (op is np.multiply or np.divide), in place."""
+        level = self.levels[0]
+        for par, b in level.split(v).items():
+            op(b, level.root(par), out=b)
+        return v
 
-    def _apply_khat(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """K_hat v for a flat v, into out if given."""
+    def _mu_norm(self, v: np.ndarray) -> float:
+        """sqrt(sum mu v^2) for a block-order v: ||s v||, the norm of s v in the original variables."""
+        level = self.levels[0]
+        return math.sqrt(sum(_inner(b, b, level.mu[_sublattice(par)]) for par, b in level.split(v).items()))
+
+    def _stencil(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """h^2 K_hat v for a block-order v, into out if given."""
         out = np.empty_like(v) if out is None else out
-        self.levels[0].stencil(v.reshape(self.mu.shape), out.reshape(self.mu.shape))
-        out *= 1.0 / self.h**2
+        level = self.levels[0]
+        level.stencil(level.split(v), level.split(out))
         return out
 
     def _vcycle(self, depth: int, g: np.ndarray, out: np.ndarray) -> np.ndarray:
         """One symmetric V(1,1) cycle for h^2 K_hat x = g from x = 0, into out.
 
-        Below the finest level g and out are the level's `rhs`.  The level's
-        transfers write into its `scratch` and the next level's `flat`, which
-        is free before and after the coarse cycle.
+        On the finest level g and out are block-order arrays and the iterate
+        is out's blocks; below it g and out are the level's `rhs`.  The
+        level's transfers write into its `scratch` and the next level's
+        `flat`, which is free before and after the coarse cycle.
         """
         if depth == len(self.levels) - 1:
             return self._direct(g, out)
         level, coarse = self.levels[depth], self.levels[depth + 1]
         bufs = (coarse.flat, level.scratch)
-        gs = level.views(g)
+        gs = level.split(g)
+        xs = level.x if level.coarse else level.split(out)
         for par in level.red:  # neighbours still 0
-            np.multiply(gs[par], level.inverse_diagonal(par), out=level.x[par])
-        level.relax(gs, level.black)
+            np.multiply(gs[par], level.inverse_diagonal(par), out=xs[par])
+        level.relax(gs, xs, level.black)
         # the black sweep leaves a zero residual on black nodes; the coarse
         # right-hand side is (2h)^2 R r with R = 2^-dim P^T, summed over the
         # odd parities first (two terms in 2D, whose sum has no order)
         first, *rest = reversed(level.red)
-        _spread(level.residual(gs, first), first, coarse.shape, bufs, out=coarse.rhs)
+        _spread(level.residual(gs, xs, first), first, coarse.shape, bufs, out=coarse.rhs)
         for par in rest:
-            coarse.rhs += _spread(level.residual(gs, par), par, coarse.shape, bufs)
-        coarse.rhs *= 2.0 ** (2 - self.dim)
-        coarse.project(coarse.rhs)
+            coarse.rhs += _spread(level.residual(gs, xs, par), par, coarse.shape, bufs)
+        if self.dim != 2:  # (2h)^2 / h^2 times 2^-dim is 1 in 2D
+            coarse.rhs *= 2.0 ** (2 - self.dim)
+        coarse.project(coarse.split(coarse.rhs))
         correction = self._vcycle(depth + 1, coarse.rhs, coarse.rhs)
         for par in level.parities:
-            level.x[par] += _midpoints(correction, par, level.shape, bufs)
-        level.relax(gs, level.black)
-        level.relax(gs, level.red)
-        level.project(level.merge(level.x, out))
+            xs[par] += _midpoints(correction, par, level.shape, bufs)
+        level.relax(gs, xs, level.black)
+        level.relax(gs, xs, level.red)
+        level.project(xs)
+        if level.coarse:
+            level.merge(xs, out)
         return out
 
     def _precond(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """One V-cycle on a flat v, into out if given."""
-        out = np.empty_like(v) if out is None else out
-        self._vcycle(0, v.reshape(self.mu.shape), out.reshape(self.mu.shape))
-        out *= self.h**2  # the cycle is linear: solve (h^2 K_hat) x = v, then scale
+        """One V-cycle for h^2 K_hat on a block-order v, into out if given."""
+        return self._vcycle(0, v, np.empty_like(v) if out is None else out)
+
+    def _rhs(self, fv: np.ndarray, fm: float, out: np.ndarray) -> np.ndarray:
+        """The centred right-hand side (f - <f>) mu in block order, into out; 0 if centred f is constant."""
+        level = self.levels[0]
+        scale = 0.0  # ||(|f| + |<f>|) mu||^2
+        for par, b in level.split(out).items():
+            sub = _sublattice(par)
+            np.subtract(fv[sub], fm, out=b)
+            b *= self.mu[sub]
+            size = np.abs(fv[sub], out=_take(level.scratch, b.shape))
+            size += abs(fm)
+            size *= self.mu[sub]
+            scale += _inner(size, size)
+        out -= out.mean()  # exact compatibility with the singular operator
+        if np.linalg.norm(out) <= 1e-13 * max(math.sqrt(scale), 1e-300):
+            out.fill(0.0)  # centred f is constant: phi = 0 exactly
         return out
 
-    def _rhs_hat(self, fv: np.ndarray, fm: float, s: np.ndarray) -> np.ndarray:
-        """The centred right-hand side (f - <f>) mu over s, flat; 0 if centred f is constant."""
-        rhs = ((fv - fm) * self.mu).ravel()
-        rhs -= rhs.mean()  # exact compatibility with the singular operator
-        scale = float(np.linalg.norm(((np.abs(fv) + abs(fm)) * self.mu).ravel()))
-        if np.linalg.norm(rhs) <= 1e-13 * max(scale, 1e-300):
-            rhs[:] = 0.0  # centered f is constant: phi = 0 exactly
-        rhs /= s
-        return rhs
+    def _relative_residual(self, phi: np.ndarray, fv: np.ndarray, fm: float, work: np.ndarray) -> float:
+        """||K phi - rhs|| / ||rhs|| for a block-order phi, with K phi = s K_hat (s phi); 0 if rhs = 0.
 
-    def _relative_residual(self, phi: np.ndarray, fv: np.ndarray, fm: float, s: np.ndarray) -> float:
-        """||K phi - rhs|| / ||rhs|| for flat phi, with K phi = s K_hat (s phi); 0 if rhs = 0."""
-        rhs = self._rhs_hat(fv, fm, s)
-        rhs *= s
+        work, a block-order array, takes s phi and then the right-hand side.
+        """
+        np.copyto(work, phi)
+        k_phi = self._stencil(self._scale(work, np.multiply))
+        k_phi *= 1.0 / self.h**2
+        self._scale(k_phi, np.multiply)
+        rhs = self._rhs(fv, fm, work)
         rhs_norm = float(np.linalg.norm(rhs))
         if rhs_norm == 0.0:
             return 0.0
-        # s phi goes into the finest level's `flat`, which is free between V-cycles
-        k_phi = self._apply_khat(np.multiply(s, phi, out=self.levels[0].flat))
-        k_phi *= s
         k_phi -= rhs
         return float(np.linalg.norm(k_phi) / rhs_norm)
 
@@ -701,41 +779,32 @@ class PotentialSolver:
         four arrays stay alive through a PCG.  An observable with a site is
         evaluated once, on the m nodes of its axis, and its f_values is a
         read-only broadcast of them; only one of no site builds the node
-        coordinates, which are dropped before the first PCG.  s = sqrt(mu) is
-        built before and after each PCG, and the PCG weighs its stopping norm
-        by mu itself, not by s*s, which may differ from mu in the last bit: a
-        residual within rounding of its target can then stop one iteration
-        apart, so phi's bytes equal an s*s-weighted solve's on the samples
-        checked, not by construction.  phi is divided and centred in place in
-        the PCG's x, after the right-hand side has been rebuilt for its final
-        residual check.
+        coordinates, which are dropped before the first PCG.  The PCG runs in
+        block order on h^2 K_hat, with the V-cycle as its preconditioner and
+        sqrt(sum mu r^2) as its stopping norm; psi = h^2 y is divided by s
+        in place, checked on its residual in block order and then copied into
+        phi, in grid order, which is centred in place.
         """
+        level = self.levels[0]
         h_dim = self.h**self.dim
         fields = []
         for fv in _grid_values(observables, self.nodes, self.dim):
             fm = float(np.sum(fv * self.mu) * h_dim)
-            s = self.s
-            b = self._rhs_hat(fv, fm, s)
-            self.levels[0].project(b)
+            b = self._scale(self._rhs(fv, fm, np.empty(self.mu.size)), np.divide)
+            level.project(level.split(b))
             # stop on the untransformed residual: ||K phi - rhs|| = ||s * (K_hat psi - rhs_hat)||
-            # by add.reduce, not norm(), whose dot product can round apart and move an iteration count
-            scaled = s * b
-            scaled *= scaled
-            target = 0.5 * RESIDUAL_RTOL * np.sqrt(np.add.reduce(scaled))
-            del s, scaled
-            phi, n_iter = _pcg(self._apply_khat, self._precond, b, target, CG_MAXITER, self.mu.ravel())
-            del b  # now the PCG's residual
-
-            s = self.s
-            phi /= s
-            rel = self._relative_residual(phi, fv, fm, s)
-            del s
+            target = 0.5 * RESIDUAL_RTOL * self._mu_norm(b)
+            psi, n_iter = _pcg(self._stencil, self._precond, b, target, CG_MAXITER, self._mu_norm)
+            psi *= self.h**2  # the PCG solved h^2 K_hat y = rhs_hat
+            rel = self._relative_residual(self._scale(psi, np.divide), fv, fm, work=b)
+            del b  # the PCG's residual, then the right-hand side of the check
             if rel > RESIDUAL_RTOL:
                 raise RuntimeError(
                     f"CG did not converge after {n_iter} iterations "
                     f"(relative residual {rel:.3e})"
                 )
-            phi = phi.reshape(self.mu.shape)
+            phi = level.merge(level.split(psi), np.empty(self.mu.shape))
+            del psi
             pf = PotentialField(
                 model=self.model,
                 nodes=self.nodes,
@@ -782,8 +851,8 @@ def verify_directional_pi(pf: PotentialField) -> PIResult:
     tol_grid = h (1 + ||grad f||) absorbs the O(h) discretization error in
     the sharp (equality) cases.
     """
+    f_norms = np.array([math.sqrt(max(e, 0.0)) for e in pf.f_energies])  # before phi's fluxes are kept
     lhs = np.array([math.sqrt(max(e, 0.0)) for e in pf.phi_gradient[1]])
-    f_norms = np.array([math.sqrt(max(e, 0.0)) for e in pf.f_energies])
     tol = pf.h * (1.0 + float(np.linalg.norm(f_norms)))
     return PIResult.check(lhs, interaction_from_model(pf.model).inverse() @ f_norms, tol)
 

@@ -363,6 +363,33 @@ def test_grid_past_physical_memory_exits_2_naming_the_grid(tmp_path, capsys, mon
         assert (tmp_path / "out" / "phi.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "experiment, arrays",
+    [
+        ({}, None),
+        ({"functions": [{"kind": "coordinate"}, {"kind": "sin", "site": 1}]}, 9),
+        ({"core_identity": True}, 13),
+    ],
+    ids=["one-function", "two-functions", "core-identity"],
+)
+def test_grid_refusal_budgets_each_request_own_peak(tmp_path, capsys, monkeypatch, experiment, arrays):
+    # memory for a one-function request at m = 61 exactly: a second function
+    # keeps one more phi, and the core identity's verify stage peaks higher
+    from gibbscert.oracles import potential
+
+    monkeypatch.setattr(potential, "physical_memory", lambda: 8 * potential.PEAK_GRID_ARRAYS * 61 * 61)
+    raw = {"model": base_model_block(2), "experiment": {"kind": "pde_check", **experiment}, "grid": {"L": 6.0, "h": 0.2}}
+    config = write_config(tmp_path, raw)
+    assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == (0 if arrays is None else 2)
+    err = capsys.readouterr().err
+    if arrays is None:
+        assert err == ""
+        assert (tmp_path / "out" / "phi.csv").exists()
+    else:
+        assert err.startswith(f"config error: grid.h: {arrays} grid arrays of 61^2 doubles "), err
+        assert not (tmp_path / "out").exists()
+
+
 def test_duplicate_key_exits_2(tmp_path, capsys):
     # json.loads kept the last value, so this certified epsilon = 0.01
     text = json.dumps({"model": base_model_block(8, 0.5), "experiment": {"kind": "bound_report"}})

@@ -60,8 +60,8 @@ d74148fac03d838d7e5bbf22147f0226342a916b081cd48bb7e236ac4b356e83  exponential_1d
 19cb19e1c732f1c12362ebc1299e2c690eba4bdc887e08c08bfe0ae898fa36f4  gaussian_sharpness_1d/report.json
 7d9033c1183c5701bd648bb4ccc58a65d53e32be77d489e3d96755ba1ad604d4  mcmc_check_1d/pairs.csv
 a22d6a339d4a220cc8311911506b3195617451ef757aabd5dffe5c33edb2b6c0  mcmc_check_1d/report.json
-e0dc526a8d6b49b4acc87a76ad97b0bbfb120c772879e92490fbed8e5e7176f1  pde_check_2site/phi.csv
-b680a25654c57305a28b1678dc58fa70b01741b81cb6c2f788cf8b6f1691f1df  pde_check_2site/report.json
+fcc258ac3f0cd4cfd5d7967d392002f157ca3f85d9044782b8adfac2d744022e  pde_check_2site/phi.csv
+d2417c8438fbbe7f63d6340eb74a41b19191eac3c1d16f64c06baa9104ba123b  pde_check_2site/report.json
 c39d87f3359cc7173c31de7f87d8471e5de901202deec6faa3bd6f4f2d00e2d9  threshold_scan_2d/report.json
 """
 
@@ -219,11 +219,17 @@ def test_grid_memory_prints_each_stage_of_the_pde_cells_on_a_coarse_grid(capsys)
     # the oracles stream holds two pde_check cells, each a header, a column line and five rows
     assert len(lines) == 14
     for cell in (lines[:7], lines[7:]):
-        assert cell[0].startswith("m = 61, ") and cell[0].endswith("grid array 0.03 MiB")
-        assert cell[1].split() == ["stage", "MiB", "arrays", "minflt"]
+        # the header ends with the coarse LU's nonzeros and their bytes, which tracemalloc does not see
+        head, factor = cell[0].split(", coarse factor ")
+        assert head.startswith("m = 61, ") and head.endswith("grid array 0.03 MiB")
+        nnz, _, mib, unit = factor.split()
+        assert int(nnz) > 0 and mib == f"{12 * int(nnz) / 2**20:.2f}" and unit == "MiB"
+        assert cell[1].split() == ["stage", "MiB", "arrays", "ms", "minflt"]
         rows = [row.split() for row in cell[2:]]
         assert [row[0] for row in rows] == ["set-up", "solve", "phi.csv", "verify", "request"]
         arrays = [float(row[2]) for row in rows]
         assert all(a > 0 for a in arrays) and arrays[-1] == max(arrays[:-1])
-        faults = [int(row[3]) for row in rows]
+        ms = [float(row[3]) for row in rows]
+        assert all(t > 0 for t in ms) and ms[-1] == pytest.approx(sum(ms[:-1]), abs=0.3)
+        faults = [int(row[4]) for row in rows]
         assert min(faults) >= 0 and faults[-1] == sum(faults[:-1])
