@@ -21,9 +21,9 @@ sign-test p-value of those wins (tied pairs dropped), and two verdicts:
   when the parent's own IQR/|median| is wider than the bound, unless every
   change run beats every parent run.
 
-It also says whether the failed and known-defect counts and the output
+It also says whether the correct flags, the failed counts and the output
 digests are the same on both sides of every pair, and prints each side's
-failed and known-defect totals over the pairs.  The pair table (with
+failed total over the pairs.  The pair table (with
 each run's cycle count and CPU seconds) and the verdicts go to the --out
 JSON file, and the worktrees are removed at the end.  Without --out nothing
 runs.
@@ -102,7 +102,6 @@ def run_bench(tree: Path, workload: str, seed: int) -> dict:
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
-        "known_defect": record["known_defect"],
         "digest": record["digest"],
         "cycles": record["cycles"],
         "cpu_s": (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime),
@@ -140,12 +139,9 @@ def summarize(pairs: list, benchmark: dict) -> dict:
         }
         same = {
             key: all(r["parent"][key] == r["change"][key] for r in rows)
-            for key in ("correct", "failed", "known_defect", "digest")
+            for key in ("correct", "failed", "digest")
         }
-        totals = {
-            side: {key: sum(r[side][key] for r in rows) for key in ("failed", "known_defect")}
-            for side in ("parent", "change")
-        }
+        totals = {side: {"failed": sum(r[side]["failed"] for r in rows)} for side in ("parent", "change")}
         out[workload] = {"metrics": metrics, "same_on_both_sides": same, "totals": totals}
     return out
 

@@ -39,7 +39,13 @@ from .model import (
     rho_vector,
 )
 from .oracles.gaussian import gaussian_exact_covariance, gaussian_from_model
-from .oracles.mcmc import STDERR_MULTIPLE, SamplerConfig, false_fail_probability, mcmc_covariance_matrix
+from .oracles.mcmc import (
+    ALLOWED_VIOLATIONS,
+    STDERR_MULTIPLE,
+    SamplerConfig,
+    false_fail_probability,
+    mcmc_covariance_matrix,
+)
 from .oracles.potential import (
     GridError,
     GridSpec,
@@ -133,15 +139,12 @@ _CONFIG = {
     },
     "experiment": _Kinds(
         bound_report={},
-        gaussian_sharpness={"tolerance": _Opt(_POSITIVE)},
+        gaussian_sharpness={},
         pde_check={
             "functions": _Opt(_ListOf(_FUNCTION)),
             "core_identity": _Opt(_Leaf("true or false", lambda v: isinstance(v, bool))),
         },
-        mcmc_check={
-            "compare": _Opt(_Leaf("'exact' or 'bound'", lambda v: v in ("exact", "bound"))),
-            "max_violations": _Opt(_COUNT),
-        },
+        mcmc_check={},
         exponential_certificate={},
         algebraic_certificate={},
         threshold_scan={"epsilons": _ListOf(_REAL)},
@@ -231,8 +234,6 @@ def _check_fit(raw: dict, model: GibbsModel, grid: GridSpec | None) -> None:
         except GridError as exc:  # an amplitude is blamed at the largest one
             block = _potential_block(raw, int(np.argmax(np.abs(model.amplitude))))
             raise ConfigError(f"{_GRID_KEYS[exc.cause].format(block)}: {exc}") from exc
-    if exp.get("compare") == "exact" and not model.gaussian:
-        raise ConfigError("experiment.compare: 'exact' needs a Gaussian model (no perturbation)")
     if kind == "algebraic_certificate" and model.coupling.kind != "algebraic":
         raise ConfigError("model.coupling.kind: algebraic_certificate needs an algebraic coupling")
     if kind == "gaussian_sharpness" and not model.gaussian:
@@ -385,14 +386,13 @@ def _run_bound_report(cfg: ExperimentConfig, out_dir: Path):
 
 def _run_gaussian_sharpness(cfg: ExperimentConfig, out_dir: Path):
     model = cfg.model
-    tolerance = float(cfg.options.get("tolerance", 1e-10))
     inv = interaction_from_model(model).inverse()
     cov = _exact_covariance(model)
     delta = distance_matrix(model.geometry)
     gaps = np.abs(inv - cov) / np.maximum(np.abs(cov), 1e-300)
     max_gap = float(np.max(gaps))
-    pairs = dict(delta_ij=delta, bound=inv, oracle_value=cov, stderr_or_tol=tolerance, ok=gaps <= tolerance)
-    return {"max_relative_gap": max_gap, "tolerance": tolerance}, pairs, max_gap <= tolerance
+    pairs = dict(delta_ij=delta, bound=inv, oracle_value=cov, stderr_or_tol=AUDIT_RTOL, ok=gaps <= AUDIT_RTOL)
+    return {"max_relative_gap": max_gap, "tolerance": AUDIT_RTOL}, pairs, max_gap <= AUDIT_RTOL
 
 
 def _pde_observable(spec: dict, model: GibbsModel, grid: GridSpec):
@@ -460,20 +460,16 @@ def _run_pde_check(cfg: ExperimentConfig, out_dir: Path):
 
 def _run_mcmc_check(cfg: ExperimentConfig, out_dir: Path):
     model = cfg.model
-    mode = cfg.options.get("compare", "exact" if model.gaussian else "bound")
-    # the exact covariance or the bound A^-1, inverted before sampling
-    if mode == "exact":
-        target = _exact_covariance(model)
-        max_violations = cfg.options.get("max_violations", 1)
-    else:
-        target = interaction_from_model(model).inverse()
-        max_violations = cfg.options.get("max_violations", 0)
+    # a Gaussian model against its exact covariance, any other against the bound A^-1; inverted before sampling
+    mode = "exact" if model.gaussian else "bound"
+    target = _exact_covariance(model) if model.gaussian else interaction_from_model(model).inverse()
+    max_violations = ALLOWED_VIOLATIONS[mode]
     try:
         est, err, rate = mcmc_covariance_matrix(model, cfg.sampler)
     except ValueError as exc:  # no chain moved a coordinate, e.g. every proposal was refused
         return {"error": str(exc)}, None, False
     tol = STDERR_MULTIPLE * err
-    ok = np.abs(est - target) <= tol if mode == "exact" else np.abs(est) <= target + tol
+    ok = np.abs(est - target) <= tol if model.gaussian else np.abs(est) <= target + tol
     pairs = dict(delta_ij=distance_matrix(model.geometry), bound=target, oracle_value=est, stderr_or_tol=tol, ok=ok)
     violations = _failures(pairs)
     results = {

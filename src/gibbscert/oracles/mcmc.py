@@ -40,6 +40,9 @@ _BLOCK = 512  # sweeps drawn per generator call
 _SLAB = 64  # sweeps whose draws are moved into class order at a time
 _GROUP = 64  # chains moved together, a piece that stays in cache
 STDERR_MULTIPLE = 3.0  # an estimate passes within this many standard errors of its target
+# pairs a run may have outside STDERR_MULTIPLE standard errors: one against the exact
+# covariance of a Gaussian model, none against the bound A^-1, which only caps |cov|
+ALLOWED_VIOLATIONS = {"exact": 1, "bound": 0}
 TAIL_SUM_BELOW = 2.0**-20  # a false-fail chance below this is summed over its tail, as 1 - sum cancels
 MASK64 = (1 << 64) - 1
 

@@ -71,10 +71,7 @@ one site) on a 2-core Xeon, in MiB (grid arrays), from
 ``scripts/grid_memory.py --seed 101``, which also prints the LU's bytes as
 12 per nonzero of L + U.  Set-up runs from the request's start to the
 solve_many call, solve is solve_many (f's values, the LU, the PCG and the
-field assembly), phi.csv is its write and verify the rest; a finest level
-that read its right-hand side through strided views and kept a level array
-of its own read 14.7 (5.3) and 23.1 (8.4) at set-up and solve for m = 601,
-9.5 (5.4) and 16.7 (9.5) for m = 481, and its COLAMD LU as in the brackets:
+field assembly), phi.csv is its write and verify the rest:
 
     stage                   m = 601, 1 function   m = 481, 2 functions
     set-up                  12.0 (4.3)            7.7 (4.4)
@@ -82,12 +79,11 @@ of its own read 14.7 (5.3) and 23.1 (8.4) at set-up and solve for m = 601,
     phi.csv                 7.8 (2.8)             7.6 (4.3)
     verify                  19.4 (7.0)            14.3 (8.1)
     verify + core identity  33.3 (12.1)           23.2 (13.1)
-    LU, untraced            2.2 [3.9]             1.3 [2.2]
+    LU, untraced            2.2                   1.3
 
 A steady-state request (the script's last untraced round) takes 10.0k
 minor page faults at m = 601 (set-up 2.5k, solve 3.4k, phi.csv 0.5k, verify
-3.7k) and 5.9k at m = 481, against 10.9k (set-up 1.9k, solve 4.0k, phi.csv
-0.5k, verify 4.4k) and 7.5k before.
+3.7k) and 5.9k at m = 481.
 
 Verify holds mu, phi, the edge weights and phi's fluxes.  f's energies are
 taken first, one axis at a time, before phi's fluxes are kept, and the
@@ -96,8 +92,7 @@ check peaks above the PCG.  The CLI drops each field, with its fluxes, when
 its checks are done.  The core identity adds the interior weights, phi's
 centred differences (each interior along its own axis, whole along the
 other), the sum and two temporaries.  It computes no value at a
-wrapped-around node; differences rolled over the whole grid read 17.0 and
-20.0 arrays here.
+wrapped-around node.
 """
 
 from __future__ import annotations
@@ -151,10 +146,10 @@ class PotentialField:
     The quadratures read phi's gradient through its edge fluxes w d_axis(phi),
     with w the edge weights sqrt(mu_left mu_right): they and the gradient
     energies of phi and f are computed once, on first use, so phi and
-    f_values must not change after that.  No node-coordinate stack is kept:
-    coordinate(axis) broadcasts the shared nodes array.  A solver's fields
-    share one edge_weights list, which the first quadrature fills (after the
-    solve and the phi.csv write, whose peak memory it would add to).
+    f_values must not change after that.  Each field computes its own edge
+    weights, after the solve and the phi.csv write, whose peak memory they
+    would add to, and drops them with itself.  No node-coordinate stack is
+    kept: coordinate(axis) broadcasts the shared nodes array.
     """
 
     model: GibbsModel
@@ -167,7 +162,6 @@ class PotentialField:
     f_mean: float = 0.0
     residual: float = 0.0
     iterations: int = 0  # PCG iterations this right-hand side took
-    edge_weights: list = field(default_factory=list, repr=False)  # per axis, filled on first use
 
     @property
     def cell_volume(self) -> float:
@@ -192,10 +186,17 @@ class PotentialField:
         d /= self.h
         return d
 
+    @cached_property
+    def edge_weights(self) -> list:
+        """Per axis, the geometric-mean weights sqrt(mu_left mu_right) of the grid edges."""
+        mu = self.mu
+        return [
+            np.sqrt(mu[_axis_slice(self.dim, axis, slice(0, -1))] * mu[_axis_slice(self.dim, axis, slice(1, None))])
+            for axis in range(self.dim)
+        ]
+
     def _flux(self, values: np.ndarray, axis: int) -> tuple[np.ndarray, float]:
         """The edge flux w d_axis(v) and int |d_axis v|^2 dmu by edge quadrature."""
-        if not self.edge_weights:
-            self.edge_weights.extend(_edge_weights(self.mu))
         d = self._difference(values, axis)
         flux = self.edge_weights[axis] * d
         d *= flux
@@ -257,14 +258,6 @@ def _grid_values(observables: list[Observable], nodes: np.ndarray, dim: int) -> 
         else:
             values.append(_along_axis(np.ascontiguousarray(obs.fn(diagonal), dtype=float), obs.site, shape))
     return values
-
-
-def _edge_weights(mu: np.ndarray) -> list:
-    """Geometric-mean weights sqrt(mu_left mu_right) of the grid edges, per axis."""
-    return [
-        np.sqrt(mu[_axis_slice(mu.ndim, axis, slice(0, -1))] * mu[_axis_slice(mu.ndim, axis, slice(1, None))])
-        for axis in range(mu.ndim)
-    ]
 
 
 def _envelope_tails(model: GibbsModel, box_halfwidth: float) -> float:
@@ -666,7 +659,6 @@ class PotentialSolver:
             strides.append(2 * strides[-1])
         samples = [(slice(None, None, k),) * self.dim for k in strides]
         self.levels = [_Level(mu[sample], s[sample], coarse=k > 1) for k, sample in zip(strides, samples)]
-        self.edge_weights = []  # shared by the fields, filled by their first quadrature
 
     @cached_property
     def _direct(self):
@@ -816,7 +808,6 @@ class PotentialSolver:
                 f_mean=fm,
                 residual=rel,
                 iterations=n_iter,
-                edge_weights=self.edge_weights,
             )
             phi -= pf.quad_mean(phi)
             fields.append(pf)

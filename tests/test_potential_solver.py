@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 import tracemalloc
 
@@ -32,6 +33,7 @@ from gibbscert.oracles.potential import (
     verify_directional_pi,
     verify_dual_pi,
 )
+from test_scripts import load_script
 
 COARSE = GridSpec(6.0, 0.05)
 
@@ -293,9 +295,8 @@ def test_kept_quadratures_match_the_per_call_formula():
     rho = pi_criterion(im)
     solver = PotentialSolver(model, GridSpec(6.0, 0.1))
     fields = solver.solve_many(criterion_3_functions())
-    assert solver.edge_weights == []  # not held through the solve
     for pf in fields:
-        assert pf.edge_weights is solver.edge_weights
+        assert "edge_weights" not in vars(pf)  # not held through the solve
         phi_sq = [per_call_grad_pair(pf, pf.phi, pf.phi, ax) for ax in range(2)]
         f_sq = [per_call_grad_pair(pf, pf.f_values, pf.f_values, ax) for ax in range(2)]
         direction = verify_directional_pi(pf)
@@ -307,7 +308,7 @@ def test_kept_quadratures_match_the_per_call_formula():
             gv = pf.coordinate(j)
             want = sum(per_call_grad_pair(pf, pf.phi, gv, ax) for ax in range(2))
             assert pf.covariance_via_representation(gv) == want
-    assert len(solver.edge_weights) == 2
+        assert len(pf.edge_weights) == 2
 
 
 # 61 <= DIRECT_MAX_NODES: the V-cycle is the direct solve alone; 400: coarsens through even sizes
@@ -522,65 +523,38 @@ def test_one_site_f_values_are_a_read_only_broadcast_of_m_floats():
     assert full.f_values.flags.c_contiguous and full.f_values.nbytes == 8 * m * m
 
 
-def test_pde_request_stages_stay_in_budget(tmp_path, monkeypatch):
+def test_pde_request_stages_stay_in_budget(tmp_path):
     # traced peak of each stage of one pde_check request at m = 241 with one
-    # function, in m^2 doubles.  The solve holds mu, the levels' diagonals and
-    # workspaces, and the PCG's X, R, P, W, 8.09 here, and no stage peaks
-    # above it; a finest level with a level array of its own read 8.85,
-    # levels that kept D, 1/D and the null vector 11.14, and holding the
-    # one-site f on every node 12.1.  With core_identity the verify stage
-    # reads 12.23; differences rolled over the whole grid read 17.06 there
-    from gibbscert import cli
-
-    peaks, stages = {}, []
-
-    def enter(stage):
-        if stages:
-            peaks[stages[-1]] = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        stages.append(stage)
-
-    class StagedSolver(cli.PotentialSolver):
-        def solve_many(self, observables):
-            enter("solve")
-            return super().solve_many(observables)
-
-    write_phi = cli.potential_to_csv
-
-    def staged_write(pf, path):
-        enter("phi.csv")
-        write_phi(pf, path)
-        enter("verify")
-
-    monkeypatch.setattr(cli, "PotentialSolver", StagedSolver)
-    monkeypatch.setattr(cli, "potential_to_csv", staged_write)
+    # function, in m^2 doubles, staged by scripts/grid_memory.py.  The solve
+    # holds mu, the levels' diagonals and workspaces, and the PCG's X, R, P,
+    # W, 8.09 here, and no stage peaks above it; a finest level with a level
+    # array of its own read 8.85, levels that kept D, 1/D and the null vector
+    # 11.14, and holding the one-site f on every node 12.1.  With
+    # core_identity the verify stage reads 12.23; differences rolled over the
+    # whole grid read 17.06 there
+    staged_request = load_script("grid_memory").staged_request
     m = 241
     for core_identity, budget in ((False, 8.4), (True, 12.5)):
-        cfg = cli.parse_config(
-            {
-                "model": {
-                    "geometry": {"kind": "periodic_grid", "side_lengths": [2]},
-                    "potential": {"q": 1.0, "perturbation": {"kind": "cosine", "amplitude": 0.1, "frequency": 1.0}},
-                    "coupling": {"kind": "nearest_neighbor", "epsilon": 0.2},
-                },
-                "experiment": {
-                    "kind": "pde_check",
-                    "functions": [{"kind": "sin", "site": 1}],
-                    "core_identity": core_identity,
-                },
-                "grid": {"L": 6.0, "h": 12.0 / (m - 1)},
-            }
-        )
-        peaks.clear()
-        stages.clear()
+        raw = {
+            "model": {
+                "geometry": {"kind": "periodic_grid", "side_lengths": [2]},
+                "potential": {"q": 1.0, "perturbation": {"kind": "cosine", "amplitude": 0.1, "frequency": 1.0}},
+                "coupling": {"kind": "nearest_neighbor", "epsilon": 0.2},
+            },
+            "experiment": {
+                "kind": "pde_check",
+                "functions": [{"kind": "sin", "site": 1}],
+                "core_identity": core_identity,
+            },
+            "grid": {"L": 6.0, "h": 12.0 / (m - 1)},
+        }
+        out = tmp_path / f"core_identity_{core_identity}"
         tracemalloc.start()
         try:
-            enter("set-up")
-            _, passed = cli.run_experiment(cfg, tmp_path / f"core_identity_{core_identity}")
-            enter(None)
+            peaks = staged_request(raw, out)["peaks"]
         finally:
             tracemalloc.stop()
-        assert passed
+        assert json.loads((out / "report.json").read_text())["pass"]
         arrays = {stage: round(peak / (8 * m * m), 2) for stage, peak in peaks.items()}
         assert list(arrays) == ["set-up", "solve", "phi.csv", "verify"]
         assert max(arrays.values()) <= budget, (core_identity, arrays)

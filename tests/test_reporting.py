@@ -504,10 +504,10 @@ def test_report_bytes_match_recursive_conversion(tmp_path):
             "potential": {"q": np.float64(1.5)},
             "coupling": {"kind": "nearest_neighbor", "epsilon": np.float32(0.125)},
         },
-        "experiment": {"kind": "gaussian_sharpness", "tolerance": 1e-6},
+        "experiment": {"kind": "gaussian_sharpness"},
     }
     report, passed = run_experiment(parse_config(raw), tmp_path / "out")
-    assert passed and report["results"]["tolerance"] == 1e-6
+    assert passed and report["results"]["tolerance"] == 1e-10
     report["results"]["extra"] = [
         [1.0, 2, "a", None, True, float("inf")],
         [0.5, float("nan")],

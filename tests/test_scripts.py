@@ -173,33 +173,33 @@ def test_bench_pairs_alternates_and_summarizes(capsys):
     names = [m["name"] for m in benchmark["end_to_end"]]
 
     def side(value, digest="d", failed=0):
-        return {"metrics": dict.fromkeys(names, value), "correct": True, "failed": failed, "known_defect": failed,
-                "digest": digest}
+        return {"metrics": dict.fromkeys(names, value), "correct": True, "failed": failed, "digest": digest}
 
     rows = [{"workload": "oracles", "seed": s, "parent": side(1.0), "change": side(1.0, "e" if s == 9 else "d")}
             for _, s, _ in runs]
     summary = pairs.summarize(rows, benchmark)["oracles"]
     assert set(summary["metrics"]) == set(names)
-    assert summary["same_on_both_sides"] == {"correct": True, "failed": True, "known_defect": True, "digest": False}
-    assert summary["totals"] == dict.fromkeys(("parent", "change"), {"failed": 0, "known_defect": 0})
+    assert summary["same_on_both_sides"] == {"correct": True, "failed": True, "digest": False}
+    assert summary["totals"] == dict.fromkeys(("parent", "change"), {"failed": 0})
     # a change that fails fewer requests: each side's totals are reported, not only that they differ
     rows = [{"workload": "oracles", "seed": s, "parent": side(1.0, failed=s % 3), "change": side(1.0)}
             for _, s, _ in runs]
     summary = pairs.summarize(rows, benchmark)["oracles"]
     assert summary["same_on_both_sides"]["failed"] is False
-    assert summary["totals"] == {"parent": {"failed": 4, "known_defect": 4}, "change": {"failed": 0, "known_defect": 0}}
+    assert summary["totals"] == {"parent": {"failed": 4}, "change": {"failed": 0}}
     pairs.report({"oracles": summary})
-    assert "totals: failed parent 4 change 0, known_defect parent 4 change 0" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "totals: failed parent 4 change 0\n" in out and "known_defect" not in out
 
 
 def test_bench_pairs_records_cpu_seconds(tmp_path, monkeypatch):
     # a stand-in for bench/run.py that burns CPU in a grandchild, then prints
-    # the two lines run_bench reads
+    # the two lines run_bench reads; its record has no known_defect count
     pairs = load_script("bench_pairs")
     child = (
         "import json, subprocess, sys\n"
         "subprocess.run([sys.executable, '-c', 'sum(range(3 * 10**7))'], check=True)\n"
-        "print('record ' + json.dumps({'known_defect': 0, 'digest': 'd', 'cycles': 1}))\n"
+        "print('record ' + json.dumps({'digest': 'd', 'cycles': 1}))\n"
         "print(json.dumps({'metrics': {'throughput_rps': {'value': 1.0}}, 'correct': True, 'attempted': 1, 'failed': 0}))\n"
     )
     real_run = subprocess.run
@@ -210,6 +210,7 @@ def test_bench_pairs_records_cpu_seconds(tmp_path, monkeypatch):
     monkeypatch.setattr(pairs.subprocess, "run", fake_run)
     run = pairs.run_bench(tmp_path, "torus-nn", 1)
     assert run["metrics"] == {"throughput_rps": 1.0} and run["cycles"] == 1
+    assert "known_defect" not in run
     assert 0.1 < run["cpu_s"] < 60
 
 
