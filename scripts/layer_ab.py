@@ -15,10 +15,14 @@ below the host noise of the end-to-end bench.
 
 When the target's second argument is a path (a writer such as
 emit_pair_table), each tree writes its own file, and a last line says
-whether both wrote the same bytes; the exit status is 1 if they did not.
-Recorded arguments are passed as they are, so a target that changes its
-arguments is timed on the changed ones.  Without --base and --head nothing
-runs.
+whether both wrote the same bytes; the exit status is 1 if they did not.  A
+directory (run_experiment's out_dir) is compared file by file, report.json
+without its "meta" entry, as the base tree's reporting.report_bytes encodes
+it with drop_meta=True.  A recorded ExperimentConfig is re-parsed from its
+echo by each tree's own parse_config before each timed call, so neither tree
+reads the other's cached model state; every other recorded argument is
+passed as it is, so a target that changes its arguments is timed on the
+changed ones.  Without --base and --head nothing runs.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import argparse
 import gc
 import importlib
 import importlib.util
+import json
 import os
 import statistics
 import sys
@@ -76,6 +81,20 @@ def record_calls(package: str, function) -> list:
     return calls
 
 
+def same_output(base: Path, head: Path, report_bytes) -> bool:
+    """Whether two written files, or two directories file by file, hold the same bytes; report.json without meta."""
+
+    def content(path: Path) -> bytes:
+        if path.name == "report.json":
+            return report_bytes(json.loads(path.read_bytes()), drop_meta=True)
+        return path.read_bytes()
+
+    if not base.is_dir():
+        return content(base) == content(head)
+    names = sorted(p.name for p in base.iterdir())
+    return names == sorted(p.name for p in head.iterdir()) and all(content(base / n) == content(head / n) for n in names)
+
+
 def timed(function, args, kwargs) -> float:
     gc.collect()
     start = time.perf_counter()
@@ -100,6 +119,8 @@ def main(argv=None) -> int:
     load_package(args.base, "base_gibbscert")
     load_package(args.head, "head_gibbscert")
     cli = importlib.import_module("base_gibbscert.cli")
+    parsers = {side: importlib.import_module(f"{side}_gibbscert.cli").parse_config for side in ("base", "head")}
+    report_bytes = importlib.import_module("base_gibbscert.reporting").report_bytes
     functions = {side: target_of(f"{side}_gibbscert", args.target) for side in ("base", "head")}
     calls = record_calls("base_gibbscert", functions["base"])
 
@@ -115,14 +136,17 @@ def main(argv=None) -> int:
             writer = len(call_args) > 1 and isinstance(call_args[1], (str, os.PathLike))
             paths = {side: Path(tmp) / f"{side}{k}{Path(call_args[1]).suffix}" for side in times} if writer else {}
             samples = {side: [] for side in times}
+            config = isinstance(call_args[0], cli.ExperimentConfig)
             for r in range(args.repeats):
                 for side in ("base", "head") if (r + k) % 2 == 0 else ("head", "base"):
                     side_args = (call_args[0], paths[side], *call_args[2:]) if writer else call_args
+                    if config:
+                        side_args = (parsers[side](call_args[0].echo), *side_args[1:])
                     samples[side].append(timed(functions[side], side_args, kwargs))
             for side in times:
                 times[side].append(statistics.median(samples[side]))
             if writer:
-                equal.append(paths["base"].read_bytes() == paths["head"].read_bytes())
+                equal.append(same_output(paths["base"], paths["head"], report_bytes))
 
     print(f"{args.target} on {args.workload} seed {args.seed} cycle 0: {len(calls)} calls, {args.repeats} repeats")
     print(f"{'call':>5} {'base_ms':>10} {'head_ms':>10} {'head/base':>10}")

@@ -7,9 +7,10 @@ Each config (every configs/*.json unless paths are given) runs through the
 library of this checkout into a temporary directory, and one line
 `<sha256>  <config>/<file>` is printed per output file, <config> being the
 file name without .json.  report.json is hashed without its volatile "meta"
-entry.  Diffing the output of two checkouts shows whether a change keeps
-every output byte-identical; a path lets one config, or a variant of one,
-be digested in both.
+entry, as reporting.report_bytes encodes the report that run_experiment
+returns with drop_meta=True.  Diffing the output of two checkouts shows
+whether a change keeps every output byte-identical; a path lets one config,
+or a variant of one, be digested in both.
 """
 
 import hashlib
@@ -21,14 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from gibbscert.cli import load_config, run_experiment  # noqa: E402
-
-
-def without_meta(report: bytes) -> bytes:
-    """report.json text minus the lines of its top-level "meta" entry."""
-    lines = report.splitlines(keepends=True)
-    start = lines.index(b'  "meta": {\n')
-    end = next(i for i in range(start, len(lines)) if lines[i] in (b"  },\n", b"  }\n"))
-    return b"".join(lines[:start] + lines[end + 1 :])
+from gibbscert.reporting import report_bytes  # noqa: E402
 
 
 def main(configs: list[str] | None = None) -> int:
@@ -36,11 +30,12 @@ def main(configs: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for config in paths:
             out = Path(tmp) / config.stem
-            run_experiment(load_config(config), out)
+            report, _ = run_experiment(load_config(config), out)
             for path in sorted(out.iterdir()):
-                data = path.read_bytes()
                 if path.name == "report.json":
-                    data = without_meta(data)
+                    data = report_bytes(report, drop_meta=True) + b"\n"
+                else:
+                    data = path.read_bytes()
                 print(f"{hashlib.sha256(data).hexdigest()}  {config.stem}/{path.name}")
     return 0
 

@@ -210,15 +210,15 @@ def _potential_block(raw: dict, site: int) -> str:
     return "model.potential" if "potential" in raw["model"] else f"model.potentials[{site}]"
 
 
-def _check_fit(raw: dict, model: GibbsModel, grid: GridSpec | None) -> None:
+def _check_fit(raw: dict, options: dict, model: GibbsModel, grid: GridSpec | None) -> None:
     """The checks that need the built model and grid, once the schema walk has passed."""
-    exp, kind, n, geometry = raw["experiment"], raw["experiment"]["kind"], model.n_sites, model.geometry
+    kind, n, geometry = raw["experiment"]["kind"], model.n_sites, model.geometry
     try:
         interaction_from_model(model)  # kept on the model for the run
     except ValueError as exc:  # the only value build_interaction_matrix can refuse here is a rho that underflowed
         block = _potential_block(raw, int(np.argmin(rho_vector(model))))
         raise ConfigError(f"{block}: rho = q exp(-2|amplitude|) underflows to a subnormal or 0") from exc
-    for k, spec in enumerate(exp.get("functions", ())):
+    for k, spec in enumerate(options.get("functions", ())):
         path = f"experiment.functions[{k}]"
         if spec.get("site", 0) >= n:
             raise ConfigError(f"{path}.site: must be an integer in [0, {n}), got {spec['site']}")
@@ -229,8 +229,8 @@ def _check_fit(raw: dict, model: GibbsModel, grid: GridSpec | None) -> None:
             raise ConfigError(f"{block}: experiment kind {kind!r} needs the {block!r} block")
     if kind == "pde_check":
         try:
-            n_functions = len(exp.get("functions", [None]))  # one coordinate by default
-            check_grid(model, grid.box_halfwidth, grid.nodes_per_axis, exp.get("core_identity", False), n_functions)
+            n_functions = len(options["functions"])
+            check_grid(model, grid.box_halfwidth, grid.nodes_per_axis, options.get("core_identity", False), n_functions)
         except GridError as exc:  # an amplitude is blamed at the largest one
             block = _potential_block(raw, int(np.argmax(np.abs(model.amplitude))))
             raise ConfigError(f"{_GRID_KEYS[exc.cause].format(block)}: {exc}") from exc
@@ -321,7 +321,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     sampler = grid = None
     if "grid" in raw:
         grid = _built("grid", GridSpec, float(raw["grid"]["L"]), float(raw["grid"]["h"]))
-    _check_fit(raw, model, grid)
+    options = {k: v for k, v in raw["experiment"].items() if k != "kind"}
+    if raw["experiment"]["kind"] == "pde_check":
+        options.setdefault("functions", [{"kind": "coordinate", "site": 0}])  # one coordinate by default
+    _check_fit(raw, options, model, grid)
     if "sampler" in raw:
         s = raw["sampler"]
         sampler = _built("sampler", SamplerConfig, **{**s, "proposal_std": float(s["proposal_std"])})
@@ -330,7 +333,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(
         model=model,
         kind=raw["experiment"]["kind"],
-        options={k: v for k, v in raw["experiment"].items() if k != "kind"},
+        options=options,
         sampler=sampler,
         grid=grid,
         out_path=output.get("path", "out"),
@@ -413,7 +416,7 @@ def _pde_observable(spec: dict, model: GibbsModel, grid: GridSpec):
 def _run_pde_check(cfg: ExperimentConfig, out_dir: Path):
     model = cfg.model
     im = interaction_from_model(model)
-    specs = cfg.options.get("functions", [{"kind": "coordinate", "site": 0}])
+    specs = cfg.options["functions"]
     rho_full = pi_criterion(im)
     im.inverse()  # refuses a matrix that is not positive definite before the grid solve
     observables = [_pde_observable(spec, model, cfg.grid) for spec in specs]
@@ -422,7 +425,10 @@ def _run_pde_check(cfg: ExperimentConfig, out_dir: Path):
     checks = []
     all_ok = True
     for spec in specs:
-        pf = fields.pop(0)  # the field before, with its fluxes, is dropped here
+        pf = fields.pop(0)  # the field before is dropped here
+        coordinates = [pf.coordinate(j) for j in range(model.n_sites)]
+        # one pass over phi's differences: its energies, kept on the field, and each coordinate's representation
+        pf.phi_energies, *representations = pf.gradient_pairs(pf.phi, pf.phi, *coordinates)
         direction = verify_directional_pi(pf)
         entry = {
             "function": spec,
@@ -438,9 +444,8 @@ def _run_pde_check(cfg: ExperimentConfig, out_dir: Path):
             entry["dual_pi_passed"] = dual.passed
             all_ok &= dual.passed
         rep_checks = []
-        for j in range(model.n_sites):
-            gv = pf.coordinate(j)
-            rep = pf.covariance_via_representation(gv)
+        for j, (gv, pairs) in enumerate(zip(coordinates, representations)):
+            rep = sum(pairs)
             direct = pf.covariance_direct(gv)
             ok = abs(rep - direct) <= direction.tol_grid
             rep_checks.append(

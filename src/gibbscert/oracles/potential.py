@@ -77,22 +77,19 @@ field assembly), phi.csv is its write and verify the rest:
     set-up                  12.0 (4.3)            7.7 (4.4)
     solve                   20.3 (7.4)            14.9 (8.4)
     phi.csv                 7.8 (2.8)             7.6 (4.3)
-    verify                  19.4 (7.0)            14.3 (8.1)
-    verify + core identity  33.3 (12.1)           23.2 (13.1)
+    verify                  13.9 (5.0)            10.7 (6.1)
+    verify + core identity  22.1 (8.0)            16.0 (9.1)
     LU, untraced            2.2                   1.3
 
-A steady-state request (the script's last untraced round) takes 10.0k
-minor page faults at m = 601 (set-up 2.5k, solve 3.4k, phi.csv 0.5k, verify
-3.7k) and 5.9k at m = 481.
-
-Verify holds mu, phi, the edge weights and phi's fluxes.  f's energies are
-taken first, one axis at a time, before phi's fluxes are kept, and the
-direct covariance forms f g mu in one array and drops it before g mu, so no
-check peaks above the PCG.  The CLI drops each field, with its fluxes, when
-its checks are done.  The core identity adds the interior weights, phi's
-centred differences (each interior along its own axis, whole along the
-other), the sum and two temporaries.  It computes no value at a
-wrapped-around node.
+Verify holds mu, phi and three transient arrays, whatever the dimension:
+each gradient quadrature holds one axis's flux w d_axis(u), d_axis(u) and
+one more difference at a time, and the direct covariance forms f g mu in one
+array and drops it before g mu, so no check peaks above the PCG.  The CLI
+takes phi's energies and every coordinate's representation in one pass, and
+drops each field when its checks are done.  The core identity adds the
+interior weights, phi's centred differences (each interior along its own
+axis, whole along the other), the sum and two temporaries.  It computes no
+value at a wrapped-around node.
 """
 
 from __future__ import annotations
@@ -118,7 +115,7 @@ RESIDUAL_RTOL = 1e-10
 CG_MAXITER = 400
 DIRECT_MAX_NODES = 80  # per axis, on the V-cycle's last level (solved by sparse LU)
 PEAK_GRID_ARRAYS = 8  # a one-function request's traced peak, the solve's 7.4 at m = 601, rounded up (module docstring)
-CORE_IDENTITY_GRID_ARRAYS = 13  # the same with the core identity, whose verify stage reads 12.0 there
+CORE_IDENTITY_GRID_ARRAYS = 9  # the same with the core identity, whose verify stage reads 8.0 there
 _FFT_WORKERS = 2  # unused by the solver; bench/run.py still records it
 
 @dataclass(frozen=True)
@@ -143,13 +140,11 @@ class GridSpec:
 class PotentialField:
     """Discrete solution phi with the measure weights used to solve for it.
 
-    The quadratures read phi's gradient through its edge fluxes w d_axis(phi),
-    with w the edge weights sqrt(mu_left mu_right): they and the gradient
-    energies of phi and f are computed once, on first use, so phi and
-    f_values must not change after that.  Each field computes its own edge
-    weights, after the solve and the phi.csv write, whose peak memory they
-    would add to, and drops them with itself.  No node-coordinate stack is
-    kept: coordinate(axis) broadcasts the shared nodes array.
+    Every gradient quadrature is gradient_pairs, which forms its edge weights
+    and differences per call and drops them axis by axis.  The field keeps
+    only floats: the per-axis energies of phi and f, on first use, so phi and
+    f_values must not change after that.  No node-coordinate stack is kept:
+    coordinate(axis) broadcasts the shared nodes array.
     """
 
     model: GibbsModel
@@ -178,49 +173,47 @@ class PotentialField:
         del fg
         return mean_fg - self.f_mean * self.quad_mean(g_values)
 
-    def _difference(self, values: np.ndarray, axis: int) -> np.ndarray:
-        """d_axis(values) on every edge along the axis, a new array."""
+    def _difference(self, values: np.ndarray, axis: int, weights: np.ndarray | None = None) -> np.ndarray:
+        """d_axis(values) on every edge along the axis, times the edge weights if given, a new array."""
         lo = _axis_slice(self.dim, axis, slice(0, -1))
         hi = _axis_slice(self.dim, axis, slice(1, None))
         d = values[hi] - values[lo]
         d /= self.h
+        if weights is not None:
+            d *= weights
         return d
 
-    @cached_property
-    def edge_weights(self) -> list:
-        """Per axis, the geometric-mean weights sqrt(mu_left mu_right) of the grid edges."""
-        mu = self.mu
-        return [
-            np.sqrt(mu[_axis_slice(self.dim, axis, slice(0, -1))] * mu[_axis_slice(self.dim, axis, slice(1, None))])
-            for axis in range(self.dim)
-        ]
+    def gradient_pairs(self, u: np.ndarray, *vs: np.ndarray) -> list:
+        """For each v, per axis, int d_axis(u) d_axis(v) dmu: the sum of (w d_axis u) d_axis v, w = sqrt(mu_lo mu_hi).
 
-    def _flux(self, values: np.ndarray, axis: int) -> tuple[np.ndarray, float]:
-        """The edge flux w d_axis(v) and int |d_axis v|^2 dmu by edge quadrature."""
-        d = self._difference(values, axis)
-        flux = self.edge_weights[axis] * d
-        d *= flux
-        return flux, float(np.sum(d) * self.cell_volume)
-
-    @cached_property
-    def phi_gradient(self) -> tuple[list, list]:
-        """Per axis, phi's edge fluxes and its energies int |d_axis phi|^2 dmu."""
-        fluxes, energies = zip(*(self._flux(self.phi, axis) for axis in range(self.dim)))
-        return list(fluxes), list(energies)
+        An axis holds the flux w d_axis(u), d_axis(u) and one product at a
+        time, and drops them before the next; a v that is u reads d_axis(u).
+        """
+        pairs = [[] for _ in vs]
+        for axis in range(self.dim):
+            lo, hi = (_axis_slice(self.dim, axis, edge) for edge in (slice(0, -1), slice(1, None)))
+            du = self._difference(u, axis)
+            flux = np.multiply(self.mu[lo], self.mu[hi])
+            np.sqrt(flux, out=flux)
+            flux *= du
+            for pair, v in zip(pairs, vs):
+                pair.append(float(np.sum(du * flux if v is u else self._difference(v, axis, flux)) * self.cell_volume))
+            del du, flux
+        return pairs
 
     @cached_property
     def f_energies(self) -> list:
-        """Per axis, int |d_axis f|^2 dmu; f's fluxes are dropped axis by axis."""
-        return [self._flux(self.f_values, axis)[1] for axis in range(self.dim)]
+        """Per axis, int |d_axis f|^2 dmu."""
+        return self.gradient_pairs(self.f_values, self.f_values)[0]
 
-    def _flux_dot(self, flux: np.ndarray, values: np.ndarray, axis: int) -> float:
-        d = self._difference(values, axis)
-        d *= flux
-        return float(np.sum(d) * self.cell_volume)
+    @cached_property
+    def phi_energies(self) -> list:
+        """Per axis, int |d_axis phi|^2 dmu; the CLI sets it from its one pass over phi's differences."""
+        return self.gradient_pairs(self.phi, self.phi)[0]
 
     def covariance_via_representation(self, g_values: np.ndarray) -> float:
         """int grad(phi).grad(g) dmu; should match covariance_direct."""
-        return sum(self._flux_dot(flux, g_values, axis) for axis, flux in enumerate(self.phi_gradient[0]))
+        return sum(self.gradient_pairs(self.phi, g_values)[0])
 
     def coordinate(self, axis: int) -> np.ndarray:
         """Node values of coordinate x_axis, a read-only broadcast of nodes in grid shape."""
@@ -842,8 +835,8 @@ def verify_directional_pi(pf: PotentialField) -> PIResult:
     tol_grid = h (1 + ||grad f||) absorbs the O(h) discretization error in
     the sharp (equality) cases.
     """
-    f_norms = np.array([math.sqrt(max(e, 0.0)) for e in pf.f_energies])  # before phi's fluxes are kept
-    lhs = np.array([math.sqrt(max(e, 0.0)) for e in pf.phi_gradient[1]])
+    f_norms = np.array([math.sqrt(max(e, 0.0)) for e in pf.f_energies])
+    lhs = np.array([math.sqrt(max(e, 0.0)) for e in pf.phi_energies])
     tol = pf.h * (1.0 + float(np.linalg.norm(f_norms)))
     return PIResult.check(lhs, interaction_from_model(pf.model).inverse() @ f_norms, tol)
 
@@ -857,7 +850,7 @@ def verify_dual_pi(pf: PotentialField) -> PIResult:
     rho = pi_criterion(interaction_from_model(pf.model))
     if rho is None:
         raise ValueError("PI constant must be positive")
-    lhs = math.sqrt(sum(pf.phi_gradient[1]))
+    lhs = math.sqrt(sum(pf.phi_energies))
     f_norm = math.sqrt(sum(pf.f_energies))
     return PIResult.check(lhs, f_norm / rho, pf.h * (1.0 + f_norm))
 

@@ -369,7 +369,7 @@ def test_grid_past_physical_memory_exits_2_naming_the_grid(tmp_path, capsys, mon
     [
         ({}, None),
         ({"functions": [{"kind": "coordinate"}, {"kind": "sin", "site": 1}]}, 9),
-        ({"core_identity": True}, 13),
+        ({"core_identity": True}, 9),
     ],
     ids=["one-function", "two-functions", "core-identity"],
 )
@@ -402,16 +402,16 @@ def test_duplicate_key_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-SAMPLER = {"chains": 4, "steps": 800, "burn_in": 80, "proposal_std": 1.0, "seed": 3}
+SHORT_SAMPLER = {"chains": 4, "steps": 800, "burn_in": 80, "proposal_std": 1.0, "seed": 3}
 COSINE = {"kind": "cosine", "amplitude": 0.1, "frequency": 1.0}
 STRONG_COUPLING = {
     "bound_report": {"experiment": {"kind": "bound_report"}},
     "gaussian_sharpness": {"experiment": {"kind": "gaussian_sharpness"}},
-    "mcmc_check-exact": {"experiment": {"kind": "mcmc_check"}, "sampler": SAMPLER},  # Gaussian: the exact covariance
+    "mcmc_check-exact": {"experiment": {"kind": "mcmc_check"}, "sampler": SHORT_SAMPLER},  # Gaussian: the exact covariance
     "mcmc_check-bound": {  # cosine: the bound A^-1
         "model": {**base_model_block(8, 5.0), "potential": {"q": 1.0, "perturbation": COSINE}},
         "experiment": {"kind": "mcmc_check"},
-        "sampler": SAMPLER,
+        "sampler": SHORT_SAMPLER,
     },
     "pde_check": {"model": base_model_block(2, 5.0), "experiment": {"kind": "pde_check"}, "grid": {"L": 6.0, "h": 0.1}},
 }
@@ -711,7 +711,7 @@ def test_removed_verdict_options_are_refused(tmp_path, capsys):
         ("mcmc_check", "compare", "bound"),
         ("mcmc_check", "max_violations", 300),
     ):
-        raw = {"model": base_model_block(), "experiment": {"kind": kind, key: value}, "sampler": SAMPLER}
+        raw = {"model": base_model_block(), "experiment": {"kind": kind, key: value}, "sampler": SHORT_SAMPLER}
         out = tmp_path / key
         assert main(["--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: experiment: unknown key '{key}'\n"
@@ -1133,7 +1133,7 @@ EVERY_KIND = {
     "mcmc_check": {
         "model": {**base_model_block(8, 0.1), "potential": {"q": 1.0, "perturbation": COSINE}},
         "experiment": {"kind": "mcmc_check"},
-        "sampler": SAMPLER,
+        "sampler": SHORT_SAMPLER,
     },
     "exponential_certificate": {"experiment": {"kind": "exponential_certificate"}},
     "algebraic_certificate": {

@@ -1,5 +1,6 @@
 """Each script under scripts/ runs to completion against the library."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -34,15 +35,15 @@ def test_script_exits_zero(script, tmp_path):
     assert result.returncode == 0, result.stderr
 
 
-def test_output_digest_hashes_report_without_meta(tmp_path):
-    spec = importlib.util.spec_from_file_location("output_digest", ROOT / "scripts" / "output_digest.py")
-    digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digest)
-    config = json.loads((ROOT / "configs" / "gaussian_sharpness_1d.json").read_text())
-    report, _ = run_experiment(parse_config(config), tmp_path)
+def test_output_digest_hashes_report_without_meta(tmp_path, capsys):
+    config = ROOT / "configs" / "gaussian_sharpness_1d.json"
+    report, _ = run_experiment(parse_config(json.loads(config.read_text())), tmp_path)
     written = (tmp_path / "report.json").read_bytes()
-    assert b'"meta"' in written
-    assert digest.without_meta(written) == report_bytes(report, drop_meta=True) + b"\n"
+    assert b'"meta"' in written and report_bytes(report) + b"\n" == written
+    assert load_script("output_digest").main([str(config)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    want = hashlib.sha256(report_bytes(report, drop_meta=True) + b"\n").hexdigest()
+    assert f"{want}  gaussian_sharpness_1d/report.json" in lines
 
 
 # scripts/output_digest.py's lines for configs/*.json; a change that moves an
@@ -101,11 +102,12 @@ def test_bound_hierarchy_output_is_pinned(capsys):
     assert capsys.readouterr().out == PINNED_BOUND_HIERARCHY
 
 
-def test_layer_ab_times_a_tree_against_itself():
+def layer_ab_against_itself(target):
+    """scripts/layer_ab.py with this tree as base and head on torus-nn; asserts it ran and found equal bytes."""
     root = str(ROOT)
     result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "layer_ab.py"), "--base", root, "--head", root]
-        + ["--workload", "torus-nn", "--seed", "101", "--target", "gibbscert.reporting:emit_pair_table", "--repeats", "1"],
+        + ["--workload", "torus-nn", "--seed", "101", "--target", target, "--repeats", "1"],
         capture_output=True,
         text=True,
         timeout=120,
@@ -115,6 +117,16 @@ def test_layer_ab_times_a_tree_against_itself():
     calls = int(lines[0].split(": ")[1].split(" calls")[0])
     assert calls > 0
     assert lines[-1] == f"bytes equal: yes, on {calls} of {calls} calls"
+
+
+def test_layer_ab_times_a_tree_against_itself():
+    layer_ab_against_itself("gibbscert.reporting:emit_pair_table")
+
+
+def test_layer_ab_times_whole_requests_of_a_tree_against_itself():
+    # run_experiment writes a directory, whose report.json differs in meta
+    # alone, and each tree parses its own config
+    layer_ab_against_itself("gibbscert.cli:run_experiment")
 
 
 def load_script(name):
