@@ -15,8 +15,10 @@ times untraced, and the last round's wall time and minor page faults
 turn under tracemalloc, whose peak per stage is printed in MiB and in grid
 arrays of m^dim doubles.  tracemalloc does not see SuperLU's factor of the
 V-cycle's last level, so each cell's header also gives that factor's
-nonzeros in L + U and their bytes, FACTOR_BYTES per nonzero, from a solver
-built for the cell after the rounds.  Without --seed nothing runs.
+nonzeros in L + U and their bytes, FACTOR_BYTES per nonzero, and the median
+wall time of BUILDS builds of it (the level's operator, its pin and the
+factor, _Level.direct_solver), from a solver built for the cell after the
+rounds.  Without --seed nothing runs.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import resource
+import statistics
 import sys
 import tempfile
 import time
@@ -36,6 +39,7 @@ ROOT = Path(__file__).resolve().parents[1]
 STAGES = ("set-up", "solve", "phi.csv", "verify")
 RUNS = 3  # untraced rounds over the cells; the last one's page faults and times are printed
 FACTOR_BYTES = 12  # per nonzero of SuperLU's L + U: a double and a 32-bit row index
+BUILDS = 5  # timed builds of the last level's factor; the median is printed
 
 
 def pde_cells(seed: int, h: float | None) -> list[dict]:
@@ -110,13 +114,19 @@ def main(argv=None) -> int:
         cfg = cli.parse_config(raw)
         m = cfg.grid.nodes_per_axis
         array = 8 * m**cfg.model.n_sites
-        lu = cli.PotentialSolver(cfg.model, cfg.grid)._direct.lu
+        level = cli.PotentialSolver(cfg.model, cfg.grid).levels[-1]
+        builds = []
+        for _ in range(BUILDS):
+            start = time.perf_counter()
+            lu = level.direct_solver().lu
+            builds.append(time.perf_counter() - start)
         nnz = lu.L.nnz + lu.U.nnz
         functions = raw["experiment"]["functions"]
         kinds = ", ".join(f["kind"] for f in functions)
         print(
             f"m = {m}, {len(functions)} function(s) ({kinds}), grid array {array / 2**20:.2f} MiB, "
-            f"coarse factor {nnz} nonzeros, {FACTOR_BYTES * nnz / 2**20:.2f} MiB"
+            f"coarse factor {nnz} nonzeros, {FACTOR_BYTES * nnz / 2**20:.2f} MiB, "
+            f"built in {1e3 * statistics.median(builds):.1f} ms"
         )
         print(f"{'stage':<8} {'MiB':>7} {'arrays':>7} {'ms':>8} {'minflt':>8}")
         for stage in STAGES:

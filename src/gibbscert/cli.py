@@ -230,7 +230,7 @@ def _check_fit(raw: dict, options: dict, model: GibbsModel, grid: GridSpec | Non
     if kind == "pde_check":
         try:
             n_functions = len(options["functions"])
-            check_grid(model, grid.box_halfwidth, grid.nodes_per_axis, options.get("core_identity", False), n_functions)
+            check_grid(model, grid.box_halfwidth, grid.nodes_per_axis, options["core_identity"], n_functions)
         except GridError as exc:  # an amplitude is blamed at the largest one
             block = _potential_block(raw, int(np.argmax(np.abs(model.amplitude))))
             raise ConfigError(f"{_GRID_KEYS[exc.cause].format(block)}: {exc}") from exc
@@ -324,6 +324,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     options = {k: v for k, v in raw["experiment"].items() if k != "kind"}
     if raw["experiment"]["kind"] == "pde_check":
         options.setdefault("functions", [{"kind": "coordinate", "site": 0}])  # one coordinate by default
+        options.setdefault("core_identity", False)
     _check_fit(raw, options, model, grid)
     if "sampler" in raw:
         s = raw["sampler"]
@@ -453,7 +454,7 @@ def _run_pde_check(cfg: ExperimentConfig, out_dir: Path):
             )
             all_ok &= ok
         entry["covariance_representation"] = rep_checks
-        if cfg.options.get("core_identity", False):
+        if cfg.options["core_identity"]:
             entry["core_identity_residual"] = verify_core_identity(pf)
         checks.append(entry)
     results = {

@@ -22,11 +22,11 @@ McCormick, A Multigrid Tutorial, 2000):
   correction and black then red after it, so the cycle is symmetric;
 * restriction is the transpose of linear interpolation, scaled by 2^-dim,
   and sqrt(mu), the null vector, is projected out at every level;
-* the last level is one sparse LU with its densest node pinned, its columns
-  ordered by minimum degree on A^T + A (George & Liu, Computer Solution of
-  Large Sparse Positive Definite Systems, 1981): on the 76^2 level of
-  m = 601 L + U hold 191k nonzeros, 2.2 MiB, against 340k under SuperLU's
-  default COLAMD.
+* the last level is one sparse LU of its operator in grid order, on every
+  grid, with its densest node pinned and its columns ordered by minimum
+  degree on A^T + A (George & Liu, Computer Solution of Large Sparse
+  Positive Definite Systems, 1981): on the 76^2 level of m = 601 L + U hold
+  191k nonzeros, 2.2 MiB, against 340k under SuperLU's default COLAMD.
 
 The iteration count is then independent of m (at most 11 on the 2D grids
 from m = 100 to 2401 that were tried, cold or warm-started), and prime m
@@ -43,6 +43,7 @@ the PCG's output blocks; phi is copied back into grid order once, at the end.
 The PCG solves h^2 K_hat y = rhs_hat, so neither the matvec nor the V-cycle
 scales by h^2, and psi = h^2 y.  Its dot products are summed in block
 order, and its stopping norm is sqrt(sum mu r^2), weighted by mu itself.
+A function that is constant on the grid gets phi = 0 without a solve.
 
 Memory, in grid arrays of m^dim doubles.  Each level keeps only its
 diagonal D, one contiguous block per sublattice.  1/D and s = sqrt(mu) are
@@ -474,7 +475,7 @@ class _Level:
         return {p: b.reshape(d.shape) for (p, d), b in zip(self.D.items(), np.split(flat, self.offsets))}
 
     def split(self, x: np.ndarray) -> dict:
-        """The sublattices of a grid function in the level's own order: block order on the finest level."""
+        """The sublattices of a grid function as the cycle holds it: block order on the finest level, grid order below."""
         return self.views(x.reshape(self.shape)) if self.coarse else self.blocks(x.reshape(-1))
 
     def merge(self, xs: dict, out: np.ndarray) -> np.ndarray:
@@ -482,14 +483,6 @@ class _Level:
         for p, v in xs.items():
             out[_sublattice(p)] = v
         return out
-
-    def order(self) -> np.ndarray:
-        """The C-order grid index of each entry of a flat grid function in the level's own order."""
-        order = np.empty(math.prod(self.shape), dtype=np.intp)
-        grid = np.arange(order.size).reshape(self.shape)
-        for par, o in self.split(order).items():
-            o[...] = grid[_sublattice(par)]
-        return order
 
     def root(self, par: tuple) -> np.ndarray:
         """s = sqrt(mu) on sublattice `par`, formed in `scratch`."""
@@ -540,7 +533,7 @@ class _Level:
         return acc
 
     def operator(self) -> scipy.sparse.csr_matrix:
-        """diag(D) - adj, assembled in the level's own order.
+        """diag(D) - adj, assembled in grid order.
 
         The adjacency is a sum over the axes of Kronecker products, a path
         along the axis and identities along the others, built one axis at a
@@ -548,30 +541,33 @@ class _Level:
         """
         paths = [scipy.sparse.diags([np.ones(n - 1), np.ones(n - 1)], [-1, 1], format="csr") for n in self.shape]
         adj = functools.reduce(lambda adj, path: scipy.sparse.kronsum(path, adj, format="csr"), paths)
-        order = self.order()
-        return (scipy.sparse.diags(self.merge(self.D, np.empty(self.shape)).ravel()) - adj).tocsr()[order][:, order]
+        return (scipy.sparse.diags(self.merge(self.D, np.empty(self.shape)).ravel()) - adj).tocsr()
 
     def direct_solver(self):
         """Sparse LU of the level operator with the densest node pinned to 0; the LU is the solver's `lu`.
 
-        SuperLU orders the columns by minimum degree on A^T + A (George &
+        The pin's row and column are zeroed in place and its diagonal set to
+        1.  SuperLU orders the columns by minimum degree on A^T + A (George &
         Liu, Computer Solution of Large Sparse Positive Definite Systems,
         1981): on the 76^2 level of m = 601, L + U hold 191k nonzeros against
-        340k with COLAMD.
+        340k with COLAMD.  The solve reads g and writes out through split, so
+        a finest level's block-order vectors need no permutation.
         """
-        pin = int(np.argmax(self.mu.ravel()[self.order()]))
-        keep = np.ones(math.prod(self.shape))
-        keep[pin] = 0.0
-        mask = scipy.sparse.diags(keep)
-        A = mask @ self.operator() @ mask + scipy.sparse.diags(1.0 - keep)
+        pin = int(np.argmax(self.mu))
+        A = self.operator()
+        A.data[A.indices == pin] = 0.0
+        A.data[A.indptr[pin] : A.indptr[pin + 1]] = 0.0
+        A[pin, pin] = 1.0
+        A.eliminate_zeros()
         lu = scipy.sparse.linalg.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
         def solve(g: np.ndarray, out: np.ndarray) -> np.ndarray:
-            rhs = g.flatten()
+            rhs = self.merge(self.split(g), np.empty(self.shape)).ravel()
             rhs[pin] = 0.0
-            x = lu.solve(rhs)
-            self.project(self.split(x))
-            out[...] = x.reshape(out.shape)
+            xs = self.views(lu.solve(rhs).reshape(self.shape))
+            self.project(xs)
+            for par, o in self.split(out).items():
+                o[...] = xs[par]
             return out
 
         solve.lu = lu
@@ -592,8 +588,6 @@ def _pcg(matvec, precond, b: np.ndarray, target: float, maxiter: int, norm):
     """
     x = np.zeros_like(b)
     r = b
-    if not norm(r) > target:
-        return x, 0
     p = precond(r)
     rz = np.einsum("i,i->", r, p)
     w = np.empty_like(b)
@@ -620,7 +614,7 @@ class PotentialSolver:
 
     Raises GridError for more than 2 sites or a box too small for the measure
     (tail mass above TAIL_MASS_LIMIT); solve_many raises if CG cannot push the
-    relative residual below RESIDUAL_RTOL.  Every V-cycle of a solver reuses
+    relative residual below RESIDUAL_RTOL, or the residual is not a number.  Every V-cycle of a solver reuses
     its levels' workspaces, so a solver runs one solve at a time.  The PCG's
     vectors are in the finest level's block order (`_Level.split`).
     """
@@ -724,24 +718,16 @@ class PotentialSolver:
         return self._vcycle(0, v, np.empty_like(v) if out is None else out)
 
     def _rhs(self, fv: np.ndarray, fm: float, out: np.ndarray) -> np.ndarray:
-        """The centred right-hand side (f - <f>) mu in block order, into out; 0 if centred f is constant."""
-        level = self.levels[0]
-        scale = 0.0  # ||(|f| + |<f>|) mu||^2
-        for par, b in level.split(out).items():
+        """The centred right-hand side (f - <f>) mu in block order, into out."""
+        for par, b in self.levels[0].split(out).items():
             sub = _sublattice(par)
             np.subtract(fv[sub], fm, out=b)
             b *= self.mu[sub]
-            size = np.abs(fv[sub], out=_take(level.scratch, b.shape))
-            size += abs(fm)
-            size *= self.mu[sub]
-            scale += _inner(size, size)
         out -= out.mean()  # exact compatibility with the singular operator
-        if np.linalg.norm(out) <= 1e-13 * max(math.sqrt(scale), 1e-300):
-            out.fill(0.0)  # centred f is constant: phi = 0 exactly
         return out
 
     def _relative_residual(self, phi: np.ndarray, fv: np.ndarray, fm: float, work: np.ndarray) -> float:
-        """||K phi - rhs|| / ||rhs|| for a block-order phi, with K phi = s K_hat (s phi); 0 if rhs = 0.
+        """||K phi - rhs|| / ||rhs|| for a block-order phi, with K phi = s K_hat (s phi).
 
         work, a block-order array, takes s phi and then the right-hand side.
         """
@@ -750,11 +736,8 @@ class PotentialSolver:
         k_phi *= 1.0 / self.h**2
         self._scale(k_phi, np.multiply)
         rhs = self._rhs(fv, fm, work)
-        rhs_norm = float(np.linalg.norm(rhs))
-        if rhs_norm == 0.0:
-            return 0.0
         k_phi -= rhs
-        return float(np.linalg.norm(k_phi) / rhs_norm)
+        return float(np.linalg.norm(k_phi) / np.linalg.norm(rhs))
 
     def solve_many(self, observables: list[Observable]) -> list[PotentialField]:
         """Solve for each observable in turn against the shared measure.
@@ -768,28 +751,17 @@ class PotentialSolver:
         block order on h^2 K_hat, with the V-cycle as its preconditioner and
         sqrt(sum mu r^2) as its stopping norm; psi = h^2 y is divided by s
         in place, checked on its residual in block order and then copied into
-        phi, in grid order, which is centred in place.
+        phi, in grid order, which is centred in place.  A function constant on
+        the grid gets phi = +0.0, residual 0.0 and 0 iterations, without a solve.
         """
-        level = self.levels[0]
         h_dim = self.h**self.dim
         fields = []
         for fv in _grid_values(observables, self.nodes, self.dim):
             fm = float(np.sum(fv * self.mu) * h_dim)
-            b = self._scale(self._rhs(fv, fm, np.empty(self.mu.size)), np.divide)
-            level.project(level.split(b))
-            # stop on the untransformed residual: ||K phi - rhs|| = ||s * (K_hat psi - rhs_hat)||
-            target = 0.5 * RESIDUAL_RTOL * self._mu_norm(b)
-            psi, n_iter = _pcg(self._stencil, self._precond, b, target, CG_MAXITER, self._mu_norm)
-            psi *= self.h**2  # the PCG solved h^2 K_hat y = rhs_hat
-            rel = self._relative_residual(self._scale(psi, np.divide), fv, fm, work=b)
-            del b  # the PCG's residual, then the right-hand side of the check
-            if rel > RESIDUAL_RTOL:
-                raise RuntimeError(
-                    f"CG did not converge after {n_iter} iterations "
-                    f"(relative residual {rel:.3e})"
-                )
-            phi = level.merge(level.split(psi), np.empty(self.mu.shape))
-            del psi
+            if fv.min() == fv.max():  # constant on the grid: phi = 0 exactly, without a solve
+                phi, rel, n_iter = np.zeros(self.mu.shape), 0.0, 0
+            else:
+                phi, rel, n_iter = self._solve(fv, fm)
             pf = PotentialField(
                 model=self.model,
                 nodes=self.nodes,
@@ -805,6 +777,24 @@ class PotentialSolver:
             phi -= pf.quad_mean(phi)
             fields.append(pf)
         return fields
+
+    def _solve(self, fv: np.ndarray, fm: float) -> tuple:
+        """(phi in grid order, uncentred; its relative residual; the PCG's iterations) for a non-constant f."""
+        level = self.levels[0]
+        b = self._scale(self._rhs(fv, fm, np.empty(self.mu.size)), np.divide)
+        level.project(level.split(b))
+        # stop on the untransformed residual: ||K phi - rhs|| = ||s * (K_hat psi - rhs_hat)||
+        target = 0.5 * RESIDUAL_RTOL * self._mu_norm(b)
+        psi, n_iter = _pcg(self._stencil, self._precond, b, target, CG_MAXITER, self._mu_norm)
+        psi *= self.h**2  # the PCG solved h^2 K_hat y = rhs_hat
+        rel = self._relative_residual(self._scale(psi, np.divide), fv, fm, work=b)
+        del b  # the PCG's residual, then the right-hand side of the check
+        if not rel <= RESIDUAL_RTOL:  # NaN fails too: 0/0 once the right-hand side's norm underflows
+            raise RuntimeError(
+                f"CG did not converge after {n_iter} iterations "
+                f"(relative residual {rel:.3e})"
+            )
+        return level.merge(level.split(psi), np.empty(self.mu.shape)), rel, n_iter
 
 
 @dataclass(frozen=True)

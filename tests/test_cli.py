@@ -662,6 +662,7 @@ def test_invalid_pde_functions_rejected(spec, message):
 def test_pde_observables_carry_their_site():
     # the grid oracle evaluates an observable with a site on its axis alone
     cfg = parse_config(pde_config([{"kind": "coordinate"}]))
+    assert cfg.options["core_identity"] is False  # the default, set once by parse_config
     sites = [
         cli._pde_observable(spec, cfg.model, cfg.grid).site
         for spec in (

@@ -56,6 +56,11 @@ def _assemble_operator(mu: np.ndarray, h: float) -> scipy.sparse.csr_matrix:
     return scipy.sparse.diags(bands, offsets, format="csr")
 
 
+def _grid_order(level, v):
+    """A flat vector in the level's split order (block order on a finest level) as a flat grid-order copy."""
+    return level.merge(level.split(v), np.empty(level.shape)).ravel()
+
+
 def _centred_rhs(pf):
     rhs = ((pf.f_values - pf.f_mean) * pf.mu).ravel()
     return rhs - rhs.mean()
@@ -72,10 +77,23 @@ def two_site_model(eps, q=1.0, a=0.0, b=1.0):
 
 
 def test_constant_f_gives_zero_potential():
-    model = one_site_model()
-    f = single_site_function(0, 1, lambda x: np.ones_like(x), 0.0)
-    pf = PotentialSolver(model, COARSE).solve_many([f])[0]
-    assert np.max(np.abs(pf.phi)) <= 1e-10
+    # a function constant on the grid never reaches the PCG: phi is +0.0 bitwise
+    for model, f in (
+        (one_site_model(), single_site_function(0, 1, lambda x: np.ones_like(x), 0.0)),
+        (two_site_model(0.2, a=0.1), affine([0.0, 0.0], 3.0)),
+    ):
+        pf = PotentialSolver(model, COARSE).solve_many([f])[0]
+        assert pf.phi.tobytes() == np.zeros(pf.mu.shape).tobytes()
+        assert pf.residual == 0.0 and pf.iterations == 0
+
+
+def test_residual_that_is_not_a_number_is_refused():
+    # a non-constant f so small that the norms of its right-hand side
+    # underflow to 0 has a relative residual of 0/0: it is refused, not
+    # passed as converged (the 1e-13 zero rule used to set its phi to 0)
+    solver = PotentialSolver(two_site_model(0.2, a=0.1), COARSE)
+    with pytest.raises(RuntimeError, match="relative residual nan"), pytest.warns(RuntimeWarning, match="invalid value"):
+        solver.solve_many([affine([1e-200, 0.0])])
 
 
 def test_one_site_gaussian_linear_f_unit_gradient():
@@ -331,22 +349,25 @@ def test_cold_fine_solve_converges(cold_fine_solve):
 
 
 def test_phi_matches_direct_sparse_solve():
-    solver = PotentialSolver(two_site_model(0.2, a=0.1), GridSpec(6.0, 0.1))
-    assert solver.m == 121
-    pin = int(np.argmax(solver.mu))
-    keep = np.ones(solver.mu.size)
-    keep[pin] = 0.0
-    mask = scipy.sparse.diags(keep)
-    K = _assemble_operator(solver.mu, solver.h)
-    K_pinned = (mask @ K @ mask + scipy.sparse.diags(1.0 - keep)).tocsc()
-    dense = solver.mu >= 1e-3 * solver.mu.max()
-    for pf in solver.solve_many(criterion_3_functions()):
-        rhs = _centred_rhs(pf)
-        rhs[pin] = 0.0
-        phi = scipy.sparse.linalg.spsolve(K_pinned, rhs).reshape(pf.mu.shape)
-        phi -= pf.quad_mean(phi)
-        scale = np.max(np.abs(phi))
-        assert np.max(np.abs(pf.phi - phi)[dense]) <= 1e-10 * scale
+    # at m = 61 the grid is its own last level, whose LU solves in grid order
+    for m, levels in ((121, 2), (61, 1)):
+        solver = PotentialSolver(two_site_model(0.2, a=0.1), GridSpec(6.0, 12.0 / (m - 1)))
+        assert solver.m == m and len(solver.levels) == levels
+        pin = int(np.argmax(solver.mu))
+        keep = np.ones(solver.mu.size)
+        keep[pin] = 0.0
+        mask = scipy.sparse.diags(keep)
+        K = _assemble_operator(solver.mu, solver.h)
+        K_pinned = (mask @ K @ mask + scipy.sparse.diags(1.0 - keep)).tocsc()
+        dense = solver.mu >= 1e-3 * solver.mu.max()
+        for pf in solver.solve_many(criterion_3_functions()):
+            rhs = _centred_rhs(pf)
+            rhs[pin] = 0.0
+            phi = scipy.sparse.linalg.spsolve(K_pinned, rhs).reshape(pf.mu.shape)
+            phi -= pf.quad_mean(phi)
+            scale = np.max(np.abs(phi))
+            assert np.max(np.abs(pf.phi - phi)[dense]) <= 1e-10 * scale
+            assert levels > 1 or pf.iterations == 1  # a one-level preconditioner is the exact pinned LU
 
 
 def test_stencil_residual_matches_assembled_operator():
@@ -354,11 +375,11 @@ def test_stencil_residual_matches_assembled_operator():
     solver = PotentialSolver(two_site_model(0.2, a=0.1), GridSpec(6.0, 0.1))
     assert solver.m == 121
     K = _assemble_operator(solver.mu, solver.h)
-    x = np.random.default_rng(5).normal(size=solver.mu.size)
+    level = solver.levels[0]  # the PCG's vectors are in block order
+    y = np.random.default_rng(5).normal(size=solver.mu.size)  # s x in block order
     s = np.sqrt(solver.mu).ravel()
-    order = solver.levels[0].order()  # the PCG's vectors are in block order
-    stencil = np.empty_like(x)
-    stencil[order] = s[order] * solver._stencil((s * x)[order]) / solver.h**2
+    x = _grid_order(level, y) / s
+    stencil = s * _grid_order(level, solver._stencil(y)) / solver.h**2
     assert np.linalg.norm(stencil - K @ x) <= 1e-12 * np.linalg.norm(K @ x)
     for pf in solver.solve_many(criterion_3_functions()):
         rhs = _centred_rhs(pf)
@@ -371,7 +392,7 @@ def test_stencil_residual_matches_assembled_operator():
 @pytest.mark.parametrize("shape", [(9,), (9, 8), (5, 6, 7)], ids=["1-axis", "2-axis", "3-axis"])
 def test_assembled_level_operator_matches_the_stencil(shape, coarse):
     # the direct solver's matrix before pinning, diag(D) minus a Kronecker sum
-    # of paths, must be the level's stencil in the level's own order
+    # of paths, must be the level's stencil in grid order on either kind of level
     rng = np.random.default_rng(7)
     mu = rng.uniform(0.5, 2.0, size=shape)
     level = _Level(mu, np.sqrt(mu), coarse=coarse)
@@ -380,7 +401,7 @@ def test_assembled_level_operator_matches_the_stencil(shape, coarse):
     level.stencil(level.split(x), level.split(stencil))
     A = level.operator()
     assert A.shape == (mu.size, mu.size) and (A != A.T).nnz == 0
-    assert np.max(np.abs(A @ x - stencil)) <= 1e-13 * np.max(np.abs(stencil))
+    assert np.max(np.abs(A @ _grid_order(level, x) - _grid_order(level, stencil))) <= 1e-13 * np.max(np.abs(stencil))
 
 
 def test_coarse_factor_is_ordered_by_minimum_degree():

@@ -232,11 +232,15 @@ def test_grid_memory_prints_each_stage_of_the_pde_cells_on_a_coarse_grid(capsys)
     # the oracles stream holds two pde_check cells, each a header, a column line and five rows
     assert len(lines) == 14
     for cell in (lines[:7], lines[7:]):
-        # the header ends with the coarse LU's nonzeros and their bytes, which tracemalloc does not see
+        # the header ends with the coarse LU's nonzeros and their bytes, which
+        # tracemalloc does not see, and the median time to build it
         head, factor = cell[0].split(", coarse factor ")
         assert head.startswith("m = 61, ") and head.endswith("grid array 0.03 MiB")
+        factor, build = factor.split(", built in ")
         nnz, _, mib, unit = factor.split()
         assert int(nnz) > 0 and mib == f"{12 * int(nnz) / 2**20:.2f}" and unit == "MiB"
+        build_ms, unit = build.split()
+        assert float(build_ms) > 0 and unit == "ms"
         assert cell[1].split() == ["stage", "MiB", "arrays", "ms", "minflt"]
         rows = [row.split() for row in cell[2:]]
         assert [row[0] for row in rows] == ["set-up", "solve", "phi.csv", "verify", "request"]
