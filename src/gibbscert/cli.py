@@ -159,7 +159,7 @@ _CONFIG = {
         }
     ),
     "grid": _Opt({"L": _POSITIVE, "h": _POSITIVE}),
-    "output": _Opt({"path": _Opt(_STRING), "format": _Opt(_Leaf("'csv'", lambda v: v == "csv"))}),
+    "output": _Opt({"path": _Opt(_STRING)}),
 }
 EXPERIMENT_KINDS = tuple(_CONFIG["experiment"])
 
@@ -237,7 +237,7 @@ def _check_fit(raw: dict, options: dict, model: GibbsModel, grid: GridSpec | Non
     if kind == "algebraic_certificate" and model.coupling.kind != "algebraic":
         raise ConfigError("model.coupling.kind: algebraic_certificate needs an algebraic coupling")
     if kind == "gaussian_sharpness" and not model.gaussian:
-        raise ConfigError("experiment.kind: gaussian_sharpness needs a Gaussian model (no perturbation)")
+        raise ConfigError("experiment.kind: gaussian_sharpness needs a Gaussian model (every amplitude 0)")
     if kind == "gaussian_sharpness" and not np.all(model.coupling_matrix() >= 0):
         leaf = "matrix" if model.coupling.kind == "explicit" else "epsilon"  # algebraic couplings have c > 0
         raise ConfigError(f"model.coupling.{leaf}: gaussian_sharpness needs a ferromagnetic coupling, J >= 0")
@@ -263,7 +263,6 @@ def _parse_potential(block):
     pert = block.get("perturbation", {})
     return SingleSitePotential(
         q=float(block["q"]),
-        perturbation=pert.get("kind", "none"),
         amplitude=float(pert.get("amplitude", 0.0)),
         frequency=float(pert.get("frequency", 0.0)),
     )

@@ -19,13 +19,12 @@ from .lattice import LatticeGeometry, distance_matrix
 
 @dataclass(frozen=True)
 class SingleSitePotential:
-    """psi(x) = (q/2) x^2 + a cos(b x) with an exactly computable oscillation.
+    """psi(x) = (q/2) x^2 + a cos(b x) with an exactly computable oscillation 2|a|.
 
-    ``none`` has a = b = 0 and osc 0; ``cosine`` has osc 2|a|.
+    The site is Gaussian iff a = 0, whatever b is.
     """
 
     q: float
-    perturbation: str = "none"
     amplitude: float = 0.0
     frequency: float = 0.0
 
@@ -34,10 +33,6 @@ class SingleSitePotential:
             raise ValueError("quadratic coefficient q must be positive and finite")
         if not (math.isfinite(self.amplitude) and math.isfinite(self.frequency)):
             raise ValueError("amplitude and frequency must be finite")
-        if self.perturbation not in ("none", "cosine"):
-            raise ValueError(f"unknown perturbation {self.perturbation!r}")
-        if self.perturbation == "none" and (self.amplitude != 0.0 or self.frequency != 0.0):
-            raise ValueError("perturbation 'none' takes no amplitude or frequency")
 
     @property
     def osc_bound(self) -> float:
@@ -49,9 +44,7 @@ def gaussian_potential(q: float = 1.0) -> SingleSitePotential:
 
 
 def cosine_potential(q: float, amplitude: float, frequency: float) -> SingleSitePotential:
-    return SingleSitePotential(
-        q=q, perturbation="cosine", amplitude=amplitude, frequency=frequency
-    )
+    return SingleSitePotential(q=q, amplitude=amplitude, frequency=frequency)
 
 
 @dataclass(frozen=True)
@@ -146,8 +139,8 @@ class GibbsModel:
 
     @property
     def gaussian(self) -> bool:
-        """No site carries a perturbation, so the measure is Gaussian."""
-        return all(pot.perturbation == "none" for pot in self.potentials)
+        """Every amplitude is 0, so psi is quadratic at every site and the measure is Gaussian."""
+        return not np.any(self.amplitude)
 
     def coupling_matrix(self) -> np.ndarray:
         return self._J
@@ -162,10 +155,11 @@ class GibbsModel:
 
 
 def kappa_matrix(model: GibbsModel) -> np.ndarray:
-    """Uniform mixed-Hessian bounds kappa_ij = |J_ij| (exact for bilinear couplings)."""
-    kappa = np.abs(model._J)
-    np.fill_diagonal(kappa, 0.0)
-    return kappa
+    """Uniform mixed-Hessian bounds kappa_ij = |J_ij| (exact for bilinear couplings).
+
+    J's diagonal is +-0.0 for every coupling kind, so kappa's is +0.0.
+    """
+    return np.abs(model._J)
 
 
 def single_site_pi_constant(pot: SingleSitePotential) -> float:

@@ -24,7 +24,7 @@ def gaussian_exact_covariance(precision) -> np.ndarray:
 
 
 def gaussian_from_model(model: GibbsModel) -> np.ndarray:
-    """The read-only precision matrix of a model without perturbations.
+    """The read-only precision matrix of a Gaussian model, every amplitude 0.
 
     The Hamiltonian is then (1/2) x.(diag(q) - J).x, so the precision matrix
     is the (constant) Hessian of H.

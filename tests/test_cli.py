@@ -220,7 +220,7 @@ PROBES = {
         "experiment.core_identity",
     ),
     "number-output-path": ({"output": {"path": 3}}, "output.path"),
-    "json-output-format": ({"output": {"format": "json"}}, "output.format"),  # it only skipped pairs.csv
+    "output-format": ({"output": {"format": "csv"}}, "output"),  # every output is CSV, so the key is gone
     # the verdict rules are fixed in code: a config that names one is refused as an unknown key
     "unknown-compare": (
         {"experiment": {"kind": "mcmc_check", "compare": "exakt"}, "sampler": SAMPLER},
@@ -501,6 +501,24 @@ def test_gaussian_sharpness_report(tmp_path):
     pairs = (tmp_path / "out" / "pairs.csv").read_text().splitlines()
     assert pairs[0] == "i,j,delta_ij,bound,oracle_value,stderr_or_tol,verdict"
     assert len(pairs) == 1 + 36  # 8 sites: unordered pairs incl diagonal
+
+
+@pytest.mark.parametrize("kind", ["gaussian_sharpness", "bound_report", "mcmc_check"])
+def test_cosine_sites_of_amplitude_zero_are_gaussian(tmp_path, kind):
+    # psi = x^2/2 + 0 cos(x) is quadratic, so the ring is checked against its exact covariance
+    raw = {
+        "model": {**base_model_block(8, 0.2), "potential": {"q": 1.0, "perturbation": {**COSINE, "amplitude": 0.0}}},
+        "experiment": {"kind": kind},
+    }
+    if kind == "mcmc_check":
+        raw["sampler"] = SHORT_SAMPLER
+    status = main(["--config", str(write_config(tmp_path, raw)), "--out", str(tmp_path / "out")])
+    if kind == "mcmc_check":  # the mode, not the sampled verdict
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["results"]["compare"] == "exact"
+        return
+    assert status == 0
+    rows = (tmp_path / "out" / "pairs.csv").read_text().splitlines()[1:]
+    assert len(rows) == 36 and all(row.endswith(",pass") for row in rows)
 
 
 def test_gaussian_sharpness_passes_where_the_covariance_is_tiny(tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from gibbscert.lattice import periodic_grid
 from gibbscert.model import (
     GibbsModel,
-    SingleSitePotential,
     algebraic_coupling,
     cosine_potential,
     explicit_coupling,
@@ -71,6 +70,13 @@ def test_kappa_examples():
     geom16 = periodic_grid([16])
     ma = GibbsModel(geom16, gaussian_potential(1.0), algebraic_coupling(1.0, 1.0, 1))
     assert kappa_matrix(ma)[0, 3] == pytest.approx(0.1)  # 1/(3^2+1)
+
+
+def test_kappa_diagonal_is_positive_zero_for_every_coupling_kind():
+    signed_zeros = np.array([[-0.0, 0.3, 0.0], [0.3, -0.0, -0.2], [0.0, -0.2, -0.0]])
+    for coupling in (nearest_neighbor_coupling(-0.2), algebraic_coupling(1.0, 1.0, 1), explicit_coupling(signed_zeros)):
+        diagonal = np.diag(kappa_matrix(GibbsModel(periodic_grid([3]), gaussian_potential(1.0), coupling)))
+        assert not np.any(diagonal) and not np.any(np.signbit(diagonal)), coupling.kind
 
 
 def test_kappa_dominates_mixed_hessian_at_random_points():
@@ -184,6 +190,8 @@ def test_site_arrays_are_read_only_copies_of_the_fields():
     assert not model.gaussian
     assert two_site_model(0.1).gaussian
     assert not two_site_model(0.1, a=0.1).gaussian
+    for zero in (0.0, -0.0):  # a cosine of amplitude 0 leaves psi quadratic, whatever its frequency
+        assert GibbsModel(periodic_grid([2]), cosine_potential(1.0, zero, 5.0), nearest_neighbor_coupling(0.1)).gaussian
 
 
 def test_mixed_model_psi_matches_the_per_site_formula():
@@ -192,15 +200,6 @@ def test_mixed_model_psi_matches_the_per_site_formula():
     for x in rng.normal(scale=2.0, size=(20, 4)):
         psi = [0.5 * pot.q * xi**2 + pot.amplitude * math.cos(pot.frequency * xi) for pot, xi in zip(MIXED, x)]
         assert np.allclose(model.psi(x), psi, rtol=1e-13, atol=1e-13)
-
-
-def test_unknown_perturbation_and_stray_none_parameters_rejected():
-    with pytest.raises(ValueError, match="unknown perturbation"):
-        SingleSitePotential(q=1.0, perturbation="custom")
-    with pytest.raises(ValueError, match="'none'"):
-        SingleSitePotential(q=1.0, amplitude=0.1)
-    with pytest.raises(ValueError, match="'none'"):
-        SingleSitePotential(q=1.0, frequency=2.0)
 
 
 def test_coupling_matrix_is_read_only_and_not_copied():

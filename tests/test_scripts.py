@@ -51,19 +51,19 @@ def test_output_digest_hashes_report_without_meta(tmp_path, capsys):
 PINNED_DIGESTS = """\
 7c191505c05e8c06d92534edd38baf724e24bc204659782a33561a6dff8daca4  algebraic_1d/decay.csv
 e35049f15a4d90853bbc0699807725c8e4e1599663fb1e50085505fb1b31d531  algebraic_1d/pairs.csv
-14c48a3db27498af6ccf26b788939302f44abd94644cc2b04d983d2623c245c6  algebraic_1d/report.json
+c45edec7fa1afc478126805cdaff386f7262da77c65e026734cb40d68d2ce508  algebraic_1d/report.json
 28af370967268572fe1e44dd82b1db3163cbde147211387d80e2a167001383f5  bound_report_frustrated_2d/pairs.csv
-5fd11d9d3fff0f345dc0ef62fb77c24d31e29bb4fb9e9af8146e62e5839adb98  bound_report_frustrated_2d/report.json
+b6627c40e94c1e9977ba22e6544d70180729face41dea974040e0118e54381f7  bound_report_frustrated_2d/report.json
 81951c07436b6ef6b42fd07a45a7bca07be1e0c283a5e62daa9c53fd72619c3f  exponential_1d/decay.csv
 af711f7c200636d35dd00973fa08eb2d042ea54dc3ae47261c598a955a5e0526  exponential_1d/pairs.csv
-d74148fac03d838d7e5bbf22147f0226342a916b081cd48bb7e236ac4b356e83  exponential_1d/report.json
+c09169ce835369ab40f4d3fcf3375f026a484cb033a546bafb411d4fda2f1884  exponential_1d/report.json
 21fed8cc75af8bed8de00b98e34c86b03a0a108e10483d3e5f071747434f31ab  gaussian_sharpness_1d/pairs.csv
-19cb19e1c732f1c12362ebc1299e2c690eba4bdc887e08c08bfe0ae898fa36f4  gaussian_sharpness_1d/report.json
+ca9bf4fe440629ef9dc04dbcf8784a38011ae8b93dd01c0116d4a394dd1f6ecb  gaussian_sharpness_1d/report.json
 7d9033c1183c5701bd648bb4ccc58a65d53e32be77d489e3d96755ba1ad604d4  mcmc_check_1d/pairs.csv
-a22d6a339d4a220cc8311911506b3195617451ef757aabd5dffe5c33edb2b6c0  mcmc_check_1d/report.json
+104e665dcecf9ee48ed9f93017e061140cd33febc2e3f7d4469e9d313d90c174  mcmc_check_1d/report.json
 fcc258ac3f0cd4cfd5d7967d392002f157ca3f85d9044782b8adfac2d744022e  pde_check_2site/phi.csv
-d2417c8438fbbe7f63d6340eb74a41b19191eac3c1d16f64c06baa9104ba123b  pde_check_2site/report.json
-c39d87f3359cc7173c31de7f87d8471e5de901202deec6faa3bd6f4f2d00e2d9  threshold_scan_2d/report.json
+3221f33dca82f3cee48a78d3169dec53ac0e975e5d4bede1db137b71085311f7  pde_check_2site/report.json
+a9b3995d0ae279a86dc4cfbc8427689d960ea5e97eccfc5f7202ba1818f078fe  threshold_scan_2d/report.json
 """
 
 
